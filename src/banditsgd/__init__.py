@@ -8,13 +8,13 @@ estimate of the optimal rule's value with its plugin variance.  Storage is
 O(p^2) regardless of stream length.
 """
 
-from .engine import (ProtocolError, StepRecord, StreamResult, ipw_gradient,
-                     run_stream, run_stream_lagged, sgd_step)
+from .engine import (ProtocolError, StreamResult, ipw_gradient, run_stream,
+                     run_stream_lagged, sgd_step)
 from .environments import (LaggedSyntheticEnvironment, ReplayCursor,
                            ReplayEnvironment, ReplayExhausted, ReplayLogEntry,
                            ReplayLogError, SyntheticConfig, SyntheticEnvironment,
-                           constant_lag, draw_feature, draw_reward, geometric_lag,
-                           load_replay_log, replay_step, write_replay_log)
+                           constant_lag, geometric_lag, load_replay_log,
+                           write_replay_log)
 from .experiments import (ConfigError, ExperimentConfig, MonteCarloSummary,
                           TuneAlphaResult, build_config, emit_report,
                           load_config_file, oracle_truth_value, run_monte_carlo,
@@ -23,7 +23,7 @@ from .inference import (PluginAccumulators, SingularHessianError, accumulate,
                         normal_cdf, normal_quantile, sandwich_covariance,
                         two_sided_p, wald_report)
 from .models import (HESSIAN_EXACT, HESSIAN_OUTER, LinearModel, LogisticModel,
-                     ModelFamily, linear_index, make_model)
+                     ModelFamily, make_model)
 from .policy import (RngStream, derive_seed, exploration_rate, learning_rate,
                      propensity, sample_action, splitmix64)
 from .types import (DimensionError, ExplorationSchedule, InferenceReport,

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .environments import ReplayLogError
-from .experiments import (ConfigError, build_config, load_config_file,
+from .experiments import (ConfigError, ExperimentConfig, build_config, load_config_file,
                           run_monte_carlo, run_single, tune_alpha)
 
 
@@ -49,10 +50,9 @@ def _add_common_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--format", choices=("csv", "json"))
 
 
-_CONFIG_KEYS = ("model", "p", "beta0", "sigma2", "alpha", "gamma", "eps", "burn_in",
-                "horizon", "reps", "seed", "checkpoints", "hessian", "aipw", "ridge",
-                "value_skip_burn_in", "workers", "level", "replay_log", "trace",
-                "out", "format")
+# Flags share the config's field names; oracle_draws has no flag, so its
+# getattr returns None and it is skipped.
+_CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict:

@@ -11,7 +11,6 @@ arriving reward triggers exactly one update, in first-in-first-out order.
 """
 from __future__ import annotations
 
-import csv
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -58,7 +57,6 @@ class RunSummary:
     total_reward: float = 0.0
     exhausted: bool = False
     pending: int = 0
-    losses: np.ndarray | None = None
     checkpoints: list[Checkpoint] = field(default_factory=list)
 
 
@@ -97,8 +95,6 @@ class _UpdateCore:
 
     def __init__(self, model, learn: LearningSchedule, *, variant: str,
                  collect_inference: bool, collect_value: bool, aipw: bool):
-        self.model = model
-        self.p = model.p
         self.alpha = learn.alpha
         self.gamma = learn.gamma
         self.variant = variant
@@ -128,10 +124,6 @@ class _UpdateCore:
         u0 = float(x @ self._bar_blocks[0])
         u1 = float(x @ self._bar_blocks[1])
         return (1 if u1 > u0 else 0), u0, u1
-
-    def loss_at_bar(self, x, a: int, y: float) -> float:
-        mu = self._link(float(x @ self._bar_blocks[a]))
-        return self.model.loss_from_mean(mu, y)
 
     def apply(self, x, a: int, y: float, pi: float, eps: float, greedy: int,
               include_value: bool = True, u_bar: float | None = None) -> None:
@@ -191,17 +183,18 @@ class _UpdateCore:
 def run_stream(env, model, learn: LearningSchedule, explore: ExplorationSchedule,
                rng: RngStream, horizon: int, *, hessian: str = "exact",
                aipw: bool = False, collect_inference: bool = True,
-               collect_value: bool = True, checkpoints=(), record_losses: bool = False,
-               trace_path=None, skip_value_burn_in: bool = False,
-               hooks=()) -> StreamResult:
+               collect_value: bool = True, checkpoints=(),
+               skip_value_burn_in: bool = False, observer=None) -> StreamResult:
     """Run ``horizon`` decision steps against an environment.
 
     The environment supplies features via ``next_feature()`` (``None`` once
     exhausted, which stops the run cleanly) and rewards via
     ``outcome(x, action)``; an ``outcome`` of ``None`` marks a skipped replay
     entry, which consumes the entry but not a decision step.  Fixed seeds give
-    bit-identical runs.  ``hooks`` are called as
-    ``hook(bar_beta_prev, obs, pi, eps, greedy)`` before each update.
+    bit-identical runs.  ``observer``, if given, is called once per decision
+    step, before the update, as ``observer(t, x, a, y, pi, eps, greedy, bar)``;
+    ``bar`` is the live pre-step average, so an observer that keeps it must
+    copy it.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -209,54 +202,31 @@ def run_stream(env, model, learn: LearningSchedule, explore: ExplorationSchedule
                        collect_inference=collect_inference,
                        collect_value=collect_value, aipw=aipw)
     summary = RunSummary()
-    if record_losses:
-        summary.losses = np.full(horizon, np.nan)
     cp_set = set(int(c) for c in checkpoints)
-    trace_file = writer = None
-    if trace_path is not None:
-        trace_file = open(trace_path, "w", newline="")
-        writer = csv.writer(trace_file)
-        writer.writerow(["step", "eps", "pi", "action", "reward", "loss"])
-    try:
-        for t in range(1, horizon + 1):
-            eps = exploration_rate(explore, t)
-            while True:
-                x = env.next_feature()
-                if x is None:
-                    summary.exhausted = True
-                    break
-                greedy, u0, u1 = core.decide(x)
-                pi = 1.0 - eps / 2.0 if greedy == 1 else eps / 2.0
-                a = 1 if rng.uniform() < pi else 0
-                y = env.outcome(x, a)
-                if y is not None:
-                    break
-            if summary.exhausted:
+    for t in range(1, horizon + 1):
+        eps = exploration_rate(explore, t)
+        while True:
+            x = env.next_feature()
+            if x is None:
+                summary.exhausted = True
                 break
-            if hooks:
-                obs = Observation(x, a, y)
-                bar_prev = core.bar.copy()
-                for hook in hooks:
-                    hook(bar_prev, obs, pi, eps, greedy)
-            loss = None
-            if record_losses or writer is not None:
-                loss = core.loss_at_bar(x, a, y)
-                if record_losses:
-                    summary.losses[t - 1] = loss
-            include_value = not (skip_value_burn_in and t <= explore.burn_in)
-            core.apply(x, a, float(y), pi, eps, greedy, include_value,
-                       u_bar=u1 if a == 1 else u0)
-            summary.total_reward += y
-            summary.steps = t
-            if writer is not None:
-                writer.writerow([t, repr(eps), repr(pi), a, repr(float(y)), repr(loss)])
-            if t in cp_set:
-                summary.checkpoints.append(core.snapshot(t, eps))
-    finally:
-        if trace_file is not None:
-            trace_file.close()
-    if record_losses and summary.steps < horizon:
-        summary.losses = summary.losses[:summary.steps]
+            greedy, u0, u1 = core.decide(x)
+            pi = 1.0 - eps / 2.0 if greedy == 1 else eps / 2.0
+            a = 1 if rng.uniform() < pi else 0
+            y = env.outcome(x, a)
+            if y is not None:
+                break
+        if summary.exhausted:
+            break
+        if observer is not None:
+            observer(t, x, a, y, pi, eps, greedy, core.bar)
+        include_value = not (skip_value_burn_in and t <= explore.burn_in)
+        core.apply(x, a, float(y), pi, eps, greedy, include_value,
+                   u_bar=u1 if a == 1 else u0)
+        summary.total_reward += y
+        summary.steps = t
+        if t in cp_set:
+            summary.checkpoints.append(core.snapshot(t, eps))
     summary.updates = core.updates
     return StreamResult(core.state(), core.plugin, core.value, summary)
 
@@ -322,3 +292,4 @@ def run_stream_lagged(env, model, learn: LearningSchedule, explore: ExplorationS
     summary.updates = core.updates
     summary.pending = len(pending)
     return StreamResult(core.state(), core.plugin, core.value, summary)
+

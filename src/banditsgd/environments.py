@@ -47,28 +47,6 @@ class SyntheticConfig:
             raise ValueError("noise variance must be nonnegative")
 
 
-def draw_feature(config: SyntheticConfig, rng: RngStream) -> np.ndarray:
-    """One feature vector: intercept plus standard normal coordinates."""
-    if config.feature_sampler is not None:
-        return np.asarray(config.feature_sampler(rng.gen, 1), dtype=np.float64)[0]
-    p = config.model.p
-    x = np.empty(p)
-    x[0] = 1.0
-    if p > 1:
-        x[1:] = rng.gen.standard_normal(p - 1)
-    return x
-
-
-def draw_reward(config: SyntheticConfig, x, a: int, rng: RngStream) -> float:
-    """One reward draw from the true model at (x, a)."""
-    p = config.model.p
-    u = float(x @ (config.beta0[p:] if a == 1 else config.beta0[:p]))
-    if config.model.tag == "linear":
-        return u + math.sqrt(config.sigma2) * float(rng.gen.standard_normal())
-    mu = config.model.mean_from_index(u)
-    return 1.0 if rng.gen.random() < mu else 0.0
-
-
 class SyntheticEnvironment:
     """Infinite stream of simulated observations, owned by one run.
 
@@ -306,11 +284,6 @@ class ReplayCursor:
         if self.matched == 0:
             raise ValueError("no matched entries yet")
         return self._sum_matched / self.matched
-
-
-def replay_step(cursor: ReplayCursor, proposed: int):
-    """Advance the cursor by one entry for the proposed action."""
-    return cursor.step(proposed)
 
 
 class ReplayEnvironment:

@@ -8,10 +8,13 @@ independent, and parallel and serial execution produce identical results.
 """
 from __future__ import annotations
 
+import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from contextlib import nullcontext
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +22,8 @@ import numpy as np
 from .engine import Checkpoint, run_stream
 from .environments import (ReplayCursor, ReplayEnvironment, SyntheticConfig,
                            SyntheticEnvironment, load_replay_log)
-from .inference import (SingularHessianError, normal_quantile, sandwich_covariance,
-                        value_report_row, wald_report)
+from .inference import (SingularHessianError, _parameter_names, normal_quantile,
+                        sandwich_covariance, value_report_row, wald_report)
 from .models import make_model
 from .policy import RngStream, derive_seed, exploration_rate
 from .types import ExplorationSchedule, InferenceReport, LearningSchedule, ReportRow
@@ -211,47 +214,99 @@ class SingleRunOutput:
     replay_stats: dict | None = None
 
 
-def _checkpoint_report(cp, config: ExperimentConfig) -> InferenceReport:
-    """Wald report for one checkpoint; singular curvature flags rows instead of failing."""
+@dataclass
+class RepCheckpoint:
+    t: int
+    eps: float
+    bar_beta: np.ndarray
+    se: np.ndarray | None
+    beta_flag: str
+    value_est: float
+    value_se: float
+    value_flag: str
+    value_aipw_est: float | None = None
+    value_aipw_se: float | None = None
+
+
+def _checkpoint_inference(cp: Checkpoint, config: ExperimentConfig):
+    """Sandwich covariance and value numbers for one checkpoint.
+
+    Returns ``(cov, rc)``: the covariance, or None when the curvature stays
+    singular (``rc.beta_flag`` then reads ``singular_hessian``) or the run
+    collected no parameter accumulators; and the checkpoint's record.  A
+    checkpoint without value steps gets NaN value numbers flagged
+    ``no_value_steps``.
+    """
+    cov = None
     flag = ""
-    try:
-        cov = sandwich_covariance(cp.plugin)
-    except SingularHessianError:
-        if config.ridge:
-            try:
-                cov = sandwich_covariance(cp.plugin, ridge=True)
-                flag = "ridge"
-            except SingularHessianError:
-                cov = None
-                flag = "singular_hessian"
-        else:
-            cov = None
+    if cp.plugin is not None:
+        try:
+            cov = sandwich_covariance(cp.plugin)
+        except SingularHessianError:
             flag = "singular_hessian"
+            if config.ridge:
+                try:
+                    cov = sandwich_covariance(cp.plugin, ridge=True)
+                    flag = "ridge"
+                except SingularHessianError:
+                    pass
+    se = None if cov is None else np.sqrt(np.maximum(np.diag(cov), 0.0))
+    rc = RepCheckpoint(t=cp.t, eps=cp.eps, bar_beta=cp.bar_beta, se=se, beta_flag=flag,
+                       value_est=math.nan, value_se=math.nan, value_flag="no_value_steps")
+    if config.aipw:
+        rc.value_aipw_est = rc.value_aipw_se = math.nan
+    if cp.value.t == 0:
+        return cov, rc
+    rc.value_est = value_estimate(cp.value)
+    rc.value_flag = "variance_clamped" if raw_value_variance(cp.value, cp.eps) < 0 else ""
+    rc.value_se = value_standard_error(cp.value, cp.eps)
+    if config.aipw:
+        rc.value_aipw_est = value_estimate(cp.value, aipw=True)
+        a_var = max(raw_value_variance(cp.value, cp.eps, aipw=True), 0.0)
+        rc.value_aipw_se = math.sqrt(a_var / cp.value.t)
+    return cov, rc
+
+
+def _checkpoint_report(cp: Checkpoint, config: ExperimentConfig) -> InferenceReport:
+    """Wald report for one checkpoint; singular curvature flags rows instead of failing."""
+    cov, rc = _checkpoint_inference(cp, config)
     if cov is not None:
         report = wald_report(cp.bar_beta, cov, level=config.level)
-        if flag:
-            for row in report.rows:
-                row.flag = flag
+        for row in report.rows:
+            row.flag = rc.beta_flag
     else:
         report = InferenceReport(level=config.level)
-        for j, name in enumerate([f"beta0_{i + 1}" for i in range(config.p)]
-                                 + [f"beta1_{i + 1}" for i in range(config.p)]):
+        for j, name in enumerate(_parameter_names(cp.bar_beta.shape[0])):
             report.rows.append(ReportRow(
                 name=name, estimate=float(cp.bar_beta[j]), se=math.nan,
                 ci_lo=math.nan, ci_hi=math.nan, t_value=math.nan,
-                p_value=math.nan, flag=flag))
-    v_est = value_estimate(cp.value)
-    v_flag = "variance_clamped" if raw_value_variance(cp.value, cp.eps) < 0 else ""
-    v_se = value_standard_error(cp.value, cp.eps)
-    report.rows.append(value_report_row(v_est, v_se, config.level, flag=v_flag))
+                p_value=math.nan, flag=rc.beta_flag))
+    report.rows.append(value_report_row(rc.value_est, rc.value_se, config.level,
+                                        flag=rc.value_flag))
     if config.aipw:
-        a_est = value_estimate(cp.value, aipw=True)
-        a_var = raw_value_variance(cp.value, cp.eps, aipw=True)
-        a_se = math.sqrt(max(a_var, 0.0) / cp.value.t)
-        row = value_report_row(a_est, a_se, config.level, flag="experimental")
+        row = value_report_row(rc.value_aipw_est, rc.value_aipw_se, config.level,
+                               flag="experimental" if cp.value.t else "no_value_steps")
         row.name = "V_opt_aipw"
         report.rows.append(row)
     return report
+
+
+def _loss_at_bar(model, x, a: int, y: float, bar) -> float:
+    """Loss of the pre-step average on the step just observed."""
+    p = model.p
+    u = float(x @ (bar[p:] if a == 1 else bar[:p]))
+    return model.loss_from_mean(model.mean_from_index(u), y)
+
+
+def _trace_writer(fh, model):
+    """Stream observer writing the per-step trace CSV to the open file ``fh``."""
+    writer = csv.writer(fh)
+    writer.writerow(["step", "eps", "pi", "action", "reward", "loss"])
+
+    def observe(t, x, a, y, pi, eps, greedy, bar):
+        loss = _loss_at_bar(model, x, a, y, bar)
+        writer.writerow([t, repr(eps), repr(pi), a, repr(float(y)), repr(loss)])
+    return observe
 
 
 def run_single(config: ExperimentConfig) -> SingleRunOutput:
@@ -266,12 +321,14 @@ def run_single(config: ExperimentConfig) -> SingleRunOutput:
     else:
         env = SyntheticEnvironment(config.synthetic_config(), rng)
     checkpoints = config.effective_checkpoints()
-    result = run_stream(
-        env, model, config.learning_schedule(), config.exploration_schedule(),
-        rng, config.horizon, hessian=config.hessian, aipw=config.aipw,
-        checkpoints=checkpoints, trace_path=config.trace,
-        skip_value_burn_in=config.value_skip_burn_in,
-    )
+    trace = nullcontext() if config.trace is None else open(config.trace, "w", newline="")
+    with trace as fh:
+        result = run_stream(
+            env, model, config.learning_schedule(), config.exploration_schedule(),
+            rng, config.horizon, hessian=config.hessian, aipw=config.aipw,
+            checkpoints=checkpoints, skip_value_burn_in=config.value_skip_burn_in,
+            observer=None if fh is None else _trace_writer(fh, model),
+        )
     snapshots = {cp.t: cp for cp in result.summary.checkpoints}
     if result.summary.exhausted and result.summary.steps >= 1 \
             and result.summary.steps not in snapshots:
@@ -306,20 +363,6 @@ def run_single(config: ExperimentConfig) -> SingleRunOutput:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class RepCheckpoint:
-    t: int
-    eps: float
-    bar_beta: np.ndarray
-    se: np.ndarray | None
-    beta_flag: str
-    value_est: float
-    value_se: float
-    value_flag: str
-    value_aipw_est: float | None = None
-    value_aipw_se: float | None = None
-
-
-@dataclass
 class RepResult:
     rep: int
     seed: int
@@ -344,33 +387,7 @@ def run_replication(config: ExperimentConfig, rep: int, rep_seed: int | None = N
             skip_value_burn_in=config.value_skip_burn_in,
         )
         for cp in result.summary.checkpoints:
-            se = None
-            flag = ""
-            if collect_inference:
-                try:
-                    cov = sandwich_covariance(cp.plugin)
-                except SingularHessianError:
-                    cov = None
-                    flag = "singular_hessian"
-                    if config.ridge:
-                        try:
-                            cov = sandwich_covariance(cp.plugin, ridge=True)
-                            flag = "ridge"
-                        except SingularHessianError:
-                            cov = None
-                if cov is not None:
-                    se = np.sqrt(np.maximum(np.diag(cov), 0.0))
-            v_est = value_estimate(cp.value)
-            v_flag = "variance_clamped" if raw_value_variance(cp.value, cp.eps) < 0 else ""
-            v_se = value_standard_error(cp.value, cp.eps)
-            rc = RepCheckpoint(t=cp.t, eps=cp.eps, bar_beta=cp.bar_beta, se=se,
-                               beta_flag=flag, value_est=v_est, value_se=v_se,
-                               value_flag=v_flag)
-            if config.aipw:
-                rc.value_aipw_est = value_estimate(cp.value, aipw=True)
-                a_var = max(raw_value_variance(cp.value, cp.eps, aipw=True), 0.0)
-                rc.value_aipw_se = math.sqrt(a_var / cp.value.t)
-            out.checkpoints.append(rc)
+            out.checkpoints.append(_checkpoint_inference(cp, config)[1])
     except Exception as exc:  # noqa: BLE001 - failures are recorded, not fatal
         out.error = f"{type(exc).__name__}: {exc}"
     return out
@@ -405,9 +422,9 @@ class McRow:
 class MonteCarloSummary:
     level: float
     reps: int
+    failures: int
     truth_value: float
     truth_value_se: float
-    failures: int
     rows: list[McRow] = field(default_factory=list)
 
     def row(self, t: int, name: str) -> McRow:
@@ -422,6 +439,21 @@ def oracle_truth_value(config: ExperimentConfig) -> tuple[float, float]:
     rng = RngStream(derive_seed(config.seed, _ORACLE_STREAM_INDEX))
     return oracle_value(config.model_family(), config.beta0_array(),
                         config.oracle_draws, rng)
+
+
+def _mc_row(t: int, name: str, est, se, truth: float, z: float, n_excluded: int) -> McRow:
+    """SE/SD ratio, coverage of ``truth`` with its binomial SE, and mean CI length."""
+    est = np.array(est)
+    se = np.array(se)
+    if len(est) >= 2:
+        sd = float(est.std(ddof=1))
+        ratio = float(se.mean() / sd) if sd > 0 else math.nan
+        cov = float((np.abs(est - truth) <= z * se).mean())
+        cov_se = math.sqrt(cov * (1.0 - cov) / len(est))
+        length = float((2.0 * z * se).mean())
+    else:
+        ratio = cov = cov_se = length = math.nan
+    return McRow(t, name, ratio, cov, cov_se, length, len(est), n_excluded)
 
 
 def run_monte_carlo(config: ExperimentConfig, rep_seeds=None,
@@ -446,8 +478,6 @@ def run_monte_carlo(config: ExperimentConfig, rep_seeds=None,
     failures = sum(1 for r in results if r.error is not None)
     ok = [r for r in results if r.error is None]
     z = normal_quantile(0.5 * (1.0 + config.level))
-    names = [f"beta0_{j + 1}" for j in range(config.p)] \
-        + [f"beta1_{j + 1}" for j in range(config.p)]
     summary = MonteCarloSummary(level=config.level, reps=config.reps,
                                 truth_value=truth_value, truth_value_se=truth_value_se,
                                 failures=failures)
@@ -456,38 +486,19 @@ def run_monte_carlo(config: ExperimentConfig, rep_seeds=None,
         if collect_inference:
             with_se = [c for c in per_rep if c.se is not None]
             n_excl = len(per_rep) - len(with_se) + failures
-            for j, name in enumerate(names):
-                if len(with_se) >= 2:
-                    est = np.array([c.bar_beta[j] for c in with_se])
-                    se = np.array([c.se[j] for c in with_se])
-                    sd = float(est.std(ddof=1))
-                    ratio = float(se.mean() / sd) if sd > 0 else math.nan
-                    covered = np.abs(est - truth_beta[j]) <= z * se
-                    cov = float(covered.mean())
-                    cov_se = math.sqrt(cov * (1.0 - cov) / len(with_se))
-                    length = float((2.0 * z * se).mean())
-                else:
-                    ratio = cov = cov_se = length = math.nan
-                summary.rows.append(McRow(t, name, ratio, cov, cov_se, length,
-                                          len(with_se), n_excl))
-        v_rows = [("V_opt", [(c.value_est, c.value_se) for c in per_rep])]
+            for j, name in enumerate(_parameter_names(2 * config.p)):
+                summary.rows.append(_mc_row(
+                    t, name, [c.bar_beta[j] for c in with_se], [c.se[j] for c in with_se],
+                    truth_beta[j], z, n_excl))
+        with_value = [c for c in per_rep if c.value_flag != "no_value_steps"]
+        n_excl = len(per_rep) - len(with_value) + failures
+        summary.rows.append(_mc_row(
+            t, "V_opt", [c.value_est for c in with_value], [c.value_se for c in with_value],
+            truth_value, z, n_excl))
         if config.aipw:
-            v_rows.append(("V_opt_aipw",
-                           [(c.value_aipw_est, c.value_aipw_se) for c in per_rep]))
-        for name, pairs in v_rows:
-            est = np.array([p[0] for p in pairs])
-            se = np.array([p[1] for p in pairs])
-            if len(est) >= 2:
-                sd = float(est.std(ddof=1))
-                ratio = float(se.mean() / sd) if sd > 0 else math.nan
-                covered = np.abs(est - truth_value) <= z * se
-                cov = float(covered.mean())
-                cov_se = math.sqrt(cov * (1.0 - cov) / len(est))
-                length = float((2.0 * z * se).mean())
-            else:
-                ratio = cov = cov_se = length = math.nan
-            summary.rows.append(McRow(t, name, ratio, cov, cov_se, length,
-                                      len(est), failures))
+            summary.rows.append(_mc_row(
+                t, "V_opt_aipw", [c.value_aipw_est for c in with_value],
+                [c.value_aipw_se for c in with_value], truth_value, z, n_excl))
     if write:
         out_dir = Path(config.out)
         emit_report(summary, config.format, out_dir / f"mc_summary.{config.format}")
@@ -513,9 +524,9 @@ class TuneAlphaRow:
 
 @dataclass
 class TuneAlphaResult:
-    rows: list[TuneAlphaRow]
-    final_loss: dict[float, float]
     best_alpha: float
+    final_loss: dict[float, float]
+    rows: list[TuneAlphaRow]
 
 
 def _tune_worker(args):
@@ -524,12 +535,16 @@ def _tune_worker(args):
     rng = RngStream(derive_seed(cfg.seed, rep))
     model = cfg.model_family()
     env = SyntheticEnvironment(cfg.synthetic_config(), rng)
-    result = run_stream(env, model, cfg.learning_schedule(), cfg.exploration_schedule(),
-                        rng, cfg.horizon, collect_inference=False, collect_value=False,
-                        record_losses=True)
+    losses = np.full(cfg.horizon, np.nan)
+
+    def record(t, x, a, y, pi, eps, greedy, bar):
+        losses[t - 1] = _loss_at_bar(model, x, a, y, bar)
+    run_stream(env, model, cfg.learning_schedule(), cfg.exploration_schedule(),
+               rng, cfg.horizon, collect_inference=False, collect_value=False,
+               observer=record)
     # Running average of the pre-update losses: smooth, and its final point is
     # the mean per-step loss of the whole run.
-    cum = np.cumsum(result.summary.losses) / np.arange(1, cfg.horizon + 1)
+    cum = np.cumsum(losses) / np.arange(1, cfg.horizon + 1)
     return alpha, rep, cum[grid - 1]
 
 
@@ -582,65 +597,38 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
+@cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
 def _tabulate(obj) -> tuple[list[str], list[list]]:
-    if isinstance(obj, InferenceReport):
-        header = ["name", "estimate", "se", "ci_lo", "ci_hi", "t_value", "p_value", "flag"]
-        rows = [[r.name, r.estimate, r.se, r.ci_lo, r.ci_hi, r.t_value, r.p_value, r.flag]
-                for r in obj.rows]
-        return header, rows
-    if isinstance(obj, MonteCarloSummary):
-        header = ["t", "name", "ratio", "coverage", "coverage_se", "ci_length",
-                  "n_used", "n_excluded"]
-        rows = [[r.t, r.name, r.ratio, r.coverage, r.coverage_se, r.ci_length,
-                 r.n_used, r.n_excluded] for r in obj.rows]
-        return header, rows
-    if isinstance(obj, TuneAlphaResult):
-        header = ["alpha", "t", "loss_mean", "loss_p05", "loss_p95"]
-        rows = [[r.alpha, r.t, r.loss_mean, r.loss_p05, r.loss_p95] for r in obj.rows]
-        return header, rows
+    """A dict is one row under its keys; a report is its ``rows`` in field order."""
     if isinstance(obj, dict):
         header = list(obj.keys())
         return header, [[obj[k] for k in header]]
-    raise ConfigError(f"cannot serialize object of type {type(obj).__name__}")
+    if not is_dataclass(obj) or "rows" not in _field_names(type(obj)):
+        raise ConfigError(f"cannot serialize object of type {type(obj).__name__}")
+    header = list(_field_names(type(obj.rows[0]))) if obj.rows else []
+    return header, [[getattr(r, name) for name in header] for r in obj.rows]
 
 
 def _jsonify(obj):
-    if isinstance(obj, InferenceReport):
-        return {"level": obj.level,
-                "rows": [{"name": r.name, "estimate": r.estimate, "se": r.se,
-                          "ci_lo": r.ci_lo, "ci_hi": r.ci_hi, "t_value": r.t_value,
-                          "p_value": r.p_value, "flag": r.flag} for r in obj.rows]}
-    if isinstance(obj, MonteCarloSummary):
-        return {"level": obj.level, "reps": obj.reps, "failures": obj.failures,
-                "truth_value": obj.truth_value, "truth_value_se": obj.truth_value_se,
-                "rows": [{"t": r.t, "name": r.name, "ratio": r.ratio,
-                          "coverage": r.coverage, "coverage_se": r.coverage_se,
-                          "ci_length": r.ci_length, "n_used": r.n_used,
-                          "n_excluded": r.n_excluded} for r in obj.rows]}
-    if isinstance(obj, TuneAlphaResult):
-        return {"best_alpha": obj.best_alpha,
-                "final_loss": {str(k): v for k, v in obj.final_loss.items()},
-                "rows": [{"alpha": r.alpha, "t": r.t, "loss_mean": r.loss_mean,
-                          "loss_p05": r.loss_p05, "loss_p95": r.loss_p95}
-                         for r in obj.rows]}
-    if isinstance(obj, dict):
+    """JSON-ready copy: records become dicts in field order and NaN/inf become
+    None, so the output is strictly valid."""
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
+    if obj is None or isinstance(obj, (str, int)):
         return obj
-    raise ConfigError(f"cannot serialize object of type {type(obj).__name__}")
-
-
-def _sanitize(obj):
-    """Replace NaN/inf with None so the JSON output is strictly valid."""
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    if isinstance(obj, np.floating):
-        return _sanitize(float(obj))
     if isinstance(obj, np.integer):
         return int(obj)
-    return obj
+    if isinstance(obj, list):
+        return [_jsonify(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: _jsonify(v) for k, v in obj.items()}
+    if is_dataclass(obj):
+        return {name: _jsonify(getattr(obj, name)) for name in _field_names(type(obj))}
+    raise ConfigError(f"cannot serialize object of type {type(obj).__name__}")
 
 
 def emit_report(obj, fmt: str, path) -> Path:
@@ -658,7 +646,7 @@ def emit_report(obj, fmt: str, path) -> Path:
             for row in rows:
                 fh.write(",".join(_fmt_cell(v) for v in row) + "\n")
     elif fmt == "json":
-        payload = _sanitize(_jsonify(obj))
+        payload = _jsonify(obj)
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")

@@ -185,19 +185,6 @@ class LogisticModel(ModelFamily):
         return r * r
 
 
-def linear_index(a: int, x, beta) -> float:
-    """Block-linear index shared by every family: the active half of ``beta``
-    dotted with ``x``."""
-    x = as_float_vector(x, "x")
-    beta = as_float_vector(beta, "beta")
-    p = x.shape[0]
-    if beta.shape[0] != 2 * p:
-        raise DimensionError(f"beta has length {beta.shape[0]}, expected {2 * p}")
-    if a not in (0, 1):
-        raise ValueError(f"action must be 0 or 1, got {a!r}")
-    return float(x @ (beta[p:] if a == 1 else beta[:p]))
-
-
 def make_model(family: str, p: int, sigma2: float = 0.01) -> ModelFamily:
     """Construct a model family by tag ('linear' or 'logistic')."""
     if family == "linear":

@@ -10,6 +10,7 @@ from banditsgd import (ExplorationSchedule, LearningSchedule, LinearModel,
                        exploration_rate, ipw_gradient, make_model, run_stream,
                        run_stream_lagged, sgd_step)
 from banditsgd.environments import LaggedSyntheticEnvironment, constant_lag, geometric_lag
+from banditsgd.experiments import _loss_at_bar, _trace_writer
 from banditsgd.inference import PluginAccumulators, accumulate
 from banditsgd.value import ValueAccumulator, update_value
 
@@ -156,7 +157,8 @@ class TestRunStream:
         m, env, rng = make_env()
         seen = []
         res = run_stream(env, m, LEARN, EXPLORE, rng, 1,
-                         hooks=[lambda bar, obs, pi, eps, greedy: seen.append((pi, eps))])
+                         observer=lambda t, x, a, y, pi, eps, greedy, bar:
+                         seen.append((pi, eps)))
         assert res.summary.steps == 1 and res.plugin.n == 1 and res.value.t == 1
         assert seen == [(0.5, 1.0)]
 
@@ -177,7 +179,8 @@ class TestRunStream:
         steps = []
         res = run_stream(env, m, LEARN,
                          ExplorationSchedule.fixed(0.2, burn_in=10), rng, 1500,
-                         hooks=[lambda *rec: steps.append(rec)])
+                         observer=lambda t, x, a, y, pi, eps, greedy, bar: steps.append(
+                             (bar.copy(), Observation(x, a, y), pi, eps, greedy)))
         state = ParameterState.zeros(3)
         acc = PluginAccumulators(6)
         val = ValueAccumulator()
@@ -206,15 +209,20 @@ class TestRunStream:
 
     def test_losses_recorded_at_running_average(self):
         m, env, rng = make_env(seed=3)
-        res = run_stream(env, m, LEARN, EXPLORE, rng, 200, record_losses=True)
-        assert res.summary.losses.shape == (200,)
-        assert np.isfinite(res.summary.losses).all()
-        assert (res.summary.losses >= 0).all()
+        recorded = []
+        run_stream(env, m, LEARN, EXPLORE, rng, 200,
+                   observer=lambda t, x, a, y, pi, eps, greedy, bar:
+                   recorded.append(_loss_at_bar(m, x, a, y, bar)))
+        losses = np.array(recorded)
+        assert losses.shape == (200,)
+        assert np.isfinite(losses).all()
+        assert (losses >= 0).all()
 
     def test_trace_emission(self, tmp_path):
         m, env, rng = make_env(seed=4)
         path = tmp_path / "trace.csv"
-        res = run_stream(env, m, LEARN, EXPLORE, rng, 5, trace_path=path)
+        with open(path, "w", newline="") as fh:
+            res = run_stream(env, m, LEARN, EXPLORE, rng, 5, observer=_trace_writer(fh, m))
         rows = list(csv.DictReader(open(path)))
         assert len(rows) == 5
         assert list(rows[0]) == ["step", "eps", "pi", "action", "reward", "loss"]
@@ -322,7 +330,8 @@ class TestRunStreamLagged:
         m2, env2, rng2 = make_env(seed=22)
         steps = []
         run_stream(env2, m2, LEARN, EXPLORE, rng2, 600,
-                   hooks=[lambda *rec: steps.append(rec)])
+                   observer=lambda t, x, a, y, pi, eps, greedy, bar: steps.append(
+                       (bar.copy(), Observation(x, a, y), pi, eps, greedy)))
         state = ParameterState.zeros(3)
         for bar_prev, obs, pi, eps, greedy in steps[:-1]:
             state = sgd_step(state, m2, LEARN, obs, pi)

@@ -5,8 +5,7 @@ import pytest
 
 from banditsgd import (LinearModel, LogisticModel, ReplayCursor, ReplayExhausted,
                        ReplayLogEntry, ReplayLogError, RngStream, SyntheticConfig,
-                       SyntheticEnvironment, draw_feature, draw_reward,
-                       load_replay_log, replay_step, write_replay_log)
+                       SyntheticEnvironment, load_replay_log, write_replay_log)
 from banditsgd.environments import (LaggedSyntheticEnvironment, constant_lag,
                                     geometric_lag)
 from banditsgd.types import DimensionError
@@ -19,17 +18,17 @@ def linear_config(sigma2=0.01):
 
 
 class TestDrawFeature:
+    """Feature draws of ``SyntheticEnvironment.next_feature``."""
+
     def test_intercept_always_one(self):
-        rng = RngStream(1)
-        cfg = linear_config()
+        env = SyntheticEnvironment(linear_config(), RngStream(1))
         for _ in range(100):
-            assert draw_feature(cfg, rng)[0] == 1.0
+            assert env.next_feature()[0] == 1.0
 
     def test_coordinate_moments(self):
-        rng = RngStream(2)
-        cfg = linear_config()
+        env = SyntheticEnvironment(linear_config(), RngStream(2))
         n = 100_000
-        xs = np.array([draw_feature(cfg, rng) for _ in range(n)])
+        xs = np.array([env.next_feature() for _ in range(n)])
         assert abs(xs[:, 1].mean()) < 4.0 / math.sqrt(n)
         assert abs(xs[:, 2].var(ddof=1) - 1.0) < 0.05
 
@@ -41,34 +40,33 @@ class TestDrawFeature:
             return out
 
         cfg = SyntheticConfig(LinearModel(3), BETA0, feature_sampler=uniform_features)
-        rng = RngStream(3)
-        x = draw_feature(cfg, rng)
+        x = SyntheticEnvironment(cfg, RngStream(3)).next_feature()
         assert x[0] == 1.0 and 0.0 <= x[1] <= 1.0 and 0.0 <= x[2] <= 1.0
 
 
 class TestDrawReward:
+    """Reward draws of ``SyntheticEnvironment.outcome``."""
+
     def test_noiseless_linear_is_exact_mean(self):
-        cfg = linear_config(sigma2=0.0)
-        rng = RngStream(4)
+        env = SyntheticEnvironment(linear_config(sigma2=0.0), RngStream(4))
         x = np.array([1.0, 0.5, -1.0])
-        assert draw_reward(cfg, x, 0, rng) == pytest.approx(float(x @ BETA0[:3]))
-        assert draw_reward(cfg, x, 1, rng) == pytest.approx(float(x @ BETA0[3:]))
+        assert env.outcome(x, 0) == pytest.approx(float(x @ BETA0[:3]))
+        assert env.outcome(x, 1) == pytest.approx(float(x @ BETA0[3:]))
 
     def test_linear_noise_variance(self):
-        cfg = linear_config(sigma2=0.04)
-        rng = RngStream(5)
+        env = SyntheticEnvironment(linear_config(sigma2=0.04), RngStream(5))
         x = np.array([1.0, 0.0, 0.0])
         n = 100_000
-        ys = np.array([draw_reward(cfg, x, 0, rng) for _ in range(n)])
+        ys = np.array([env.outcome(x, 0) for _ in range(n)])
         assert abs(ys.var(ddof=1) - 0.04) < 0.002
 
     def test_logistic_frequency(self):
         cfg = SyntheticConfig(LogisticModel(3), BETA0)
-        rng = RngStream(6)
+        env = SyntheticEnvironment(cfg, RngStream(6))
         x = np.array([1.0, 0.0, 0.0])
         mu = cfg.model.mean_from_index(0.8)
         n = 100_000
-        ys = np.array([draw_reward(cfg, x, 1, rng) for _ in range(n)])
+        ys = np.array([env.outcome(x, 1) for _ in range(n)])
         assert set(np.unique(ys)) <= {0.0, 1.0}
         assert abs(ys.mean() - mu) < 4.0 * math.sqrt(mu * (1 - mu) / n)
 
@@ -203,35 +201,35 @@ class TestReplayCursor:
     def test_match_keeps_reward(self):
         entries = [ReplayLogEntry(np.array([1.0, 0.2]), 1, 0.7)]
         cursor = ReplayCursor(entries)
-        obs = replay_step(cursor, 1)
+        obs = cursor.step(1)
         assert obs is not None and obs.y == 0.7 and obs.a == 1
         assert cursor.matched == 1 and cursor.skipped == 0 and cursor.exhausted
 
     def test_mismatch_drops_entry(self):
         entries = [ReplayLogEntry(np.array([1.0, 0.2]), 1, 0.7)]
         cursor = ReplayCursor(entries)
-        assert replay_step(cursor, 0) is None
+        assert cursor.step(0) is None
         assert cursor.matched == 0 and cursor.skipped == 1 and cursor.exhausted
 
     def test_exhaustion_reported_distinctly(self):
         cursor = ReplayCursor(_make_entries(1))
-        replay_step(cursor, 1)
+        cursor.step(1)
         with pytest.raises(ReplayExhausted):
-            replay_step(cursor, 1)
+            cursor.step(1)
 
     def test_every_entry_consumed_once(self):
         n = 500
         cursor = ReplayCursor(_make_entries(n, seed=2))
         gen = np.random.default_rng(3)
         while not cursor.exhausted:
-            replay_step(cursor, int(gen.integers(0, 2)))
+            cursor.step(int(gen.integers(0, 2)))
         assert cursor.consumed == n == cursor.matched + cursor.skipped
 
     def test_uniform_log_matches_about_half(self):
         n = 20_000
         cursor = ReplayCursor(_make_entries(n, seed=4))
         while not cursor.exhausted:
-            replay_step(cursor, 1)  # any proposal rule works against a uniform log
+            cursor.step(1)  # any proposal rule works against a uniform log
         se = 0.5 / math.sqrt(n)
         assert abs(cursor.matched / n - 0.5) < 4.0 * se
 
@@ -241,7 +239,7 @@ class TestReplayCursor:
         cursor = ReplayCursor(entries)
         gen = np.random.default_rng(6)
         while not cursor.exhausted:
-            replay_step(cursor, int(gen.integers(0, 2)))
+            cursor.step(int(gen.integers(0, 2)))
         sd = np.array([e.x for e in entries]).std(axis=0, ddof=1)
         gap = np.abs(cursor.feature_mean_matched() - cursor.feature_mean_all())
         assert (gap[1:] < 4.0 * sd[1:] / math.sqrt(cursor.matched)).all()

@@ -7,10 +7,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from banditsgd import (ConfigError, ExperimentConfig, build_config, emit_report,
-                       load_config_file, oracle_truth_value, run_monte_carlo,
-                       run_replication, run_single, tune_alpha)
-from banditsgd.experiments import _map_jobs, _mc_worker, parse_eps_spec
+from banditsgd import (ConfigError, ExperimentConfig, InferenceReport,
+                       MonteCarloSummary, ReportRow, TuneAlphaResult, build_config,
+                       emit_report, load_config_file, oracle_truth_value,
+                       run_monte_carlo, run_replication, run_single, tune_alpha)
+from banditsgd.experiments import (McRow, TuneAlphaRow, _map_jobs, _mc_worker,
+                                   parse_eps_spec)
 
 
 def small_config(**kw):
@@ -131,6 +133,17 @@ class TestRunSingle:
         assert all(math.isnan(r.se) for r in rows[:-1])
         assert rows[-1].name == "V_opt" and math.isfinite(rows[-1].estimate)
 
+    def test_value_skip_within_burn_in_is_flagged_not_fatal(self, tmp_path):
+        # Every step of a 30-step run is burn-in, so no step reaches the value sums.
+        cfg = small_config(horizon=30, checkpoints=None, value_skip_burn_in=True,
+                           aipw=True, out=str(tmp_path / "vs"))
+        rows = run_single(cfg).reports[30].rows
+        assert [r.name for r in rows[-2:]] == ["V_opt", "V_opt_aipw"]
+        for r in rows[-2:]:
+            assert r.flag == "no_value_steps"
+            assert math.isnan(r.estimate) and math.isnan(r.se)
+        assert all(math.isfinite(r.estimate) for r in rows[:-2])
+
     def test_json_report_is_valid(self, tmp_path):
         cfg = small_config(format="json", out=str(tmp_path / "j"))
         run_single(cfg)
@@ -203,6 +216,15 @@ class TestRunMonteCarlo:
         assert beta_row.n_used == 0 and beta_row.n_excluded == 4
         value_row = summary.row(3, "V_opt")
         assert value_row.n_used == 4
+
+    def test_no_value_steps_excluded_from_value_rows(self):
+        cfg = small_config(reps=4, horizon=30, checkpoints=(30,), value_skip_burn_in=True)
+        summary = run_monte_carlo(cfg, write=False)
+        assert summary.failures == 0
+        assert summary.row(30, "beta0_1").n_used + summary.row(30, "beta0_1").n_excluded == 4
+        value_row = summary.row(30, "V_opt")
+        assert value_row.n_used == 0 and value_row.n_excluded == 4
+        assert math.isnan(value_row.coverage)
 
     def test_needs_two_reps(self):
         with pytest.raises(ConfigError):
@@ -278,6 +300,34 @@ class TestEmitReport:
             assert row["name"] == orig.name
             assert float(row["estimate"]) == pytest.approx(orig.estimate, rel=1e-5)
             assert float(row["se"]) == pytest.approx(orig.se, rel=1e-5)
+
+    @pytest.mark.parametrize("obj, header, keys", [
+        (InferenceReport(0.95, [ReportRow("beta0_1", 0.1, 0.01, 0.08, 0.12, 10.0, 0.0)]),
+         ["name", "estimate", "se", "ci_lo", "ci_hi", "t_value", "p_value", "flag"],
+         ["level", "rows"]),
+        (MonteCarloSummary(level=0.95, reps=2, failures=0, truth_value=1.0,
+                           truth_value_se=0.01,
+                           rows=[McRow(10, "V_opt", 1.0, 0.95, 0.1, 0.2, 2, 0)]),
+         ["t", "name", "ratio", "coverage", "coverage_se", "ci_length", "n_used",
+          "n_excluded"],
+         ["level", "reps", "failures", "truth_value", "truth_value_se", "rows"]),
+        (TuneAlphaResult(best_alpha=0.5, final_loss={0.5: 0.1},
+                         rows=[TuneAlphaRow(0.5, 1, 0.2, 0.1, 0.3)]),
+         ["alpha", "t", "loss_mean", "loss_p05", "loss_p95"],
+         ["best_alpha", "final_loss", "rows"]),
+        ({"entries": 3, "consumed": 3, "matched": 2, "skipped": 1,
+          "matched_fraction": 2 / 3},
+         ["entries", "consumed", "matched", "skipped", "matched_fraction"],
+         ["entries", "consumed", "matched", "skipped", "matched_fraction"]),
+    ], ids=["inference_report", "mc_summary", "tune_alpha", "dict"])
+    def test_csv_header_and_json_key_order(self, tmp_path, obj, header, keys):
+        emit_report(obj, "csv", tmp_path / "r.csv")
+        assert (tmp_path / "r.csv").read_text().splitlines()[0].split(",") == header
+        emit_report(obj, "json", tmp_path / "r.json")
+        payload = json.loads((tmp_path / "r.json").read_text())
+        assert list(payload) == keys
+        if "rows" in payload:
+            assert list(payload["rows"][0]) == header
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

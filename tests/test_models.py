@@ -52,16 +52,6 @@ class TestLinearIndex:
         assert m.linear_index(1, E1, BETA0) == pytest.approx(0.8)
         assert m.linear_index(0, E1, BETA0) == pytest.approx(0.3)
 
-    def test_module_level_form_agrees(self):
-        from banditsgd import linear_index
-        rng = np.random.default_rng(1)
-        m = LogisticModel(3)
-        for _ in range(20):
-            beta = rng.standard_normal(6)
-            x = np.append(1.0, rng.standard_normal(2))
-            a = int(rng.integers(0, 2))
-            assert linear_index(a, x, beta) == m.linear_index(a, x, beta)
-
     def test_zero_parameters(self):
         m = LinearModel(3)
         rng = np.random.default_rng(3)
