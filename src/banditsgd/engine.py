@@ -83,14 +83,50 @@ def sgd_step(state: ParameterState, model, schedule: LearningSchedule,
     return ParameterState(hat, bar, t_next)
 
 
+# Steps held in the pending block before it is folded into the sums.  Each
+# fold builds a (rows, p, p) array, so rows shrink with p to stay within the
+# float budget.
+_BLOCK_ROWS = 1024
+_BLOCK_FLOATS = 2 ** 16
+
+
+def _block_rows(p: int) -> int:
+    return max(1, min(_BLOCK_ROWS, _BLOCK_FLOATS // (p * p)))
+
+
+def _fold_rows(acc: np.ndarray, outer: np.ndarray, coef: list) -> None:
+    """Add ``outer[i] * coef[i]`` to ``acc`` in order of ``i``, in place."""
+    stack = np.concatenate((acc[None], outer * np.array(coef)[:, None, None]))
+    if acc.size == 1:
+        # A contiguous 1-D reduce adds pairwise; accumulate adds in order.
+        acc[...] = np.add.accumulate(stack.ravel())[-1]
+    else:
+        # Across the outer axis, reduce adds one row after another.
+        acc[...] = np.add.reduce(stack, axis=0)
+
+
+def _fold_sum(acc: float, terms: list) -> float:
+    """``acc`` plus each term in order (a 1-D reduce would add pairwise)."""
+    return float(np.add.accumulate(np.array([acc, *terms]))[-1])
+
+
 class _UpdateCore:
     """Shared per-reward arithmetic for both engine loops.
 
     Keeps the raw iterate and its running average as plain arrays and applies
     accumulator and SGD updates in one pass.  The public ``sgd_step`` /
     ``accumulate`` / ``update_value`` operations define the semantics; this
-    core mirrors them (tests assert the equivalence) with cached block views
-    and preallocated buffers, since these few lines dominate the run time.
+    core mirrors them (tests assert the equivalence) with cached block views,
+    since these few lines dominate the run time.
+
+    Each step's accumulator terms are computed with the same scalar
+    arithmetic as one-step-at-a-time folding, but their sums are deferred:
+    a copy of ``x`` and the scalar coefficients wait in a pending block of at
+    most ``_block_rows(p)`` steps, which ``fold`` adds to the sums before
+    every snapshot, when the block fills and before the result is returned.
+    Folding forms the same per-step terms and adds them in the order the
+    steps came, so every sum is bit-identical to adding each step's term as
+    it arrives.
     """
 
     def __init__(self, model, learn: LearningSchedule, *, variant: str,
@@ -105,14 +141,21 @@ class _UpdateCore:
         self.bar = np.zeros(dim)
         self._hat_blocks = (self.hat[:p], self.hat[p:])
         self._bar_blocks = (self.bar[:p], self.bar[p:])
+        self._rows = _block_rows(p)
+        self._pending = 0
         self.plugin = PluginAccumulators(dim) if collect_inference else None
         if self.plugin is not None:
             s, h = self.plugin.S_sum, self.plugin.H_sum
             self._s_blocks = (s[:p, :p], s[p:, p:])
             self._h_blocks = (h[:p, :p], h[p:, p:])
-            self._xx = np.empty((p, p))
-            self._pp = np.empty((p, p))
+            # Per action block: features, gradient-square and curvature
+            # coefficients of the pending steps.
+            self._px = (np.empty((self._rows, p)), np.empty((self._rows, p)))
+            self._ps = ([], [])
+            self._ph = ([], [])
         self.value = ValueAccumulator(aipw=aipw) if collect_value else None
+        # Pending terms of sum_v, sum_v2, sum_aipw and sum_aipw2.
+        self._pv, self._pv2, self._pa, self._pa2 = [], [], [], []
         self._link = model.mean_from_index
         self._hess_scale = model.hessian_scale
         self._check_reward = model.validate_reward
@@ -127,8 +170,9 @@ class _UpdateCore:
 
     def apply(self, x, a: int, y: float, pi: float, eps: float, greedy: int,
               include_value: bool = True, u_bar: float | None = None) -> None:
-        """Consume one reward: feed accumulators at the pre-step average, then
-        take the SGD step with ordinal ``updates + 1``.
+        """Consume one reward: add the accumulator terms at the pre-step
+        average to the pending block, then take the SGD step with ordinal
+        ``updates + 1``.
 
         ``u_bar`` may carry the active-block index at the current average when
         the caller already computed it for the decision.
@@ -141,21 +185,30 @@ class _UpdateCore:
             if u_bar is None:
                 u_bar = float(x @ self._bar_blocks[a])
             mu_bar = self._link(u_bar)
-            xx = self._xx
-            np.multiply(x[:, None], x, out=xx)
             gw = (mu_bar - y) * w
-            np.multiply(xx, gw * gw, out=self._pp)
-            sb = self._s_blocks[a]
-            np.add(sb, self._pp, out=sb)
-            np.multiply(xx, self._hess_scale(mu_bar, y, self.variant) * w, out=self._pp)
-            hb = self._h_blocks[a]
-            np.add(hb, self._pp, out=hb)
+            s_coef = self._ps[a]
+            self._px[a][len(s_coef)] = x
+            s_coef.append(gw * gw)
+            self._ph[a].append(self._hess_scale(mu_bar, y, self.variant) * w)
             self.plugin.n += 1
         if self.value is not None and include_value:
-            mu_greedy = None
+            # ValueAccumulator.add_scalars's arithmetic, which tests compare
+            # against; only the sums are deferred.
+            if not 0.0 < eps <= 1.0:
+                raise ValueError(f"exploration rate must lie in (0, 1], got {eps}")
+            pi_c = 1.0 - eps / 2.0
+            consistent = a == greedy
+            if consistent:
+                v = y / pi_c
+                self._pv.append(v)
+                self._pv2.append(y * v)
             if self.aipw:
                 mu_greedy = self._link(float(x @ self._bar_blocks[greedy]))
-            self.value.add_scalars(a, y, greedy, eps, mu_greedy)
+                c = 1.0 if consistent else 0.0
+                term = c * y / pi_c - (c - pi_c) / pi_c * mu_greedy
+                self._pa.append(term)
+                self._pa2.append(term * term)
+            self.value.t += 1
 
         hat_block = self._hat_blocks[a]
         u_hat = float(x @ hat_block)
@@ -168,16 +221,45 @@ class _UpdateCore:
         bar += self.hat
         bar /= float(ordinal)
         self.updates = ordinal
+        self._pending += 1
+        if self._pending == self._rows:
+            self.fold()
+
+    def fold(self) -> None:
+        """Add the pending steps to the plugin and value sums, oldest first."""
+        if self.plugin is not None:
+            for a in (0, 1):
+                s_coef, h_coef = self._ps[a], self._ph[a]
+                if s_coef:
+                    x = self._px[a][:len(s_coef)]
+                    outer = x[:, :, None] * x[:, None, :]
+                    _fold_rows(self._s_blocks[a], outer, s_coef)
+                    _fold_rows(self._h_blocks[a], outer, h_coef)
+                    s_coef.clear()
+                    h_coef.clear()
+        if self.value is not None:
+            val = self.value
+            val.sum_v = _fold_sum(val.sum_v, self._pv)
+            val.sum_v2 = _fold_sum(val.sum_v2, self._pv2)
+            val.sum_aipw = _fold_sum(val.sum_aipw, self._pa)
+            val.sum_aipw2 = _fold_sum(val.sum_aipw2, self._pa2)
+            for terms in (self._pv, self._pv2, self._pa, self._pa2):
+                terms.clear()
+        self._pending = 0
 
     def snapshot(self, t: int, eps: float) -> Checkpoint:
+        self.fold()
         return Checkpoint(
             t=t, bar_beta=self.bar.copy(), eps=eps,
             plugin=self.plugin.copy() if self.plugin is not None else None,
             value=self.value.copy() if self.value is not None else None,
         )
 
-    def state(self) -> ParameterState:
-        return ParameterState(self.hat.copy(), self.bar.copy(), self.updates)
+    def result(self, summary: RunSummary) -> StreamResult:
+        self.fold()
+        summary.updates = self.updates
+        state = ParameterState(self.hat.copy(), self.bar.copy(), self.updates)
+        return StreamResult(state, self.plugin, self.value, summary)
 
 
 def run_stream(env, model, learn: LearningSchedule, explore: ExplorationSchedule,
@@ -227,8 +309,7 @@ def run_stream(env, model, learn: LearningSchedule, explore: ExplorationSchedule
         summary.steps = t
         if t in cp_set:
             summary.checkpoints.append(core.snapshot(t, eps))
-    summary.updates = core.updates
-    return StreamResult(core.state(), core.plugin, core.value, summary)
+    return core.result(summary)
 
 
 def run_stream_lagged(env, model, learn: LearningSchedule, explore: ExplorationSchedule,
@@ -289,7 +370,6 @@ def run_stream_lagged(env, model, learn: LearningSchedule, explore: ExplorationS
         summary.steps = t
         if t in cp_set:
             summary.checkpoints.append(core.snapshot(t, eps))
-    summary.updates = core.updates
     summary.pending = len(pending)
-    return StreamResult(core.state(), core.plugin, core.value, summary)
+    return core.result(summary)
 

@@ -305,7 +305,7 @@ def _trace_writer(fh, model):
 
     def observe(t, x, a, y, pi, eps, greedy, bar):
         loss = _loss_at_bar(model, x, a, y, bar)
-        writer.writerow([t, repr(eps), repr(pi), a, repr(float(y)), repr(loss)])
+        writer.writerow([t, repr(eps), repr(pi), a, repr(float(y)), repr(float(loss))])
     return observe
 
 

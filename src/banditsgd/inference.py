@@ -3,7 +3,8 @@
 The accumulators keep running sums of the weighted-gradient outer products
 and of the inverse-propensity-weighted curvatures, both evaluated at the
 running average of the iterates before each step.  Storage is O(p^2)
-regardless of the stream length.
+regardless of the stream length; the engine adds a fixed pending block of at
+most 2^16 floats per array, whose steps it folds into the sums in order.
 """
 from __future__ import annotations
 

@@ -1,17 +1,21 @@
 import csv
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from banditsgd import (ExplorationSchedule, LearningSchedule, LinearModel,
                        LogisticModel, Observation, ParameterState, ProtocolError,
                        RngStream, SyntheticConfig, SyntheticEnvironment,
                        exploration_rate, ipw_gradient, make_model, run_stream,
                        run_stream_lagged, sgd_step)
+from banditsgd import engine
 from banditsgd.environments import LaggedSyntheticEnvironment, constant_lag, geometric_lag
 from banditsgd.experiments import _loss_at_bar, _trace_writer
-from banditsgd.inference import PluginAccumulators, accumulate
+from banditsgd.inference import PluginAccumulators, accumulate, ipw_weight
 from banditsgd.value import ValueAccumulator, update_value
 
 BETA0 = np.array([0.3, -0.1, 0.7, 0.8, 0.5, -0.4])
@@ -219,16 +223,20 @@ class TestRunStream:
         assert (losses >= 0).all()
 
     def test_trace_emission(self, tmp_path):
-        m, env, rng = make_env(seed=4)
-        path = tmp_path / "trace.csv"
-        with open(path, "w", newline="") as fh:
-            res = run_stream(env, m, LEARN, EXPLORE, rng, 5, observer=_trace_writer(fh, m))
-        rows = list(csv.DictReader(open(path)))
-        assert len(rows) == 5
-        assert list(rows[0]) == ["step", "eps", "pi", "action", "reward", "loss"]
-        assert float(rows[0]["eps"]) == 1.0 and float(rows[0]["pi"]) == 0.5
-        total = sum(float(r["reward"]) for r in rows)
-        assert total == pytest.approx(res.summary.total_reward, rel=1e-12)
+        for family in ("linear", "logistic"):
+            m, env, rng = make_env(family, seed=4)
+            path = tmp_path / f"trace_{family}.csv"
+            with open(path, "w", newline="") as fh:
+                res = run_stream(env, m, LEARN, EXPLORE, rng, 5,
+                                 observer=_trace_writer(fh, m))
+            rows = list(csv.DictReader(open(path)))
+            assert len(rows) == 5
+            assert list(rows[0]) == ["step", "eps", "pi", "action", "reward", "loss"]
+            assert float(rows[0]["eps"]) == 1.0 and float(rows[0]["pi"]) == 0.5
+            total = sum(float(r["reward"]) for r in rows)
+            assert total == pytest.approx(res.summary.total_reward, rel=1e-12)
+            # Every loss cell is a plain number, not a numpy scalar's repr.
+            assert all(math.isfinite(float(r["loss"])) for r in rows)
 
     def test_checkpoint_snapshots_are_frozen_copies(self):
         m, env, rng = make_env(seed=5)
@@ -262,6 +270,150 @@ class TestRunStream:
         assert keep.value.t == 200
         assert skip.value.t == 200 - EXPLORE.burn_in
         np.testing.assert_array_equal(keep.state.bar_beta, skip.state.bar_beta)
+
+
+def _sums(acc):
+    """The accumulator sums a checkpoint or a stream result carries."""
+    pl, v = acc.plugin, acc.value
+    return (pl.S_sum, pl.H_sum, pl.n, v.sum_v, v.sum_v2, v.sum_aipw, v.sum_aipw2, v.t)
+
+
+def _assert_same_sums(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for a, b in zip(g, w):
+            np.testing.assert_array_equal(a, b)
+
+
+def _folded_sums(rows, horizon, checkpoints, *, family="linear", p=3, lag=None,
+                 env_wrapper=None, **kw):
+    """Sums at every checkpoint and at the end of a seeded run whose pending
+    block holds at most ``rows`` steps (``None`` keeps the default)."""
+    model = make_model(family, p)
+    rng = RngStream(11)
+    config = SyntheticConfig(model, np.linspace(-0.5, 0.6, 2 * p))
+    with mock.patch.object(engine, "_BLOCK_ROWS", rows or engine._BLOCK_ROWS):
+        if lag is None:
+            env = SyntheticEnvironment(config, rng)
+            if env_wrapper is not None:
+                env = env_wrapper(env)
+            res = run_stream(env, model, LEARN, EXPLORE, rng, horizon,
+                             checkpoints=checkpoints, **kw)
+        else:
+            env = LaggedSyntheticEnvironment(config, rng, lag=lag)
+            res = run_stream_lagged(env, model, LEARN, EXPLORE, rng, horizon,
+                                    checkpoints=checkpoints, **kw)
+    assert [cp.t for cp in res.summary.checkpoints] == sorted(checkpoints)
+    return [_sums(cp) for cp in res.summary.checkpoints] + [_sums(res)]
+
+
+class _OneFeatureBuffer:
+    """Synthetic environment that writes every feature row into one array."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.buf = None
+
+    def next_feature(self):
+        x = self.inner.next_feature()
+        if self.buf is None:
+            self.buf = np.empty_like(x)
+        self.buf[:] = x
+        return self.buf
+
+    def outcome(self, x, a):
+        return self.inner.outcome(x, a)
+
+
+FOLD_CASES = [
+    dict(family="linear", hessian="exact"),
+    dict(family="linear", hessian="outer", aipw=True),
+    dict(family="logistic", hessian="exact", aipw=True, skip_value_burn_in=True),
+    dict(family="logistic", hessian="outer", skip_value_burn_in=True),
+    dict(family="logistic", lag=0, aipw=True),
+    dict(family="linear", lag=3, aipw=True, skip_value_burn_in=True),
+    dict(family="logistic", p=1, aipw=True),
+    dict(family="linear", p=64, aipw=True),
+]
+
+
+class TestBlockFolding:
+    """Deferred folding of the accumulator terms must not change one bit."""
+
+    @pytest.mark.parametrize("case", FOLD_CASES,
+                             ids=lambda c: "-".join(f"{k}={v}" for k, v in c.items()))
+    def test_sums_identical_at_block_sizes_1_7_and_default(self, case):
+        p = case.get("p", 3)
+        full = engine._block_rows(p)
+        if p == 64:
+            assert full == 16  # the float budget shrinks the block
+        # Checkpoints just inside and just past the first boundary of both
+        # the 7-step and the default block, then after several full blocks.
+        cps = sorted({6, 8, full - 1, full + 1, 3 * full + 2})
+        horizon = 4 * full + 3
+        # Block size 1 folds every step as it arrives.
+        want = _folded_sums(1, horizon, cps, **case)
+        _assert_same_sums(_folded_sums(7, horizon, cps, **case), want)
+        _assert_same_sums(_folded_sums(None, horizon, cps, **case), want)
+
+    @pytest.mark.parametrize("family,hessian", [("linear", "exact"),
+                                                ("logistic", "outer")])
+    def test_matches_stepwise_public_operations(self, family, hessian):
+        # The value sums equal update_value's, and the plugin blocks equal
+        # x x^T times the step's coefficient added one step at a time.
+        m, env, rng = make_env(family, seed=13)
+        steps = []
+        res = run_stream(env, m, LEARN, EXPLORE, rng, 2500, hessian=hessian,
+                         aipw=True,
+                         observer=lambda t, x, a, y, pi, eps, greedy, bar: steps.append(
+                             (x.copy(), a, y, pi, eps, greedy, bar.copy())))
+        s_sum, h_sum = np.zeros((6, 6)), np.zeros((6, 6))
+        val = ValueAccumulator(aipw=True)
+        for x, a, y, pi, eps, greedy, bar in steps:
+            blk = slice(3, 6) if a == 1 else slice(0, 3)
+            mu = m.mean_from_index(float(x @ bar[blk]))
+            w = ipw_weight(a, pi)
+            gw = (mu - y) * w
+            xx = np.outer(x, x)
+            s_sum[blk, blk] += xx * (gw * gw)
+            h_sum[blk, blk] += xx * (m.hessian_scale(mu, y, hessian) * w)
+            g_blk = slice(3, 6) if greedy == 1 else slice(0, 3)
+            update_value(val, Observation(x, a, y), greedy, eps,
+                         m.mean_from_index(float(x @ bar[g_blk])))
+        np.testing.assert_array_equal(res.plugin.S_sum, s_sum)
+        np.testing.assert_array_equal(res.plugin.H_sum, h_sum)
+        assert res.plugin.n == len(steps) == val.t == res.value.t
+        assert (res.value.sum_v, res.value.sum_v2) == (val.sum_v, val.sum_v2)
+        assert (res.value.sum_aipw, res.value.sum_aipw2) == (val.sum_aipw, val.sum_aipw2)
+
+    def test_environment_reusing_one_feature_array(self):
+        cps = (100, 1500)
+        plain = _folded_sums(None, 2500, cps, family="logistic", aipw=True)
+        reused = _folded_sums(None, 2500, cps, family="logistic", aipw=True,
+                              env_wrapper=_OneFeatureBuffer)
+        _assert_same_sums(reused, plain)
+
+    def test_eps_check_fires_at_the_offending_step(self):
+        # The schedule validates its rate, so bypass it to reach the check.
+        m, env, rng = make_env(seed=14)
+        bad = ExplorationSchedule.fixed(0.2, burn_in=2)
+        object.__setattr__(bad, "eps_fixed", 1.5)
+        seen = []
+        with pytest.raises(ValueError, match=r"exploration rate must lie in \(0, 1\], got 1.5"):
+            run_stream(env, m, LEARN, bad, rng, 10,
+                       observer=lambda t, *rest: seen.append(t))
+        assert seen == [1, 2, 3]
+
+
+@settings(max_examples=25, deadline=None)
+@given(horizon=st.integers(1, 3000), rows=st.integers(2, 1100), data=st.data())
+def test_block_size_never_changes_the_sums(horizon, rows, data):
+    checkpoints = data.draw(st.sets(st.integers(1, horizon), max_size=6))
+    family = data.draw(st.sampled_from(["linear", "logistic"]))
+    aipw = data.draw(st.booleans())
+    want = _folded_sums(1, horizon, checkpoints, family=family, aipw=aipw)
+    got = _folded_sums(rows, horizon, checkpoints, family=family, aipw=aipw)
+    _assert_same_sums(got, want)
 
 
 class _RecordingLaggedEnv:
