@@ -42,6 +42,16 @@ def _stable_sigmoid(u: float) -> float:
     return mu
 
 
+def _each(fn, *columns) -> np.ndarray:
+    """``fn`` called on Python floats, one call per entry."""
+    cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    return np.fromiter(map(fn, *cols), dtype=np.float64, count=len(cols[0]))
+
+
+def _exp_each(v: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.exp, v.tolist()), dtype=np.float64, count=len(v))
+
+
 class ModelFamily:
     """Common machinery for block-linear index families.
 
@@ -86,6 +96,19 @@ class ModelFamily:
 
     def validate_reward(self, y: float) -> None:
         """Reject rewards outside the family's support (no-op by default)."""
+
+    # -- the scalar hooks over arrays, bit for bit ------------------------
+    # ``mean_from_index_array`` uses numpy's exp, which can differ from
+    # ``math.exp`` in the last place; these equal the scalar hooks exactly.
+    def mean_from_index_each(self, u: np.ndarray) -> np.ndarray:
+        return _each(self.mean_from_index, u)
+
+    def hessian_scale_each(self, mu: np.ndarray, y: np.ndarray,
+                           variant: str = HESSIAN_EXACT) -> np.ndarray:
+        return _each(self.hessian_scale, mu, y, [variant] * len(mu))
+
+    def loss_from_mean_each(self, mu: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return _each(self.loss_from_mean, mu, y)
 
     # -- public operations --------------------------------------------------
     def mean_reward(self, a: int, x, beta) -> float:
@@ -147,6 +170,16 @@ class LinearModel(ModelFamily):
     def hessian_scale(self, mu: float, y: float, variant: str = HESSIAN_EXACT) -> float:
         return 1.0
 
+    def mean_from_index_each(self, u: np.ndarray) -> np.ndarray:
+        return np.asarray(u, dtype=np.float64)
+
+    def hessian_scale_each(self, mu, y, variant: str = HESSIAN_EXACT) -> np.ndarray:
+        return np.ones(len(mu))
+
+    def loss_from_mean_each(self, mu, y) -> np.ndarray:
+        r = mu - y
+        return 0.5 * r * r
+
 
 class LogisticModel(ModelFamily):
     """Logistic link ``1 / (1 + exp(-u))`` with cross-entropy loss.
@@ -183,6 +216,25 @@ class LogisticModel(ModelFamily):
             return mu * (1.0 - mu)
         r = mu - y
         return r * r
+
+    def mean_from_index_each(self, u: np.ndarray) -> np.ndarray:
+        # _stable_sigmoid's branches and clamps, elementwise; both branches
+        # take math.exp of -|u|.
+        z = _exp_each(-np.abs(u))
+        mu = np.where(u >= 0.0, 1.0, z) / (1.0 + z)
+        return np.minimum(np.maximum(mu, _MU_MIN), _MU_MAX)
+
+    def hessian_scale_each(self, mu, y, variant: str = HESSIAN_EXACT) -> np.ndarray:
+        if variant == HESSIAN_EXACT:
+            return mu * (1.0 - mu)
+        r = mu - y
+        return r * r
+
+    def loss_from_mean_each(self, mu, y) -> np.ndarray:
+        log_mu = np.fromiter(map(math.log, mu.tolist()), dtype=np.float64, count=len(mu))
+        log_rest = np.fromiter(map(math.log, (1.0 - mu).tolist()), dtype=np.float64,
+                               count=len(mu))
+        return -y * log_mu - (1.0 - y) * log_rest
 
 
 def make_model(family: str, p: int, sigma2: float = 0.01) -> ModelFamily:
