@@ -42,12 +42,12 @@ def batch_rows(p: int) -> int:
 
 
 def block_dots(x: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """``float(x[r] @ blocks[r, k])`` for every replication r and block k.
+    """``float(x[r] @ blocks[..., r, k, :])`` for every replication r and block k.
 
-    ``x`` is (R, p) and ``blocks`` (R, K, p), both with contiguous rows; the
-    result is (R, K).
+    ``x`` is (R, p) and ``blocks`` (..., R, K, p), both with contiguous rows;
+    the result is (..., R, K).
     """
-    return (x[:, None, None, :] @ blocks[:, :, :, None])[:, :, 0, 0]
+    return (x[:, None, None, :] @ blocks[..., None])[..., 0, 0]
 
 
 def _draw_chunk(gens, p: int, linear: bool, steps: int):
@@ -99,13 +99,12 @@ def run_stream_batch(config: SyntheticConfig, model, learn: LearningSchedule,
     chunk = SyntheticEnvironment._CHUNK
     cp_set = set(int(c) for c in checkpoints)
 
-    # Rows per replication: the average's blocks, the iterate's blocks and
-    # the true blocks, so that one matmul gives every dot product of a step.
-    rows = np.zeros((reps, 6, p))
-    rows[:, 4], rows[:, 5] = config.beta0[:p], config.beta0[p:]
-    bar, hat = rows[:, 0:2], rows[:, 2:4]
-    # Row indexes of the taken action's average, iterate and true blocks.
-    taken = (np.arange(reps)[:, None], np.array([0, 2, 4]))
+    # The average's, the iterate's and the true blocks of every replication,
+    # so that one matmul gives every dot product of a step.
+    blocks = np.zeros((3, reps, 2, p))
+    blocks[2] = config.beta0.reshape(2, p)
+    bar, hat = blocks[0], blocks[1]
+    bar_flat = bar.reshape(reps, 2 * p)
     onehot = np.empty((reps, 2), dtype=bool)
     total = np.zeros(reps)
     if collect_inference:
@@ -116,9 +115,6 @@ def run_stream_batch(config: SyntheticConfig, model, learn: LearningSchedule,
         # sum_v, sum_v2, sum_aipw, sum_aipw2 per replication.
         v_sums = np.zeros((4, reps))
     n_plugin = n_value = 0
-
-    def bar_flat():
-        return bar.reshape(reps, 2 * p)
 
     def plugin_at(r: int) -> PluginAccumulators:
         acc = PluginAccumulators(2 * p)
@@ -141,18 +137,22 @@ def run_stream_batch(config: SyntheticConfig, model, learn: LearningSchedule,
                                                     min(chunk, horizon - t + 1))
         eps = exploration_rate(explore, t)
         x = features[k]
-        dots = block_dots(x, rows)
-        greedy = dots[:, 1] > dots[:, 0]
+        dots = block_dots(x, blocks)
+        greedy = dots[0, :, 1] > dots[0, :, 0]
         pi = np.where(greedy, 1.0 - eps / 2.0, eps / 2.0)
         act = uniforms[k] < pi
-        a = act.astype(np.intp)
-        u_bar, u_hat, u_true = dots[taken[0], taken[1] + a[:, None]].T
+        # The taken action's index at the average, the iterate and the truth.
+        u = np.where(act, dots[..., 1], dots[..., 0])
+        mu_bar, mu_hat, mu_true = link(u.ravel()).reshape(3, reps)
         if linear:
-            y = u_true + sd * draws[k]
+            y = u[2] + sd * draws[k]
         else:
-            y = (draws[k] < config.model.mean_from_index_each(u_true)).astype(np.float64)
+            if config.model is not model:
+                mu_true = config.model.mean_from_index_each(u[2])
+            y = (draws[k] < mu_true).astype(np.float64)
         if observer is not None:
-            observer(t, x, a, y, pi, eps, greedy.astype(np.intp), bar_flat())
+            observer(t, x, act.astype(np.intp), y, pi, eps, greedy.astype(np.intp),
+                     bar_flat)
         # Synthetic rewards lie in the family's support by construction, so
         # the scalar engine's reward check cannot fire here.
         w = 0.5 / np.where(act, pi, 1.0 - pi)
@@ -160,7 +160,6 @@ def run_stream_batch(config: SyntheticConfig, model, learn: LearningSchedule,
         onehot[:, 0] = ~act
 
         if collect_inference:
-            mu_bar, mu_hat = link(np.concatenate((u_bar, u_hat))).reshape(2, reps)
             gw = (mu_bar - y) * w
             np.multiply(gw, gw, out=coef[:, 0])
             np.multiply(model.hessian_scale_each(mu_bar, y, hessian), w, out=coef[:, 1])
@@ -168,8 +167,6 @@ def run_stream_batch(config: SyntheticConfig, model, learn: LearningSchedule,
             np.add(sh_sums, outer[:, None, None] * coef[:, None, :, None, None],
                    out=sh_sums, where=onehot[:, :, None, None, None])
             n_plugin += 1
-        else:
-            mu_hat = link(u_hat)
         if collect_value and not (skip_value_burn_in and t <= explore.burn_in):
             if not 0.0 < eps <= 1.0:
                 raise ValueError(f"exploration rate must lie in (0, 1], got {eps}")
@@ -179,7 +176,7 @@ def run_stream_batch(config: SyntheticConfig, model, learn: LearningSchedule,
             np.add(v_sums[0], v, out=v_sums[0], where=consistent)
             np.add(v_sums[1], y * v, out=v_sums[1], where=consistent)
             if aipw:
-                mu_greedy = link(np.where(greedy, dots[:, 1], dots[:, 0]))
+                mu_greedy = link(np.where(greedy, dots[0, :, 1], dots[0, :, 0]))
                 c = consistent.astype(np.float64)
                 term = c * y / pi_c - (c - pi_c) / pi_c * mu_greedy
                 v_sums[2] += term
@@ -194,17 +191,15 @@ def run_stream_batch(config: SyntheticConfig, model, learn: LearningSchedule,
         bar /= float(t)
         total += y
         if t in cp_set:
-            flat = bar_flat()
             for r in range(reps):
                 snaps[r].append(Checkpoint(
-                    t=t, bar_beta=flat[r].copy(), eps=eps,
+                    t=t, bar_beta=bar_flat[r].copy(), eps=eps,
                     plugin=plugin_at(r) if collect_inference else None,
                     value=value_at(r) if collect_value else None))
 
     return [
         StreamResult(
-            ParameterState(hat[r].reshape(2 * p).copy(), bar[r].reshape(2 * p).copy(),
-                           horizon),
+            ParameterState(hat[r].reshape(2 * p).copy(), bar_flat[r].copy(), horizon),
             plugin_at(r) if collect_inference else None,
             value_at(r) if collect_value else None,
             RunSummary(steps=horizon, updates=horizon, total_reward=float(total[r]),

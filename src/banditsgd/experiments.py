@@ -421,8 +421,11 @@ def _mc_batch(jobs) -> list[RepResult]:
         return [_mc_worker(job) for job in jobs]
     seeds = [derive_seed(config.seed, rep) if s is None else s for _, rep, s, _ in jobs]
     try:
+        # The environment's model serves as the learner's, so the batch takes
+        # both links in one call.
+        synthetic = config.synthetic_config()
         results = run_stream_batch(
-            config.synthetic_config(), config.model_family(), config.learning_schedule(),
+            synthetic, synthetic.model, config.learning_schedule(),
             config.exploration_schedule(), [RngStream(s) for s in seeds], config.horizon,
             **_stream_options(config, collect_inference))
     except Exception:  # noqa: BLE001 - the scalar path records each replication's error
@@ -601,7 +604,8 @@ def _tune_batch(jobs):
     if len(jobs) < _MIN_BATCH:
         return [_tune_worker(job) for job in jobs]
     cfg = replace(config, alpha=alpha)
-    model = cfg.model_family()
+    synthetic = cfg.synthetic_config()
+    model = synthetic.model
     p = model.p
     column = {int(t): j for j, t in enumerate(grid)}
     running = np.zeros(len(jobs))
@@ -615,7 +619,7 @@ def _tune_batch(jobs):
         if t in column:
             means[:, column[t]] = running / t
     try:
-        run_stream_batch(cfg.synthetic_config(), model, cfg.learning_schedule(),
+        run_stream_batch(synthetic, model, cfg.learning_schedule(),
                          cfg.exploration_schedule(),
                          [RngStream(derive_seed(cfg.seed, job[2])) for job in jobs],
                          cfg.horizon, collect_inference=False, collect_value=False,

@@ -42,14 +42,9 @@ def _stable_sigmoid(u: float) -> float:
     return mu
 
 
-def _each(fn, *columns) -> np.ndarray:
-    """``fn`` called on Python floats, one call per entry."""
-    cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-    return np.fromiter(map(fn, *cols), dtype=np.float64, count=len(cols[0]))
-
-
-def _exp_each(v: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(math.exp, v.tolist()), dtype=np.float64, count=len(v))
+def _each(fn, v: np.ndarray) -> np.ndarray:
+    """``fn`` called on each entry of ``v`` as a Python float."""
+    return np.fromiter(map(fn, v.tolist()), dtype=np.float64, count=len(v))
 
 
 class ModelFamily:
@@ -98,17 +93,18 @@ class ModelFamily:
         """Reject rewards outside the family's support (no-op by default)."""
 
     # -- the scalar hooks over arrays, bit for bit ------------------------
-    # ``mean_from_index_array`` uses numpy's exp, which can differ from
-    # ``math.exp`` in the last place; these equal the scalar hooks exactly.
+    # Entry i equals the scalar hook on entry i exactly, which the batched
+    # engine relies on; ``mean_from_index_array`` uses numpy's exp, which can
+    # differ from ``math.exp`` in the last place.
     def mean_from_index_each(self, u: np.ndarray) -> np.ndarray:
-        return _each(self.mean_from_index, u)
+        raise NotImplementedError
 
     def hessian_scale_each(self, mu: np.ndarray, y: np.ndarray,
                            variant: str = HESSIAN_EXACT) -> np.ndarray:
-        return _each(self.hessian_scale, mu, y, [variant] * len(mu))
+        raise NotImplementedError
 
     def loss_from_mean_each(self, mu: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return _each(self.loss_from_mean, mu, y)
+        raise NotImplementedError
 
     # -- public operations --------------------------------------------------
     def mean_reward(self, a: int, x, beta) -> float:
@@ -220,7 +216,7 @@ class LogisticModel(ModelFamily):
     def mean_from_index_each(self, u: np.ndarray) -> np.ndarray:
         # _stable_sigmoid's branches and clamps, elementwise; both branches
         # take math.exp of -|u|.
-        z = _exp_each(-np.abs(u))
+        z = _each(math.exp, -np.abs(u))
         mu = np.where(u >= 0.0, 1.0, z) / (1.0 + z)
         return np.minimum(np.maximum(mu, _MU_MIN), _MU_MAX)
 
@@ -231,10 +227,7 @@ class LogisticModel(ModelFamily):
         return r * r
 
     def loss_from_mean_each(self, mu, y) -> np.ndarray:
-        log_mu = np.fromiter(map(math.log, mu.tolist()), dtype=np.float64, count=len(mu))
-        log_rest = np.fromiter(map(math.log, (1.0 - mu).tolist()), dtype=np.float64,
-                               count=len(mu))
-        return -y * log_mu - (1.0 - y) * log_rest
+        return -y * _each(math.log, mu) - (1.0 - y) * _each(math.log, 1.0 - mu)
 
 
 def make_model(family: str, p: int, sigma2: float = 0.01) -> ModelFamily:

@@ -18,11 +18,15 @@ from banditsgd.experiments import _map_jobs, _mc_worker, _tune_worker, parse_eps
 LEARN = LearningSchedule(0.5, 0.501)
 
 
-def _streams(family="linear", p=3, eps="fixed:0.2", horizon=300, reps=4, seed=5, **kw):
-    """Batched and scalar results for ``reps`` seeded synthetic streams."""
+def _streams(family="linear", p=3, eps="fixed:0.2", horizon=300, reps=4, seed=5,
+             shared_model=True, **kw):
+    """Batched and scalar results for ``reps`` seeded synthetic streams.
+
+    ``shared_model`` makes the environment's model the learner's own object.
+    """
     model = make_model(family, p)
     beta0 = np.round(np.random.default_rng(seed).normal(0.0, 0.5, 2 * p), 3)
-    config = SyntheticConfig(model, beta0)
+    config = SyntheticConfig(model if shared_model else make_model(family, p), beta0)
     explore = parse_eps_spec(eps, 50)
     seeds = [1000 * seed + r for r in range(reps)]
     batch = run_stream_batch(config, model, LEARN, explore,
@@ -71,6 +75,7 @@ BATCH_CASES = [
     dict(family="linear", hessian="outer", aipw=True, eps="decay:0.3,0.1"),
     dict(family="logistic", hessian="exact", aipw=True, skip_value_burn_in=True),
     dict(family="logistic", hessian="outer", eps="decay:0.3,0.1"),
+    dict(family="logistic", shared_model=False),
     dict(family="logistic", collect_inference=False),
     dict(family="linear", collect_value=False),
     dict(family="logistic", collect_inference=False, collect_value=False),
