@@ -5,8 +5,6 @@ A configuration is one flat record of plain values, loadable from a
 Replication ``i`` of a suite draws its randomness from the stream seeded with
 ``seed XOR splitmix64(i)``, so suites are reproducible, replications are
 independent, and parallel and serial execution produce identical results.
-Suites run their replications as lockstep batches (``batch.run_stream_batch``),
-which reproduce the per-step engine bit for bit.
 """
 from __future__ import annotations
 
@@ -17,12 +15,10 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cache
-from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
-from .batch import batch_rows, block_dots, run_stream_batch
 from .engine import Checkpoint, run_stream
 from .environments import (ReplayCursor, ReplayEnvironment, SyntheticConfig,
                            SyntheticEnvironment, load_replay_log)
@@ -383,25 +379,13 @@ def run_replication(config: ExperimentConfig, rep: int, rep_seed: int | None = N
         model = config.model_family()
         rng = RngStream(seed_r)
         env = SyntheticEnvironment(config.synthetic_config(), rng)
-        result = run_stream(env, model, config.learning_schedule(),
-                            config.exploration_schedule(), rng, config.horizon,
-                            **_stream_options(config, collect_inference))
-    except Exception as exc:  # noqa: BLE001 - failures are recorded, not fatal
-        out.error = f"{type(exc).__name__}: {exc}"
-        return out
-    return _record_checkpoints(out, result, config)
-
-
-def _stream_options(config: ExperimentConfig, collect_inference: bool) -> dict:
-    return dict(hessian=config.hessian, aipw=config.aipw,
-                collect_inference=collect_inference,
-                checkpoints=config.effective_checkpoints(),
-                skip_value_burn_in=config.value_skip_burn_in)
-
-
-def _record_checkpoints(out: RepResult, result, config: ExperimentConfig) -> RepResult:
-    """Fill ``out`` from a stream's checkpoints; a failure is recorded, not raised."""
-    try:
+        result = run_stream(
+            env, model, config.learning_schedule(), config.exploration_schedule(),
+            rng, config.horizon, hessian=config.hessian, aipw=config.aipw,
+            collect_inference=collect_inference,
+            checkpoints=config.effective_checkpoints(),
+            skip_value_burn_in=config.value_skip_burn_in,
+        )
         for cp in result.summary.checkpoints:
             out.checkpoints.append(_checkpoint_inference(cp, config)[1])
     except Exception as exc:  # noqa: BLE001 - failures are recorded, not fatal
@@ -414,41 +398,7 @@ def _mc_worker(args) -> RepResult:
     return run_replication(config, rep, rep_seed, collect_inference)
 
 
-def _mc_batch(jobs) -> list[RepResult]:
-    """``_mc_worker`` over jobs that share one config, run as one lockstep batch."""
-    config, _, _, collect_inference = jobs[0]
-    if len(jobs) < _MIN_BATCH:
-        return [_mc_worker(job) for job in jobs]
-    seeds = [derive_seed(config.seed, rep) if s is None else s for _, rep, s, _ in jobs]
-    try:
-        # The environment's model serves as the learner's, so the batch takes
-        # both links in one call.
-        synthetic = config.synthetic_config()
-        results = run_stream_batch(
-            synthetic, synthetic.model, config.learning_schedule(),
-            config.exploration_schedule(), [RngStream(s) for s in seeds], config.horizon,
-            **_stream_options(config, collect_inference))
-    except Exception:  # noqa: BLE001 - the scalar path records each replication's error
-        return [_mc_worker(job) for job in jobs]
-    return [_record_checkpoints(RepResult(rep=job[1], seed=seed), result, config)
-            for job, seed, result in zip(jobs, seeds, results)]
-
-
 def _map_jobs(worker, jobs, workers: int):
-    """``[worker(j) for j in jobs]`` over up to ``workers`` processes.
-
-    A worker with a batched form runs consecutive jobs of one configuration
-    as lockstep batches of at most ``batch_rows(p)`` replications, at least
-    one batch per process; the results are the same either way.
-    """
-    if worker in _BATCHED:
-        key, batch = _BATCHED[worker]
-        chunks = []
-        for _, group in groupby(jobs, key):
-            group = list(group)
-            n = max(-(-len(group) // batch_rows(group[0][0].p)), min(workers, len(group)))
-            chunks += [group[i * len(group) // n:(i + 1) * len(group) // n] for i in range(n)]
-        return [r for out in _map_jobs(batch, chunks, workers) for r in out]
     if workers <= 1 or len(jobs) <= 1:
         return [worker(j) for j in jobs]
     chunk = max(1, len(jobs) // (workers * 8))
@@ -596,46 +546,6 @@ def _tune_worker(args):
     # the mean per-step loss of the whole run.
     cum = np.cumsum(losses) / np.arange(1, cfg.horizon + 1)
     return alpha, rep, cum[grid - 1]
-
-
-def _tune_batch(jobs):
-    """``_tune_worker`` over jobs that share one config and alpha, as one batch."""
-    config, alpha, _, grid = jobs[0]
-    if len(jobs) < _MIN_BATCH:
-        return [_tune_worker(job) for job in jobs]
-    cfg = replace(config, alpha=alpha)
-    synthetic = cfg.synthetic_config()
-    model = synthetic.model
-    p = model.p
-    column = {int(t): j for j, t in enumerate(grid)}
-    running = np.zeros(len(jobs))
-    means = np.empty((len(jobs), len(grid)))
-
-    def record(t, x, a, y, pi, eps, greedy, bar):
-        u = block_dots(x, bar.reshape(-1, 2, p))
-        mu = model.mean_from_index_each(np.where(a == 1, u[:, 1], u[:, 0]))
-        # Adding one step at a time is np.cumsum's order.
-        np.add(running, model.loss_from_mean_each(mu, y), out=running)
-        if t in column:
-            means[:, column[t]] = running / t
-    try:
-        run_stream_batch(synthetic, model, cfg.learning_schedule(),
-                         cfg.exploration_schedule(),
-                         [RngStream(derive_seed(cfg.seed, job[2])) for job in jobs],
-                         cfg.horizon, collect_inference=False, collect_value=False,
-                         observer=record)
-    except Exception:  # noqa: BLE001 - the scalar path raises the same error
-        return [_tune_worker(job) for job in jobs]
-    return [(alpha, job[2], means[i].copy()) for i, job in enumerate(jobs)]
-
-
-# Below this many replications a lockstep batch is slower than the scalar engine.
-_MIN_BATCH = 6
-# Workers with a lockstep form: (batch key of a job, batch runner).
-_BATCHED = {
-    _mc_worker: (lambda job: (job[0], job[3]), _mc_batch),
-    _tune_worker: (lambda job: (job[0], job[1]), _tune_batch),
-}
 
 
 def loss_grid(horizon: int, points: int = 60) -> np.ndarray:

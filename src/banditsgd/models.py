@@ -42,11 +42,6 @@ def _stable_sigmoid(u: float) -> float:
     return mu
 
 
-def _each(fn, v: np.ndarray) -> np.ndarray:
-    """``fn`` called on each entry of ``v`` as a Python float."""
-    return np.fromiter(map(fn, v.tolist()), dtype=np.float64, count=len(v))
-
-
 class ModelFamily:
     """Common machinery for block-linear index families.
 
@@ -91,20 +86,6 @@ class ModelFamily:
 
     def validate_reward(self, y: float) -> None:
         """Reject rewards outside the family's support (no-op by default)."""
-
-    # -- the scalar hooks over arrays, bit for bit ------------------------
-    # Entry i equals the scalar hook on entry i exactly, which the batched
-    # engine relies on; ``mean_from_index_array`` uses numpy's exp, which can
-    # differ from ``math.exp`` in the last place.
-    def mean_from_index_each(self, u: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def hessian_scale_each(self, mu: np.ndarray, y: np.ndarray,
-                           variant: str = HESSIAN_EXACT) -> np.ndarray:
-        raise NotImplementedError
-
-    def loss_from_mean_each(self, mu: np.ndarray, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
     # -- public operations --------------------------------------------------
     def mean_reward(self, a: int, x, beta) -> float:
@@ -166,16 +147,6 @@ class LinearModel(ModelFamily):
     def hessian_scale(self, mu: float, y: float, variant: str = HESSIAN_EXACT) -> float:
         return 1.0
 
-    def mean_from_index_each(self, u: np.ndarray) -> np.ndarray:
-        return np.asarray(u, dtype=np.float64)
-
-    def hessian_scale_each(self, mu, y, variant: str = HESSIAN_EXACT) -> np.ndarray:
-        return np.ones(len(mu))
-
-    def loss_from_mean_each(self, mu, y) -> np.ndarray:
-        r = mu - y
-        return 0.5 * r * r
-
 
 class LogisticModel(ModelFamily):
     """Logistic link ``1 / (1 + exp(-u))`` with cross-entropy loss.
@@ -212,22 +183,6 @@ class LogisticModel(ModelFamily):
             return mu * (1.0 - mu)
         r = mu - y
         return r * r
-
-    def mean_from_index_each(self, u: np.ndarray) -> np.ndarray:
-        # _stable_sigmoid's branches and clamps, elementwise; both branches
-        # take math.exp of -|u|.
-        z = _each(math.exp, -np.abs(u))
-        mu = np.where(u >= 0.0, 1.0, z) / (1.0 + z)
-        return np.minimum(np.maximum(mu, _MU_MIN), _MU_MAX)
-
-    def hessian_scale_each(self, mu, y, variant: str = HESSIAN_EXACT) -> np.ndarray:
-        if variant == HESSIAN_EXACT:
-            return mu * (1.0 - mu)
-        r = mu - y
-        return r * r
-
-    def loss_from_mean_each(self, mu, y) -> np.ndarray:
-        return -y * _each(math.log, mu) - (1.0 - y) * _each(math.log, 1.0 - mu)
 
 
 def make_model(family: str, p: int, sigma2: float = 0.01) -> ModelFamily:
