@@ -13,8 +13,8 @@ import sys
 from dataclasses import fields
 
 from .environments import ReplayLogError
-from .experiments import (ConfigError, ExperimentConfig, build_config, load_config_file,
-                          run_monte_carlo, run_single, tune_alpha)
+from .experiments import (ConfigError, ExperimentConfig, _coerce, build_config,
+                          load_config_file, run_monte_carlo, run_single, tune_alpha)
 
 
 def _add_common_flags(sp: argparse.ArgumentParser) -> None:
@@ -53,21 +53,16 @@ def _add_common_flags(sp: argparse.ArgumentParser) -> None:
 # Flags share the config's field names; oracle_draws has no flag, so its
 # getattr returns None and it is skipped.
 _CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
+# Flags whose text is parsed as a config file's value would be.
+_TEXT_KEYS = ("beta0", "checkpoints", "hessian")
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict:
     out = {}
     for key in _CONFIG_KEYS:
         v = getattr(args, key, None)
-        if v is None:
-            continue
-        if key == "beta0":
-            v = tuple(float(s) for s in v.split(","))
-        elif key == "checkpoints":
-            v = tuple(int(s) for s in v.split(","))
-        elif key == "hessian" and v == "paper":
-            v = "outer"
-        out[key] = v
+        if v is not None:
+            out[key] = _coerce(key, v) if key in _TEXT_KEYS else v
     return out
 
 

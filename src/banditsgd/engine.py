@@ -105,11 +105,6 @@ def _fold_rows(acc: np.ndarray, outer: np.ndarray, coef: list) -> None:
         acc[...] = np.add.reduce(stack, axis=0)
 
 
-def _fold_sum(acc: float, terms: list) -> float:
-    """``acc`` plus each term in order (a 1-D reduce would add pairwise)."""
-    return float(np.add.accumulate(np.array([acc, *terms]))[-1])
-
-
 class _UpdateCore:
     """Shared per-reward arithmetic for both engine loops.
 
@@ -119,14 +114,14 @@ class _UpdateCore:
     core mirrors them (tests assert the equivalence) with cached block views,
     since these few lines dominate the run time.
 
-    Each step's accumulator terms are computed with the same scalar
-    arithmetic as one-step-at-a-time folding, but their sums are deferred:
-    a copy of ``x`` and the scalar coefficients wait in a pending block of at
-    most ``_block_rows(p)`` steps, which ``fold`` adds to the sums before
-    every snapshot, when the block fills and before the result is returned.
-    Folding forms the same per-step terms and adds them in the order the
-    steps came, so every sum is bit-identical to adding each step's term as
-    it arrives.
+    The value sums take each step's terms as it arrives.  The plug-in terms
+    are computed with the same scalar arithmetic as one-step-at-a-time
+    folding, but their p x p sums are deferred: a copy of ``x`` and the
+    scalar coefficients wait in a pending block of at most ``_block_rows(p)``
+    steps, which ``fold`` adds to the sums before every snapshot, when the
+    block fills and before the result is returned.  Folding forms the same
+    per-step terms and adds them in the order the steps came, so every sum is
+    bit-identical to adding each step's term as it arrives.
     """
 
     def __init__(self, model, learn: LearningSchedule, *, variant: str,
@@ -154,8 +149,6 @@ class _UpdateCore:
             self._ps = ([], [])
             self._ph = ([], [])
         self.value = ValueAccumulator(aipw=aipw) if collect_value else None
-        # Pending terms of sum_v, sum_v2, sum_aipw and sum_aipw2.
-        self._pv, self._pv2, self._pa, self._pa2 = [], [], [], []
         self._link = model.mean_from_index
         self._hess_scale = model.hessian_scale
         self._check_reward = model.validate_reward
@@ -193,22 +186,23 @@ class _UpdateCore:
             self.plugin.n += 1
         if self.value is not None and include_value:
             # ValueAccumulator.add_scalars's arithmetic, which tests compare
-            # against; only the sums are deferred.
+            # against.
+            val = self.value
             if not 0.0 < eps <= 1.0:
                 raise ValueError(f"exploration rate must lie in (0, 1], got {eps}")
             pi_c = 1.0 - eps / 2.0
             consistent = a == greedy
             if consistent:
                 v = y / pi_c
-                self._pv.append(v)
-                self._pv2.append(y * v)
+                val.sum_v += v
+                val.sum_v2 += y * v
             if self.aipw:
                 mu_greedy = self._link(float(x @ self._bar_blocks[greedy]))
                 c = 1.0 if consistent else 0.0
                 term = c * y / pi_c - (c - pi_c) / pi_c * mu_greedy
-                self._pa.append(term)
-                self._pa2.append(term * term)
-            self.value.t += 1
+                val.sum_aipw += term
+                val.sum_aipw2 += term * term
+            val.t += 1
 
         hat_block = self._hat_blocks[a]
         u_hat = float(x @ hat_block)
@@ -226,7 +220,7 @@ class _UpdateCore:
             self.fold()
 
     def fold(self) -> None:
-        """Add the pending steps to the plugin and value sums, oldest first."""
+        """Add the pending steps to the plug-in sums, oldest first."""
         if self.plugin is not None:
             for a in (0, 1):
                 s_coef, h_coef = self._ps[a], self._ph[a]
@@ -237,14 +231,6 @@ class _UpdateCore:
                     _fold_rows(self._h_blocks[a], outer, h_coef)
                     s_coef.clear()
                     h_coef.clear()
-        if self.value is not None:
-            val = self.value
-            val.sum_v = _fold_sum(val.sum_v, self._pv)
-            val.sum_v2 = _fold_sum(val.sum_v2, self._pv2)
-            val.sum_aipw = _fold_sum(val.sum_aipw, self._pa)
-            val.sum_aipw2 = _fold_sum(val.sum_aipw2, self._pa2)
-            for terms in (self._pv, self._pv2, self._pa, self._pa2):
-                terms.clear()
         self._pending = 0
 
     def snapshot(self, t: int, eps: float) -> Checkpoint:
@@ -364,7 +350,8 @@ def run_stream_lagged(env, model, learn: LearningSchedule, explore: ExplorationS
         pi = 1.0 - eps / 2.0 if greedy == 1 else eps / 2.0
         a = 1 if rng.uniform() < pi else 0
         include_value = not (skip_value_burn_in and ordinal_next <= explore.burn_in)
-        pending.append(StepRecord(x, a, pi, eps, greedy, t, include_value))
+        # A copy: an environment may reuse one feature array for every step.
+        pending.append(StepRecord(x.copy(), a, pi, eps, greedy, t, include_value))
         env.submit(t, x, a)
         drain(t)
         summary.steps = t

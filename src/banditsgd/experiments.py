@@ -150,7 +150,10 @@ _TUPLE_INT_FIELDS = {"checkpoints"}
 
 
 def _coerce(key: str, raw: str):
+    """Parse one config value given as text (a config file line or a flag)."""
     raw = raw.strip()
+    if key == "hessian" and raw == "paper":
+        return "outer"  # the paper's name for the outer-product form
     if key in _BOOL_FIELDS:
         low = raw.lower()
         if low in ("true", "1", "yes", "on"):
@@ -214,79 +217,54 @@ class SingleRunOutput:
     replay_stats: dict | None = None
 
 
-@dataclass
-class RepCheckpoint:
-    t: int
-    eps: float
-    bar_beta: np.ndarray
-    se: np.ndarray | None
-    beta_flag: str
-    value_est: float
-    value_se: float
-    value_flag: str
-    value_aipw_est: float | None = None
-    value_aipw_se: float | None = None
-
-
-def _checkpoint_inference(cp: Checkpoint, config: ExperimentConfig):
-    """Sandwich covariance and value numbers for one checkpoint.
-
-    Returns ``(cov, rc)``: the covariance, or None when the curvature stays
-    singular (``rc.beta_flag`` then reads ``singular_hessian``) or the run
-    collected no parameter accumulators; and the checkpoint's record.  A
-    checkpoint without value steps gets NaN value numbers flagged
-    ``no_value_steps``.
-    """
-    cov = None
-    flag = ""
-    if cp.plugin is not None:
-        try:
-            cov = sandwich_covariance(cp.plugin)
-        except SingularHessianError:
-            flag = "singular_hessian"
-            if config.ridge:
-                try:
-                    cov = sandwich_covariance(cp.plugin, ridge=True)
-                    flag = "ridge"
-                except SingularHessianError:
-                    pass
-    se = None if cov is None else np.sqrt(np.maximum(np.diag(cov), 0.0))
-    rc = RepCheckpoint(t=cp.t, eps=cp.eps, bar_beta=cp.bar_beta, se=se, beta_flag=flag,
-                       value_est=math.nan, value_se=math.nan, value_flag="no_value_steps")
-    if config.aipw:
-        rc.value_aipw_est = rc.value_aipw_se = math.nan
-    if cp.value.t == 0:
-        return cov, rc
-    rc.value_est = value_estimate(cp.value)
-    rc.value_flag = "variance_clamped" if raw_value_variance(cp.value, cp.eps) < 0 else ""
-    rc.value_se = value_standard_error(cp.value, cp.eps)
-    if config.aipw:
-        rc.value_aipw_est = value_estimate(cp.value, aipw=True)
-        a_var = max(raw_value_variance(cp.value, cp.eps, aipw=True), 0.0)
-        rc.value_aipw_se = math.sqrt(a_var / cp.value.t)
-    return cov, rc
+def _parameter_rows(cp: Checkpoint, config: ExperimentConfig) -> list[ReportRow]:
+    """Wald rows for ``cp.bar_beta``; when no covariance comes out (singular
+    curvature or a negative variance) the rows carry the estimate with NaN
+    numbers, flagged ``singular_hessian``."""
+    cov, flag = None, ""
+    try:
+        cov = sandwich_covariance(cp.plugin)
+    except SingularHessianError:
+        flag = "singular_hessian"
+        if config.ridge:
+            try:
+                cov, flag = sandwich_covariance(cp.plugin, ridge=True), "ridge"
+            except SingularHessianError:
+                pass
+    if cov is not None:
+        rows = wald_report(cp.bar_beta, cov, level=config.level).rows
+    else:
+        rows = [ReportRow(name=name, estimate=float(cp.bar_beta[j]), se=math.nan,
+                          ci_lo=math.nan, ci_hi=math.nan, t_value=math.nan,
+                          p_value=math.nan)
+                for j, name in enumerate(_parameter_names(cp.bar_beta.shape[0]))]
+    for row in rows:
+        row.flag = flag
+    return rows
 
 
 def _checkpoint_report(cp: Checkpoint, config: ExperimentConfig) -> InferenceReport:
-    """Wald report for one checkpoint; singular curvature flags rows instead of failing."""
-    cov, rc = _checkpoint_inference(cp, config)
-    if cov is not None:
-        report = wald_report(cp.bar_beta, cov, level=config.level)
-        for row in report.rows:
-            row.flag = rc.beta_flag
-    else:
-        report = InferenceReport(level=config.level)
-        for j, name in enumerate(_parameter_names(cp.bar_beta.shape[0])):
-            report.rows.append(ReportRow(
-                name=name, estimate=float(cp.bar_beta[j]), se=math.nan,
-                ci_lo=math.nan, ci_hi=math.nan, t_value=math.nan,
-                p_value=math.nan, flag=rc.beta_flag))
-    report.rows.append(value_report_row(rc.value_est, rc.value_se, config.level,
-                                        flag=rc.value_flag))
-    if config.aipw:
-        row = value_report_row(rc.value_aipw_est, rc.value_aipw_se, config.level,
-                               flag="experimental" if cp.value.t else "no_value_steps")
-        row.name = "V_opt_aipw"
+    """Every number of one checkpoint, for ``run`` and ``mc`` alike: the
+    parameter rows when the run collected parameter sums, then ``V_opt``, then
+    ``V_opt_aipw`` with aipw.  A checkpoint without value steps gets NaN value
+    rows flagged ``no_value_steps``.
+    """
+    report = InferenceReport(level=config.level)
+    if cp.plugin is not None:
+        report.rows = _parameter_rows(cp, config)
+    for name in ("V_opt", "V_opt_aipw") if config.aipw else ("V_opt",):
+        aipw = name == "V_opt_aipw"
+        if cp.value.t == 0:
+            est, se, flag = math.nan, math.nan, "no_value_steps"
+        else:
+            est = value_estimate(cp.value, aipw=aipw)
+            se = value_standard_error(cp.value, cp.eps, aipw=aipw)
+            if aipw:
+                flag = "experimental"
+            else:
+                flag = "variance_clamped" if raw_value_variance(cp.value, cp.eps) < 0 else ""
+        row = value_report_row(est, se, config.level, flag=flag)
+        row.name = name
         report.rows.append(row)
     return report
 
@@ -366,7 +344,7 @@ def run_single(config: ExperimentConfig) -> SingleRunOutput:
 class RepResult:
     rep: int
     seed: int
-    checkpoints: list[RepCheckpoint] = field(default_factory=list)
+    reports: dict[int, InferenceReport] = field(default_factory=dict)
     error: str | None = None
 
 
@@ -387,7 +365,7 @@ def run_replication(config: ExperimentConfig, rep: int, rep_seed: int | None = N
             skip_value_burn_in=config.value_skip_burn_in,
         )
         for cp in result.summary.checkpoints:
-            out.checkpoints.append(_checkpoint_inference(cp, config)[1])
+            out.reports[cp.t] = _checkpoint_report(cp, config)
     except Exception as exc:  # noqa: BLE001 - failures are recorded, not fatal
         out.error = f"{type(exc).__name__}: {exc}"
     return out
@@ -441,6 +419,10 @@ def oracle_truth_value(config: ExperimentConfig) -> tuple[float, float]:
                         config.oracle_draws, rng)
 
 
+# Rows with these flags have no usable standard error; mc leaves them out.
+_EXCLUDED_FLAGS = ("singular_hessian", "no_value_steps")
+
+
 def _mc_row(t: int, name: str, est, se, truth: float, z: float, n_excluded: int) -> McRow:
     """SE/SD ratio, coverage of ``truth`` with its binomial SE, and mean CI length."""
     est = np.array(est)
@@ -470,7 +452,6 @@ def run_monte_carlo(config: ExperimentConfig, rep_seeds=None,
         raise ConfigError("Monte Carlo suites need at least 2 replications")
     if rep_seeds is not None and len(rep_seeds) != config.reps:
         raise ConfigError("rep_seeds must have one entry per replication")
-    truth_beta = config.beta0_array()
     truth_value, truth_value_se = oracle_truth_value(config)
     jobs = [(config, i, None if rep_seeds is None else int(rep_seeds[i]), collect_inference)
             for i in range(config.reps)]
@@ -481,24 +462,16 @@ def run_monte_carlo(config: ExperimentConfig, rep_seeds=None,
     summary = MonteCarloSummary(level=config.level, reps=config.reps,
                                 truth_value=truth_value, truth_value_se=truth_value_se,
                                 failures=failures)
+    truth = dict(zip(_parameter_names(2 * config.p), config.beta0_array()),
+                 V_opt=truth_value, V_opt_aipw=truth_value)
     for t in config.effective_checkpoints():
-        per_rep = [next(c for c in r.checkpoints if c.t == t) for r in ok]
-        if collect_inference:
-            with_se = [c for c in per_rep if c.se is not None]
-            n_excl = len(per_rep) - len(with_se) + failures
-            for j, name in enumerate(_parameter_names(2 * config.p)):
-                summary.rows.append(_mc_row(
-                    t, name, [c.bar_beta[j] for c in with_se], [c.se[j] for c in with_se],
-                    truth_beta[j], z, n_excl))
-        with_value = [c for c in per_rep if c.value_flag != "no_value_steps"]
-        n_excl = len(per_rep) - len(with_value) + failures
-        summary.rows.append(_mc_row(
-            t, "V_opt", [c.value_est for c in with_value], [c.value_se for c in with_value],
-            truth_value, z, n_excl))
-        if config.aipw:
+        # Every replication's report has the same rows in the same order.
+        for rows in zip(*(r.reports[t].rows for r in ok)):
+            name = rows[0].name
+            used = [row for row in rows if row.flag not in _EXCLUDED_FLAGS]
             summary.rows.append(_mc_row(
-                t, "V_opt_aipw", [c.value_aipw_est for c in with_value],
-                [c.value_aipw_se for c in with_value], truth_value, z, n_excl))
+                t, name, [row.estimate for row in used], [row.se for row in used],
+                truth[name], z, len(rows) - len(used) + failures))
     if write:
         out_dir = Path(config.out)
         emit_report(summary, config.format, out_dir / f"mc_summary.{config.format}")
@@ -646,10 +619,10 @@ def emit_report(obj, fmt: str, path) -> Path:
             for row in rows:
                 fh.write(",".join(_fmt_cell(v) for v in row) + "\n")
     elif fmt == "json":
-        payload = _jsonify(obj)
+        # One encode and one write: json.dump streams a write per token.
+        text = json.dumps(_jsonify(obj), indent=2)
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+            fh.write(text + "\n")
     else:
         raise ConfigError(f"unknown report format {fmt!r}; use csv or json")
     return path

@@ -15,6 +15,8 @@ import numpy as np
 from .types import InferenceReport, Observation, ReportRow
 
 DEFAULT_MAX_CONDITION = 1e12
+# A diagonal covariance entry below -_VARIANCE_TOL is not rounding noise.
+_VARIANCE_TOL = 1e-10
 
 
 class SingularHessianError(RuntimeError):
@@ -98,7 +100,9 @@ def sandwich_covariance(acc: PluginAccumulators, *, ridge: bool = False,
     cofactor inversion.  If its condition number exceeds ``max_condition`` a
     SingularHessianError carrying the estimate is raised, unless ``ridge`` is
     set, in which case lam = 1e-8 * trace(Hhat) / dim is added to the diagonal
-    before inverting.
+    before inverting.  A result with a diagonal entry below -1e-10 (seen with
+    the ridge at very short horizons, where cancellation swamps the tiny
+    eigenvalues) also raises SingularHessianError.
     """
     if acc.n < 1:
         raise ValueError("no accumulated steps")
@@ -116,7 +120,10 @@ def sandwich_covariance(acc: PluginAccumulators, *, ridge: bool = False,
     s = acc.s_hat()
     core = (q.T @ s @ q) / np.outer(lam, lam)
     cov = (q @ core @ q.T) / acc.n
-    return 0.5 * (cov + cov.T)
+    cov = 0.5 * (cov + cov.T)
+    if np.diag(cov).min() < -_VARIANCE_TOL:
+        raise SingularHessianError(cond)
+    return cov
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +205,7 @@ def wald_report(bar_beta, cov, level: float = 0.95, null=None,
         null = np.zeros(dim)
     null = np.asarray(null, dtype=np.float64)
     variances = np.diag(cov)
-    if variances.min() < -1e-10:
+    if variances.min() < -_VARIANCE_TOL:
         raise ValueError(f"negative variance on the diagonal: {variances.min()}")
     z = normal_quantile(0.5 * (1.0 + level))
     names = names if names is not None else _parameter_names(dim)

@@ -231,7 +231,7 @@ def test_criterion_07_value_consistency():
                            seed=20250804, checkpoints=(100_000,), workers=WORKERS)
     jobs = [(cfg, i, None, False) for i in range(cfg.reps)]
     results = _map_jobs(_mc_worker, jobs, WORKERS)
-    estimates = np.array([r.checkpoints[0].value_est for r in results])
+    estimates = np.array([r.reports[100_000].row("V_opt").estimate for r in results])
     truth, truth_se = oracle_value(LogisticModel(3), BETA0, 1_000_000,
                                    RngStream(20250810))
     rep_se = estimates.std(ddof=1) / math.sqrt(len(estimates))

@@ -95,6 +95,20 @@ def test_hessian_paper_alias(tmp_path):
     assert code == 0
 
 
+def test_config_file_paper_alias_matches_flag(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("hessian = paper\n")
+    assert main(run_flags(tmp_path / "flag", extra=("--hessian", "paper"))) == 0
+    assert main(run_flags(tmp_path / "file", extra=("--config", str(cfg)))) == 0
+    assert (tmp_path / "file" / "report_t300.csv").read_bytes() \
+        == (tmp_path / "flag" / "report_t300.csv").read_bytes()
+
+
+def test_bad_list_flag_names_its_key(tmp_path, capsys):
+    assert main(run_flags(tmp_path, extra=("--beta0", "1,2,x"))) == 1
+    assert "error: beta0: " in capsys.readouterr().err
+
+
 def test_module_entry_point_help():
     proc = subprocess.run([sys.executable, "-m", "banditsgd", "--help"],
                           capture_output=True, text=True)

@@ -294,21 +294,19 @@ def _folded_sums(rows, horizon, checkpoints, *, family="linear", p=3, lag=None,
     config = SyntheticConfig(model, np.linspace(-0.5, 0.6, 2 * p))
     with mock.patch.object(engine, "_BLOCK_ROWS", rows or engine._BLOCK_ROWS):
         if lag is None:
-            env = SyntheticEnvironment(config, rng)
-            if env_wrapper is not None:
-                env = env_wrapper(env)
-            res = run_stream(env, model, LEARN, EXPLORE, rng, horizon,
-                             checkpoints=checkpoints, **kw)
+            env, run = SyntheticEnvironment(config, rng), run_stream
         else:
-            env = LaggedSyntheticEnvironment(config, rng, lag=lag)
-            res = run_stream_lagged(env, model, LEARN, EXPLORE, rng, horizon,
-                                    checkpoints=checkpoints, **kw)
+            env, run = LaggedSyntheticEnvironment(config, rng, lag=lag), run_stream_lagged
+        if env_wrapper is not None:
+            env = env_wrapper(env)
+        res = run(env, model, LEARN, EXPLORE, rng, horizon, checkpoints=checkpoints, **kw)
     assert [cp.t for cp in res.summary.checkpoints] == sorted(checkpoints)
     return [_sums(cp) for cp in res.summary.checkpoints] + [_sums(res)]
 
 
 class _OneFeatureBuffer:
-    """Synthetic environment that writes every feature row into one array."""
+    """Synthetic environment, plain or lagged, that writes every feature row
+    into one array."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -323,6 +321,12 @@ class _OneFeatureBuffer:
 
     def outcome(self, x, a):
         return self.inner.outcome(x, a)
+
+    def submit(self, step, x, a):
+        self.inner.submit(step, x, a)
+
+    def arrivals(self, now):
+        return self.inner.arrivals(now)
 
 
 FOLD_CASES = [
@@ -390,6 +394,13 @@ class TestBlockFolding:
         cps = (100, 1500)
         plain = _folded_sums(None, 2500, cps, family="logistic", aipw=True)
         reused = _folded_sums(None, 2500, cps, family="logistic", aipw=True,
+                              env_wrapper=_OneFeatureBuffer)
+        _assert_same_sums(reused, plain)
+
+    def test_lagged_environment_reusing_one_feature_array(self):
+        cps = (100, 1500)
+        plain = _folded_sums(None, 2000, cps, lag=3, aipw=True)
+        reused = _folded_sums(None, 2000, cps, lag=3, aipw=True,
                               env_wrapper=_OneFeatureBuffer)
         _assert_same_sums(reused, plain)
 

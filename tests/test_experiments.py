@@ -133,6 +133,14 @@ class TestRunSingle:
         assert all(math.isnan(r.se) for r in rows[:-1])
         assert rows[-1].name == "V_opt" and math.isfinite(rows[-1].estimate)
 
+    def test_negative_ridged_variance_is_flagged_not_fatal(self, tmp_path):
+        # At horizon 1 the ridged sandwich of this seed has a negative variance.
+        cfg = small_config(horizon=1, checkpoints=None, ridge=True,
+                           out=str(tmp_path / "r1"))
+        rows = run_single(cfg).reports[1].rows
+        assert all(r.flag == "singular_hessian" for r in rows[:-1])
+        assert all(math.isnan(r.se) for r in rows[:-1])
+
     def test_value_skip_within_burn_in_is_flagged_not_fatal(self, tmp_path):
         # Every step of a 30-step run is burn-in, so no step reaches the value sums.
         cfg = small_config(horizon=30, checkpoints=None, value_skip_burn_in=True,
@@ -157,6 +165,32 @@ class TestRunSingle:
         out = run_single(cfg)
         row = out.reports[400].row("V_opt_aipw")
         assert row.flag == "experimental"
+
+
+PARITY_CASES = [
+    dict(model="linear", checkpoints=(50, 400)),
+    dict(model="logistic", aipw=True, checkpoints=(50, 400)),
+    dict(model="linear", aipw=True, value_skip_burn_in=True, checkpoints=(20, 400)),
+    dict(model="linear", horizon=1, checkpoints=None, ridge=True),
+    dict(model="logistic", horizon=1, checkpoints=None, ridge=True),
+]
+
+
+def _row_keys(report):
+    # repr keeps every bit and lets NaN compare equal to NaN.
+    return [(r.name, repr(r.estimate), repr(r.se), r.flag) for r in report.rows]
+
+
+@pytest.mark.parametrize("case", PARITY_CASES,
+                         ids=lambda c: "-".join(f"{k}={v}" for k, v in c.items()))
+def test_run_and_replication_report_the_same_rows(case, tmp_path):
+    cfg = small_config(out=str(tmp_path), **case)
+    single = run_single(cfg)
+    rep = run_replication(cfg, 0, rep_seed=cfg.seed)
+    assert rep.error is None
+    assert sorted(rep.reports) == sorted(single.reports)
+    for t, report in single.reports.items():
+        assert _row_keys(rep.reports[t]) == _row_keys(report)
 
 
 class TestRunMonteCarlo:
@@ -197,9 +231,10 @@ class TestRunMonteCarlo:
         parallel = _map_jobs(_mc_worker, jobs, workers=2)
         for a, b in zip(serial, parallel):
             assert a.error is None and b.error is None
-            np.testing.assert_array_equal(a.checkpoints[0].bar_beta,
-                                          b.checkpoints[0].bar_beta)
-            np.testing.assert_array_equal(a.checkpoints[0].se, b.checkpoints[0].se)
+            rows_a, rows_b = a.reports[300].rows[:6], b.reports[300].rows[:6]
+            np.testing.assert_array_equal([r.estimate for r in rows_a],
+                                          [r.estimate for r in rows_b])
+            np.testing.assert_array_equal([r.se for r in rows_a], [r.se for r in rows_b])
 
     def test_noiseless_degenerate_still_well_formed(self, tmp_path):
         cfg = small_config(sigma2=0.0, out=str(tmp_path / "d"))
@@ -216,6 +251,17 @@ class TestRunMonteCarlo:
         assert beta_row.n_used == 0 and beta_row.n_excluded == 4
         value_row = summary.row(3, "V_opt")
         assert value_row.n_used == 4
+
+    def test_negative_ridged_variance_excluded_and_counted(self):
+        cfg = small_config(reps=12, horizon=5, checkpoints=(5,), ridge=True)
+        summary = run_monte_carlo(cfg, write=False)
+        flagged = sum(run_replication(cfg, i).reports[5].row("beta0_1").flag
+                      == "singular_hessian" for i in range(cfg.reps))
+        assert 0 < flagged < cfg.reps
+        beta_row = summary.row(5, "beta0_1")
+        assert beta_row.n_excluded == flagged
+        assert beta_row.n_used == cfg.reps - flagged
+        assert summary.row(5, "V_opt").n_used == cfg.reps
 
     def test_no_value_steps_excluded_from_value_rows(self):
         cfg = small_config(reps=4, horizon=30, checkpoints=(30,), value_skip_burn_in=True)

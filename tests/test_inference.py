@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from banditsgd import (ExplorationSchedule, LearningSchedule, LinearModel,
                        SyntheticConfig, SyntheticEnvironment, accumulate,
                        normal_cdf, normal_quantile, run_stream,
                        sandwich_covariance, two_sided_p, wald_report)
+from banditsgd import inference
 from banditsgd.inference import PluginAccumulators, ipw_weight, value_report_row
 
 BETA0 = np.array([0.3, -0.1, 0.7, 0.8, 0.5, -0.4])
@@ -109,6 +111,19 @@ class TestSandwichCovariance:
                        Observation(np.append(1.0, rng.standard_normal(2)), 1, 0.3), 0.6)
         cov = sandwich_covariance(acc, ridge=True)
         assert np.isfinite(cov).all()
+
+    def test_negative_ridged_variance_raises(self):
+        # One step leaves the curvature rank one; the ridged inverse then
+        # scales rounding errors into a negative diagonal entry.
+        m = LinearModel(3)
+        rng = RngStream(1)
+        env = SyntheticEnvironment(SyntheticConfig(m, BETA0), rng)
+        res = run_stream(env, m, LearningSchedule(0.5, 0.501),
+                         ExplorationSchedule.fixed(0.2), rng, 1)
+        with mock.patch.object(inference, "_VARIANCE_TOL", math.inf):
+            assert np.diag(sandwich_covariance(res.plugin, ridge=True)).min() < -1e-10
+        with pytest.raises(SingularHessianError):
+            sandwich_covariance(res.plugin, ridge=True)
 
     def test_empty_accumulator_rejected(self):
         with pytest.raises(ValueError):

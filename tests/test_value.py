@@ -123,8 +123,8 @@ class TestAipwAccumulation:
         diffs = []
         for rep in range(200):
             r = run_replication(config, rep, collect_inference=False)
-            cp = r.checkpoints[0]
-            diffs.append(cp.value_aipw_est - cp.value_est)
+            report = r.reports[10_000]
+            diffs.append(report.row("V_opt_aipw").estimate - report.row("V_opt").estimate)
         diffs = np.asarray(diffs)
         se = diffs.std(ddof=1) / math.sqrt(len(diffs))
         assert abs(diffs.mean()) < 4.0 * se
