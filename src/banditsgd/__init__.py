@@ -28,7 +28,7 @@ from .policy import (RngStream, derive_seed, exploration_rate, learning_rate,
                      propensity, sample_action, splitmix64)
 from .types import (DimensionError, ExplorationSchedule, InferenceReport,
                     LearningSchedule, Observation, ParameterState, ReportRow,
-                    decide_optimal, split_parameters)
+                    decide_optimal)
 from .value import (ValueAccumulator, oracle_value, raw_value_variance,
                     update_value, value_estimate, value_standard_error,
                     value_variance)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .inference import PluginAccumulators, ipw_weight
+from .models import _HESSIAN_VARIANTS
 from .policy import RngStream, exploration_rate, learning_rate
 from .types import ExplorationSchedule, LearningSchedule, Observation, ParameterState
 from .value import ValueAccumulator
@@ -106,13 +107,14 @@ def _fold_rows(acc: np.ndarray, outer: np.ndarray, coef: list) -> None:
 
 
 class _UpdateCore:
-    """Shared per-reward arithmetic for both engine loops.
+    """Shared per-step arithmetic for both engine loops.
 
-    Keeps the raw iterate and its running average as plain arrays and applies
-    accumulator and SGD updates in one pass.  The public ``sgd_step`` /
-    ``accumulate`` / ``update_value`` operations define the semantics; this
-    core mirrors them (tests assert the equivalence) with cached block views,
-    since these few lines dominate the run time.
+    ``sample`` makes the epsilon-greedy decision and ``apply`` consumes its
+    reward.  Keeps the raw iterate and its running average as plain arrays
+    with cached block views.  The IPW weight, the step size and the value
+    update are the package's own ``ipw_weight``, ``learning_rate`` and
+    ``ValueAccumulator.add_scalars``; the SGD step and the plug-in terms
+    mirror ``sgd_step`` and ``accumulate`` (tests assert the equivalence).
 
     The value sums take each step's terms as it arrives.  The plug-in terms
     are computed with the same scalar arithmetic as one-step-at-a-time
@@ -126,10 +128,10 @@ class _UpdateCore:
 
     def __init__(self, model, learn: LearningSchedule, *, variant: str,
                  collect_inference: bool, collect_value: bool, aipw: bool):
-        self.alpha = learn.alpha
-        self.gamma = learn.gamma
+        if variant not in _HESSIAN_VARIANTS:
+            raise ValueError(f"unknown hessian variant {variant!r}")
+        self.learn = learn
         self.variant = variant
-        self.aipw = aipw
         p = model.p
         dim = 2 * p
         self.hat = np.zeros(dim)
@@ -154,12 +156,17 @@ class _UpdateCore:
         self._check_reward = model.validate_reward
         self.updates = 0
 
-    def decide(self, x) -> tuple[int, float, float]:
+    def sample(self, x, eps: float, rng: RngStream) -> tuple[int, float, int, float]:
+        """Epsilon-greedy draw at the current average: the greedy action, the
+        propensity of action 1, the sampled action and its linear index."""
         # Same expression as the update-time recomputation so that zero-lag
         # delivery reproduces the plain stream bit for bit.
         u0 = float(x @ self._bar_blocks[0])
         u1 = float(x @ self._bar_blocks[1])
-        return (1 if u1 > u0 else 0), u0, u1
+        greedy = 1 if u1 > u0 else 0
+        pi = 1.0 - eps / 2.0 if greedy == 1 else eps / 2.0
+        a = 1 if rng.uniform() < pi else 0
+        return greedy, pi, a, (u1 if a == 1 else u0)
 
     def apply(self, x, a: int, y: float, pi: float, eps: float, greedy: int,
               include_value: bool = True, u_bar: float | None = None) -> None:
@@ -171,7 +178,7 @@ class _UpdateCore:
         the caller already computed it for the decision.
         """
         self._check_reward(y)
-        w = 0.5 / pi if a == 1 else 0.5 / (1.0 - pi)
+        w = ipw_weight(a, pi)
         ordinal = self.updates + 1
 
         if self.plugin is not None:
@@ -185,29 +192,14 @@ class _UpdateCore:
             self._ph[a].append(self._hess_scale(mu_bar, y, self.variant) * w)
             self.plugin.n += 1
         if self.value is not None and include_value:
-            # ValueAccumulator.add_scalars's arithmetic, which tests compare
-            # against.
-            val = self.value
-            if not 0.0 < eps <= 1.0:
-                raise ValueError(f"exploration rate must lie in (0, 1], got {eps}")
-            pi_c = 1.0 - eps / 2.0
-            consistent = a == greedy
-            if consistent:
-                v = y / pi_c
-                val.sum_v += v
-                val.sum_v2 += y * v
-            if self.aipw:
-                mu_greedy = self._link(float(x @ self._bar_blocks[greedy]))
-                c = 1.0 if consistent else 0.0
-                term = c * y / pi_c - (c - pi_c) / pi_c * mu_greedy
-                val.sum_aipw += term
-                val.sum_aipw2 += term * term
-            val.t += 1
+            mu_greedy = (self._link(float(x @ self._bar_blocks[greedy]))
+                         if self.value.aipw else None)
+            self.value.add_scalars(a, y, greedy, eps, mu_greedy)
 
         hat_block = self._hat_blocks[a]
         u_hat = float(x @ hat_block)
         g_scale = (self._link(u_hat) - y) * w
-        alpha_t = self.alpha * float(ordinal) ** (-self.gamma)
+        alpha_t = learning_rate(self.learn, ordinal)
         hat_block -= (alpha_t * g_scale) * x
         # In-place running average keeps the cached views valid.
         bar = self.bar
@@ -278,9 +270,7 @@ def run_stream(env, model, learn: LearningSchedule, explore: ExplorationSchedule
             if x is None:
                 summary.exhausted = True
                 break
-            greedy, u0, u1 = core.decide(x)
-            pi = 1.0 - eps / 2.0 if greedy == 1 else eps / 2.0
-            a = 1 if rng.uniform() < pi else 0
+            greedy, pi, a, u_a = core.sample(x, eps, rng)
             y = env.outcome(x, a)
             if y is not None:
                 break
@@ -289,8 +279,7 @@ def run_stream(env, model, learn: LearningSchedule, explore: ExplorationSchedule
         if observer is not None:
             observer(t, x, a, y, pi, eps, greedy, core.bar)
         include_value = not (skip_value_burn_in and t <= explore.burn_in)
-        core.apply(x, a, float(y), pi, eps, greedy, include_value,
-                   u_bar=u1 if a == 1 else u0)
+        core.apply(x, a, float(y), pi, eps, greedy, include_value, u_bar=u_a)
         summary.total_reward += y
         summary.steps = t
         if t in cp_set:
@@ -346,9 +335,7 @@ def run_stream_lagged(env, model, learn: LearningSchedule, explore: ExplorationS
             break
         ordinal_next = core.updates + 1
         eps = exploration_rate(explore, ordinal_next)
-        greedy, _, _ = core.decide(x)
-        pi = 1.0 - eps / 2.0 if greedy == 1 else eps / 2.0
-        a = 1 if rng.uniform() < pi else 0
+        greedy, pi, a, _ = core.sample(x, eps, rng)
         include_value = not (skip_value_burn_in and ordinal_next <= explore.burn_in)
         # A copy: an environment may reuse one feature array for every step.
         pending.append(StepRecord(x.copy(), a, pi, eps, greedy, t, include_value))

@@ -17,6 +17,7 @@ import numpy as np
 
 from .policy import RngStream
 from .types import DimensionError, Observation, as_float_vector
+from .value import default_feature_sampler
 
 
 @dataclass
@@ -62,7 +63,7 @@ class SyntheticEnvironment:
         self.rng = rng
         self._gen = rng.gen
         p = config.model.p
-        self._p = p
+        self._sample_chunk = default_feature_sampler(p)
         self._blocks = (config.beta0[:p].copy(), config.beta0[p:].copy())
         self._sd = math.sqrt(config.sigma2)
         self._linear = config.model.tag == "linear"
@@ -76,11 +77,7 @@ class SyntheticEnvironment:
         if self.config.feature_sampler is not None:
             return np.asarray(self.config.feature_sampler(self._gen, 1), dtype=np.float64)[0]
         if self._fi >= self._CHUNK:
-            block = np.empty((self._CHUNK, self._p))
-            block[:, 0] = 1.0
-            if self._p > 1:
-                block[:, 1:] = self._gen.standard_normal((self._CHUNK, self._p - 1))
-            self._features = block
+            self._features = self._sample_chunk(self._gen, self._CHUNK)
             self._fi = 0
         x = self._features[self._fi]
         self._fi += 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -287,26 +288,32 @@ def _trace_writer(fh, model):
     return observe
 
 
+def _run_stream(config: ExperimentConfig, seed: int, env=None, **kwargs):
+    """The configured stream on its own seeded rng (and environment, unless given)."""
+    rng = RngStream(seed)
+    if env is None:
+        env = SyntheticEnvironment(config.synthetic_config(), rng)
+    return run_stream(env, config.model_family(), config.learning_schedule(),
+                      config.exploration_schedule(), rng, config.horizon,
+                      hessian=config.hessian, aipw=config.aipw,
+                      skip_value_burn_in=config.value_skip_burn_in, **kwargs)
+
+
 def run_single(config: ExperimentConfig) -> SingleRunOutput:
     """One seeded stream; writes one report file per checkpoint."""
     config.validate()
-    model = config.model_family()
-    rng = RngStream(config.seed)
-    cursor = None
+    cursor = env = None
     if config.replay_log is not None:
-        cursor = ReplayCursor(load_replay_log(config.replay_log))
+        entries = load_replay_log(config.replay_log)
+        if entries and (n := entries[0].x.shape[0]) != config.p:
+            raise ConfigError(f"replay log rows have {n} features, but p is {config.p}")
+        cursor = ReplayCursor(entries)
         env = ReplayEnvironment(cursor)
-    else:
-        env = SyntheticEnvironment(config.synthetic_config(), rng)
-    checkpoints = config.effective_checkpoints()
     trace = nullcontext() if config.trace is None else open(config.trace, "w", newline="")
     with trace as fh:
-        result = run_stream(
-            env, model, config.learning_schedule(), config.exploration_schedule(),
-            rng, config.horizon, hessian=config.hessian, aipw=config.aipw,
-            checkpoints=checkpoints, skip_value_burn_in=config.value_skip_burn_in,
-            observer=None if fh is None else _trace_writer(fh, model),
-        )
+        result = _run_stream(
+            config, config.seed, env, checkpoints=config.effective_checkpoints(),
+            observer=None if fh is None else _trace_writer(fh, config.model_family()))
     snapshots = {cp.t: cp for cp in result.summary.checkpoints}
     if result.summary.exhausted and result.summary.steps >= 1 \
             and result.summary.steps not in snapshots:
@@ -354,16 +361,8 @@ def run_replication(config: ExperimentConfig, rep: int, rep_seed: int | None = N
     seed_r = derive_seed(config.seed, rep) if rep_seed is None else rep_seed
     out = RepResult(rep=rep, seed=seed_r)
     try:
-        model = config.model_family()
-        rng = RngStream(seed_r)
-        env = SyntheticEnvironment(config.synthetic_config(), rng)
-        result = run_stream(
-            env, model, config.learning_schedule(), config.exploration_schedule(),
-            rng, config.horizon, hessian=config.hessian, aipw=config.aipw,
-            collect_inference=collect_inference,
-            checkpoints=config.effective_checkpoints(),
-            skip_value_burn_in=config.value_skip_burn_in,
-        )
+        result = _run_stream(config, seed_r, collect_inference=collect_inference,
+                             checkpoints=config.effective_checkpoints())
         for cp in result.summary.checkpoints:
             out.reports[cp.t] = _checkpoint_report(cp, config)
     except Exception as exc:  # noqa: BLE001 - failures are recorded, not fatal
@@ -505,16 +504,13 @@ class TuneAlphaResult:
 def _tune_worker(args):
     config, alpha, rep, grid = args
     cfg = replace(config, alpha=alpha)
-    rng = RngStream(derive_seed(cfg.seed, rep))
     model = cfg.model_family()
-    env = SyntheticEnvironment(cfg.synthetic_config(), rng)
     losses = np.full(cfg.horizon, np.nan)
 
     def record(t, x, a, y, pi, eps, greedy, bar):
         losses[t - 1] = _loss_at_bar(model, x, a, y, bar)
-    run_stream(env, model, cfg.learning_schedule(), cfg.exploration_schedule(),
-               rng, cfg.horizon, collect_inference=False, collect_value=False,
-               observer=record)
+    _run_stream(cfg, derive_seed(cfg.seed, rep), collect_inference=False,
+                collect_value=False, observer=record)
     # Running average of the pre-update losses: smooth, and its final point is
     # the mean per-step loss of the whole run.
     cum = np.cumsum(losses) / np.arange(1, cfg.horizon + 1)
@@ -576,13 +572,15 @@ def _field_names(cls) -> tuple[str, ...]:
 
 
 def _tabulate(obj) -> tuple[list[str], list[list]]:
-    """A dict is one row under its keys; a report is its ``rows`` in field order."""
+    """A dict is one row under its keys; a report is its ``rows`` under the
+    fields of the declared row type."""
     if isinstance(obj, dict):
         header = list(obj.keys())
         return header, [[obj[k] for k in header]]
     if not is_dataclass(obj) or "rows" not in _field_names(type(obj)):
         raise ConfigError(f"cannot serialize object of type {type(obj).__name__}")
-    header = list(_field_names(type(obj.rows[0]))) if obj.rows else []
+    row_type = typing.get_args(typing.get_type_hints(type(obj))["rows"])[0]
+    header = list(_field_names(row_type))
     return header, [[getattr(r, name) for name in header] for r in obj.rows]
 
 

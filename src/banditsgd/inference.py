@@ -14,7 +14,8 @@ import numpy as np
 
 from .types import InferenceReport, Observation, ReportRow
 
-DEFAULT_MAX_CONDITION = 1e12
+# A curvature estimate with a larger condition number is not inverted as is.
+_MAX_CONDITION = 1e12
 # A diagonal covariance entry below -_VARIANCE_TOL is not rounding noise.
 _VARIANCE_TOL = 1e-10
 
@@ -22,11 +23,11 @@ _VARIANCE_TOL = 1e-10
 class SingularHessianError(RuntimeError):
     """Curvature estimate too ill-conditioned to invert."""
 
-    def __init__(self, condition: float):
-        super().__init__(
-            f"curvature matrix is numerically singular (condition estimate {condition:.3e}); "
-            "accumulate more steps or enable the ridge fallback"
-        )
+    def __init__(self, condition: float, ridged: bool = False):
+        advice = ("the ridge fallback was applied; accumulate more steps" if ridged
+                  else "accumulate more steps or enable the ridge fallback")
+        super().__init__(f"curvature matrix is numerically singular "
+                         f"(condition estimate {condition:.3e}); {advice}")
         self.condition = condition
 
 
@@ -92,37 +93,42 @@ def accumulate(acc: PluginAccumulators, model, bar_beta_prev, obs: Observation,
     return acc
 
 
-def sandwich_covariance(acc: PluginAccumulators, *, ridge: bool = False,
-                        max_condition: float = DEFAULT_MAX_CONDITION) -> np.ndarray:
+def _condition(lam: np.ndarray) -> float:
+    lam_abs = np.abs(lam)
+    return math.inf if lam_abs.min() == 0.0 else float(lam_abs.max() / lam_abs.min())
+
+
+def sandwich_covariance(acc: PluginAccumulators, *, ridge: bool = False) -> np.ndarray:
     """Covariance estimate of the averaged iterate: Hhat^-1 Shat Hhat^-T / n.
 
     The curvature is factored symmetrically (eigendecomposition); no explicit
-    cofactor inversion.  If its condition number exceeds ``max_condition`` a
+    cofactor inversion.  If its condition number exceeds 1e12 a
     SingularHessianError carrying the estimate is raised, unless ``ridge`` is
     set, in which case lam = 1e-8 * trace(Hhat) / dim is added to the diagonal
     before inverting.  A result with a diagonal entry below -1e-10 (seen with
     the ridge at very short horizons, where cancellation swamps the tiny
-    eigenvalues) also raises SingularHessianError.
+    eigenvalues) also raises SingularHessianError.  After the ridge, the error
+    says so and carries the condition number of the ridged curvature.
     """
     if acc.n < 1:
         raise ValueError("no accumulated steps")
     h = acc.h_hat()
     lam, q = np.linalg.eigh(h)
-    lam_abs = np.abs(lam)
-    cond = math.inf if lam_abs.min() == 0.0 else float(lam_abs.max() / lam_abs.min())
-    if lam.min() <= 0.0 or cond > max_condition:
+    cond, ridged = _condition(lam), False
+    if lam.min() <= 0.0 or cond > _MAX_CONDITION:
         if not ridge:
             raise SingularHessianError(cond)
         h = h + (1e-8 * np.trace(h) / acc.dim) * np.eye(acc.dim)
         lam, q = np.linalg.eigh(h)
+        cond, ridged = _condition(lam), True
         if lam.min() <= 0.0:
-            raise SingularHessianError(cond)
+            raise SingularHessianError(cond, ridged)
     s = acc.s_hat()
     core = (q.T @ s @ q) / np.outer(lam, lam)
     cov = (q @ core @ q.T) / acc.n
     cov = 0.5 * (cov + cov.T)
     if np.diag(cov).min() < -_VARIANCE_TOL:
-        raise SingularHessianError(cond)
+        raise SingularHessianError(cond, ridged)
     return cov
 
 
@@ -187,8 +193,7 @@ def _parameter_names(dim: int) -> list[str]:
     return [f"b{j + 1}" for j in range(dim)]
 
 
-def wald_report(bar_beta, cov, level: float = 0.95, null=None,
-                names: list[str] | None = None) -> InferenceReport:
+def wald_report(bar_beta, cov, level: float = 0.95, null=None) -> InferenceReport:
     """Per-coordinate Wald intervals, t statistics, and two-sided p values.
 
     A zero standard error yields t = +/-inf with p = 0, except when the
@@ -208,7 +213,7 @@ def wald_report(bar_beta, cov, level: float = 0.95, null=None,
     if variances.min() < -_VARIANCE_TOL:
         raise ValueError(f"negative variance on the diagonal: {variances.min()}")
     z = normal_quantile(0.5 * (1.0 + level))
-    names = names if names is not None else _parameter_names(dim)
+    names = _parameter_names(dim)
     report = InferenceReport(level=level)
     for j in range(dim):
         est = float(bar_beta[j])

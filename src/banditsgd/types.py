@@ -168,16 +168,6 @@ class InferenceReport:
         raise KeyError(name)
 
 
-def split_parameters(beta) -> tuple[np.ndarray, np.ndarray]:
-    """Split a length-2p parameter vector into its action-0 and action-1 halves."""
-    beta = as_float_vector(beta, "beta")
-    n = beta.shape[0]
-    if n == 0 or n % 2 != 0:
-        raise DimensionError(f"parameter vector must have even positive length, got {n}")
-    p = n // 2
-    return beta[:p], beta[p:]
-
-
 def decide_optimal(model, beta, x) -> int:
     """Greedy action: 1 iff the modeled mean reward of action 1 strictly exceeds
     that of action 0; exact ties resolve to 0.

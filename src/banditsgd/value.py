@@ -15,6 +15,8 @@ import numpy as np
 
 from .types import Observation
 
+_ORACLE_BATCH = 65536  # feature rows per numpy pass of oracle_value
+
 
 class ValueAccumulator:
     """Running sums for the value estimate and its plugin variance."""
@@ -116,8 +118,7 @@ def default_feature_sampler(p: int):
     return sample
 
 
-def oracle_value(model, beta0, n: int, rng, feature_sampler=None,
-                 batch: int = 65536) -> tuple[float, float]:
+def oracle_value(model, beta0, n: int, rng, feature_sampler=None) -> tuple[float, float]:
     """Monte Carlo value of the greedy rule under the true parameters.
 
     Simulates ``n`` i.i.d. feature vectors, applies the greedy decision under
@@ -135,7 +136,7 @@ def oracle_value(model, beta0, n: int, rng, feature_sampler=None,
     total_sq = 0.0
     remaining = n
     while remaining > 0:
-        m = min(batch, remaining)
+        m = min(_ORACLE_BATCH, remaining)
         x = sampler(gen, m)
         mu0 = model.mean_from_index_array(x @ b0)
         mu1 = model.mean_from_index_array(x @ b1)

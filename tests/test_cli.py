@@ -72,6 +72,16 @@ def test_replay_subcommand(tmp_path, capsys):
     assert "matched" in capsys.readouterr().out
 
 
+def test_replay_log_width_must_match_p(tmp_path, capsys):
+    entries = [ReplayLogEntry(np.array([1.0, 0.5]), i % 2, 1.0) for i in range(20)]
+    log = tmp_path / "log.csv"
+    write_replay_log(log, entries)
+    code = main(["replay", "--model", "logistic", "--replay-log", str(log),
+                 "--horizon", "20", "--out", str(tmp_path / "r")])
+    assert code == 1
+    assert "replay log rows have 2 features, but p is 3" in capsys.readouterr().err
+
+
 def test_mc_subcommand(tmp_path, capsys):
     code = main(["mc", "--model", "linear", "--horizon", "200", "--reps", "6",
                  "--seed", "4", "--checkpoints", "200",

@@ -14,7 +14,7 @@ from banditsgd import (ExplorationSchedule, LearningSchedule, LinearModel,
                        run_stream_lagged, sgd_step)
 from banditsgd import engine
 from banditsgd.environments import LaggedSyntheticEnvironment, constant_lag, geometric_lag
-from banditsgd.experiments import _loss_at_bar, _trace_writer
+from banditsgd.experiments import _loss_at_bar, _map_jobs, _trace_writer
 from banditsgd.inference import PluginAccumulators, accumulate, ipw_weight
 from banditsgd.value import ValueAccumulator, update_value
 
@@ -28,6 +28,14 @@ def make_env(family="linear", seed=1, sigma2=0.01):
     rng = RngStream(seed)
     env = SyntheticEnvironment(SyntheticConfig(model, BETA0), rng)
     return model, env, rng
+
+
+def _distance_to_truth(seed):
+    """Distance of the averaged iterate from BETA0 after 10,000 linear steps."""
+    m, env, rng = make_env(seed=seed)
+    res = run_stream(env, m, LEARN, EXPLORE, rng, 10_000,
+                     collect_inference=False, collect_value=False)
+    return np.linalg.norm(res.state.bar_beta - BETA0)
 
 
 class TestIpwGradient:
@@ -200,15 +208,21 @@ class TestRunStream:
         assert res.value.t == val.t
         assert res.value.sum_v == pytest.approx(val.sum_v, rel=1e-13)
 
+    @pytest.mark.parametrize("lagged", [False, True], ids=["plain", "lagged"])
+    def test_unknown_hessian_variant_rejected(self, lagged):
+        m, env, rng = make_env("logistic", seed=6)
+        run = run_stream
+        if lagged:
+            env = LaggedSyntheticEnvironment(SyntheticConfig(m, BETA0), rng, lag=2)
+            run = run_stream_lagged
+        with pytest.raises(ValueError, match="unknown hessian variant 'bogus'"):
+            run(env, m, LEARN, EXPLORE, rng, 100, hessian="bogus")
+
     def test_consistency_over_replications(self):
         # At horizon 1e4 the averaged iterate should be inside a 0.1 ball
         # around the truth in at least 99 of 100 seeded replications.
-        hits = 0
-        for rep in range(100):
-            m, env, rng = make_env(seed=1000 + rep)
-            res = run_stream(env, m, LEARN, EXPLORE, rng, 10_000,
-                             collect_inference=False, collect_value=False)
-            hits += np.linalg.norm(res.state.bar_beta - BETA0) < 0.1
+        seeds = [1000 + rep for rep in range(100)]
+        hits = sum(d < 0.1 for d in _map_jobs(_distance_to_truth, seeds, 2))
         assert hits >= 99
 
     def test_losses_recorded_at_running_average(self):

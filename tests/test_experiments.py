@@ -3,6 +3,7 @@ import json
 import math
 import time
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from banditsgd import (ConfigError, ExperimentConfig, InferenceReport,
                        MonteCarloSummary, ReportRow, TuneAlphaResult, build_config,
                        emit_report, load_config_file, oracle_truth_value,
                        run_monte_carlo, run_replication, run_single, tune_alpha)
+from banditsgd import experiments
 from banditsgd.experiments import (McRow, TuneAlphaRow, _map_jobs, _mc_worker,
                                    parse_eps_spec)
 
@@ -271,6 +273,14 @@ class TestRunMonteCarlo:
         value_row = summary.row(30, "V_opt")
         assert value_row.n_used == 0 and value_row.n_excluded == 4
         assert math.isnan(value_row.coverage)
+
+    def test_all_replications_failed_keeps_the_csv_header(self, tmp_path):
+        cfg = small_config(reps=3, out=str(tmp_path / "x"))
+        with mock.patch.object(experiments, "run_stream", side_effect=RuntimeError("boom")):
+            summary = run_monte_carlo(cfg)
+        assert summary.failures == 3 and summary.rows == []
+        assert (tmp_path / "x" / "mc_summary.csv").read_text().splitlines() \
+            == ["t,name,ratio,coverage,coverage_se,ci_length,n_used,n_excluded"]
 
     def test_needs_two_reps(self):
         with pytest.raises(ConfigError):

@@ -125,6 +125,24 @@ class TestSandwichCovariance:
         with pytest.raises(SingularHessianError):
             sandwich_covariance(res.plugin, ridge=True)
 
+    def test_error_after_the_ridge_says_so(self):
+        # The horizon-1 run above: the unridged curvature is rank one, so its
+        # condition is infinite and the advice is to enable the ridge.
+        m = LinearModel(3)
+        rng = RngStream(1)
+        env = SyntheticEnvironment(SyntheticConfig(m, BETA0), rng)
+        res = run_stream(env, m, LearningSchedule(0.5, 0.501),
+                         ExplorationSchedule.fixed(0.2), rng, 1)
+        with pytest.raises(SingularHessianError, match="enable the ridge") as plain:
+            sandwich_covariance(res.plugin)
+        assert math.isinf(plain.value.condition)
+        with pytest.raises(SingularHessianError, match="ridge fallback was applied") as ridged:
+            sandwich_covariance(res.plugin, ridge=True)
+        assert "enable the ridge" not in str(ridged.value)
+        # Ridging a rank-one trace-T matrix with 1e-8 * T / 6 on the diagonal
+        # leaves eigenvalues T + lam and lam: condition 1 + 6e8.
+        assert ridged.value.condition == pytest.approx(1.0 + 6.0 / 1e-8, rel=1e-9)
+
     def test_empty_accumulator_rejected(self):
         with pytest.raises(ValueError):
             sandwich_covariance(PluginAccumulators(4))

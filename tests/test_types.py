@@ -3,39 +3,10 @@ import pytest
 
 from banditsgd import (DimensionError, ExplorationSchedule, LearningSchedule,
                        LinearModel, LogisticModel, Observation, ParameterState,
-                       decide_optimal, split_parameters)
+                       decide_optimal)
 from banditsgd.types import ReportRow
 
 BETA0 = np.array([0.3, -0.1, 0.7, 0.8, 0.5, -0.4])
-
-
-class TestSplitParameters:
-    def test_reference_vector(self):
-        lo, hi = split_parameters(BETA0)
-        np.testing.assert_array_equal(lo, [0.3, -0.1, 0.7])
-        np.testing.assert_array_equal(hi, [0.8, 0.5, -0.4])
-
-    def test_zero_vector(self):
-        lo, hi = split_parameters(np.zeros(6))
-        assert not lo.any() and not hi.any()
-
-    def test_smallest_case(self):
-        lo, hi = split_parameters([1.5, -2.0])
-        assert lo[0] == 1.5 and hi[0] == -2.0
-
-    def test_odd_length_rejected(self):
-        with pytest.raises(DimensionError):
-            split_parameters(np.zeros(5))
-        with pytest.raises(DimensionError):
-            split_parameters(np.zeros(0))
-
-    def test_concat_roundtrip(self):
-        rng = np.random.default_rng(42)
-        for _ in range(20):
-            p = int(rng.integers(1, 8))
-            beta = rng.standard_normal(2 * p)
-            lo, hi = split_parameters(beta)
-            np.testing.assert_array_equal(np.concatenate([lo, hi]), beta)
 
 
 class TestDecideOptimal:
