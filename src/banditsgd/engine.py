@@ -11,16 +11,18 @@ arriving reward triggers exactly one update, in first-in-first-out order.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .environments import SyntheticConfig, SyntheticEnvironment
 from .inference import PluginAccumulators, ipw_weight
 from .models import _HESSIAN_VARIANTS
 from .policy import RngStream, exploration_rate, learning_rate
 from .types import ExplorationSchedule, LearningSchedule, Observation, ParameterState
-from .value import ValueAccumulator
+from .value import ValueAccumulator, default_feature_sampler
 
 
 class ProtocolError(RuntimeError):
@@ -347,3 +349,149 @@ def run_stream_lagged(env, model, learn: LearningSchedule, explore: ExplorationS
     summary.pending = len(pending)
     return core.result(summary)
 
+
+# Per replication and step of a draw chunk, a lockstep batch holds its
+# feature row and about 16 floats of draws, step records and temporaries.
+_LOCKSTEP_FLOATS = 2 ** 22
+
+
+def _lockstep_capacity(p: int) -> int:
+    """Most replications one lockstep batch holds within the float budget."""
+    return max(1, _LOCKSTEP_FLOATS // (SyntheticEnvironment._CHUNK * (p + 16)))
+
+
+def _each(fn, *columns: np.ndarray) -> np.ndarray:
+    """``fn`` on the entries of equally shaped arrays, one Python float each."""
+    return np.reshape(list(map(fn, *(c.ravel().tolist() for c in columns))), columns[0].shape)
+
+
+def _run_lockstep(synth: SyntheticConfig, learn: LearningSchedule,
+                  explore: ExplorationSchedule, seeds, horizon: int, *,
+                  hessian: str = "exact", aipw: bool = False,
+                  collect_inference: bool = True, collect_value: bool = True,
+                  checkpoints=(), skip_value_burn_in: bool = False, loss_grid=()):
+    """``run_stream`` on ``SyntheticEnvironment(synth, RngStream(seed))`` for
+    every seed, advanced together and equal bit for bit (README, "Defaults").
+
+    Returns each replication's checkpoints and, given ``loss_grid``, each
+    one's running mean loss at the pre-step average at those steps (else
+    None).  Links and losses are the model's scalar hooks per entry; the
+    rest is elementwise + - x / and in-order sums, folded every
+    ``_BLOCK_ROWS`` steps and at checkpoints.  Exceptions propagate.
+    """
+    model, link = synth.model, synth.model.mean_from_index
+    p, reps, chunk = model.p, len(seeds), SyntheticEnvironment._CHUNK
+    gens = [RngStream(s).gen for s in seeds]
+    sample = default_feature_sampler(p)
+    linear = model.tag == "linear"
+    sd = math.sqrt(synth.sigma2)
+    cp_set = set(int(c) for c in checkpoints)
+    grid = {int(t): j for j, t in enumerate(loss_grid)}
+    # Averages, iterates and true blocks: one stacked 1 x p by p x 1 matmul
+    # gives every index, each by the BLAS dot call of ``x @ block``.
+    blocks = np.zeros((3, reps, 2, p))
+    blocks[2] = synth.beta0.reshape(2, p)
+    bar, hat = blocks[0], blocks[1]
+    feats = np.empty((chunk, reps, p))
+    uni, draws, y_k, w_k = (np.empty((chunk, reps)) for _ in range(4))
+    # Per step: the action, the greedy action, both indexes at the average.
+    act_k, greedy_k = np.empty((2, chunk, reps), dtype=bool)
+    ubar_k = np.empty((chunk, reps, 2))
+    eps_k = np.empty(chunk)
+    plugins = [PluginAccumulators(2 * p) for _ in seeds] if collect_inference else []
+    values = [ValueAccumulator(aipw=aipw) for _ in seeds] if collect_value else []
+    loss_total = np.zeros(reps)
+    losses = np.empty((reps, len(grid))) if grid else None
+    block = _block_rows(p)
+
+    def fold(i0: int, i1: int, t0: int) -> None:
+        """Add chunk steps i0..i1-1, which are steps t0+1.., to the sums."""
+        rows = slice(i0, i1)
+        y, act = y_k[rows], act_k[rows]
+        if collect_inference or grid:
+            mu = _each(link, np.where(act, ubar_k[rows, :, 1], ubar_k[rows, :, 0]))
+        if collect_inference:
+            gw = (mu - y) * w_k[rows]
+            # hessian_scale is + - x only, so it takes the arrays whole.
+            coefs = (gw * gw, model.hessian_scale(mu, y, hessian) * w_k[rows])
+            for r, plugin in enumerate(plugins):
+                for a, d in ((0, slice(0, p)), (1, slice(p, 2 * p))):
+                    taken = np.flatnonzero(act[:, r] == bool(a))
+                    for b in range(0, len(taken), block):
+                        j = taken[b:b + block]
+                        x = feats[i0 + j, r]
+                        outer = x[:, :, None] * x[:, None, :]
+                        _fold_rows(plugin.S_sum[d, d], outer, coefs[0][j, r])
+                        _fold_rows(plugin.H_sum[d, d], outer, coefs[1][j, r])
+                plugin.n += i1 - i0
+        if collect_value:
+            include = np.arange(t0 + 1, t0 + 1 + i1 - i0)[:, None] > (
+                explore.burn_in if skip_value_burn_in else 0)
+            pi_c = (1.0 - eps_k[rows] / 2.0)[:, None]
+            consistent = act == greedy_k[rows]
+            v = y / pi_c
+            # A zero in place of a skipped term leaves a sum unchanged: sums
+            # start at +0.0 and so never become -0.0.
+            terms = [np.where(consistent & include, v, 0.0),
+                     np.where(consistent & include, y * v, 0.0)]
+            if aipw:
+                c = consistent.astype(np.float64)
+                mu_g = _each(link, np.where(greedy_k[rows], ubar_k[rows, :, 1],
+                                            ubar_k[rows, :, 0]))
+                term = np.where(include, c * y / pi_c - (c - pi_c) / pi_c * mu_g, 0.0)
+                terms += [term, term * term]
+            sums = np.array([[a.sum_v, a.sum_v2, a.sum_aipw, a.sum_aipw2] for a in values]).T
+            for j, term in enumerate(terms):
+                sums[j] = np.add.accumulate(np.concatenate((sums[j][None], term)))[-1]
+            included = int(include.sum())
+            for value, column in zip(values, sums.T.tolist()):
+                value.sum_v, value.sum_v2, value.sum_aipw, value.sum_aipw2 = column
+                value.t += included
+        if grid:
+            running = np.add.accumulate(np.concatenate(
+                (loss_total[None], _each(model.loss_from_mean, mu, y))))
+            loss_total[:] = running[-1]
+            for t in grid.keys() & range(t0 + 1, t0 + 1 + i1 - i0):
+                losses[:, grid[t]] = running[t - t0] / t
+
+    snaps: list[list[Checkpoint]] = [[] for _ in seeds]
+    rep_index = np.arange(reps)
+    for start in range(0, horizon, chunk):
+        n = min(chunk, horizon - start)
+        for r, gen in enumerate(gens):
+            feats[:, r] = sample(gen, chunk)
+            uni[0, r] = gen.random()
+            draws[:, r] = gen.standard_normal(chunk) if linear else gen.random(chunk)
+            uni[1:n, r] = gen.random(n - 1)
+        folded = 0
+        for k in range(n):
+            t = start + k + 1
+            eps = exploration_rate(explore, t)
+            x = feats[k]
+            dots = (x[:, None, None, :] @ blocks[..., None])[..., 0, 0]
+            greedy = dots[0, :, 1] > dots[0, :, 0]
+            pi = np.where(greedy, 1.0 - eps / 2.0, eps / 2.0)
+            act = uni[k] < pi
+            # The taken action's index at the iterate and at the truth.
+            u = np.where(act, dots[1:, :, 1], dots[1:, :, 0])
+            mu_hat, mu_true = _each(link, u)
+            y = u[1] + sd * draws[k] if linear else (draws[k] < mu_true).astype(np.float64)
+            w = 1.0 / (2.0 * np.where(act, pi, 1.0 - pi))
+            act_k[k], greedy_k[k], ubar_k[k], y_k[k], w_k[k], eps_k[k] = (
+                act, greedy, dots[0], y, w, eps)
+            step = (learning_rate(learn, t) * ((mu_hat - y) * w))[:, None] * x
+            hat[rep_index, act.astype(np.intp)] -= step
+            bar *= float(t - 1)
+            bar += hat
+            bar /= float(t)
+            if t in cp_set or k + 1 - folded == _BLOCK_ROWS:
+                fold(folded, k + 1, start + folded)
+                folded = k + 1
+            if t in cp_set:
+                for r in range(reps):
+                    snaps[r].append(Checkpoint(
+                        t=t, bar_beta=bar[r].reshape(2 * p).copy(), eps=eps,
+                        plugin=plugins[r].copy() if plugins else None,
+                        value=values[r].copy() if values else None))
+        fold(folded, n, start + folded)
+    return snaps, losses

@@ -15,12 +15,12 @@ import typing
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
 
-from .engine import Checkpoint, run_stream
+from .engine import Checkpoint, _lockstep_capacity, _run_lockstep, run_stream
 from .environments import (ReplayCursor, ReplayEnvironment, SyntheticConfig,
                            SyntheticEnvironment, load_replay_log)
 from .inference import (SingularHessianError, _parameter_names, normal_quantile,
@@ -355,24 +355,23 @@ class RepResult:
     error: str | None = None
 
 
-def run_replication(config: ExperimentConfig, rep: int, rep_seed: int | None = None,
-                    collect_inference: bool = True) -> RepResult:
-    """One Monte Carlo replication with its own derived random stream."""
-    seed_r = derive_seed(config.seed, rep) if rep_seed is None else rep_seed
-    out = RepResult(rep=rep, seed=seed_r)
+def _recorded(out: RepResult, config: ExperimentConfig, checkpoints) -> RepResult:
+    """``out`` with a report per checkpoint of ``checkpoints()``; failures are recorded."""
     try:
-        result = _run_stream(config, seed_r, collect_inference=collect_inference,
-                             checkpoints=config.effective_checkpoints())
-        for cp in result.summary.checkpoints:
+        for cp in checkpoints():
             out.reports[cp.t] = _checkpoint_report(cp, config)
     except Exception as exc:  # noqa: BLE001 - failures are recorded, not fatal
         out.error = f"{type(exc).__name__}: {exc}"
     return out
 
 
-def _mc_worker(args) -> RepResult:
-    config, rep, rep_seed, collect_inference = args
-    return run_replication(config, rep, rep_seed, collect_inference)
+def run_replication(config: ExperimentConfig, rep: int, rep_seed: int | None = None,
+                    collect_inference: bool = True) -> RepResult:
+    """One Monte Carlo replication with its own derived random stream."""
+    seed_r = derive_seed(config.seed, rep) if rep_seed is None else rep_seed
+    return _recorded(RepResult(rep=rep, seed=seed_r), config, lambda: _run_stream(
+        config, seed_r, collect_inference=collect_inference,
+        checkpoints=config.effective_checkpoints()).summary.checkpoints)
 
 
 def _map_jobs(worker, jobs, workers: int):
@@ -381,6 +380,49 @@ def _map_jobs(worker, jobs, workers: int):
     chunk = max(1, len(jobs) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(worker, jobs, chunksize=chunk))
+
+
+# Smaller batches run on the per-step engine, faster there (README, "Defaults").
+_MIN_BATCH = 4
+
+
+def _lockstep(config: ExperimentConfig, reps, **kwargs):
+    """The configured synthetic streams of ``(rep, seed)`` pairs as one batch."""
+    return _run_lockstep(config.synthetic_config(), config.learning_schedule(),
+                         config.exploration_schedule(), [seed for _, seed in reps],
+                         config.horizon, hessian=config.hessian, aipw=config.aipw,
+                         checkpoints=config.effective_checkpoints(),
+                         skip_value_burn_in=config.value_skip_burn_in, **kwargs)
+
+
+def _mc_batch(job, collect_inference: bool = True) -> list[RepResult]:
+    """The ``RepResult`` of each ``(rep, seed)`` pair of a ``(config, pairs)`` job."""
+    config, reps = job
+    if len(reps) < _MIN_BATCH:
+        return [run_replication(config, rep, seed, collect_inference) for rep, seed in reps]
+    streams, _ = _lockstep(config, reps, collect_inference=collect_inference)
+    return [_recorded(RepResult(rep=rep, seed=seed), config, lambda cps=cps: cps)
+            for (rep, seed), cps in zip(reps, streams)]
+
+
+def _launch(batch_fn, configs, rep_seeds=None) -> list[list]:
+    """Every config's replications (seed ``rep_seeds[i]`` or derived) in
+    near-equal batches within the lockstep budget, on ``workers`` processes.
+
+    The configs share ``reps``, ``seed``, ``p`` and ``workers``; the number
+    of batches is a multiple of ``workers`` (at most one per replication).
+    ``batch_fn((config, [(rep, seed), ...]))`` gives one result per pair.
+    Returns, per config, the results in replication order.
+    """
+    first, n = configs[0], configs[0].reps
+    reps = [(i, derive_seed(first.seed, i) if rep_seeds is None else int(rep_seeds[i]))
+            for i in range(n)]
+    batches = -(-n // _lockstep_capacity(first.p))
+    batches = min(n, -(-batches // first.workers) * first.workers)
+    parts = [reps[n * i // batches:n * (i + 1) // batches] for i in range(batches)]
+    done = _map_jobs(batch_fn, [(cfg, part) for cfg in configs for part in parts],
+                     first.workers)
+    return [sum(done[k:k + batches], []) for k in range(0, len(done), batches)]
 
 
 @dataclass
@@ -452,9 +494,8 @@ def run_monte_carlo(config: ExperimentConfig, rep_seeds=None,
     if rep_seeds is not None and len(rep_seeds) != config.reps:
         raise ConfigError("rep_seeds must have one entry per replication")
     truth_value, truth_value_se = oracle_truth_value(config)
-    jobs = [(config, i, None if rep_seeds is None else int(rep_seeds[i]), collect_inference)
-            for i in range(config.reps)]
-    results = _map_jobs(_mc_worker, jobs, config.workers)
+    (results,) = _launch(partial(_mc_batch, collect_inference=collect_inference),
+                         [config], rep_seeds)
     failures = sum(1 for r in results if r.error is not None)
     ok = [r for r in results if r.error is None]
     z = normal_quantile(0.5 * (1.0 + config.level))
@@ -501,20 +542,27 @@ class TuneAlphaResult:
     rows: list[TuneAlphaRow]
 
 
-def _tune_worker(args):
-    config, alpha, rep, grid = args
-    cfg = replace(config, alpha=alpha)
-    model = cfg.model_family()
-    losses = np.full(cfg.horizon, np.nan)
+def _tune_batch(job, grid) -> list[np.ndarray]:
+    """Running mean of the pre-update losses at the steps of ``grid``, for each
+    ``(rep, seed)`` pair of a ``(config, pairs)`` job: smooth, and its final
+    point is the mean per-step loss of the whole run."""
+    config, reps = job
+    if len(reps) >= _MIN_BATCH:
+        _, means = _lockstep(config, reps, collect_inference=False, collect_value=False,
+                             loss_grid=grid)
+        return list(means)
+    model = config.model_family()
+    out = []
+    for _, seed in reps:
+        losses = np.full(config.horizon, np.nan)
 
-    def record(t, x, a, y, pi, eps, greedy, bar):
-        losses[t - 1] = _loss_at_bar(model, x, a, y, bar)
-    _run_stream(cfg, derive_seed(cfg.seed, rep), collect_inference=False,
-                collect_value=False, observer=record)
-    # Running average of the pre-update losses: smooth, and its final point is
-    # the mean per-step loss of the whole run.
-    cum = np.cumsum(losses) / np.arange(1, cfg.horizon + 1)
-    return alpha, rep, cum[grid - 1]
+        def record(t, x, a, y, pi, eps, greedy, bar):
+            losses[t - 1] = _loss_at_bar(model, x, a, y, bar)
+        _run_stream(config, seed, collect_inference=False, collect_value=False,
+                    observer=record)
+        cum = np.cumsum(losses) / np.arange(1, config.horizon + 1)
+        out.append(cum[grid - 1])
+    return out
 
 
 def loss_grid(horizon: int, points: int = 60) -> np.ndarray:
@@ -531,12 +579,11 @@ def tune_alpha(config: ExperimentConfig, alpha_grid, write: bool = True) -> Tune
     if any(a <= 0 for a in alphas):
         raise ConfigError("alpha grid entries must be positive")
     grid = loss_grid(config.horizon)
-    jobs = [(config, a, r, grid) for a in alphas for r in range(config.reps)]
-    results = _map_jobs(_tune_worker, jobs, config.workers)
+    trajs = _launch(partial(_tune_batch, grid=grid), [replace(config, alpha=a) for a in alphas])
     rows: list[TuneAlphaRow] = []
     final_loss: dict[float, float] = {}
     for a in alphas:
-        traj = np.vstack([c for (aa, _, c) in results if aa == a])
+        traj = np.vstack([c for aa, cs in zip(alphas, trajs) if aa == a for c in cs])
         mean = traj.mean(axis=0)
         p05 = np.percentile(traj, 5, axis=0)
         p95 = np.percentile(traj, 95, axis=0)

@@ -115,6 +115,10 @@ class ExplorationSchedule:
                 raise ValueError(f"decay_exponent must be positive, got {self.decay_exponent}")
             if self.eps_floor is None or not 0 < self.eps_floor <= 1:
                 raise ValueError(f"eps_floor must lie in (0, 1], got {self.eps_floor}")
+        # At a greedy propensity of 1 the other action's IPW weight is undefined.
+        if not 1.0 - self.eps_limit / 2.0 < 1.0:
+            raise ValueError(f"exploration rate {self.eps_limit!r} is too small: "
+                             f"the greedy propensity 1 - eps/2 rounds to 1.0")
 
     @classmethod
     def fixed(cls, eps: float, burn_in: int = 50) -> "ExplorationSchedule":

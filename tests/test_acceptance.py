@@ -7,6 +7,7 @@ processes and dominate the runtime (minutes).
 """
 import math
 import os
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from banditsgd import (ExperimentConfig, ExplorationSchedule, LearningSchedule,
                        run_stream, run_stream_lagged, sgd_step, tune_alpha,
                        write_replay_log)
 from banditsgd.environments import LaggedSyntheticEnvironment
-from banditsgd.experiments import _map_jobs, _mc_worker
+from banditsgd.experiments import _launch, _mc_batch
 
 BETA0 = np.array([0.3, -0.1, 0.7, 0.8, 0.5, -0.4])
 WORKERS = max(1, min(4, os.cpu_count() or 1))
@@ -229,8 +230,7 @@ def test_criterion_06_curvature_oracle():
 def test_criterion_07_value_consistency():
     cfg = ExperimentConfig(model="logistic", horizon=100_000, reps=200,
                            seed=20250804, checkpoints=(100_000,), workers=WORKERS)
-    jobs = [(cfg, i, None, False) for i in range(cfg.reps)]
-    results = _map_jobs(_mc_worker, jobs, WORKERS)
+    (results,) = _launch(partial(_mc_batch, collect_inference=False), [cfg])
     estimates = np.array([r.reports[100_000].row("V_opt").estimate for r in results])
     truth, truth_se = oracle_value(LogisticModel(3), BETA0, 1_000_000,
                                    RngStream(20250810))

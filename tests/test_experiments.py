@@ -13,7 +13,7 @@ from banditsgd import (ConfigError, ExperimentConfig, InferenceReport,
                        emit_report, load_config_file, oracle_truth_value,
                        run_monte_carlo, run_replication, run_single, tune_alpha)
 from banditsgd import experiments
-from banditsgd.experiments import (McRow, TuneAlphaRow, _map_jobs, _mc_worker,
+from banditsgd.experiments import (McRow, TuneAlphaRow, _launch, _mc_batch,
                                    parse_eps_spec)
 
 
@@ -228,9 +228,8 @@ class TestRunMonteCarlo:
 
     def test_parallel_equals_serial(self):
         cfg = small_config(reps=6, horizon=300, checkpoints=(300,))
-        jobs = [(cfg, i, None, True) for i in range(cfg.reps)]
-        serial = _map_jobs(_mc_worker, jobs, workers=1)
-        parallel = _map_jobs(_mc_worker, jobs, workers=2)
+        (serial,) = _launch(_mc_batch, [cfg])
+        (parallel,) = _launch(_mc_batch, [replace(cfg, workers=2)])
         for a, b in zip(serial, parallel):
             assert a.error is None and b.error is None
             rows_a, rows_b = a.reports[300].rows[:6], b.reports[300].rows[:6]

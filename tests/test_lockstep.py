@@ -1,0 +1,165 @@
+"""The lockstep replication engine against the per-step engine, bit for bit."""
+import json
+from functools import partial
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from banditsgd import (ExperimentConfig, ExplorationSchedule, RngStream,
+                       SyntheticEnvironment, run_monte_carlo, run_stream)
+from banditsgd import experiments
+from banditsgd.cli import main
+from banditsgd.experiments import _MIN_BATCH, _launch, _mc_batch, _tune_batch, loss_grid
+from banditsgd.policy import derive_seed
+
+
+def _config(family, p, **kw):
+    beta0 = None if p == 3 else tuple(np.linspace(-0.6, 0.9, 2 * p))
+    return ExperimentConfig(model=family, p=p, beta0=beta0, **kw).validate()
+
+
+def _per_step(config, seed, **kw):
+    synth = config.synthetic_config()
+    rng = RngStream(seed)
+    return run_stream(SyntheticEnvironment(synth, rng), synth.model,
+                      config.learning_schedule(), config.exploration_schedule(), rng,
+                      config.horizon, hessian=config.hessian, aipw=config.aipw,
+                      skip_value_burn_in=config.value_skip_burn_in, **kw).summary.checkpoints
+
+
+def _assert_identical(got, want):
+    assert [cp.t for cp in got] == [cp.t for cp in want]
+    for a, b in zip(got, want):
+        assert a.eps == b.eps
+        assert np.array_equal(a.bar_beta, b.bar_beta)
+        assert (a.plugin is None) == (b.plugin is None)
+        if a.plugin is not None:
+            assert a.plugin.n == b.plugin.n
+            assert np.array_equal(a.plugin.S_sum, b.plugin.S_sum)
+            assert np.array_equal(a.plugin.H_sum, b.plugin.H_sum)
+        assert (a.value is None) == (b.value is None)
+        if a.value is not None:
+            for name in ("sum_v", "sum_v2", "sum_aipw", "sum_aipw2", "t"):
+                assert getattr(a.value, name) == getattr(b.value, name), name
+
+
+def _check(config, batch, collect_inference=True, collect_value=True):
+    reps = [(i, derive_seed(config.seed, i)) for i in range(batch)]
+    kw = dict(collect_inference=collect_inference, collect_value=collect_value)
+    streams, losses = experiments._lockstep(config, reps, **kw)
+    assert losses is None and len(streams) == batch
+    for (_, seed), got in zip(reps, streams):
+        _assert_identical(got, _per_step(config, seed, **kw,
+                                         checkpoints=config.effective_checkpoints()))
+
+
+# Per batch size: horizon, checkpoints (burn-in edge, draw-chunk edges),
+# aipw, value_skip_burn_in and collect_inference.
+VARIANTS = {
+    7: (600, (1, 49, 50, 51, 600), True, False, True),
+    2: (4100, (1, 4095, 4096, 4097, 4100), False, True, False),
+    1: (4200, (50, 4096, 4200), True, True, True),
+}
+
+
+@pytest.mark.parametrize("p", [1, 3, 10])
+@pytest.mark.parametrize("eps", ["fixed:0.2", "fixed:1", "decay:0.3,0.1"])
+@pytest.mark.parametrize("hessian", ["exact", "outer"])
+@pytest.mark.parametrize("family", ["linear", "logistic"])
+@pytest.mark.parametrize("batch", sorted(VARIANTS))
+def test_matches_per_step_engine(batch, family, hessian, eps, p):
+    horizon, cps, aipw, skip, inference = VARIANTS[batch]
+    config = _config(family, p, hessian=hessian, eps=eps, horizon=horizon,
+                     checkpoints=cps, aipw=aipw, value_skip_burn_in=skip,
+                     seed=1000 + p)
+    _check(config, batch, collect_inference=inference)
+
+
+@pytest.mark.parametrize("family", ["linear", "logistic"])
+def test_without_value_sums(family):
+    _check(_config(family, 3, horizon=300, checkpoints=(1, 300)), 3, collect_value=False)
+
+
+@pytest.mark.parametrize("family", ["linear", "logistic"])
+def test_tune_trajectories_match_per_step(family):
+    config = _config(family, 3, horizon=4100, alpha=1.0, seed=77)
+    grid = loss_grid(config.horizon)
+    reps = [(i, derive_seed(config.seed, i)) for i in range(max(_MIN_BATCH, 5))]
+    lockstep = _tune_batch((config, reps), grid)
+    per_step = [traj for rep in reps for traj in _tune_batch((config, [rep]), grid)]
+    assert len(lockstep) == len(per_step) == len(reps)
+    for a, b in zip(lockstep, per_step):
+        assert np.array_equal(a, b)
+
+
+@settings(max_examples=10, deadline=None)
+@given(batch=st.integers(1, 12), horizon=st.integers(1, 5000),
+       family=st.sampled_from(["linear", "logistic"]),
+       marks=st.lists(st.floats(0.0, 1.0), max_size=4), seed=st.integers(0, 2 ** 32))
+def test_random_batches_match_per_step(batch, horizon, family, marks, seed):
+    cps = tuple(sorted({max(1, int(m * horizon)) for m in marks} | {horizon}))
+    config = _config(family, 3, horizon=horizon, checkpoints=cps, seed=seed, aipw=True)
+    _check(config, batch)
+
+
+def test_batch_error_escapes_monte_carlo(tmp_path):
+    config = ExperimentConfig(horizon=200, reps=2 * _MIN_BATCH, checkpoints=(200,),
+                              oracle_draws=1000, out=str(tmp_path))
+    with mock.patch.object(experiments, "_run_lockstep", side_effect=RuntimeError("boom")):
+        with pytest.raises(RuntimeError, match="boom"):
+            run_monte_carlo(config)
+
+
+def test_report_failure_is_recorded_per_replication():
+    config = ExperimentConfig(horizon=200, reps=_MIN_BATCH, checkpoints=(200,))
+    reps = [(i, derive_seed(config.seed, i)) for i in range(config.reps)]
+    with mock.patch.object(experiments, "_checkpoint_report",
+                           side_effect=[ValueError("bad")] + [mock.DEFAULT] * 99,
+                           wraps=experiments._checkpoint_report):
+        results = _mc_batch((config, reps))
+    assert results[0].error == "ValueError: bad"
+    assert all(r.error is None and 200 in r.reports for r in results[1:])
+
+
+@pytest.mark.parametrize("reps,workers", [(16, 2), (2 * _MIN_BATCH - 1, 1), (5, 4), (3, 1)])
+def test_batches_cover_every_replication_in_order(reps, workers):
+    config = ExperimentConfig(horizon=20, reps=reps, workers=workers, checkpoints=(20,))
+    (results,) = _launch(partial(_mc_batch, collect_inference=False), [config])
+    assert [r.rep for r in results] == list(range(reps))
+    assert [r.seed for r in results] == [derive_seed(config.seed, i) for i in range(reps)]
+
+
+def test_mc_meta_keys_do_not_depend_on_workers(tmp_path):
+    metas = []
+    for workers in (1, 2):
+        out = tmp_path / str(workers)
+        run_monte_carlo(ExperimentConfig(horizon=50, reps=16, workers=workers,
+                                         checkpoints=(50,), oracle_draws=1000,
+                                         out=str(out), format="json"))
+        metas.append((out / "mc_meta.json").read_text())
+    assert list(json.loads(metas[0])) == ["reps", "failures", "seed", "truth_value",
+                                          "truth_value_se", "level"]
+    assert metas[0] == metas[1]
+
+
+class TestUnrepresentableExploration:
+    @pytest.mark.parametrize("make", [lambda: ExplorationSchedule.fixed(1e-17),
+                                      lambda: ExplorationSchedule.decaying(0.5, 1e-17)])
+    def test_schedule_rejects(self, make):
+        with pytest.raises(ValueError, match="exploration rate 1e-17 is too small"):
+            make()
+
+    def test_smallest_representable_rate_accepted(self):
+        assert 1.0 - 2.3e-16 / 2.0 < 1.0
+        ExplorationSchedule.fixed(2.3e-16)
+
+    @pytest.mark.parametrize("spec", ["fixed:1e-17", "decay:0.5,1e-17"])
+    def test_cli_exits_before_any_step(self, spec, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert main(["run", "--eps", spec, "--burn-in", "5", "--horizon", "200",
+                     "--out", str(out)]) == 1
+        assert "exploration rate 1e-17 is too small" in capsys.readouterr().err
+        assert not out.exists()

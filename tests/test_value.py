@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from banditsgd import (LinearModel, LogisticModel, Observation, RngStream,
                        oracle_value, raw_value_variance, update_value,
                        value_estimate, value_standard_error, value_variance)
-from banditsgd.experiments import ExperimentConfig, _map_jobs, _mc_worker
+from banditsgd.experiments import ExperimentConfig, _launch, _mc_batch
 from banditsgd.value import ValueAccumulator
 
 BETA0 = np.array([0.3, -0.1, 0.7, 0.8, 0.5, -0.4])
@@ -119,10 +120,10 @@ class TestAipwAccumulation:
         # average (paired comparison across 200 seeded replications).
         config = ExperimentConfig(model="linear", horizon=10_000, reps=200,
                                   seed=909, aipw=True, checkpoints=(10_000,),
-                                  workers=1)
-        jobs = [(config, rep, None, False) for rep in range(200)]
+                                  workers=2)
+        (results,) = _launch(partial(_mc_batch, collect_inference=False), [config])
         diffs = []
-        for r in _map_jobs(_mc_worker, jobs, 2):
+        for r in results:
             report = r.reports[10_000]
             diffs.append(report.row("V_opt_aipw").estimate - report.row("V_opt").estimate)
         diffs = np.asarray(diffs)
