@@ -86,9 +86,9 @@ def sgd_step(state: ParameterState, model, schedule: LearningSchedule,
     return ParameterState(hat, bar, t_next)
 
 
-# Steps held in the pending block before it is folded into the sums.  Each
-# fold builds a (rows, p, p) array, so rows shrink with p to stay within the
-# float budget.
+# Steps held in the pending block before it is folded into the sums (and
+# steps per table block of a lockstep batch).  Each fold builds a
+# (rows, p, p) array, so rows shrink with p to stay within the float budget.
 _BLOCK_ROWS = 1024
 _BLOCK_FLOATS = 2 ** 16
 
@@ -351,18 +351,42 @@ def run_stream_lagged(env, model, learn: LearningSchedule, explore: ExplorationS
 
 
 # Per replication and step of a draw chunk, a lockstep batch holds its
-# feature row and about 16 floats of draws, step records and temporaries.
+# feature row, action uniform and reward draw, and per step of a block (a
+# quarter of the chunk) about 30 floats of tables, records and fold
+# temporaries: p + 10 floats per chunk step.  The budget counts p + 14 for
+# the allocator's overhead; peak RSS grows by about p + 12 (README).
 _LOCKSTEP_FLOATS = 2 ** 22
 
 
 def _lockstep_capacity(p: int) -> int:
     """Most replications one lockstep batch holds within the float budget."""
-    return max(1, _LOCKSTEP_FLOATS // (SyntheticEnvironment._CHUNK * (p + 16)))
+    return max(1, _LOCKSTEP_FLOATS // (SyntheticEnvironment._CHUNK * (p + 14)))
 
 
 def _each(fn, *columns: np.ndarray) -> np.ndarray:
     """``fn`` on the entries of equally shaped arrays, one Python float each."""
     return np.reshape(list(map(fn, *(c.ravel().tolist() for c in columns))), columns[0].shape)
+
+
+# The vectorized link is within 1e-9 of the scalar hook, so a reward draw
+# farther than this from it falls on the same side of both.
+_LINK_TIE = 1e-9
+
+
+def _rewards(model, u: np.ndarray, d: np.ndarray, sd: float) -> np.ndarray:
+    """Rewards at true indexes ``u`` for reward draws ``d`` (broadcast to
+    ``u``'s shape), equal entry for entry to ``SyntheticEnvironment.outcome``:
+    ``u + sd * d`` (linear) or ``d < mean_from_index(u)`` (logistic), where
+    draws within ``_LINK_TIE`` of the vectorized link are decided by the
+    scalar hook."""
+    if model.tag == "linear":
+        return u + sd * d
+    d = np.broadcast_to(d, u.shape)
+    mu = model.mean_from_index_array(u)
+    y = (d < mu).astype(np.float64)
+    for i in np.flatnonzero(np.abs(d - mu) <= _LINK_TIE).tolist():
+        y.flat[i] = 1.0 if d.flat[i] < model.mean_from_index(float(u.flat[i])) else 0.0
+    return y
 
 
 def _run_lockstep(synth: SyntheticConfig, learn: LearningSchedule,
@@ -375,9 +399,12 @@ def _run_lockstep(synth: SyntheticConfig, learn: LearningSchedule,
 
     Returns each replication's checkpoints and, given ``loss_grid``, each
     one's running mean loss at the pre-step average at those steps (else
-    None).  Links and losses are the model's scalar hooks per entry; the
-    rest is elementwise + - x / and in-order sums, folded every
-    ``_BLOCK_ROWS`` steps and at checkpoints.  Exceptions propagate.
+    None).  Per block of ``_BLOCK_ROWS`` steps, tables hold what does not
+    depend on the learned state: both actions' rewards and, per greedy
+    action, the taken action and its IPW weight.  Per step remain the
+    indexes at the average and the iterate, the greedy comparison, the
+    iterate's scalar link per entry and the update.  Sums are folded at the
+    end of each block and at checkpoints.  Exceptions propagate.
     """
     model, link = synth.model, synth.model.mean_from_index
     p, reps, chunk = model.p, len(seeds), SyntheticEnvironment._CHUNK
@@ -387,39 +414,47 @@ def _run_lockstep(synth: SyntheticConfig, learn: LearningSchedule,
     sd = math.sqrt(synth.sigma2)
     cp_set = set(int(c) for c in checkpoints)
     grid = {int(t): j for j, t in enumerate(loss_grid)}
-    # Averages, iterates and true blocks: one stacked 1 x p by p x 1 matmul
-    # gives every index, each by the BLAS dot call of ``x @ block``.
-    blocks = np.zeros((3, reps, 2, p))
-    blocks[2] = synth.beta0.reshape(2, p)
-    bar, hat = blocks[0], blocks[1]
+    # Averages and iterates.  A stacked 1 x p by p x 1 matmul gives every
+    # index, each by the BLAS dot call of ``x @ block``.
+    blocks = np.zeros((2, reps, 2, p))
+    bar, hat = blocks
+    hat_rows = hat.reshape(2 * reps, p)
+    state = blocks[..., None]
+    truth = synth.beta0.reshape(2, p, 1)
     feats = np.empty((chunk, reps, p))
-    uni, draws, y_k, w_k = (np.empty((chunk, reps)) for _ in range(4))
-    # Per step: the action, the greedy action, both indexes at the average.
-    act_k, greedy_k = np.empty((2, chunk, reps), dtype=bool)
-    ubar_k = np.empty((chunk, reps, 2))
-    eps_k = np.empty(chunk)
+    uni, draws = np.empty((2, chunk, reps))
+    # Per step of a block: the indexes at the average and the iterate, by
+    # replication and action, and the greedy action.
+    dots = np.empty((_BLOCK_ROWS, 2, reps, 2, 1, 1))
+    ubar = dots[:, 0, ..., 0, 0]
+    greedy_k = np.empty((_BLOCK_ROWS, reps), dtype=np.uint8)
+    # Flat offset of each replication's pair in a (reps, 2) table.
+    pair = 2 * np.arange(reps)
     plugins = [PluginAccumulators(2 * p) for _ in seeds] if collect_inference else []
     values = [ValueAccumulator(aipw=aipw) for _ in seeds] if collect_value else []
     loss_total = np.zeros(reps)
     losses = np.empty((reps, len(grid))) if grid else None
     block = _block_rows(p)
 
-    def fold(i0: int, i1: int, t0: int) -> None:
-        """Add chunk steps i0..i1-1, which are steps t0+1.., to the sums."""
-        rows = slice(i0, i1)
-        y, act = y_k[rows], act_k[rows]
+    def fold(i0: int, i1: int) -> None:
+        """Add steps i0..i1-1 of the current block to the sums."""
+        span, t0 = slice(i0, i1), start + b0 + i0
+        greedy = greedy_k[span]
+        act = np.where(greedy, act_t[span, :, 1], act_t[span, :, 0])
+        y = np.where(act, y_t[span, :, 1], y_t[span, :, 0])
+        w = np.where(greedy, w_t[span, :, 1], w_t[span, :, 0])
         if collect_inference or grid:
-            mu = _each(link, np.where(act, ubar_k[rows, :, 1], ubar_k[rows, :, 0]))
+            mu = _each(link, np.where(act, ubar[span, :, 1], ubar[span, :, 0]))
         if collect_inference:
-            gw = (mu - y) * w_k[rows]
+            gw = (mu - y) * w
             # hessian_scale is + - x only, so it takes the arrays whole.
-            coefs = (gw * gw, model.hessian_scale(mu, y, hessian) * w_k[rows])
+            coefs = (gw * gw, model.hessian_scale(mu, y, hessian) * w)
             for r, plugin in enumerate(plugins):
                 for a, d in ((0, slice(0, p)), (1, slice(p, 2 * p))):
-                    taken = np.flatnonzero(act[:, r] == bool(a))
+                    taken = np.flatnonzero(act[:, r] == a)
                     for b in range(0, len(taken), block):
                         j = taken[b:b + block]
-                        x = feats[i0 + j, r]
+                        x = x_k[i0 + j, r]
                         outer = x[:, :, None] * x[:, None, :]
                         _fold_rows(plugin.S_sum[d, d], outer, coefs[0][j, r])
                         _fold_rows(plugin.H_sum[d, d], outer, coefs[1][j, r])
@@ -427,8 +462,8 @@ def _run_lockstep(synth: SyntheticConfig, learn: LearningSchedule,
         if collect_value:
             include = np.arange(t0 + 1, t0 + 1 + i1 - i0)[:, None] > (
                 explore.burn_in if skip_value_burn_in else 0)
-            pi_c = (1.0 - eps_k[rows] / 2.0)[:, None]
-            consistent = act == greedy_k[rows]
+            pi_c = (1.0 - eps_k[span] / 2.0)[:, None]
+            consistent = act == greedy
             v = y / pi_c
             # A zero in place of a skipped term leaves a sum unchanged: sums
             # start at +0.0 and so never become -0.0.
@@ -436,8 +471,7 @@ def _run_lockstep(synth: SyntheticConfig, learn: LearningSchedule,
                      np.where(consistent & include, y * v, 0.0)]
             if aipw:
                 c = consistent.astype(np.float64)
-                mu_g = _each(link, np.where(greedy_k[rows], ubar_k[rows, :, 1],
-                                            ubar_k[rows, :, 0]))
+                mu_g = _each(link, np.where(greedy, ubar[span, :, 1], ubar[span, :, 0]))
                 term = np.where(include, c * y / pi_c - (c - pi_c) / pi_c * mu_g, 0.0)
                 terms += [term, term * term]
             sums = np.array([[a.sum_v, a.sum_v2, a.sum_aipw, a.sum_aipw2] for a in values]).T
@@ -455,7 +489,6 @@ def _run_lockstep(synth: SyntheticConfig, learn: LearningSchedule,
                 losses[:, grid[t]] = running[t - t0] / t
 
     snaps: list[list[Checkpoint]] = [[] for _ in seeds]
-    rep_index = np.arange(reps)
     for start in range(0, horizon, chunk):
         n = min(chunk, horizon - start)
         for r, gen in enumerate(gens):
@@ -463,35 +496,44 @@ def _run_lockstep(synth: SyntheticConfig, learn: LearningSchedule,
             uni[0, r] = gen.random()
             draws[:, r] = gen.standard_normal(chunk) if linear else gen.random(chunk)
             uni[1:n, r] = gen.random(n - 1)
-        folded = 0
-        for k in range(n):
-            t = start + k + 1
-            eps = exploration_rate(explore, t)
-            x = feats[k]
-            dots = (x[:, None, None, :] @ blocks[..., None])[..., 0, 0]
-            greedy = dots[0, :, 1] > dots[0, :, 0]
-            pi = np.where(greedy, 1.0 - eps / 2.0, eps / 2.0)
-            act = uni[k] < pi
-            # The taken action's index at the iterate and at the truth.
-            u = np.where(act, dots[1:, :, 1], dots[1:, :, 0])
-            mu_hat, mu_true = _each(link, u)
-            y = u[1] + sd * draws[k] if linear else (draws[k] < mu_true).astype(np.float64)
-            w = 1.0 / (2.0 * np.where(act, pi, 1.0 - pi))
-            act_k[k], greedy_k[k], ubar_k[k], y_k[k], w_k[k], eps_k[k] = (
-                act, greedy, dots[0], y, w, eps)
-            step = (learning_rate(learn, t) * ((mu_hat - y) * w))[:, None] * x
-            hat[rep_index, act.astype(np.intp)] -= step
-            bar *= float(t - 1)
-            bar += hat
-            bar /= float(t)
-            if t in cp_set or k + 1 - folded == _BLOCK_ROWS:
-                fold(folded, k + 1, start + folded)
-                folded = k + 1
-            if t in cp_set:
-                for r in range(reps):
-                    snaps[r].append(Checkpoint(
-                        t=t, bar_beta=bar[r].reshape(2 * p).copy(), eps=eps,
-                        plugin=plugins[r].copy() if plugins else None,
-                        value=values[r].copy() if values else None))
-        fold(folded, n, start + folded)
+        for b0 in range(0, n, _BLOCK_ROWS):
+            b1 = min(b0 + _BLOCK_ROWS, n)
+            steps = range(start + b0 + 1, start + b1 + 1)
+            eps_b = [exploration_rate(explore, t) for t in steps]
+            alpha_b = [learning_rate(learn, t) for t in steps]
+            x_k = feats[b0:b1]
+            # Tables: rewards by action; taken action and weight by greedy action.
+            u_true = (x_k[:, :, None, None, :] @ truth)[..., 0, 0]
+            y_t = _rewards(model, u_true, draws[b0:b1, :, None], sd)
+            eps_k = np.array(eps_b)
+            pi = np.stack((eps_k / 2.0, 1.0 - eps_k / 2.0), axis=1)[:, None, :]
+            act_t = (uni[b0:b1, :, None] < pi).view(np.uint8)
+            w_t = 1.0 / (2.0 * np.where(act_t, pi, 1.0 - pi))
+            # The taken action's flat offset in a replication's pair.
+            ia_t = act_t + pair[:, None]
+            x_dot = x_k[:, None, :, None, None, :]
+            folded = 0
+            for j, t in enumerate(steps):
+                np.matmul(x_dot[j], state, out=dots[j])
+                g = np.greater(ubar[j, :, 1], ubar[j, :, 0], out=greedy_k[j])
+                ig = pair + g
+                ia = ia_t[j].take(ig)
+                # The step coefficient (mu_hat - y) * w * alpha_t.
+                z = np.array(list(map(link, dots[j, 1].take(ia).tolist())))
+                z -= y_t[j].take(ia)
+                z *= w_t[j].take(ig)
+                z *= alpha_b[j]
+                np.subtract.at(hat_rows, ia, z[:, None] * x_k[j])
+                bar *= float(t - 1)
+                bar += hat
+                bar /= float(t)
+                if t in cp_set:
+                    fold(folded, j + 1)
+                    folded = j + 1
+                    for r in range(reps):
+                        snaps[r].append(Checkpoint(
+                            t=t, bar_beta=bar[r].reshape(2 * p).copy(), eps=eps_b[j],
+                            plugin=plugins[r].copy() if plugins else None,
+                            value=values[r].copy() if values else None))
+            fold(folded, b1 - b0)
     return snaps, losses

@@ -383,7 +383,7 @@ def _map_jobs(worker, jobs, workers: int):
 
 
 # Smaller batches run on the per-step engine, faster there (README, "Defaults").
-_MIN_BATCH = 4
+_MIN_BATCH = 3
 
 
 def _lockstep(config: ExperimentConfig, reps, **kwargs):
@@ -578,12 +578,15 @@ def tune_alpha(config: ExperimentConfig, alpha_grid, write: bool = True) -> Tune
         raise ConfigError("alpha grid must not be empty")
     if any(a <= 0 for a in alphas):
         raise ConfigError("alpha grid entries must be positive")
+    repeated = [a for k, a in enumerate(alphas) if a in alphas[:k]]
+    if repeated:
+        raise ConfigError(f"alpha grid repeats {repeated[0]:g}")
     grid = loss_grid(config.horizon)
     trajs = _launch(partial(_tune_batch, grid=grid), [replace(config, alpha=a) for a in alphas])
     rows: list[TuneAlphaRow] = []
     final_loss: dict[float, float] = {}
-    for a in alphas:
-        traj = np.vstack([c for aa, cs in zip(alphas, trajs) if aa == a for c in cs])
+    for a, reps in zip(alphas, trajs):
+        traj = np.vstack(reps)
         mean = traj.mean(axis=0)
         p05 = np.percentile(traj, 5, axis=0)
         p95 = np.percentile(traj, 95, axis=0)

@@ -164,11 +164,9 @@ class LogisticModel(ModelFamily):
 
     def mean_from_index_array(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=np.float64)
-        out = np.empty_like(u)
-        pos = u >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-        z = np.exp(u[~pos])
-        out[~pos] = z / (1.0 + z)
+        # exp(-|u|) is exp(-u) where u >= 0 and exp(u) elsewhere.
+        z = np.exp(-np.abs(u))
+        out = np.where(u >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
         return np.clip(out, _MU_MIN, _MU_MAX)
 
     def validate_reward(self, y: float) -> None:

@@ -138,9 +138,8 @@ def oracle_value(model, beta0, n: int, rng, feature_sampler=None) -> tuple[float
     while remaining > 0:
         m = min(_ORACLE_BATCH, remaining)
         x = sampler(gen, m)
-        mu0 = model.mean_from_index_array(x @ b0)
-        mu1 = model.mean_from_index_array(x @ b1)
-        rewards = np.where(x @ b1 > x @ b0, mu1, mu0)
+        u0, u1 = x @ b0, x @ b1
+        rewards = model.mean_from_index_array(np.where(u1 > u0, u1, u0))
         total += float(rewards.sum())
         total_sq += float((rewards * rewards).sum())
         remaining -= m

@@ -100,6 +100,15 @@ def test_tune_alpha_subcommand(tmp_path, capsys):
     assert "best alpha: 0.5" in capsys.readouterr().out
 
 
+def test_tune_alpha_rejects_repeated_constant(tmp_path, capsys):
+    out = tmp_path / "t"
+    code = main(["tune-alpha", "--model", "linear", "--horizon", "200", "--reps", "4",
+                 "--alpha-grid", "0.5,0.5", "--out", str(out)])
+    assert code == 1
+    assert "alpha grid repeats 0.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_hessian_paper_alias(tmp_path):
     code = main(run_flags(tmp_path / "h", extra=("--hessian", "paper")))
     assert code == 0

@@ -275,7 +275,9 @@ class TestRunMonteCarlo:
 
     def test_all_replications_failed_keeps_the_csv_header(self, tmp_path):
         cfg = small_config(reps=3, out=str(tmp_path / "x"))
-        with mock.patch.object(experiments, "run_stream", side_effect=RuntimeError("boom")):
+        # Reports fail on either engine; a batch of 3 runs in lockstep.
+        with mock.patch.object(experiments, "_checkpoint_report",
+                               side_effect=RuntimeError("boom")):
             summary = run_monte_carlo(cfg)
         assert summary.failures == 3 and summary.rows == []
         assert (tmp_path / "x" / "mc_summary.csv").read_text().splitlines() \
@@ -343,6 +345,10 @@ class TestTuneAlpha:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
             tune_alpha(small_config(), [], write=False)
+
+    def test_repeated_constant_rejected(self):
+        with pytest.raises(ConfigError, match="alpha grid repeats 0.5"):
+            tune_alpha(small_config(), [0.5, 0.25, 0.5], write=False)
 
 
 class TestEmitReport:

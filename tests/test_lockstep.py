@@ -12,6 +12,8 @@ from banditsgd import (ExperimentConfig, ExplorationSchedule, RngStream,
                        SyntheticEnvironment, run_monte_carlo, run_stream)
 from banditsgd import experiments
 from banditsgd.cli import main
+from banditsgd.engine import _rewards
+from banditsgd.models import make_model
 from banditsgd.experiments import _MIN_BATCH, _launch, _mc_batch, _tune_batch, loss_grid
 from banditsgd.policy import derive_seed
 
@@ -163,3 +165,43 @@ class TestUnrepresentableExploration:
                      "--out", str(out)]) == 1
         assert "exploration rate 1e-17 is too small" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestRewards:
+    """The vectorized reward draw against ``SyntheticEnvironment.outcome``'s."""
+
+    @staticmethod
+    def _scalar(model, u, d, sd):
+        if model.tag == "linear":
+            return u + sd * d
+        return 1.0 if d < model.mean_from_index(u) else 0.0
+
+    def _check(self, model, u, d, sd=0.3):
+        got = _rewards(model, u, d, sd)
+        want = [self._scalar(model, float(a), b, sd) for a, b in zip(u.tolist(), d.tolist())]
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("family", ["linear", "logistic"])
+    def test_draws_at_the_link(self, family):
+        model = make_model(family, 3)
+        gen = np.random.default_rng(8)
+        u = np.concatenate([gen.normal(0.0, 3.0, 2000), [0.0, -0.0, 800.0, -800.0, 1e4, -1e4]])
+        mu = np.array([model.mean_from_index(v) for v in u.tolist()])
+        for offset in (-1e-12, 0.0, 1e-12, -1e-17, 1e-17):
+            self._check(model, u, np.clip(mu + offset, 0.0, np.nextafter(1.0, 0.0)))
+
+    @pytest.mark.parametrize("family", ["linear", "logistic"])
+    def test_uniform_draws_broadcast_over_actions(self, family):
+        model = make_model(family, 3)
+        gen = np.random.default_rng(9)
+        u = gen.normal(0.0, 2.0, (50, 4, 2))
+        d = gen.random((50, 4, 1))
+        self._check(model, u.ravel(), np.broadcast_to(d, u.shape).ravel())
+        assert _rewards(model, u, d, 0.3).shape == u.shape
+
+    def test_saturated_and_signed_zero_indexes(self):
+        model = make_model("logistic", 3)
+        u = np.array([-0.0, 0.0, 800.0, -800.0, 900.0, -900.0])
+        for d in (0.0, 0.5, np.nextafter(1.0, 0.0), 1e-300, 1.0 - 1e-16):
+            self._check(model, u, np.full(u.shape, d))

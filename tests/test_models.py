@@ -94,6 +94,23 @@ class TestMeanReward:
         scal = np.array([m.mean_from_index(float(v)) for v in u])
         np.testing.assert_allclose(vec, scal, rtol=1e-14)
 
+    def test_array_link_equals_masked_formula(self):
+        def masked(u):
+            out = np.empty_like(u)
+            pos = u >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
+            z = np.exp(u[~pos])
+            out[~pos] = z / (1.0 + z)
+            return np.clip(out, 1e-300, 1.0 - 1e-16)
+
+        gen = np.random.default_rng(3)
+        u = np.concatenate([gen.normal(0.0, 5.0, 10_000), gen.normal(0.0, 400.0, 1000),
+                            [0.0, -0.0, 36.7, -36.7, 745.2, -745.2, 800.0, -800.0,
+                             1e308, -1e308]])
+        got = LogisticModel(3).mean_from_index_array(u)
+        assert np.array_equal(got, masked(u))
+        assert np.array_equal(np.signbit(got), np.signbit(masked(u)))
+
 
 class TestLoss:
     def test_perfect_fit_is_zero(self):

@@ -146,6 +146,16 @@ class TestOracleValue:
         v2, se2 = oracle_value(m, BETA0, 300_000, RngStream(2))
         assert abs(v1 - v2) < 3.0 * math.hypot(se1, se2)
 
+    @pytest.mark.parametrize("model,scale,want", [
+        (LinearModel(3), 1.0, (1.0882406948373715, 0.0017495172102303287)),
+        (LogisticModel(3), 1.0, (0.7384389404640069, 0.00031015412064372064)),
+        (LogisticModel(3), 400.0, (0.9989735302906306, 0.00011807287902864683)),
+    ])
+    def test_pinned_values(self, model, scale, want):
+        # Two feature batches; the values are those of the formula that
+        # linked both actions' indexes before choosing.
+        assert oracle_value(model, BETA0 * scale, 70_000, RngStream(12)) == want
+
     def test_expected_reward_agrees_with_noisy_draws(self):
         # Averaging the modeled mean equals averaging noisy rewards up to
         # Monte Carlo error; the noisy version is the independent check.
