@@ -126,7 +126,8 @@ def test_report_failure_is_recorded_per_replication():
     assert all(r.error is None and 200 in r.reports for r in results[1:])
 
 
-@pytest.mark.parametrize("reps,workers", [(16, 2), (2 * _MIN_BATCH - 1, 1), (5, 4), (3, 1)])
+@pytest.mark.parametrize("reps,workers",
+                         [(16, 2), (2 * _MIN_BATCH - 1, 1), (7, 1), (5, 4), (3, 1)])
 def test_batches_cover_every_replication_in_order(reps, workers):
     config = ExperimentConfig(horizon=20, reps=reps, workers=workers, checkpoints=(20,))
     (results,) = _launch(partial(_mc_batch, collect_inference=False), [config])
