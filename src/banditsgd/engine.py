@@ -158,16 +158,17 @@ class _UpdateCore:
         self._check_reward = model.validate_reward
         self.updates = 0
 
-    def sample(self, x, eps: float, rng: RngStream) -> tuple[int, float, int, float]:
-        """Epsilon-greedy draw at the current average: the greedy action, the
+    def sample(self, x, eps: float, uniform: float) -> tuple[int, float, int, float]:
+        """Epsilon-greedy draw at the current average, taking action 1 when
+        ``uniform`` falls below its propensity: the greedy action, the
         propensity of action 1, the sampled action and its linear index."""
         # Same expression as the update-time recomputation so that zero-lag
         # delivery reproduces the plain stream bit for bit.
-        u0 = float(x @ self._bar_blocks[0])
-        u1 = float(x @ self._bar_blocks[1])
+        u0 = float(self._bar_blocks[0].dot(x))
+        u1 = float(self._bar_blocks[1].dot(x))
         greedy = 1 if u1 > u0 else 0
         pi = 1.0 - eps / 2.0 if greedy == 1 else eps / 2.0
-        a = 1 if rng.uniform() < pi else 0
+        a = 1 if uniform < pi else 0
         return greedy, pi, a, (u1 if a == 1 else u0)
 
     def apply(self, x, a: int, y: float, pi: float, eps: float, greedy: int,
@@ -185,7 +186,7 @@ class _UpdateCore:
 
         if self.plugin is not None:
             if u_bar is None:
-                u_bar = float(x @ self._bar_blocks[a])
+                u_bar = float(self._bar_blocks[a].dot(x))
             mu_bar = self._link(u_bar)
             gw = (mu_bar - y) * w
             s_coef = self._ps[a]
@@ -194,12 +195,12 @@ class _UpdateCore:
             self._ph[a].append(self._hess_scale(mu_bar, y, self.variant) * w)
             self.plugin.n += 1
         if self.value is not None and include_value:
-            mu_greedy = (self._link(float(x @ self._bar_blocks[greedy]))
+            mu_greedy = (self._link(float(self._bar_blocks[greedy].dot(x)))
                          if self.value.aipw else None)
             self.value.add_scalars(a, y, greedy, eps, mu_greedy)
 
         hat_block = self._hat_blocks[a]
-        u_hat = float(x @ hat_block)
+        u_hat = float(hat_block.dot(x))
         g_scale = (self._link(u_hat) - y) * w
         alpha_t = learning_rate(self.learn, ordinal)
         hat_block -= (alpha_t * g_scale) * x
@@ -272,7 +273,7 @@ def run_stream(env, model, learn: LearningSchedule, explore: ExplorationSchedule
             if x is None:
                 summary.exhausted = True
                 break
-            greedy, pi, a, u_a = core.sample(x, eps, rng)
+            greedy, pi, a, u_a = core.sample(x, eps, rng.uniform())
             y = env.outcome(x, a)
             if y is not None:
                 break
@@ -337,7 +338,7 @@ def run_stream_lagged(env, model, learn: LearningSchedule, explore: ExplorationS
             break
         ordinal_next = core.updates + 1
         eps = exploration_rate(explore, ordinal_next)
-        greedy, pi, a, _ = core.sample(x, eps, rng)
+        greedy, pi, a, _ = core.sample(x, eps, rng.uniform())
         include_value = not (skip_value_burn_in and ordinal_next <= explore.burn_in)
         # A copy: an environment may reuse one feature array for every step.
         pending.append(StepRecord(x.copy(), a, pi, eps, greedy, t, include_value))
@@ -350,23 +351,9 @@ def run_stream_lagged(env, model, learn: LearningSchedule, explore: ExplorationS
     return core.result(summary)
 
 
-# Per replication and step of a draw chunk, a lockstep batch holds its
-# feature row, action uniform and reward draw, and per step of a block (a
-# quarter of the chunk) about 30 floats of tables, records and fold
-# temporaries: p + 10 floats per chunk step.  The budget counts p + 14 for
-# the allocator's overhead; peak RSS grows by about p + 12 (README).
-_LOCKSTEP_FLOATS = 2 ** 22
-
-
-def _lockstep_capacity(p: int) -> int:
-    """Most replications one lockstep batch holds within the float budget."""
-    return max(1, _LOCKSTEP_FLOATS // (SyntheticEnvironment._CHUNK * (p + 14)))
-
-
-def _each(fn, *columns: np.ndarray) -> np.ndarray:
-    """``fn`` on the entries of equally shaped arrays, one Python float each."""
-    return np.reshape(list(map(fn, *(c.ravel().tolist() for c in columns))), columns[0].shape)
-
+# ---------------------------------------------------------------------------
+# Synthetic streams fed from per-chunk draw tables.
+# ---------------------------------------------------------------------------
 
 # The vectorized link is within 1e-9 of the scalar hook, so a reward draw
 # farther than this from it falls on the same side of both.
@@ -387,6 +374,104 @@ def _rewards(model, u: np.ndarray, d: np.ndarray, sd: float) -> np.ndarray:
     for i in np.flatnonzero(np.abs(d - mu) <= _LINK_TIE).tolist():
         y.flat[i] = 1.0 if d.flat[i] < model.mean_from_index(float(u.flat[i])) else 0.0
     return y
+
+
+def _reward_table(model, x: np.ndarray, truth: np.ndarray, d: np.ndarray,
+                  sd: float) -> np.ndarray:
+    """Both actions' rewards (a last axis of 2) at feature rows ``x`` (last
+    axis p) for reward draws ``d`` (``x``'s shape without its last axis).
+    ``truth`` is the true parameter vector as a (2, p, 1) array; one stacked
+    1 x p by p x 1 ``matmul`` gives each true index by the BLAS dot call of
+    ``x @ block``."""
+    u = (x[..., None, None, :] @ truth)[..., 0, 0]
+    return _rewards(model, u, d[..., None], sd)
+
+
+def _draw_chunk(gen, sample, linear: bool, n: int):
+    """One draw chunk of a synthetic stream whose first ``n`` steps are used,
+    read from ``gen`` in the order ``run_stream`` on a ``SyntheticEnvironment``
+    reads it: the feature chunk, the first step's action uniform, the
+    reward-draw chunk (normal noise or uniforms), then one uniform per
+    remaining step.  Returns the features, the ``n`` uniforms and the draws."""
+    chunk = SyntheticEnvironment._CHUNK
+    x = sample(gen, chunk)
+    uni = np.empty(n)
+    uni[0] = gen.random()
+    d = gen.standard_normal(chunk) if linear else gen.random(chunk)
+    uni[1:] = gen.random(n - 1)
+    return x, uni, d
+
+
+def _run_synthetic(synth: SyntheticConfig, learn: LearningSchedule,
+                   explore: ExplorationSchedule, seed: int, horizon: int, *,
+                   hessian: str = "exact", aipw: bool = False,
+                   collect_inference: bool = True, collect_value: bool = True,
+                   checkpoints=(), skip_value_burn_in: bool = False,
+                   observer=None) -> StreamResult:
+    """``run_stream`` on ``SyntheticEnvironment(synth, rng)`` with ``rng =
+    RngStream(seed)`` and the default feature sampler, equal bit for bit,
+    observer calls included (README, "Defaults").
+
+    Per draw chunk, tables hold what does not depend on the learned state:
+    the features, the action uniforms and both actions' rewards.  Per step
+    remain the indexes at the average, the epsilon-greedy comparison and
+    ``_UpdateCore.apply``.
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    model = synth.model
+    core = _UpdateCore(model, learn, variant=hessian,
+                       collect_inference=collect_inference,
+                       collect_value=collect_value, aipw=aipw)
+    summary = RunSummary()
+    cp_set = set(int(c) for c in checkpoints)
+    gen = RngStream(seed).gen
+    sample = default_feature_sampler(model.p)
+    linear = model.tag == "linear"
+    sd = math.sqrt(synth.sigma2)
+    truth = synth.beta0.reshape(2, model.p, 1)
+    value_from = explore.burn_in if skip_value_burn_in else 0
+    chunk = SyntheticEnvironment._CHUNK
+    for start in range(0, horizon, chunk):
+        n = min(chunk, horizon - start)
+        feats, uni, draws = _draw_chunk(gen, sample, linear, n)
+        feats = feats[:n]
+        rewards = _reward_table(model, feats, truth, draws[:n], sd).tolist()
+        for t, x, uniform, y_pair in zip(range(start + 1, start + n + 1), feats,
+                                         uni.tolist(), rewards):
+            eps = exploration_rate(explore, t)
+            greedy, pi, a, u_a = core.sample(x, eps, uniform)
+            y = y_pair[a]
+            if observer is not None:
+                observer(t, x, a, y, pi, eps, greedy, core.bar)
+            core.apply(x, a, y, pi, eps, greedy, t > value_from, u_bar=u_a)
+            summary.total_reward += y
+            if t in cp_set:
+                summary.checkpoints.append(core.snapshot(t, eps))
+    summary.steps = horizon
+    return core.result(summary)
+
+
+# ---------------------------------------------------------------------------
+# Lockstep replication batches.
+# ---------------------------------------------------------------------------
+
+# Per replication and step of a draw chunk, a lockstep batch holds its
+# feature row, action uniform and reward draw, and per step of a block (a
+# quarter of the chunk) about 30 floats of tables, records and fold
+# temporaries: p + 10 floats per chunk step.  The budget counts p + 14 for
+# the allocator's overhead; peak RSS grows by about p + 12 (README).
+_LOCKSTEP_FLOATS = 2 ** 22
+
+
+def _lockstep_capacity(p: int) -> int:
+    """Most replications one lockstep batch holds within the float budget."""
+    return max(1, _LOCKSTEP_FLOATS // (SyntheticEnvironment._CHUNK * (p + 14)))
+
+
+def _each(fn, *columns: np.ndarray) -> np.ndarray:
+    """``fn`` on the entries of equally shaped arrays, one Python float each."""
+    return np.reshape(list(map(fn, *(c.ravel().tolist() for c in columns))), columns[0].shape)
 
 
 def _run_lockstep(synth: SyntheticConfig, learn: LearningSchedule,
@@ -415,7 +500,7 @@ def _run_lockstep(synth: SyntheticConfig, learn: LearningSchedule,
     cp_set = set(int(c) for c in checkpoints)
     grid = {int(t): j for j, t in enumerate(loss_grid)}
     # Averages and iterates.  A stacked 1 x p by p x 1 matmul gives every
-    # index, each by the BLAS dot call of ``x @ block``.
+    # index, each by the BLAS dot call of ``block.dot(x)``.
     blocks = np.zeros((2, reps, 2, p))
     bar, hat = blocks
     hat_rows = hat.reshape(2 * reps, p)
@@ -492,10 +577,7 @@ def _run_lockstep(synth: SyntheticConfig, learn: LearningSchedule,
     for start in range(0, horizon, chunk):
         n = min(chunk, horizon - start)
         for r, gen in enumerate(gens):
-            feats[:, r] = sample(gen, chunk)
-            uni[0, r] = gen.random()
-            draws[:, r] = gen.standard_normal(chunk) if linear else gen.random(chunk)
-            uni[1:n, r] = gen.random(n - 1)
+            feats[:, r], uni[:n, r], draws[:, r] = _draw_chunk(gen, sample, linear, n)
         for b0 in range(0, n, _BLOCK_ROWS):
             b1 = min(b0 + _BLOCK_ROWS, n)
             steps = range(start + b0 + 1, start + b1 + 1)
@@ -503,8 +585,7 @@ def _run_lockstep(synth: SyntheticConfig, learn: LearningSchedule,
             alpha_b = [learning_rate(learn, t) for t in steps]
             x_k = feats[b0:b1]
             # Tables: rewards by action; taken action and weight by greedy action.
-            u_true = (x_k[:, :, None, None, :] @ truth)[..., 0, 0]
-            y_t = _rewards(model, u_true, draws[b0:b1, :, None], sd)
+            y_t = _reward_table(model, x_k, truth, draws[b0:b1], sd)
             eps_k = np.array(eps_b)
             pi = np.stack((eps_k / 2.0, 1.0 - eps_k / 2.0), axis=1)[:, None, :]
             act_t = (uni[b0:b1, :, None] < pi).view(np.uint8)

@@ -9,22 +9,22 @@ independent, and parallel and serial execution produce identical results.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cache, partial
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
 
-from .engine import Checkpoint, _lockstep_capacity, _run_lockstep, run_stream
-from .environments import (ReplayCursor, ReplayEnvironment, SyntheticConfig,
-                           SyntheticEnvironment, load_replay_log)
-from .inference import (SingularHessianError, _parameter_names, normal_quantile,
-                        sandwich_covariance, value_report_row, wald_report)
+from .engine import (Checkpoint, _lockstep_capacity, _run_lockstep, _run_synthetic,
+                     run_stream)
+from .environments import ReplayCursor, ReplayEnvironment, SyntheticConfig, load_replay_log
+from .inference import (SingularHessianError, _parameter_names, _sandwiches, _wald_rows,
+                        normal_quantile, value_report_row)
 from .models import make_model
 from .policy import RngStream, derive_seed, exploration_rate
 from .types import ExplorationSchedule, InferenceReport, LearningSchedule, ReportRow
@@ -218,56 +218,62 @@ class SingleRunOutput:
     replay_stats: dict | None = None
 
 
-def _parameter_rows(cp: Checkpoint, config: ExperimentConfig) -> list[ReportRow]:
-    """Wald rows for ``cp.bar_beta``; when no covariance comes out (singular
-    curvature or a negative variance) the rows carry the estimate with NaN
-    numbers, flagged ``singular_hessian``."""
-    cov, flag = None, ""
-    try:
-        cov = sandwich_covariance(cp.plugin)
-    except SingularHessianError:
-        flag = "singular_hessian"
-        if config.ridge:
-            try:
-                cov, flag = sandwich_covariance(cp.plugin, ridge=True), "ridge"
-            except SingularHessianError:
-                pass
-    if cov is not None:
-        rows = wald_report(cp.bar_beta, cov, level=config.level).rows
-    else:
-        rows = [ReportRow(name=name, estimate=float(cp.bar_beta[j]), se=math.nan,
-                          ci_lo=math.nan, ci_hi=math.nan, t_value=math.nan,
-                          p_value=math.nan)
-                for j, name in enumerate(_parameter_names(cp.bar_beta.shape[0]))]
-    for row in rows:
-        row.flag = flag
+# Checkpoints whose sandwiches are stacked in one pass; stacking all 500
+# reports of a run raised its peak memory by about 8 MB (README).
+_REPORT_BLOCK = 64
+
+
+def _parameter_rows(cps: list[Checkpoint], config: ExperimentConfig) -> list[list[ReportRow]]:
+    """Wald rows for each checkpoint's ``bar_beta``; when no covariance comes
+    out (singular curvature or a negative variance) the rows carry the
+    estimate with NaN numbers, flagged ``singular_hessian``."""
+    found = _sandwiches([cp.plugin for cp in cps], ridge=config.ridge)
+    est = np.array([cp.bar_beta for cp in cps])
+    variances = np.full(est.shape, math.nan)
+    flags = []
+    for k, out in enumerate(found):
+        if isinstance(out, SingularHessianError):
+            flags.append("singular_hessian")
+        else:
+            cov, ridged = out
+            variances[k] = np.diag(cov)
+            flags.append("ridge" if ridged else "")
+    rows = _wald_rows(est, variances, config.level, np.zeros(est.shape[1]))
+    for cp_rows, flag in zip(rows, flags):
+        for row in cp_rows:
+            row.flag = flag
     return rows
 
 
-def _checkpoint_report(cp: Checkpoint, config: ExperimentConfig) -> InferenceReport:
-    """Every number of one checkpoint, for ``run`` and ``mc`` alike: the
+def _checkpoint_reports(cps: list[Checkpoint], config: ExperimentConfig) -> list[InferenceReport]:
+    """Every number of each checkpoint, for ``run`` and ``mc`` alike: the
     parameter rows when the run collected parameter sums, then ``V_opt``, then
     ``V_opt_aipw`` with aipw.  A checkpoint without value steps gets NaN value
-    rows flagged ``no_value_steps``.
+    rows flagged ``no_value_steps``.  Sandwiches and Wald columns are built
+    for up to ``_REPORT_BLOCK`` checkpoints at once.
     """
-    report = InferenceReport(level=config.level)
-    if cp.plugin is not None:
-        report.rows = _parameter_rows(cp, config)
-    for name in ("V_opt", "V_opt_aipw") if config.aipw else ("V_opt",):
-        aipw = name == "V_opt_aipw"
-        if cp.value.t == 0:
-            est, se, flag = math.nan, math.nan, "no_value_steps"
-        else:
-            est = value_estimate(cp.value, aipw=aipw)
-            se = value_standard_error(cp.value, cp.eps, aipw=aipw)
-            if aipw:
-                flag = "experimental"
+    reports = [InferenceReport(level=config.level) for _ in cps]
+    stacked = [k for k, cp in enumerate(cps) if cp.plugin is not None]
+    for b in range(0, len(stacked), _REPORT_BLOCK):
+        block = stacked[b:b + _REPORT_BLOCK]
+        for k, rows in zip(block, _parameter_rows([cps[k] for k in block], config)):
+            reports[k].rows = rows
+    for cp, report in zip(cps, reports):
+        for name in ("V_opt", "V_opt_aipw") if config.aipw else ("V_opt",):
+            aipw = name == "V_opt_aipw"
+            if cp.value.t == 0:
+                est, se, flag = math.nan, math.nan, "no_value_steps"
             else:
-                flag = "variance_clamped" if raw_value_variance(cp.value, cp.eps) < 0 else ""
-        row = value_report_row(est, se, config.level, flag=flag)
-        row.name = name
-        report.rows.append(row)
-    return report
+                est = value_estimate(cp.value, aipw=aipw)
+                se = value_standard_error(cp.value, cp.eps, aipw=aipw)
+                if aipw:
+                    flag = "experimental"
+                else:
+                    flag = "variance_clamped" if raw_value_variance(cp.value, cp.eps) < 0 else ""
+            row = value_report_row(est, se, config.level, flag=flag)
+            row.name = name
+            report.rows.append(row)
+    return reports
 
 
 def _loss_at_bar(model, x, a: int, y: float, bar) -> float:
@@ -289,14 +295,17 @@ def _trace_writer(fh, model):
 
 
 def _run_stream(config: ExperimentConfig, seed: int, env=None, **kwargs):
-    """The configured stream on its own seeded rng (and environment, unless given)."""
-    rng = RngStream(seed)
+    """The configured stream on its own seeded rng: the synthetic stream from
+    per-chunk tables, or ``run_stream`` against ``env`` when one is given."""
+    common = dict(hessian=config.hessian, aipw=config.aipw,
+                  skip_value_burn_in=config.value_skip_burn_in, **kwargs)
     if env is None:
-        env = SyntheticEnvironment(config.synthetic_config(), rng)
+        return _run_synthetic(config.synthetic_config(), config.learning_schedule(),
+                              config.exploration_schedule(), seed, config.horizon,
+                              **common)
     return run_stream(env, config.model_family(), config.learning_schedule(),
-                      config.exploration_schedule(), rng, config.horizon,
-                      hessian=config.hessian, aipw=config.aipw,
-                      skip_value_burn_in=config.value_skip_burn_in, **kwargs)
+                      config.exploration_schedule(), RngStream(seed), config.horizon,
+                      **common)
 
 
 def run_single(config: ExperimentConfig) -> SingleRunOutput:
@@ -322,13 +331,11 @@ def run_single(config: ExperimentConfig) -> SingleRunOutput:
             t=result.summary.steps, bar_beta=result.state.bar_beta,
             eps=exploration_rate(config.exploration_schedule(), result.summary.steps),
             plugin=result.plugin, value=result.value)
-    reports: dict[int, InferenceReport] = {}
-    paths: list[Path] = []
+    steps = sorted(snapshots)
+    reports = dict(zip(steps, _checkpoint_reports([snapshots[t] for t in steps], config)))
     out_dir = Path(config.out)
-    for t in sorted(snapshots):
-        report = _checkpoint_report(snapshots[t], config)
-        reports[t] = report
-        paths.append(emit_report(report, config.format, out_dir / f"report_t{t}.{config.format}"))
+    paths = [emit_report(reports[t], config.format, out_dir / f"report_t{t}.{config.format}")
+             for t in steps]
     replay_stats = None
     if cursor is not None:
         replay_stats = {
@@ -358,8 +365,8 @@ class RepResult:
 def _recorded(out: RepResult, config: ExperimentConfig, checkpoints) -> RepResult:
     """``out`` with a report per checkpoint of ``checkpoints()``; failures are recorded."""
     try:
-        for cp in checkpoints():
-            out.reports[cp.t] = _checkpoint_report(cp, config)
+        cps = checkpoints()
+        out.reports = {cp.t: report for cp, report in zip(cps, _checkpoint_reports(cps, config))}
     except Exception as exc:  # noqa: BLE001 - failures are recorded, not fatal
         out.error = f"{type(exc).__name__}: {exc}"
     return out
@@ -634,22 +641,69 @@ def _tabulate(obj) -> tuple[list[str], list[list]]:
     return header, [[getattr(r, name) for name in header] for r in obj.rows]
 
 
-def _jsonify(obj):
-    """JSON-ready copy: records become dicts in field order and NaN/inf become
-    None, so the output is strictly valid."""
-    if isinstance(obj, (float, np.floating)):
-        return float(obj) if math.isfinite(obj) else None
-    if obj is None or isinstance(obj, (str, int)):
-        return obj
-    if isinstance(obj, np.integer):
-        return int(obj)
+def _json_scalar(v) -> str | None:
+    """JSON text of a scalar as ``json.dumps`` writes it, NaN and +-inf as
+    null; None when ``v`` is not a scalar."""
+    if isinstance(v, (float, np.floating)):
+        return float.__repr__(float(v)) if math.isfinite(v) else "null"
+    if isinstance(v, str):
+        return _quote(v)
+    if v is None:
+        return "null"
+    if v is True or v is False:
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return int.__repr__(int(v))
+    return None
+
+
+def _json_key(k) -> str:
+    """A dict key as ``json.dumps`` writes it: always a string."""
+    if isinstance(k, str):
+        return _quote(k)
+    if isinstance(k, float):
+        return _quote("NaN" if k != k else "Infinity" if k == math.inf
+                      else "-Infinity" if k == -math.inf else float.__repr__(k))
+    if k is True or k is False or k is None or isinstance(k, int):
+        return _quote(_json_scalar(k))
+    raise ConfigError(f"cannot serialize a key of type {type(k).__name__}")
+
+
+@cache
+def _record_template(cls, indent: str) -> str:
+    """``%`` template of a record whose fields all hold scalars, at ``indent``."""
+    inner = indent + "  "
+    keys = [f"{inner}{_quote(name)}: %s" for name in _field_names(cls)]
+    return "{\n" + ",\n".join(keys) + f"\n{indent}}}" if keys else "{}"
+
+
+def _json_text(obj, indent: str = "") -> str:
+    """``json.dumps(obj, indent=2)`` of a report, with records written as
+    dicts in field order and NaN and +-inf as null, so the output is strictly
+    valid JSON."""
+    text = _json_scalar(obj)
+    if text is not None:
+        return text
+    inner = indent + "  "
     if isinstance(obj, list):
-        return [_jsonify(v) for v in obj]
+        if not obj:
+            return "[]"
+        return "[\n" + ",\n".join(inner + _json_text(v, inner) for v in obj) + f"\n{indent}]"
     if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if is_dataclass(obj):
-        return {name: _jsonify(getattr(obj, name)) for name in _field_names(type(obj))}
-    raise ConfigError(f"cannot serialize object of type {type(obj).__name__}")
+        items = [(_json_key(k), v) for k, v in obj.items()]
+    elif is_dataclass(obj) and not isinstance(obj, type):
+        names = _field_names(type(obj))
+        values = [getattr(obj, name) for name in names]
+        texts = [_json_scalar(v) for v in values]
+        if None not in texts:
+            return _record_template(type(obj), indent) % tuple(texts)
+        items = [(_quote(name), v) for name, v in zip(names, values)]
+    else:
+        raise ConfigError(f"cannot serialize object of type {type(obj).__name__}")
+    if not items:
+        return "{}"
+    return "{\n" + ",\n".join(f"{inner}{k}: {_json_text(v, inner)}" for k, v in items) \
+        + f"\n{indent}}}"
 
 
 def emit_report(obj, fmt: str, path) -> Path:
@@ -667,8 +721,7 @@ def emit_report(obj, fmt: str, path) -> Path:
             for row in rows:
                 fh.write(",".join(_fmt_cell(v) for v in row) + "\n")
     elif fmt == "json":
-        # One encode and one write: json.dump streams a write per token.
-        text = json.dumps(_jsonify(obj), indent=2)
+        text = _json_text(obj)
         with open(path, "w") as fh:
             fh.write(text + "\n")
     else:

@@ -93,11 +93,6 @@ def accumulate(acc: PluginAccumulators, model, bar_beta_prev, obs: Observation,
     return acc
 
 
-def _condition(lam: np.ndarray) -> float:
-    lam_abs = np.abs(lam)
-    return math.inf if lam_abs.min() == 0.0 else float(lam_abs.max() / lam_abs.min())
-
-
 def sandwich_covariance(acc: PluginAccumulators, *, ridge: bool = False) -> np.ndarray:
     """Covariance estimate of the averaged iterate: Hhat^-1 Shat Hhat^-T / n.
 
@@ -110,26 +105,65 @@ def sandwich_covariance(acc: PluginAccumulators, *, ridge: bool = False) -> np.n
     eigenvalues) also raises SingularHessianError.  After the ridge, the error
     says so and carries the condition number of the ridged curvature.
     """
-    if acc.n < 1:
+    (out,) = _sandwiches([acc], ridge=ridge)
+    if isinstance(out, SingularHessianError):
+        raise out
+    return out[0]
+
+
+def _sandwiches(accs, *, ridge: bool = False) -> list:
+    """``sandwich_covariance`` of every accumulator: per accumulator the pair
+    (covariance, whether the ridge was applied), or the SingularHessianError
+    its own call raises.
+
+    One stacked ``eigh`` and stacked ``matmul`` calls serve all of them; each
+    slice equals its one-matrix call bit for bit (README, "Defaults").  Only
+    the curvatures that fail the condition check are factored again with the
+    ridge.
+    """
+    n = np.array([acc.n for acc in accs])
+    if n.min() < 1:
         raise ValueError("no accumulated steps")
-    h = acc.h_hat()
+    dim = accs[0].dim
+    h = np.array([acc.H_sum for acc in accs]) / n[:, None, None]
     lam, q = np.linalg.eigh(h)
-    cond, ridged = _condition(lam), False
-    if lam.min() <= 0.0 or cond > _MAX_CONDITION:
+    cond = _conditions(lam)
+    ridged = (lam.min(axis=1) <= 0.0) | (cond > _MAX_CONDITION)
+    out: list = [None] * len(accs)
+    if ridged.any():
+        redo = np.flatnonzero(ridged)
         if not ridge:
-            raise SingularHessianError(cond)
-        h = h + (1e-8 * np.trace(h) / acc.dim) * np.eye(acc.dim)
-        lam, q = np.linalg.eigh(h)
-        cond, ridged = _condition(lam), True
-        if lam.min() <= 0.0:
-            raise SingularHessianError(cond, ridged)
-    s = acc.s_hat()
-    core = (q.T @ s @ q) / np.outer(lam, lam)
-    cov = (q @ core @ q.T) / acc.n
-    cov = 0.5 * (cov + cov.T)
-    if np.diag(cov).min() < -_VARIANCE_TOL:
-        raise SingularHessianError(cond, ridged)
-    return cov
+            for k in redo.tolist():
+                out[k] = SingularHessianError(float(cond[k]))
+        else:
+            eye = np.eye(dim)
+            h_r = np.array([h[k] + (1e-8 * np.trace(h[k]) / dim) * eye for k in redo])
+            lam[redo], q[redo] = np.linalg.eigh(h_r)
+            cond[redo] = _conditions(lam[redo])
+            for k in redo[lam[redo].min(axis=1) <= 0.0].tolist():
+                out[k] = SingularHessianError(float(cond[k]), ridged=True)
+    keep = np.array([o is None for o in out])
+    if not keep.any():
+        return out
+    lam, q, n = lam[keep], q[keep], n[keep]
+    s = np.array([acc.S_sum for acc, o in zip(accs, out) if o is None]) / n[:, None, None]
+    q_t = q.swapaxes(1, 2)
+    core = (q_t @ s @ q) / (lam[:, :, None] * lam[:, None, :])
+    cov = (q @ core @ q_t) / n[:, None, None]
+    cov = 0.5 * (cov + cov.swapaxes(1, 2))
+    low = np.diagonal(cov, axis1=1, axis2=2).min(axis=1) < -_VARIANCE_TOL
+    for k, c, is_low in zip(np.flatnonzero(keep).tolist(), cov, low.tolist()):
+        is_ridged = bool(ridged[k])
+        out[k] = SingularHessianError(float(cond[k]), is_ridged) if is_low else (c, is_ridged)
+    return out
+
+
+def _conditions(lam: np.ndarray) -> np.ndarray:
+    """Condition number of each row of eigenvalues (inf for a zero one)."""
+    lam_abs = np.abs(lam)
+    lo = lam_abs.min(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(lo == 0.0, math.inf, lam_abs.max(axis=1) / lo)
 
 
 # ---------------------------------------------------------------------------
@@ -206,32 +240,31 @@ def wald_report(bar_beta, cov, level: float = 0.95, null=None) -> InferenceRepor
         raise ValueError(f"covariance shape {cov.shape} does not match estimate length {dim}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"confidence level must lie in (0, 1), got {level}")
-    if null is None:
-        null = np.zeros(dim)
-    null = np.asarray(null, dtype=np.float64)
     variances = np.diag(cov)
     if variances.min() < -_VARIANCE_TOL:
         raise ValueError(f"negative variance on the diagonal: {variances.min()}")
+    null = np.zeros(dim) if null is None else np.asarray(null, dtype=np.float64)
+    (rows,) = _wald_rows(bar_beta[None], variances[None], level, null)
+    return InferenceReport(level=level, rows=rows)
+
+
+def _wald_rows(est: np.ndarray, variances: np.ndarray, level: float,
+               null: np.ndarray) -> list[list[ReportRow]]:
+    """``wald_report``'s rows for each row of the (K, dim) estimates and
+    variances, computed column-wise; a NaN variance gives NaN numbers."""
     z = normal_quantile(0.5 * (1.0 + level))
-    names = _parameter_names(dim)
-    report = InferenceReport(level=level)
-    for j in range(dim):
-        est = float(bar_beta[j])
-        se = math.sqrt(max(variances[j], 0.0))
-        if se == 0.0:
-            if est == null[j]:
-                t, pv = 0.0, 1.0
-            else:
-                t = math.inf if est > null[j] else -math.inf
-                pv = 0.0
-        else:
-            t = (est - null[j]) / se
-            pv = two_sided_p(t)
-        report.rows.append(ReportRow(
-            name=names[j], estimate=est, se=se,
-            ci_lo=est - z * se, ci_hi=est + z * se, t_value=t, p_value=pv,
-        ))
-    return report
+    # max(v, 0.0) entry for entry, signed zeros and NaN included.
+    se = np.sqrt(np.where(0.0 > variances, 0.0, variances))
+    diff = est - null
+    zero = se == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(zero, np.where(est == null, 0.0, np.where(est > null, math.inf, -math.inf)),
+                     diff / se)
+    p = np.reshape(list(map(two_sided_p, t.ravel().tolist())), t.shape)
+    names = _parameter_names(est.shape[1])
+    return [[ReportRow(name=name, estimate=e, se=s, ci_lo=lo, ci_hi=hi, t_value=tv, p_value=pv)
+             for name, e, s, lo, hi, tv, pv in zip(names, *columns)]
+            for columns in zip(*(a.tolist() for a in (est, se, est - z * se, est + z * se, t, p)))]
 
 
 def value_report_row(estimate: float, se: float, level: float, flag: str = "") -> ReportRow:

@@ -150,7 +150,8 @@ class ReportRow:
     def __post_init__(self):
         if math.isfinite(self.se) and self.se < 0:
             raise ValueError(f"standard error must be nonnegative, got {self.se}")
-        if all(math.isfinite(v) for v in (self.ci_lo, self.estimate, self.ci_hi)):
+        if math.isfinite(self.ci_lo) and math.isfinite(self.estimate) \
+                and math.isfinite(self.ci_hi):
             if not self.ci_lo <= self.estimate <= self.ci_hi:
                 raise ValueError(
                     f"interval must bracket the estimate: "

@@ -441,6 +441,75 @@ def test_block_size_never_changes_the_sums(horizon, rows, data):
     _assert_same_sums(got, want)
 
 
+# Per case: horizon, hessian, exploration, aipw, value_skip_burn_in, and
+# whether the parameter and value sums are collected.
+TABLE_CASES = [
+    (600, "exact", "fixed:0.2", True, False, True),
+    (4096, "outer", "fixed:1", False, True, True),
+    (4097, "exact", "decay:0.3,0.1", True, True, True),
+    (8200, "outer", "decay:0.3,0.1", True, False, True),
+    (4100, "exact", "fixed:0.2", False, False, False),
+]
+
+
+class TestSyntheticTables:
+    """``_run_synthetic`` against ``run_stream`` on a ``SyntheticEnvironment``."""
+
+    @staticmethod
+    def _both(family, p, case):
+        horizon, hessian, eps, aipw, skip, collect = case
+        model = make_model(family, p)
+        synth = SyntheticConfig(model, np.linspace(-0.6, 0.9, 2 * p))
+        explore = (ExplorationSchedule.fixed(float(eps[6:]), burn_in=50)
+                   if eps.startswith("fixed") else ExplorationSchedule.decaying(0.3, 0.1))
+        cps = sorted({t for t in (1, 50, 51, 4096, 4097, horizon) if t <= horizon})
+        kw = dict(hessian=hessian, aipw=aipw, skip_value_burn_in=skip, checkpoints=cps,
+                  collect_inference=collect, collect_value=collect)
+        runs = []
+        for table in (False, True):
+            calls = []
+            observe = (lambda t, x, a, y, pi, eps, greedy, bar, calls=calls:
+                       calls.append((t, x.copy(), a, y, pi, eps, greedy, bar.copy())))
+            seed = 500 + p
+            if table:
+                res = engine._run_synthetic(synth, LEARN, explore, seed, horizon,
+                                            observer=observe, **kw)
+            else:
+                rng = RngStream(seed)
+                res = run_stream(SyntheticEnvironment(synth, rng), model, LEARN, explore,
+                                 rng, horizon, observer=observe, **kw)
+            runs.append((res, calls))
+        return runs
+
+    @pytest.mark.parametrize("case", TABLE_CASES, ids=lambda c: f"h{c[0]}-{c[1]}-{c[2]}")
+    @pytest.mark.parametrize("p", [1, 3, 10])
+    @pytest.mark.parametrize("family", ["linear", "logistic"])
+    def test_matches_run_stream(self, family, p, case):
+        (want, want_calls), (got, got_calls) = self._both(family, p, case)
+        assert got.summary.steps == want.summary.steps == case[0]
+        assert got.summary.total_reward == want.summary.total_reward
+        assert got.summary.updates == want.summary.updates
+        np.testing.assert_array_equal(got.state.hat_beta, want.state.hat_beta)
+        np.testing.assert_array_equal(got.state.bar_beta, want.state.bar_beta)
+        got_cps, want_cps = got.summary.checkpoints, want.summary.checkpoints
+        assert [(cp.t, cp.eps) for cp in got_cps] == [(cp.t, cp.eps) for cp in want_cps]
+        for a, b in zip(got_cps, want_cps):
+            np.testing.assert_array_equal(a.bar_beta, b.bar_beta)
+        if case[5]:
+            _assert_same_sums([_sums(r) for r in got_cps + [got]],
+                              [_sums(r) for r in want_cps + [want]])
+        else:
+            assert all(r.plugin is None and r.value is None for r in got_cps + [got])
+        assert len(got_calls) == len(want_calls) == case[0]
+        for g, w in zip(got_calls, want_calls):
+            assert len(g) == len(w) == 8
+            for u, v in zip(g, w):
+                if isinstance(v, np.ndarray):
+                    np.testing.assert_array_equal(u, v)
+                else:
+                    assert u == v and type(u) in (int, float)
+
+
 class _RecordingLaggedEnv:
     """Wraps a lagged environment, logging actions and arrivals in call order."""
 

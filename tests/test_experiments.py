@@ -2,11 +2,13 @@ import csv
 import json
 import math
 import time
-from dataclasses import replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from banditsgd import (ConfigError, ExperimentConfig, InferenceReport,
                        MonteCarloSummary, ReportRow, TuneAlphaResult, build_config,
@@ -276,7 +278,7 @@ class TestRunMonteCarlo:
     def test_all_replications_failed_keeps_the_csv_header(self, tmp_path):
         cfg = small_config(reps=3, out=str(tmp_path / "x"))
         # Reports fail on either engine; a batch of 3 runs in lockstep.
-        with mock.patch.object(experiments, "_checkpoint_report",
+        with mock.patch.object(experiments, "_checkpoint_reports",
                                side_effect=RuntimeError("boom")):
             summary = run_monte_carlo(cfg)
         assert summary.failures == 3 and summary.rows == []
@@ -402,3 +404,76 @@ class TestEmitReport:
     def test_unserializable_object_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             emit_report(object(), "csv", tmp_path / "bad.csv")
+
+
+def reference_jsonify(obj):
+    """The JSON-ready copy the writer once fed to ``json.dumps(indent=2)``,
+    kept as the reference for the writer's bytes."""
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
+    if obj is None or isinstance(obj, (str, int)):
+        return obj
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, list):
+        return [reference_jsonify(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: reference_jsonify(v) for k, v in obj.items()}
+    if is_dataclass(obj):
+        return {f.name: reference_jsonify(getattr(obj, f.name)) for f in fields(obj)}
+    raise TypeError(type(obj).__name__)
+
+
+@dataclass
+class _Flat:
+    name: str
+    value: float
+    count: int
+    note: object = None
+
+
+@dataclass
+class _Nested:
+    level: float
+    rows: list
+    extra: object = None
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+_floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, -1e308, 5e-324, 0.1])
+_scalars = (st.none() | st.booleans() | st.integers() | _floats | st.text()
+            | _floats.map(np.float64) | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)
+            | st.floats(width=32).map(np.float32))
+_keys = st.text() | _floats | st.integers() | st.booleans() | st.none()
+_records = st.recursive(
+    _scalars | st.builds(_Flat, st.text(), _floats, st.integers(), _scalars),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(_keys, inner, max_size=4)
+                   | st.builds(_Nested, _floats, st.lists(inner, max_size=4), inner)
+                   | st.builds(_Flat, st.text(), _floats, st.integers(), inner)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_records)
+def test_json_writer_matches_json_dumps(obj):
+    text = experiments._json_text(obj)
+    assert text == json.dumps(reference_jsonify(obj), indent=2)
+    json.loads(text, parse_constant=_reject_constant)
+
+
+def test_json_writer_on_reports(tmp_path):
+    report = InferenceReport(0.95, [
+        ReportRow("beta0_1", -0.0, math.nan, math.nan, math.nan, math.nan, math.nan, "x"),
+        ReportRow("V_opt", 1e308, 0.0, 1e308, 1e308, None, None, "\u00e9\n")])
+    tune = TuneAlphaResult(best_alpha=0.5, final_loss={0.5: math.inf, math.nan: 0.25},
+                           rows=[])
+    for k, obj in enumerate([report, tune, {"matched_fraction": math.nan}]):
+        path = emit_report(obj, "json", tmp_path / f"r{k}.json")
+        text = path.read_text()
+        assert text == json.dumps(reference_jsonify(obj), indent=2) + "\n"
+        json.loads(text, parse_constant=_reject_constant)

@@ -1,0 +1,212 @@
+"""Golden CLI bytes: small fixed-seed commands against recorded digests.
+
+Each command runs through ``banditsgd.cli.main`` in a fresh directory; the
+exit code and the sha256 of its stdout, its stderr and every file it writes
+must equal the digests below.  A change that alters any output byte fails
+here.  To record the digests of a checkout, run this file as a script from
+the root of that checkout (``PYTHONPATH=src python tests/test_golden.py``)
+and paste its output over ``GOLDEN``.
+"""
+import contextlib
+import hashlib
+import io
+import os
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from banditsgd.cli import main
+
+MC_CONFIG = "oracle_draws = 20000\nreps = 6\nhorizon = 400\ncheckpoints = 100,400\n"
+
+COMMANDS = {
+    "run-csv": ["run", "--horizon", "3000", "--checkpoints", "1,50,1000,3000",
+                "--seed", "11"],
+    "run-json": ["run", "--model", "logistic", "--horizon", "3000", "--aipw",
+                 "--seed", "12", "--format", "json"],
+    "trace-linear": ["run", "--horizon", "500", "--trace", "trace.csv", "--seed", "13"],
+    "trace-logistic": ["run", "--model", "logistic", "--horizon", "500",
+                       "--trace", "trace.csv", "--seed", "14", "--format", "json"],
+    "aipw-ridge-1-5": ["run", "--model", "logistic", "--aipw", "--ridge", "--horizon", "5",
+                       "--checkpoints", "1,2,3,4,5", "--seed", "15", "--format", "json"],
+    "p1-decay": ["run", "--p", "1", "--beta0=0.5,-0.2", "--eps", "decay:0.3,0.1",
+                 "--horizon", "5000", "--checkpoints", "100,4096,4097,5000",
+                 "--seed", "16", "--format", "json"],
+    "mc-workers-1": ["mc", "--config", "mc.cfg", "--workers", "1", "--seed", "17",
+                     "--format", "json"],
+    "mc-workers-2": ["mc", "--config", "mc.cfg", "--workers", "2", "--seed", "17",
+                     "--format", "json"],
+    "tune-alpha-2-reps": ["tune-alpha", "--alpha-grid", "0.3,1.0", "--reps", "2",
+                          "--horizon", "500", "--seed", "18", "--format", "json"],
+    "replay-csv": ["replay", "--replay-log", "log.csv", "--model", "logistic", "--p", "2",
+                   "--beta0=-0.5,0.4,0.3,-0.6", "--horizon", "3000", "--seed", "19"],
+    "replay-json": ["replay", "--replay-log", "log.csv", "--model", "logistic", "--p", "2",
+                    "--beta0=-0.5,0.4,0.3,-0.6", "--horizon", "3000", "--seed", "19",
+                    "--format", "json"],
+}
+
+
+def _write_inputs(work: Path) -> None:
+    """The mc config file and a uniformly randomized logistic replay log."""
+    (work / "mc.cfg").write_text(MC_CONFIG)
+    gen = np.random.default_rng(2024)
+    rows = 2000
+    x = np.column_stack([np.ones(rows), gen.standard_normal(rows)])
+    actions = gen.integers(0, 2, rows)
+    u = np.where(actions == 1, x @ [0.3, -0.6], x @ [-0.5, 0.4])
+    rewards = (gen.random(rows) < 1.0 / (1.0 + np.exp(-u))).astype(float)
+    lines = ["x1,x2,action,reward,propensity"]
+    lines += [f"{a!r},{b!r},{int(c)},{d!r},0.5"
+              for a, b, c, d in zip(x[:, 0].tolist(), x[:, 1].tolist(), actions, rewards.tolist())]
+    (work / "log.csv").write_text("\n".join(lines) + "\n")
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digests(name: str, work: Path) -> dict:
+    """Run one command in ``work`` and digest everything it produced."""
+    work.mkdir(parents=True, exist_ok=True)
+    _write_inputs(work)
+    inputs = {p.name for p in work.iterdir()}
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(COMMANDS[name] + ["--out", "out"])
+    finally:
+        os.chdir(cwd)
+    files = {str(p.relative_to(work)): _sha(p.read_bytes())
+             for p in sorted(work.rglob("*")) if p.is_file() and p.name not in inputs}
+    return {"exit": code, "stdout": _sha(out.getvalue().encode()),
+            "stderr": _sha(err.getvalue().encode()), "files": files}
+
+
+GOLDEN = {
+    "aipw-ridge-1-5": {
+        "exit": 0,
+        "stdout": "66538a18bd3f3529a7c03d4bb39956d7e546c54bda8d052d4b7cdb08efd67c98",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "out/report_t1.json": "c298be4957eb3b05c7b7a4e490bef7ad2bdfadfed30cc655411c5d49262782e3",
+            "out/report_t2.json": "ff1bd7ea02670659555313f5a635b2c8a88531ae87f50a8b1de0cfc01796498a",
+            "out/report_t3.json": "0e404ef5d537ef21556da9ab99af06bf1ea81268f05bb5fda8e553d070416321",
+            "out/report_t4.json": "40b0dd3584165aabcb1eaa5cd38aa173744f89b90f844087e0c7a010d9eb0987",
+            "out/report_t5.json": "2e595e7b2999c592af9cf96adefbf78b579d5903ec6721009178ad7819be893f"
+        }
+    },
+    "mc-workers-1": {
+        "exit": 0,
+        "stdout": "b9235c1830d425f3736b1fe1d3e233d6c7668bef7db20a9295dfe12aff8f0b5e",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "out/mc_meta.json": "e51670e541ff76cca44bdb70be6bc986c8b3c52eb96d58f5aef1afbe2f03b84c",
+            "out/mc_summary.json": "3f4f77fe0201ddef7a26d98c6bf904f8c9ce1c916744f61afab5c49bfc602a2f"
+        }
+    },
+    "mc-workers-2": {
+        "exit": 0,
+        "stdout": "b9235c1830d425f3736b1fe1d3e233d6c7668bef7db20a9295dfe12aff8f0b5e",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "out/mc_meta.json": "e51670e541ff76cca44bdb70be6bc986c8b3c52eb96d58f5aef1afbe2f03b84c",
+            "out/mc_summary.json": "3f4f77fe0201ddef7a26d98c6bf904f8c9ce1c916744f61afab5c49bfc602a2f"
+        }
+    },
+    "p1-decay": {
+        "exit": 0,
+        "stdout": "46f94b7f82ab5179246de79bf9770148ae153a8243fe44c8fd94222505bb5e9d",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "out/report_t100.json": "573f23da04b035956edaaf8e5bc12c0600dbd5aa27f91eb4ef76a796c6f64ccd",
+            "out/report_t4096.json": "bdc2353591c9dded34e90f3cd09529ca7380b1e752dd2f768a6b99670a20b349",
+            "out/report_t4097.json": "cf7feb68c62b61bcb905c44b24c95204e00dac37b4b27d14c8d6a1b230e1373f",
+            "out/report_t5000.json": "f9c54f452fe303598e4acecbd1b47e6f70c74b520705fd8f779b98c8d815c2f3"
+        }
+    },
+    "replay-csv": {
+        "exit": 0,
+        "stdout": "f8ea8c916f1759aa51dc2077b0fda9c1c1ce2555e9a7fe697b85515ff695f101",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "out/replay_stats.csv": "45e672111613595a5dde1be441b478c9e9621fa0d586009ca3463325fd644883",
+            "out/report_t978.csv": "a66bbe0aa59569fbf001bf433a23e946e3897c4ef5db7ea3175005a6013a0246"
+        }
+    },
+    "replay-json": {
+        "exit": 0,
+        "stdout": "194de6ec460f98390af5008a4fbbc457d11a703cafa048558d19f07f15394a46",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "out/replay_stats.json": "4d93f4767e09dcee395302f28ee8cfb0ce6138ac910d8781bb5992d9a1412ae9",
+            "out/report_t978.json": "b61b4625b22aa814a287cffc53c2467e5a5e6b901d03dafe49842ace71ab46bf"
+        }
+    },
+    "run-csv": {
+        "exit": 0,
+        "stdout": "d3025f9da48cf9fedff640da7a6e3d3f0a71507e28ebe85eaeb6ff2096d180d7",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "out/report_t1.csv": "b42be31ac1b5fedc96e0011b63f8ad55c6fff2ed121c2a6baf573936808c5965",
+            "out/report_t1000.csv": "73eecfa1b9fb07fe14eeb200ca51759d81ff34f0a6217dd46dd275cc8a182677",
+            "out/report_t3000.csv": "cedb421fd3d2bb126326385abfd6a10cf318eadae37b5aef9aaed351c9bb5255",
+            "out/report_t50.csv": "a7d94c5eec660a58c3cfba518be04cd7f9b0216dcdc86a1c259326fecbb14c90"
+        }
+    },
+    "run-json": {
+        "exit": 0,
+        "stdout": "5d7c6c874ff97540fc7bb9d4871e819b7f21121def6112e72712d701a4517eb5",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "out/report_t1000.json": "558693d78cf55466284616eb0564037e73f349733a0d314c2e55ebcee53dbdc7",
+            "out/report_t3000.json": "7f295fcfca7c5648c16ac957037a743d7efa8cfbd75a8220f862c0fd6be0ecf1"
+        }
+    },
+    "trace-linear": {
+        "exit": 0,
+        "stdout": "0a601e81ad11fe88b58fceec7ed88c211531fa98cc9e7dbdd46979415d2faa51",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "out/report_t500.csv": "a8f93a4ca62f2dcd7bf6af04364366c92cbac539754c26b5a39260715ce7745a",
+            "trace.csv": "36e5f34e5968e9f02928d8462caa44b084c7091bb4e2a1c5072729f41bdcdb6f"
+        }
+    },
+    "trace-logistic": {
+        "exit": 0,
+        "stdout": "9cb74f4f2cc0229cc13fb626674f2feb97110c83e5cabe8f0041ba941383beb2",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "out/report_t500.json": "0b85282aa308ff2a8393b6856530424970ce0dbac94f7ccffaec3fcb9aa11cf8",
+            "trace.csv": "c1ce7917dc3d5f32de4ecf57067261cf5435b0f47718cfe9e8524eda330be0ba"
+        }
+    },
+    "tune-alpha-2-reps": {
+        "exit": 0,
+        "stdout": "0f79905c3229a95ea32802ec9c951751874d00b3b4c9b7435f275ca3d82cd5f1",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "out/tune_alpha.json": "c13230b1de28e91396f3dfdf3db78159402fbb0f6c60b907f04b35cc458715b5",
+            "out/tune_alpha_summary.json": "29af83b26b463cb20fbff3408f18159c47fb56ec708848f16c15d8fa8d63c3ae"
+        }
+    }
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_cli_bytes_match_recorded_digests(name, tmp_path):
+    assert digests(name, tmp_path) == GOLDEN[name]
+
+
+def test_worker_count_never_changes_mc_bytes():
+    assert GOLDEN["mc-workers-1"] == GOLDEN["mc-workers-2"]
+
+
+if __name__ == "__main__":
+    import json
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        recorded = {name: digests(name, Path(tmp) / name) for name in sorted(COMMANDS)}
+    print("GOLDEN = " + json.dumps(recorded, indent=4))

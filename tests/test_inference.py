@@ -3,6 +3,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from banditsgd import (ExplorationSchedule, LearningSchedule, LinearModel,
                        LogisticModel, Observation, RngStream, SingularHessianError,
@@ -146,6 +148,99 @@ class TestSandwichCovariance:
     def test_empty_accumulator_rejected(self):
         with pytest.raises(ValueError):
             sandwich_covariance(PluginAccumulators(4))
+
+
+def _reference_sandwich(acc, ridge):
+    """The one-matrix sandwich as first written, kept as the reference: the
+    covariance and whether the ridge was applied, or the error it raises."""
+    def condition(lam):
+        lam_abs = np.abs(lam)
+        return math.inf if lam_abs.min() == 0.0 else float(lam_abs.max() / lam_abs.min())
+    h = acc.H_sum / acc.n
+    lam, q = np.linalg.eigh(h)
+    cond, ridged = condition(lam), False
+    if lam.min() <= 0.0 or cond > 1e12:
+        if not ridge:
+            return SingularHessianError(cond)
+        h = h + (1e-8 * np.trace(h) / acc.dim) * np.eye(acc.dim)
+        lam, q = np.linalg.eigh(h)
+        cond, ridged = condition(lam), True
+        if lam.min() <= 0.0:
+            return SingularHessianError(cond, ridged)
+    s = acc.S_sum / acc.n
+    core = (q.T @ s @ q) / np.outer(lam, lam)
+    cov = (q @ core @ q.T) / acc.n
+    cov = 0.5 * (cov + cov.T)
+    if np.diag(cov).min() < -1e-10:
+        return SingularHessianError(cond, ridged)
+    return cov, ridged
+
+
+def _curvature(gen, kind, dim):
+    """A symmetric curvature sum of the given kind."""
+    a = gen.standard_normal((dim, dim))
+    if kind == "full":
+        return a @ a.T + 0.1 * np.eye(dim)
+    if kind == "rank_deficient":
+        b = gen.standard_normal((dim, dim - 1))
+        return b @ b.T
+    if kind == "ill_conditioned":
+        q, _ = np.linalg.qr(a)
+        # Condition numbers on both sides of the 1e12 limit.
+        return (q * np.geomspace(1.0, 10.0 ** -gen.uniform(10.0, 14.0), dim)) @ q.T
+    if kind == "indefinite":
+        return a @ a.T - 0.5 * np.trace(a @ a.T) / dim * np.eye(dim)
+    return np.zeros((dim, dim))
+
+
+@st.composite
+def accumulator_stacks(draw):
+    dim = 2 * draw(st.integers(1, 4))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    stack = []
+    for kind in draw(st.lists(st.sampled_from(["full", "full", "rank_deficient",
+                                               "ill_conditioned", "indefinite", "zero"]),
+                              min_size=1, max_size=7)):
+        acc = PluginAccumulators(dim)
+        acc.n = draw(st.integers(1, 10_000))
+        g = gen.standard_normal((dim, dim + 1))
+        acc.S_sum = (g @ g.T) * acc.n
+        acc.H_sum = _curvature(gen, kind, dim) * acc.n
+        stack.append(acc)
+    return stack
+
+
+def _same_outcome(got, want):
+    """Bit-for-bit equal covariances and ridge flags, or equal errors."""
+    if isinstance(want, SingularHessianError):
+        assert isinstance(got, SingularHessianError)
+        assert str(got) == str(want)
+        assert np.float64(got.condition).tobytes() == np.float64(want.condition).tobytes()
+    else:
+        assert not isinstance(got, SingularHessianError)
+        assert got[1] == want[1]
+        assert got[0].shape == want[0].shape and got[0].tobytes() == want[0].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(stack=accumulator_stacks(), ridge=st.booleans())
+def test_stacked_sandwiches_equal_one_matrix_calls(stack, ridge):
+    stacked = inference._sandwiches(stack, ridge=ridge)
+    assert len(stacked) == len(stack)
+    for acc, got in zip(stack, stacked):
+        (single,) = inference._sandwiches([acc], ridge=ridge)
+        _same_outcome(got, single)
+        _same_outcome(got, _reference_sandwich(acc, ridge))
+        try:
+            public = sandwich_covariance(acc, ridge=ridge)
+        except SingularHessianError as exc:
+            _same_outcome(exc, got)
+            continue
+        assert public.tobytes() == got[0].tobytes()
+        cov = got[0]
+        np.testing.assert_array_equal(cov, cov.T)
+        eig = np.linalg.eigvalsh(cov)
+        assert eig.min() >= -1e-8 * np.abs(eig).max()
 
 
 class TestConvergedRunMagnitudes:

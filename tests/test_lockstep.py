@@ -118,9 +118,9 @@ def test_batch_error_escapes_monte_carlo(tmp_path):
 def test_report_failure_is_recorded_per_replication():
     config = ExperimentConfig(horizon=200, reps=_MIN_BATCH, checkpoints=(200,))
     reps = [(i, derive_seed(config.seed, i)) for i in range(config.reps)]
-    with mock.patch.object(experiments, "_checkpoint_report",
+    with mock.patch.object(experiments, "_checkpoint_reports",
                            side_effect=[ValueError("bad")] + [mock.DEFAULT] * 99,
-                           wraps=experiments._checkpoint_report):
+                           wraps=experiments._checkpoint_reports):
         results = _mc_batch((config, reps))
     assert results[0].error == "ValueError: bad"
     assert all(r.error is None and 200 in r.reports for r in results[1:])
