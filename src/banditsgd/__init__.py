@@ -8,8 +8,7 @@ estimate of the optimal rule's value with its plugin variance.  Storage is
 O(p^2) regardless of stream length.
 """
 
-from .engine import (ProtocolError, StreamResult, ipw_gradient, run_stream,
-                     run_stream_lagged, sgd_step)
+from .engine import ProtocolError, StreamResult, run_stream, run_stream_lagged
 from .environments import (LaggedSyntheticEnvironment, ReplayCursor,
                            ReplayEnvironment, ReplayExhausted, ReplayLogEntry,
                            ReplayLogError, SyntheticConfig, SyntheticEnvironment,
@@ -19,18 +18,16 @@ from .experiments import (ConfigError, ExperimentConfig, MonteCarloSummary,
                           TuneAlphaResult, build_config, emit_report,
                           load_config_file, oracle_truth_value, run_monte_carlo,
                           run_replication, run_single, tune_alpha)
-from .inference import (PluginAccumulators, SingularHessianError, accumulate,
-                        normal_cdf, normal_quantile, sandwich_covariance,
-                        two_sided_p, wald_report)
+from .inference import (PluginAccumulators, SingularHessianError, normal_cdf,
+                        normal_quantile, sandwich_covariance, two_sided_p,
+                        wald_report)
 from .models import (HESSIAN_EXACT, HESSIAN_OUTER, LinearModel, LogisticModel,
                      ModelFamily, make_model)
 from .policy import (RngStream, derive_seed, exploration_rate, learning_rate,
-                     propensity, sample_action, splitmix64)
+                     splitmix64)
 from .types import (DimensionError, ExplorationSchedule, InferenceReport,
-                    LearningSchedule, Observation, ParameterState, ReportRow,
-                    decide_optimal)
+                    LearningSchedule, Observation, ParameterState, ReportRow)
 from .value import (ValueAccumulator, oracle_value, raw_value_variance,
-                    update_value, value_estimate, value_standard_error,
-                    value_variance)
+                    value_estimate, value_standard_error, value_variance)
 
 __version__ = "0.1.0"

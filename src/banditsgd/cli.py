@@ -9,6 +9,7 @@ I/O errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import fields
 
@@ -117,6 +118,8 @@ def main(argv=None) -> int:
             result = tune_alpha(config, grid)
             print(f"{config.out}/tune_alpha.{config.format}")
             print(f"best alpha: {result.best_alpha:g}")
+            if math.isnan(result.best_alpha):
+                print("warning: no alpha reached a finite final loss", file=sys.stderr)
         return 0
     except (ConfigError, ReplayLogError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

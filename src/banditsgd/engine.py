@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .environments import SyntheticConfig, SyntheticEnvironment
 from .inference import PluginAccumulators, ipw_weight
 from .models import _HESSIAN_VARIANTS
 from .policy import RngStream, exploration_rate, learning_rate
-from .types import ExplorationSchedule, LearningSchedule, Observation, ParameterState
+from .types import ExplorationSchedule, LearningSchedule, ParameterState
 from .value import ValueAccumulator, default_feature_sampler
 
 
@@ -71,21 +72,6 @@ class StreamResult:
     summary: RunSummary
 
 
-def ipw_gradient(model, beta_prev, obs: Observation, pi_prev: float) -> np.ndarray:
-    """Loss gradient reweighted toward the uniform-random action rule."""
-    return ipw_weight(obs.a, pi_prev) * model.loss_gradient(beta_prev, obs)
-
-
-def sgd_step(state: ParameterState, model, schedule: LearningSchedule,
-             obs: Observation, pi_used: float) -> ParameterState:
-    """One weighted SGD step plus the recursive average; returns a new state."""
-    t_next = state.t + 1
-    g = ipw_gradient(model, state.hat_beta, obs, pi_used)
-    hat = state.hat_beta - learning_rate(schedule, t_next) * g
-    bar = (hat + state.t * state.bar_beta) / t_next
-    return ParameterState(hat, bar, t_next)
-
-
 # Steps held in the pending block before it is folded into the sums (and
 # steps per table block of a lockstep batch).  Each fold builds a
 # (rows, p, p) array, so rows shrink with p to stay within the float budget.
@@ -97,9 +83,9 @@ def _block_rows(p: int) -> int:
     return max(1, min(_BLOCK_ROWS, _BLOCK_FLOATS // (p * p)))
 
 
-def _fold_rows(acc: np.ndarray, outer: np.ndarray, coef: list) -> None:
+def _fold_rows(acc: np.ndarray, outer: np.ndarray, coef: np.ndarray) -> None:
     """Add ``outer[i] * coef[i]`` to ``acc`` in order of ``i``, in place."""
-    stack = np.concatenate((acc[None], outer * np.array(coef)[:, None, None]))
+    stack = np.concatenate((acc[None], outer * coef[:, None, None]))
     if acc.size == 1:
         # A contiguous 1-D reduce adds pairwise; accumulate adds in order.
         acc[...] = np.add.accumulate(stack.ravel())[-1]
@@ -108,24 +94,79 @@ def _fold_rows(acc: np.ndarray, outer: np.ndarray, coef: list) -> None:
         acc[...] = np.add.reduce(stack, axis=0)
 
 
+def _each(fn, *columns: np.ndarray) -> np.ndarray:
+    """``fn`` on the entries of equally shaped arrays, one Python float each."""
+    return np.reshape(list(map(fn, *(c.ravel().tolist() for c in columns))), columns[0].shape)
+
+
+def _fold_steps(model, variant: str, x: np.ndarray, act: np.ndarray, greedy: np.ndarray,
+                y: np.ndarray, w: np.ndarray, eps: np.ndarray, include: np.ndarray,
+                ubar: np.ndarray, plugins: list, values: list) -> None:
+    """Add a run of steps to each replication's plug-in and value sums.
+
+    Row ``i`` is a step, oldest first, and column ``r`` a replication whose
+    sums are ``plugins[r]`` and ``values[r]`` (either list may be empty).
+    Per step and replication: the feature row ``x`` (steps, R, p), the taken
+    and the greedy action, the reward ``y``, the taken action's IPW weight
+    ``w`` and both actions' indexes at the pre-step average, ``ubar``
+    (steps, R, 2).  Per step: the exploration rate ``eps`` (steps,) and
+    whether its value terms count, ``include`` (steps, 1).  Every sum ends
+    bit-identical to adding each step's term as it arrives.
+    """
+    link = model.mean_from_index
+    if plugins:
+        p = x.shape[-1]
+        mu = _each(link, np.where(act, ubar[..., 1], ubar[..., 0]))
+        gw = (mu - y) * w
+        # hessian_scale is + - x only, so it takes the arrays whole.
+        coefs = (gw * gw, model.hessian_scale(mu, y, variant) * w)
+        block = _block_rows(p)
+        for r, plugin in enumerate(plugins):
+            for a, d in ((0, slice(0, p)), (1, slice(p, 2 * p))):
+                taken = np.flatnonzero(act[:, r] == a)
+                for b in range(0, len(taken), block):
+                    j = taken[b:b + block]
+                    xr = x[j, r]
+                    outer = xr[:, :, None] * xr[:, None, :]
+                    _fold_rows(plugin.S_sum[d, d], outer, coefs[0][j, r])
+                    _fold_rows(plugin.H_sum[d, d], outer, coefs[1][j, r])
+            plugin.n += len(y)
+    if values:
+        pi_c = (1.0 - eps / 2.0)[:, None]
+        consistent = act == greedy
+        v = y / pi_c
+        # A zero in place of a skipped term leaves a sum unchanged: sums
+        # start at +0.0 and so never become -0.0.
+        terms = [np.where(consistent & include, v, 0.0),
+                 np.where(consistent & include, y * v, 0.0)]
+        if values[0].aipw:
+            c = consistent.astype(np.float64)
+            mu_g = _each(link, np.where(greedy, ubar[..., 1], ubar[..., 0]))
+            term = np.where(include, c * y / pi_c - (c - pi_c) / pi_c * mu_g, 0.0)
+            terms += [term, term * term]
+        sums = np.array([[a.sum_v, a.sum_v2, a.sum_aipw, a.sum_aipw2] for a in values]).T
+        for j, term in enumerate(terms):
+            sums[j] = np.add.accumulate(np.concatenate((sums[j][None], term)))[-1]
+        included = int(include.sum())
+        for value, column in zip(values, sums.T.tolist()):
+            value.sum_v, value.sum_v2, value.sum_aipw, value.sum_aipw2 = column
+            value.t += included
+
+
 class _UpdateCore:
     """Shared per-step arithmetic for both engine loops.
 
     ``sample`` makes the epsilon-greedy decision and ``apply`` consumes its
     reward.  Keeps the raw iterate and its running average as plain arrays
-    with cached block views.  The IPW weight, the step size and the value
-    update are the package's own ``ipw_weight``, ``learning_rate`` and
-    ``ValueAccumulator.add_scalars``; the SGD step and the plug-in terms
-    mirror ``sgd_step`` and ``accumulate`` (tests assert the equivalence).
+    with cached block views; the IPW weight and the step size are the
+    package's own ``ipw_weight`` and ``learning_rate``.
 
-    The value sums take each step's terms as it arrives.  The plug-in terms
-    are computed with the same scalar arithmetic as one-step-at-a-time
-    folding, but their p x p sums are deferred: a copy of ``x`` and the
-    scalar coefficients wait in a pending block of at most ``_block_rows(p)``
-    steps, which ``fold`` adds to the sums before every snapshot, when the
-    block fills and before the result is returned.  Folding forms the same
-    per-step terms and adds them in the order the steps came, so every sum is
-    bit-identical to adding each step's term as it arrives.
+    ``apply`` takes the SGD step at once but defers the accumulator terms: a
+    copy of ``x`` and the step's raw scalars (actions, reward, weight,
+    exploration rate, include flag and both indexes at the pre-step average)
+    wait in a pending block of at most ``_block_rows(p)`` steps, which
+    ``fold`` hands to ``_fold_steps`` before every snapshot, when the block
+    fills and before the result is returned.
     """
 
     def __init__(self, model, learn: LearningSchedule, *, variant: str,
@@ -134,70 +175,55 @@ class _UpdateCore:
             raise ValueError(f"unknown hessian variant {variant!r}")
         self.learn = learn
         self.variant = variant
+        self.model = model
         p = model.p
         dim = 2 * p
         self.hat = np.zeros(dim)
         self.bar = np.zeros(dim)
         self._hat_blocks = (self.hat[:p], self.hat[p:])
         self._bar_blocks = (self.bar[:p], self.bar[p:])
-        self._rows = _block_rows(p)
-        self._pending = 0
         self.plugin = PluginAccumulators(dim) if collect_inference else None
-        if self.plugin is not None:
-            s, h = self.plugin.S_sum, self.plugin.H_sum
-            self._s_blocks = (s[:p, :p], s[p:, p:])
-            self._h_blocks = (h[:p, :p], h[p:, p:])
-            # Per action block: features, gradient-square and curvature
-            # coefficients of the pending steps.
-            self._px = (np.empty((self._rows, p)), np.empty((self._rows, p)))
-            self._ps = ([], [])
-            self._ph = ([], [])
         self.value = ValueAccumulator(aipw=aipw) if collect_value else None
+        self._sums = ([self.plugin] if collect_inference else [],
+                      [self.value] if collect_value else [])
+        self._rows = _block_rows(p)
+        self._x = np.empty((self._rows, p)) if collect_inference or collect_value else None
+        self._pending: list[tuple] = []
         self._link = model.mean_from_index
-        self._hess_scale = model.hessian_scale
         self._check_reward = model.validate_reward
         self.updates = 0
 
-    def sample(self, x, eps: float, uniform: float) -> tuple[int, float, int, float]:
+    def sample(self, x, eps: float, uniform: float) -> tuple[int, float, int, tuple]:
         """Epsilon-greedy draw at the current average, taking action 1 when
         ``uniform`` falls below its propensity: the greedy action, the
-        propensity of action 1, the sampled action and its linear index."""
+        propensity of action 1, the sampled action and both indexes."""
         # Same expression as the update-time recomputation so that zero-lag
         # delivery reproduces the plain stream bit for bit.
         u0 = float(self._bar_blocks[0].dot(x))
         u1 = float(self._bar_blocks[1].dot(x))
         greedy = 1 if u1 > u0 else 0
         pi = 1.0 - eps / 2.0 if greedy == 1 else eps / 2.0
-        a = 1 if uniform < pi else 0
-        return greedy, pi, a, (u1 if a == 1 else u0)
+        return greedy, pi, 1 if uniform < pi else 0, (u0, u1)
 
     def apply(self, x, a: int, y: float, pi: float, eps: float, greedy: int,
-              include_value: bool = True, u_bar: float | None = None) -> None:
-        """Consume one reward: add the accumulator terms at the pre-step
-        average to the pending block, then take the SGD step with ordinal
-        ``updates + 1``.
+              include_value: bool = True, u_bar: tuple | None = None) -> None:
+        """Consume one reward: record the step for the accumulators at the
+        pre-step average, then take the SGD step with ordinal ``updates + 1``.
 
-        ``u_bar`` may carry the active-block index at the current average when
-        the caller already computed it for the decision.
+        ``u_bar`` may carry both indexes at the current average when the
+        caller already computed them for the decision.
         """
         self._check_reward(y)
         w = ipw_weight(a, pi)
         ordinal = self.updates + 1
 
-        if self.plugin is not None:
+        if self._x is not None:
+            if self.value is not None and include_value and not 0.0 < eps <= 1.0:
+                raise ValueError(f"exploration rate must lie in (0, 1], got {eps}")
             if u_bar is None:
-                u_bar = float(self._bar_blocks[a].dot(x))
-            mu_bar = self._link(u_bar)
-            gw = (mu_bar - y) * w
-            s_coef = self._ps[a]
-            self._px[a][len(s_coef)] = x
-            s_coef.append(gw * gw)
-            self._ph[a].append(self._hess_scale(mu_bar, y, self.variant) * w)
-            self.plugin.n += 1
-        if self.value is not None and include_value:
-            mu_greedy = (self._link(float(self._bar_blocks[greedy].dot(x)))
-                         if self.value.aipw else None)
-            self.value.add_scalars(a, y, greedy, eps, mu_greedy)
+                u_bar = (float(self._bar_blocks[0].dot(x)), float(self._bar_blocks[1].dot(x)))
+            self._x[len(self._pending)] = x
+            self._pending.append((a, greedy, y, w, eps, include_value) + u_bar)
 
         hat_block = self._hat_blocks[a]
         u_hat = float(hat_block.dot(x))
@@ -210,23 +236,20 @@ class _UpdateCore:
         bar += self.hat
         bar /= float(ordinal)
         self.updates = ordinal
-        self._pending += 1
-        if self._pending == self._rows:
+        if len(self._pending) == self._rows:
             self.fold()
 
     def fold(self) -> None:
-        """Add the pending steps to the plug-in sums, oldest first."""
-        if self.plugin is not None:
-            for a in (0, 1):
-                s_coef, h_coef = self._ps[a], self._ph[a]
-                if s_coef:
-                    x = self._px[a][:len(s_coef)]
-                    outer = x[:, :, None] * x[:, None, :]
-                    _fold_rows(self._s_blocks[a], outer, s_coef)
-                    _fold_rows(self._h_blocks[a], outer, h_coef)
-                    s_coef.clear()
-                    h_coef.clear()
-        self._pending = 0
+        """Add the pending steps to the sums, oldest first."""
+        if self._pending:
+            n = len(self._pending)
+            # (steps, R = 1, fields): the last two fields are both indexes.
+            rec = np.fromiter(chain.from_iterable(self._pending), np.float64,
+                              8 * n).reshape(n, 1, 8)
+            a, greedy, y, w, eps, include = (rec[..., k] for k in range(6))
+            _fold_steps(self.model, self.variant, self._x[:n, None], a, greedy, y, w, eps[:, 0],
+                        include != 0.0, rec[..., 6:], *self._sums)
+            self._pending.clear()
 
     def snapshot(self, t: int, eps: float) -> Checkpoint:
         self.fold()
@@ -273,7 +296,7 @@ def run_stream(env, model, learn: LearningSchedule, explore: ExplorationSchedule
             if x is None:
                 summary.exhausted = True
                 break
-            greedy, pi, a, u_a = core.sample(x, eps, rng.uniform())
+            greedy, pi, a, u_bar = core.sample(x, eps, rng.uniform())
             y = env.outcome(x, a)
             if y is not None:
                 break
@@ -282,7 +305,7 @@ def run_stream(env, model, learn: LearningSchedule, explore: ExplorationSchedule
         if observer is not None:
             observer(t, x, a, y, pi, eps, greedy, core.bar)
         include_value = not (skip_value_burn_in and t <= explore.burn_in)
-        core.apply(x, a, float(y), pi, eps, greedy, include_value, u_bar=u_a)
+        core.apply(x, a, float(y), pi, eps, greedy, include_value, u_bar=u_bar)
         summary.total_reward += y
         summary.steps = t
         if t in cp_set:
@@ -440,11 +463,11 @@ def _run_synthetic(synth: SyntheticConfig, learn: LearningSchedule,
         for t, x, uniform, y_pair in zip(range(start + 1, start + n + 1), feats,
                                          uni.tolist(), rewards):
             eps = exploration_rate(explore, t)
-            greedy, pi, a, u_a = core.sample(x, eps, uniform)
+            greedy, pi, a, u_bar = core.sample(x, eps, uniform)
             y = y_pair[a]
             if observer is not None:
                 observer(t, x, a, y, pi, eps, greedy, core.bar)
-            core.apply(x, a, y, pi, eps, greedy, t > value_from, u_bar=u_a)
+            core.apply(x, a, y, pi, eps, greedy, t > value_from, u_bar=u_bar)
             summary.total_reward += y
             if t in cp_set:
                 summary.checkpoints.append(core.snapshot(t, eps))
@@ -467,11 +490,6 @@ _LOCKSTEP_FLOATS = 2 ** 22
 def _lockstep_capacity(p: int) -> int:
     """Most replications one lockstep batch holds within the float budget."""
     return max(1, _LOCKSTEP_FLOATS // (SyntheticEnvironment._CHUNK * (p + 14)))
-
-
-def _each(fn, *columns: np.ndarray) -> np.ndarray:
-    """``fn`` on the entries of equally shaped arrays, one Python float each."""
-    return np.reshape(list(map(fn, *(c.ravel().tolist() for c in columns))), columns[0].shape)
 
 
 def _run_lockstep(synth: SyntheticConfig, learn: LearningSchedule,
@@ -519,7 +537,7 @@ def _run_lockstep(synth: SyntheticConfig, learn: LearningSchedule,
     values = [ValueAccumulator(aipw=aipw) for _ in seeds] if collect_value else []
     loss_total = np.zeros(reps)
     losses = np.empty((reps, len(grid))) if grid else None
-    block = _block_rows(p)
+    value_from = explore.burn_in if skip_value_burn_in else 0
 
     def fold(i0: int, i1: int) -> None:
         """Add steps i0..i1-1 of the current block to the sums."""
@@ -528,45 +546,11 @@ def _run_lockstep(synth: SyntheticConfig, learn: LearningSchedule,
         act = np.where(greedy, act_t[span, :, 1], act_t[span, :, 0])
         y = np.where(act, y_t[span, :, 1], y_t[span, :, 0])
         w = np.where(greedy, w_t[span, :, 1], w_t[span, :, 0])
-        if collect_inference or grid:
-            mu = _each(link, np.where(act, ubar[span, :, 1], ubar[span, :, 0]))
-        if collect_inference:
-            gw = (mu - y) * w
-            # hessian_scale is + - x only, so it takes the arrays whole.
-            coefs = (gw * gw, model.hessian_scale(mu, y, hessian) * w)
-            for r, plugin in enumerate(plugins):
-                for a, d in ((0, slice(0, p)), (1, slice(p, 2 * p))):
-                    taken = np.flatnonzero(act[:, r] == a)
-                    for b in range(0, len(taken), block):
-                        j = taken[b:b + block]
-                        x = x_k[i0 + j, r]
-                        outer = x[:, :, None] * x[:, None, :]
-                        _fold_rows(plugin.S_sum[d, d], outer, coefs[0][j, r])
-                        _fold_rows(plugin.H_sum[d, d], outer, coefs[1][j, r])
-                plugin.n += i1 - i0
-        if collect_value:
-            include = np.arange(t0 + 1, t0 + 1 + i1 - i0)[:, None] > (
-                explore.burn_in if skip_value_burn_in else 0)
-            pi_c = (1.0 - eps_k[span] / 2.0)[:, None]
-            consistent = act == greedy
-            v = y / pi_c
-            # A zero in place of a skipped term leaves a sum unchanged: sums
-            # start at +0.0 and so never become -0.0.
-            terms = [np.where(consistent & include, v, 0.0),
-                     np.where(consistent & include, y * v, 0.0)]
-            if aipw:
-                c = consistent.astype(np.float64)
-                mu_g = _each(link, np.where(greedy, ubar[span, :, 1], ubar[span, :, 0]))
-                term = np.where(include, c * y / pi_c - (c - pi_c) / pi_c * mu_g, 0.0)
-                terms += [term, term * term]
-            sums = np.array([[a.sum_v, a.sum_v2, a.sum_aipw, a.sum_aipw2] for a in values]).T
-            for j, term in enumerate(terms):
-                sums[j] = np.add.accumulate(np.concatenate((sums[j][None], term)))[-1]
-            included = int(include.sum())
-            for value, column in zip(values, sums.T.tolist()):
-                value.sum_v, value.sum_v2, value.sum_aipw, value.sum_aipw2 = column
-                value.t += included
+        include = np.arange(t0 + 1, t0 + 1 + i1 - i0)[:, None] > value_from
+        _fold_steps(model, hessian, x_k[span], act, greedy, y, w, eps_k[span], include,
+                    ubar[span], plugins, values)
         if grid:
+            mu = _each(link, np.where(act, ubar[span, :, 1], ubar[span, :, 0]))
             running = np.add.accumulate(np.concatenate(
                 (loss_total[None], _each(model.loss_from_mean, mu, y))))
             loss_total[:] = running[-1]

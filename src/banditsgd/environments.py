@@ -207,6 +207,8 @@ def load_replay_log(path) -> list[ReplayLogEntry]:
                 prop = float(row[p + 2]) if has_prop else 0.5
             except ValueError as exc:
                 raise ReplayLogError(f"row {i}: {exc}") from None
+            if not np.isfinite(x).all():
+                raise ReplayLogError(f"row {i}: features must be finite, got {row[:p]!r}")
             if action_f not in (0.0, 1.0):
                 raise ReplayLogError(f"row {i}: action must be 0 or 1, got {row[p]!r}")
             if not 0.0 < prop < 1.0:
@@ -239,9 +241,6 @@ class ReplayCursor:
         self._i = 0
         self.matched = 0
         self.skipped = 0
-        p = self.entries[0].x.shape[0] if self.entries else 0
-        self._sum_all = np.zeros(p)
-        self._sum_matched = np.zeros(p)
 
     @property
     def exhausted(self) -> bool:
@@ -264,23 +263,11 @@ class ReplayCursor:
             raise ValueError(f"proposed action must be 0 or 1, got {proposed!r}")
         entry = self.entries[self._i]
         self._i += 1
-        self._sum_all += entry.x
         if proposed == entry.action:
             self.matched += 1
-            self._sum_matched += entry.x
             return Observation(entry.x, proposed, entry.reward)
         self.skipped += 1
         return None
-
-    def feature_mean_all(self) -> np.ndarray:
-        if self.consumed == 0:
-            raise ValueError("no entries consumed yet")
-        return self._sum_all / self.consumed
-
-    def feature_mean_matched(self) -> np.ndarray:
-        if self.matched == 0:
-            raise ValueError("no matched entries yet")
-        return self._sum_matched / self.matched
 
 
 class ReplayEnvironment:

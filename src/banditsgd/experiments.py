@@ -86,9 +86,14 @@ class ExperimentConfig:
             raise ConfigError("confidence level must lie in (0, 1)")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
+        for name in _FLOAT_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         beta0 = self.beta0_array()
         if beta0.shape[0] != 2 * self.p:
             raise ConfigError(f"beta0 has length {beta0.shape[0]}, expected {2 * self.p}")
+        if not np.isfinite(beta0).all():
+            raise ConfigError(f"beta0 entries must be finite, got {self.beta0!r}")
         for t in self.effective_checkpoints():
             if not 1 <= t <= self.horizon:
                 raise ConfigError(f"checkpoint {t} outside [1, {self.horizon}]")
@@ -145,7 +150,7 @@ def parse_eps_spec(spec: str, burn_in: int) -> ExplorationSchedule:
 
 _BOOL_FIELDS = {"aipw", "ridge", "value_skip_burn_in"}
 _INT_FIELDS = {"p", "burn_in", "horizon", "reps", "seed", "workers", "oracle_draws"}
-_FLOAT_FIELDS = {"sigma2", "alpha", "gamma", "level"}
+_FLOAT_FIELDS = ("sigma2", "alpha", "gamma", "level")
 _TUPLE_FLOAT_FIELDS = {"beta0"}
 _TUPLE_INT_FIELDS = {"checkpoints"}
 
@@ -578,11 +583,14 @@ def loss_grid(horizon: int, points: int = 60) -> np.ndarray:
 
 
 def tune_alpha(config: ExperimentConfig, alpha_grid, write: bool = True) -> TuneAlphaResult:
-    """Compare running mean loss across step-size constants; lowest final wins."""
+    """Compare running mean loss across step-size constants; the lowest finite
+    final loss wins, and ``best_alpha`` is NaN when no final loss is finite."""
     config.validate()
     alphas = [float(a) for a in alpha_grid]
     if not alphas:
         raise ConfigError("alpha grid must not be empty")
+    if not all(map(math.isfinite, alphas)):
+        raise ConfigError(f"alpha grid entries must be finite, got {alpha_grid!r}")
     if any(a <= 0 for a in alphas):
         raise ConfigError("alpha grid entries must be positive")
     repeated = [a for k, a in enumerate(alphas) if a in alphas[:k]]
@@ -600,7 +608,9 @@ def tune_alpha(config: ExperimentConfig, alpha_grid, write: bool = True) -> Tune
         for k, t in enumerate(grid):
             rows.append(TuneAlphaRow(a, int(t), float(mean[k]), float(p05[k]), float(p95[k])))
         final_loss[a] = float(mean[-1])
-    best = min(final_loss, key=final_loss.get)
+    # A diverged constant has a NaN (or infinite) loss and never wins.
+    finite = {a: v for a, v in final_loss.items() if math.isfinite(v)}
+    best = min(finite, key=finite.get) if finite else math.nan
     result = TuneAlphaResult(rows=rows, final_loss=final_loss, best_alpha=best)
     if write:
         out_dir = Path(config.out)

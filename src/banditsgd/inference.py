@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .types import InferenceReport, Observation, ReportRow
+from .types import InferenceReport, ReportRow
 
 # A curvature estimate with a larger condition number is not inverted as is.
 _MAX_CONDITION = 1e12
@@ -49,25 +49,6 @@ class PluginAccumulators:
         out.n = self.n
         return out
 
-    def merge(self, other: "PluginAccumulators") -> "PluginAccumulators":
-        """Combine streams by summing sums and counts."""
-        if other.dim != self.dim:
-            raise ValueError("cannot merge accumulators of different dimensions")
-        self.S_sum += other.S_sum
-        self.H_sum += other.H_sum
-        self.n += other.n
-        return self
-
-    def s_hat(self) -> np.ndarray:
-        if self.n < 1:
-            raise ValueError("no accumulated steps")
-        return self.S_sum / self.n
-
-    def h_hat(self) -> np.ndarray:
-        if self.n < 1:
-            raise ValueError("no accumulated steps")
-        return self.H_sum / self.n
-
 
 def ipw_weight(a: int, pi: float) -> float:
     """Importance ratio toward the uniform-random rule: 1/(2*pi) for action 1,
@@ -75,22 +56,6 @@ def ipw_weight(a: int, pi: float) -> float:
     if not 0.0 < pi < 1.0:
         raise ValueError(f"propensity must lie strictly in (0, 1), got {pi}")
     return 1.0 / (2.0 * pi) if a == 1 else 1.0 / (2.0 * (1.0 - pi))
-
-
-def accumulate(acc: PluginAccumulators, model, bar_beta_prev, obs: Observation,
-               pi_prev: float, variant: str = "exact") -> PluginAccumulators:
-    """Add one step to the running sums.
-
-    ``bar_beta_prev`` must be the averaged iterate before the step and
-    ``pi_prev`` the propensity that actually sampled ``obs.a``.  Mutates and
-    returns ``acc``.
-    """
-    w = ipw_weight(obs.a, pi_prev)
-    g = w * model.loss_gradient(bar_beta_prev, obs)
-    acc.S_sum += np.outer(g, g)
-    acc.H_sum += w * model.loss_hessian(bar_beta_prev, obs, variant)
-    acc.n += 1
-    return acc
 
 
 def sandwich_covariance(acc: PluginAccumulators, *, ridge: bool = False) -> np.ndarray:

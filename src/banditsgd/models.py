@@ -17,8 +17,6 @@ import math
 
 import numpy as np
 
-from .types import DimensionError, Observation, as_float_vector
-
 HESSIAN_EXACT = "exact"
 HESSIAN_OUTER = "outer"  # squared-residual outer product (mean - y)^2 grad_u grad_u^T
 _HESSIAN_VARIANTS = (HESSIAN_EXACT, HESSIAN_OUTER)
@@ -46,8 +44,8 @@ class ModelFamily:
     """Common machinery for block-linear index families.
 
     Subclasses provide the index-to-mean link, the per-observation loss, and
-    the curvature scale; gradient and curvature assembly live here because the
-    rank-one structure is shared.
+    the curvature scale; the engine assembles gradients and curvatures from
+    them, because the rank-one structure is shared.
     """
 
     tag: str = ""
@@ -56,20 +54,6 @@ class ModelFamily:
         if p < 1:
             raise ValueError("feature dimension must be at least 1")
         self.p = int(p)
-
-    # -- index ------------------------------------------------------------
-    def linear_index(self, a: int, x, beta) -> float:
-        x = as_float_vector(x, "x")
-        beta = as_float_vector(beta, "beta")
-        p = self.p
-        if x.shape[0] != p:
-            raise DimensionError(f"x has length {x.shape[0]}, expected {p}")
-        if beta.shape[0] != 2 * p:
-            raise DimensionError(f"beta has length {beta.shape[0]}, expected {2 * p}")
-        if a not in (0, 1):
-            raise ValueError(f"action must be 0 or 1, got {a!r}")
-        block = beta[p:] if a == 1 else beta[:p]
-        return float(x @ block)
 
     # -- hooks implemented by subclasses ----------------------------------
     def mean_from_index(self, u: float) -> float:
@@ -86,35 +70,6 @@ class ModelFamily:
 
     def validate_reward(self, y: float) -> None:
         """Reject rewards outside the family's support (no-op by default)."""
-
-    # -- public operations --------------------------------------------------
-    def mean_reward(self, a: int, x, beta) -> float:
-        u = self.linear_index(a, x, beta)
-        if not math.isfinite(u):
-            raise ValueError(f"linear index is not finite: {u!r}")
-        return self.mean_from_index(u)
-
-    def loss(self, beta, obs: Observation) -> float:
-        self.validate_reward(obs.y)
-        return self.loss_from_mean(self.mean_reward(obs.a, obs.x, beta), obs.y)
-
-    def loss_gradient(self, beta, obs: Observation) -> np.ndarray:
-        self.validate_reward(obs.y)
-        mu = self.mean_reward(obs.a, obs.x, beta)
-        g = np.zeros(2 * self.p)
-        off = self.p if obs.a == 1 else 0
-        g[off:off + self.p] = (mu - obs.y) * obs.x
-        return g
-
-    def loss_hessian(self, beta, obs: Observation, variant: str = HESSIAN_EXACT) -> np.ndarray:
-        if variant not in _HESSIAN_VARIANTS:
-            raise ValueError(f"unknown hessian variant {variant!r}")
-        self.validate_reward(obs.y)
-        mu = self.mean_reward(obs.a, obs.x, beta)
-        h = np.zeros((2 * self.p, 2 * self.p))
-        off = self.p if obs.a == 1 else 0
-        h[off:off + self.p, off:off + self.p] = self.hessian_scale(mu, obs.y, variant) * np.outer(obs.x, obs.x)
-        return h
 
 
 class LinearModel(ModelFamily):

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .types import ExplorationSchedule, LearningSchedule, decide_optimal
+from .types import ExplorationSchedule, LearningSchedule
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -62,23 +62,3 @@ def exploration_rate(schedule: ExplorationSchedule, t: int) -> float:
     if schedule.kind == "fixed":
         return schedule.eps_fixed
     return max(float(t) ** (-schedule.decay_exponent), schedule.eps_floor)
-
-
-def propensity(model, bar_beta, x, eps: float) -> float:
-    """Probability of taking action 1 under the epsilon-greedy rule.
-
-    Returns 1 - eps/2 when the greedy action is 1 and eps/2 otherwise, so the
-    probability of either action is at least eps/2 > 0.
-    """
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"exploration rate must lie in (0, 1], got {eps}")
-    if decide_optimal(model, bar_beta, x) == 1:
-        return 1.0 - eps / 2.0
-    return eps / 2.0
-
-
-def sample_action(pi: float, rng: RngStream) -> int:
-    """Draw an action from Bernoulli(pi) by inversion; consumes one uniform."""
-    if not 0.0 < pi < 1.0:
-        raise ValueError(f"propensity must lie strictly in (0, 1), got {pi}")
-    return 1 if rng.uniform() < pi else 0

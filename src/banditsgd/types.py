@@ -66,10 +66,6 @@ class ParameterState:
         if self.t < 0:
             raise ValueError("step count must be nonnegative")
 
-    @classmethod
-    def zeros(cls, p: int) -> "ParameterState":
-        return cls(np.zeros(2 * p), np.zeros(2 * p), 0)
-
 
 @dataclass(frozen=True)
 class LearningSchedule:
@@ -171,17 +167,3 @@ class InferenceReport:
             if r.name == name:
                 return r
         raise KeyError(name)
-
-
-def decide_optimal(model, beta, x) -> int:
-    """Greedy action: 1 iff the modeled mean reward of action 1 strictly exceeds
-    that of action 0; exact ties resolve to 0.
-
-    Both shipped families are index models whose mean is strictly increasing in
-    the linear index, so the comparison is done on the index itself.  This is
-    equivalent to comparing mean rewards and is robust where the mean saturates
-    in floating point.
-    """
-    u0 = model.linear_index(0, x, beta)
-    u1 = model.linear_index(1, x, beta)
-    return 1 if u1 > u0 else 0

@@ -5,15 +5,14 @@ agreed with the current greedy action and pi_C = 1 - eps/2 is the known
 probability of that agreement.  A running sum of C * y^2 / pi_C supports the
 plugin variance.  The augmented variant adds a model-based correction and is
 experimental: its variance is reported through the same plugin form applied
-to its summands, which has no established guarantee.
+to its summands, which has no established guarantee.  The engine forms the
+per-step terms and adds them to these sums (``engine._fold_steps``).
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-
-from .types import Observation
 
 _ORACLE_BATCH = 65536  # feature rows per numpy pass of oracle_value
 
@@ -35,42 +34,6 @@ class ValueAccumulator:
         out.sum_aipw, out.sum_aipw2 = self.sum_aipw, self.sum_aipw2
         out.t = self.t
         return out
-
-    def merge(self, other: "ValueAccumulator") -> "ValueAccumulator":
-        self.sum_v += other.sum_v
-        self.sum_v2 += other.sum_v2
-        self.sum_aipw += other.sum_aipw
-        self.sum_aipw2 += other.sum_aipw2
-        self.t += other.t
-        return self
-
-    def add_scalars(self, a: int, y: float, decided_optimal: int, eps_t: float,
-                    mu_hat: float | None = None) -> None:
-        if not 0.0 < eps_t <= 1.0:
-            raise ValueError(f"exploration rate must lie in (0, 1], got {eps_t}")
-        pi_c = 1.0 - eps_t / 2.0
-        consistent = a == decided_optimal
-        if consistent:
-            w = y / pi_c
-            self.sum_v += w
-            self.sum_v2 += y * w
-        if self.aipw:
-            if mu_hat is None:
-                raise ValueError("augmented estimator requires the modeled mean reward")
-            c = 1.0 if consistent else 0.0
-            term = c * y / pi_c - (c - pi_c) / pi_c * mu_hat
-            self.sum_aipw += term
-            self.sum_aipw2 += term * term
-        self.t += 1
-
-
-def update_value(acc: ValueAccumulator, obs: Observation, decided_optimal: int,
-                 eps_t: float, mu_hat: float | None = None) -> ValueAccumulator:
-    """Add one step; ``decided_optimal`` is the greedy action under the
-    pre-step averaged iterate and ``eps_t`` the exploration rate in force when
-    the action was sampled.  Mutates and returns ``acc``."""
-    acc.add_scalars(obs.a, obs.y, decided_optimal, eps_t, mu_hat)
-    return acc
 
 
 def value_estimate(acc: ValueAccumulator, aipw: bool = False) -> float:

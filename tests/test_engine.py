@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 from banditsgd import (ExplorationSchedule, LearningSchedule, LinearModel,
                        LogisticModel, Observation, ParameterState, ProtocolError,
                        RngStream, SyntheticConfig, SyntheticEnvironment,
-                       exploration_rate, ipw_gradient, make_model, run_stream,
-                       run_stream_lagged, sgd_step)
+                       exploration_rate, make_model, run_stream, run_stream_lagged)
 from banditsgd import engine
 from banditsgd.environments import LaggedSyntheticEnvironment, constant_lag, geometric_lag
 from banditsgd.experiments import _loss_at_bar, _map_jobs, _trace_writer
-from banditsgd.inference import PluginAccumulators, accumulate, ipw_weight
-from banditsgd.value import ValueAccumulator, update_value
+from banditsgd.inference import PluginAccumulators, ipw_weight
+from banditsgd.value import ValueAccumulator
+
+from oracle import (accumulate, ipw_gradient, loss_gradient, mean_reward, sgd_step,
+                    update_value, zero_state)
 
 BETA0 = np.array([0.3, -0.1, 0.7, 0.8, 0.5, -0.4])
 LEARN = LearningSchedule(0.5, 0.501)
@@ -43,19 +45,19 @@ class TestIpwGradient:
         m = LinearModel(3)
         obs = Observation([1.0, 0.3, -0.2], 1, 0.7)
         np.testing.assert_allclose(ipw_gradient(m, BETA0, obs, 0.5),
-                                   m.loss_gradient(BETA0, obs), rtol=1e-15)
+                                   loss_gradient(m, BETA0, obs), rtol=1e-15)
 
     def test_action_one_scaling(self):
         m = LinearModel(3)
         obs = Observation([1.0, 0.3, -0.2], 1, 0.7)
         np.testing.assert_allclose(ipw_gradient(m, BETA0, obs, 0.9),
-                                   m.loss_gradient(BETA0, obs) / 1.8, rtol=1e-15)
+                                   loss_gradient(m, BETA0, obs) / 1.8, rtol=1e-15)
 
     def test_action_zero_scaling(self):
         m = LinearModel(3)
         obs = Observation([1.0, 0.3, -0.2], 0, 0.7)
         np.testing.assert_allclose(ipw_gradient(m, BETA0, obs, 0.9),
-                                   m.loss_gradient(BETA0, obs) / 0.2, rtol=1e-15)
+                                   loss_gradient(m, BETA0, obs) / 0.2, rtol=1e-15)
 
     def test_propensity_bounds(self):
         m = LinearModel(3)
@@ -109,7 +111,7 @@ def _mc_gradient_mean_gap(model, beta, x, pi, n, rng):
 class TestSgdStep:
     def test_hand_computed_first_step(self):
         m = LinearModel(3)
-        state = ParameterState.zeros(3)
+        state = zero_state(3)
         obs = Observation([1.0, 0.0, 0.0], 1, 1.0)
         new = sgd_step(state, m, LEARN, obs, 0.5)
         np.testing.assert_allclose(new.hat_beta, [0, 0, 0, 0.5, 0, 0], atol=1e-15)
@@ -121,7 +123,7 @@ class TestSgdStep:
         hat = BETA0.copy()
         state = ParameterState(hat, hat.copy(), 5)
         x = np.array([1.0, 0.2, -0.1])
-        obs = Observation(x, 1, m.mean_reward(1, x, BETA0))
+        obs = Observation(x, 1, mean_reward(m, 1, x, BETA0))
         new = sgd_step(state, m, LEARN, obs, 0.7)
         np.testing.assert_array_equal(new.hat_beta, state.hat_beta)
         np.testing.assert_allclose(new.bar_beta, state.bar_beta, rtol=1e-15)
@@ -129,7 +131,7 @@ class TestSgdStep:
 
     def test_value_semantics(self):
         m = LinearModel(3)
-        state = ParameterState.zeros(3)
+        state = zero_state(3)
         before_hat = state.hat_beta.copy()
         obs = Observation([1.0, 1.0, -1.0], 0, 2.0)
         sgd_step(state, m, LEARN, obs, 0.4)
@@ -153,7 +155,7 @@ class TestSgdStep:
     def test_average_matches_store_all_oracle(self):
         m = LogisticModel(3)
         rng = np.random.default_rng(55)
-        state = ParameterState.zeros(3)
+        state = zero_state(3)
         iterates = []
         for _ in range(500):
             x = np.append(1.0, rng.standard_normal(2))
@@ -193,7 +195,7 @@ class TestRunStream:
                          ExplorationSchedule.fixed(0.2, burn_in=10), rng, 1500,
                          observer=lambda t, x, a, y, pi, eps, greedy, bar: steps.append(
                              (bar.copy(), Observation(x, a, y), pi, eps, greedy)))
-        state = ParameterState.zeros(3)
+        state = zero_state(3)
         acc = PluginAccumulators(6)
         val = ValueAccumulator()
         for bar_prev, obs, pi, eps, greedy in steps:
@@ -510,6 +512,34 @@ class TestSyntheticTables:
                     assert u == v and type(u) in (int, float)
 
 
+@settings(max_examples=30, deadline=None)
+@given(family=st.sampled_from(["linear", "logistic"]),
+       hessian=st.sampled_from(["exact", "outer"]), aipw=st.booleans(),
+       skip=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+       horizon=st.integers(1, 2500), data=st.data())
+def test_zero_lag_equals_plain_stream_bit_for_bit(family, hessian, aipw, skip, seed,
+                                                  horizon, data):
+    checkpoints = data.draw(st.sets(st.integers(1, horizon), max_size=5))
+    model = make_model(family, 3)
+    config = SyntheticConfig(model, BETA0)
+    kw = dict(hessian=hessian, aipw=aipw, skip_value_burn_in=skip, checkpoints=checkpoints)
+    rng = RngStream(seed)
+    plain = run_stream(SyntheticEnvironment(config, rng), model, LEARN, EXPLORE, rng,
+                       horizon, **kw)
+    rng = RngStream(seed)
+    lagged = run_stream_lagged(LaggedSyntheticEnvironment(config, rng, lag=0), model,
+                               LEARN, EXPLORE, rng, horizon, **kw)
+    assert lagged.summary.pending == 0
+    assert (lagged.summary.steps, lagged.summary.updates, lagged.summary.total_reward) \
+        == (plain.summary.steps, plain.summary.updates, plain.summary.total_reward)
+    np.testing.assert_array_equal(lagged.state.hat_beta, plain.state.hat_beta)
+    np.testing.assert_array_equal(lagged.state.bar_beta, plain.state.bar_beta)
+    got, want = lagged.summary.checkpoints, plain.summary.checkpoints
+    assert [(cp.t, cp.eps) for cp in got] == [(cp.t, cp.eps) for cp in want]
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a.bar_beta, b.bar_beta)
+    _assert_same_sums([_sums(r) for r in got + [lagged]], [_sums(r) for r in want + [plain]])
+
 class _RecordingLaggedEnv:
     """Wraps a lagged environment, logging actions and arrivals in call order."""
 
@@ -537,7 +567,7 @@ def _store_and_replay_reference(model, learn, explore, events):
     freezes between updates, and each arriving reward applies one update with
     the propensity stored at decision time and an ordinal learning-rate
     index."""
-    state = ParameterState.zeros(model.p)
+    state = zero_state(model.p)
     stored = {}
     for ev in events:
         if ev[0] == "action":
@@ -578,7 +608,7 @@ class TestRunStreamLagged:
         run_stream(env2, m2, LEARN, EXPLORE, rng2, 600,
                    observer=lambda t, x, a, y, pi, eps, greedy, bar: steps.append(
                        (bar.copy(), Observation(x, a, y), pi, eps, greedy)))
-        state = ParameterState.zeros(3)
+        state = zero_state(3)
         for bar_prev, obs, pi, eps, greedy in steps[:-1]:
             state = sgd_step(state, m2, LEARN, obs, pi)
         assert lag_res.summary.updates == 599

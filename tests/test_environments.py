@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from banditsgd import (LinearModel, LogisticModel, ReplayCursor, ReplayExhausted,
                        ReplayLogEntry, ReplayLogError, RngStream, SyntheticConfig,
@@ -9,6 +11,8 @@ from banditsgd import (LinearModel, LogisticModel, ReplayCursor, ReplayExhausted
 from banditsgd.environments import (LaggedSyntheticEnvironment, constant_lag,
                                     geometric_lag)
 from banditsgd.types import DimensionError
+
+from oracle import MeanTrackingCursor
 
 BETA0 = np.array([0.3, -0.1, 0.7, 0.8, 0.5, -0.4])
 
@@ -190,12 +194,39 @@ class TestReplayLogIO:
         with pytest.raises(ReplayLogError, match="row 1"):
             load_replay_log(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_reports_row(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x1,x2,action,reward\n1.0,0.5,0,1.0\n1.0,{value},1,0.0\n")
+        with pytest.raises(ReplayLogError, match="row 2: features must be finite"):
+            load_replay_log(path)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f1,f2,action,reward\n1.0,1.0,0,0.5\n")
         with pytest.raises(ReplayLogError, match="header"):
             load_replay_log(path)
 
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.integers(1, 4), data=st.data())
+def test_replay_log_round_trips(p, data, tmp_path_factory):
+    """Every finite row written by write_replay_log reads back bit for bit."""
+    rows = data.draw(st.lists(st.tuples(
+        st.lists(_FINITE, min_size=p, max_size=p), st.integers(0, 1), _FINITE,
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)), min_size=1, max_size=20))
+    entries = [ReplayLogEntry(np.array(x), a, y, prop) for x, a, y, prop in rows]
+    path = tmp_path_factory.mktemp("log") / "log.csv"
+    write_replay_log(path, entries)
+    back = load_replay_log(path)
+    assert len(back) == len(entries)
+    for a, b in zip(entries, back):
+        assert a.x.tobytes() == b.x.tobytes()
+        assert (a.action, a.reward, a.propensity) == (b.action, b.reward, b.propensity)
+        assert math.copysign(1.0, a.reward) == math.copysign(1.0, b.reward)
 
 class TestReplayCursor:
     def test_match_keeps_reward(self):
@@ -236,7 +267,7 @@ class TestReplayCursor:
     def test_matched_subpopulation_representative(self):
         n = 20_000
         entries = _make_entries(n, seed=5)
-        cursor = ReplayCursor(entries)
+        cursor = MeanTrackingCursor(entries)
         gen = np.random.default_rng(6)
         while not cursor.exhausted:
             cursor.step(int(gen.integers(0, 2)))

@@ -89,6 +89,17 @@ class TestConfig:
         assert cfg.burn_in == 25 and cfg.aipw is True
         assert cfg.checkpoints == (1000, 2000)  # None override is ignored
 
+    @pytest.mark.parametrize("field,value", [("alpha", math.inf), ("sigma2", math.inf),
+                                             ("alpha", math.nan), ("gamma", math.nan)])
+    def test_non_finite_value_names_its_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            ExperimentConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    def test_non_finite_beta0_entry_rejected(self, entry):
+        with pytest.raises(ConfigError, match="beta0 entries must be finite"):
+            ExperimentConfig(beta0=(0.3, -0.1, 0.7, 0.8, 0.5, entry)).validate()
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("mystery = 1\n")
@@ -107,6 +118,52 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config_file(path)
 
+
+def _config_file_text(cfg: ExperimentConfig) -> str:
+    """``cfg`` as a ``key = value`` config file, every field written out."""
+    lines = []
+    for f in fields(cfg):
+        v = getattr(cfg, f.name)
+        if v is None:
+            continue
+        if isinstance(v, tuple):
+            v = ",".join(map(repr, v))
+        elif isinstance(v, float):
+            v = repr(v)
+        lines.append(f"{f.name} = {v}")
+    return "\n".join(lines) + "\n"
+
+
+_POSITIVE = st.floats(1e-6, 1e6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_config_file_round_trips(data, tmp_path_factory):
+    """A valid config written as a config file reads back equal."""
+    p = data.draw(st.integers(1, 4))
+    horizon = data.draw(st.integers(1, 10 ** 6))
+    cfg = ExperimentConfig(
+        model=data.draw(st.sampled_from(["linear", "logistic"])), p=p,
+        beta0=tuple(data.draw(st.lists(st.floats(-10, 10), min_size=2 * p, max_size=2 * p))),
+        sigma2=data.draw(st.floats(0.0, 100.0)), alpha=data.draw(_POSITIVE),
+        gamma=data.draw(st.floats(0.5, 1.0, exclude_min=True, exclude_max=True)),
+        eps=data.draw(st.sampled_from(["fixed:0.2", "fixed:1", "decay:0.3,0.1"])),
+        burn_in=data.draw(st.integers(0, 1000)), horizon=horizon,
+        reps=data.draw(st.integers(1, 10 ** 4)), seed=data.draw(st.integers(0, 2 ** 63)),
+        checkpoints=data.draw(st.one_of(st.none(), st.sets(
+            st.integers(1, horizon), min_size=1, max_size=5).map(lambda c: tuple(sorted(c))))),
+        hessian=data.draw(st.sampled_from(["exact", "outer"])),
+        aipw=data.draw(st.booleans()), ridge=data.draw(st.booleans()),
+        level=data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        workers=data.draw(st.integers(1, 8)), value_skip_burn_in=data.draw(st.booleans()),
+        oracle_draws=data.draw(st.integers(1, 10 ** 7)),
+        replay_log=data.draw(st.one_of(st.none(), st.just("logs/clicks.csv"))),
+        out=data.draw(st.sampled_from(["results", "out/run-1"])),
+        format=data.draw(st.sampled_from(["csv", "json"]))).validate()
+    path = tmp_path_factory.mktemp("cfg") / "exp.cfg"
+    path.write_text(_config_file_text(cfg))
+    assert build_config(load_config_file(path)) == cfg
 
 class TestRunSingle:
     def test_writes_checkpoint_reports(self, tmp_path):
@@ -351,6 +408,29 @@ class TestTuneAlpha:
     def test_repeated_constant_rejected(self):
         with pytest.raises(ConfigError, match="alpha grid repeats 0.5"):
             tune_alpha(small_config(), [0.5, 0.25, 0.5], write=False)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_non_finite_constant_rejected(self, entry):
+        with pytest.raises(ConfigError, match="alpha grid entries must be finite"):
+            tune_alpha(small_config(), [0.5, entry], write=False)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("grid", [[1e300, 0.5], [0.5, 1e300]])
+    def test_diverged_constant_never_wins(self, grid):
+        result = tune_alpha(small_config(reps=2, horizon=200, checkpoints=None), grid,
+                            write=False)
+        assert not math.isfinite(result.final_loss[1e300])
+        assert result.best_alpha == 0.5
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_all_diverged_grid_has_no_best(self, tmp_path):
+        cfg = small_config(reps=2, horizon=200, checkpoints=None, out=str(tmp_path / "t"),
+                           format="json")
+        result = tune_alpha(cfg, [1e300, 1e299])
+        assert not any(map(math.isfinite, result.final_loss.values()))
+        assert math.isnan(result.best_alpha)
+        summary = json.loads((tmp_path / "t" / "tune_alpha_summary.json").read_text())
+        assert summary["best_alpha"] is None
 
 
 class TestEmitReport:

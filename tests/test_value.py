@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from banditsgd import (LinearModel, LogisticModel, Observation, RngStream,
-                       oracle_value, raw_value_variance, update_value,
-                       value_estimate, value_standard_error, value_variance)
+                       oracle_value, raw_value_variance, value_estimate,
+                       value_standard_error, value_variance)
 from banditsgd.experiments import ExperimentConfig, _launch, _mc_batch
 from banditsgd.value import ValueAccumulator
+
+from oracle import merge_value, update_value
 
 BETA0 = np.array([0.3, -0.1, 0.7, 0.8, 0.5, -0.4])
 
@@ -53,7 +55,7 @@ class TestUpdateValue:
         a, b = ValueAccumulator(), ValueAccumulator()
         update_value(a, Observation([1.0], 1, 2.0), 1, 0.2)
         update_value(b, Observation([1.0], 0, 1.0), 0, 0.4)
-        a.merge(b)
+        merge_value(a, b)
         assert a.t == 2
         assert a.sum_v == pytest.approx(2.0 / 0.9 + 1.0 / 0.8)
 
