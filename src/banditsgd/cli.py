@@ -107,6 +107,9 @@ def main(argv=None) -> int:
                 s = out.replay_stats
                 print(f"matched {s['matched']} of {s['consumed']} entries "
                       f"(fraction {s['matched_fraction']:.4f})")
+                if not out.reports:
+                    print("warning: no log entry matched, so no report was written",
+                          file=sys.stderr)
         elif args.command == "mc":
             summary = run_monte_carlo(config)
             print(f"{config.out}/mc_summary.{config.format}")
@@ -118,6 +121,10 @@ def main(argv=None) -> int:
             result = tune_alpha(config, grid)
             print(f"{config.out}/tune_alpha.{config.format}")
             print(f"best alpha: {result.best_alpha:g}")
+            for alpha, loss in result.final_loss.items():
+                if not math.isfinite(loss):
+                    print(f"warning: alpha {alpha:g} diverged (final loss {loss})",
+                          file=sys.stderr)
             if math.isnan(result.best_alpha):
                 print("warning: no alpha reached a finite final loss", file=sys.stderr)
         return 0

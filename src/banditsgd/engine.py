@@ -8,6 +8,8 @@ step is applied.  ``run_stream_lagged`` handles rewards that arrive after
 later actions have already been taken: decisions use the most recent
 average under a propensity that stays frozen between updates, and each
 arriving reward triggers exactly one update, in first-in-first-out order.
+``_run_synthetic`` runs a batch of synthetic streams from per-block draw
+tables, each equal bit for bit to ``run_stream`` on a ``SyntheticEnvironment``.
 """
 from __future__ import annotations
 
@@ -153,8 +155,26 @@ def _fold_steps(model, variant: str, x: np.ndarray, act: np.ndarray, greedy: np.
             value.t += included
 
 
+def _average(bar: np.ndarray, hat: np.ndarray, t: int) -> None:
+    """Make ``bar`` the average of the first ``t`` iterates, ``hat`` being the
+    last, in place so that the callers' views stay valid."""
+    bar *= float(t - 1)
+    bar += hat
+    bar /= float(t)
+
+
+def _sgd_step(hat: np.ndarray, bar: np.ndarray, block: np.ndarray, x: np.ndarray,
+              y: float, w: float, alpha_t: float, t: int, link) -> None:
+    """The ``t``-th IPW-SGD step, in place: ``block`` (the taken action's view
+    of the iterate ``hat``) moves against the weighted gradient
+    ``(link(block . x) - y) * w * x`` with step size ``alpha_t``, then
+    ``bar`` takes the new iterate into its running average."""
+    block -= (alpha_t * ((link(float(block.dot(x))) - y) * w)) * x
+    _average(bar, hat, t)
+
+
 class _UpdateCore:
-    """Shared per-step arithmetic for both engine loops.
+    """Per-step arithmetic of ``run_stream`` and ``run_stream_lagged``.
 
     ``sample`` makes the epsilon-greedy decision and ``apply`` consumes its
     reward.  Keeps the raw iterate and its running average as plain arrays
@@ -225,16 +245,8 @@ class _UpdateCore:
             self._x[len(self._pending)] = x
             self._pending.append((a, greedy, y, w, eps, include_value) + u_bar)
 
-        hat_block = self._hat_blocks[a]
-        u_hat = float(hat_block.dot(x))
-        g_scale = (self._link(u_hat) - y) * w
-        alpha_t = learning_rate(self.learn, ordinal)
-        hat_block -= (alpha_t * g_scale) * x
-        # In-place running average keeps the cached views valid.
-        bar = self.bar
-        bar *= float(ordinal - 1)
-        bar += self.hat
-        bar /= float(ordinal)
+        _sgd_step(self.hat, self.bar, self._hat_blocks[a], x, y, w,
+                  learning_rate(self.learn, ordinal), ordinal, self._link)
         self.updates = ordinal
         if len(self._pending) == self._rows:
             self.fold()
@@ -425,90 +437,44 @@ def _draw_chunk(gen, sample, linear: bool, n: int):
     return x, uni, d
 
 
+# Per replication and step of a draw chunk, a batch holds its feature row,
+# action uniform and reward draw, and per step of a block (a quarter of the
+# chunk) about 30 floats of tables, records and fold temporaries: p + 10
+# floats per chunk step.  The budget counts p + 14 for the allocator's
+# overhead; peak RSS grows by about p + 12 (README).
+_BATCH_FLOATS = 2 ** 22
+
+# Batches of fewer replications step each one with ``_sgd_step``; larger ones
+# step all of them in one stacked numpy pass (README, "Defaults").
+_MIN_BATCH = 3
+
+
+def _batch_capacity(p: int) -> int:
+    """Most replications one synthetic batch holds within the float budget."""
+    return max(1, _BATCH_FLOATS // (SyntheticEnvironment._CHUNK * (p + 14)))
+
+
 def _run_synthetic(synth: SyntheticConfig, learn: LearningSchedule,
-                   explore: ExplorationSchedule, seed: int, horizon: int, *,
+                   explore: ExplorationSchedule, seeds, horizon: int, *,
                    hessian: str = "exact", aipw: bool = False,
                    collect_inference: bool = True, collect_value: bool = True,
-                   checkpoints=(), skip_value_burn_in: bool = False,
-                   observer=None) -> StreamResult:
-    """``run_stream`` on ``SyntheticEnvironment(synth, rng)`` with ``rng =
-    RngStream(seed)`` and the default feature sampler, equal bit for bit,
-    observer calls included (README, "Defaults").
+                   checkpoints=(), skip_value_burn_in: bool = False, loss_grid=()):
+    """``run_stream`` on ``SyntheticEnvironment(synth, RngStream(seed))`` with
+    the default feature sampler, for every seed, equal bit for bit (README,
+    "Defaults").
 
-    Per draw chunk, tables hold what does not depend on the learned state:
-    the features, the action uniforms and both actions' rewards.  Per step
-    remain the indexes at the average, the epsilon-greedy comparison and
-    ``_UpdateCore.apply``.
+    Returns each seed's ``StreamResult`` and, given ``loss_grid``, each one's
+    running mean loss at the pre-step average at those steps (else None).
+    Per block of ``_BLOCK_ROWS`` steps, tables hold what does not depend on
+    the learned state: both actions' rewards and, per greedy action, the
+    taken action and its IPW weight.  Per step remain the indexes at the
+    average, the greedy comparison and the update; a step records the
+    greedy action and both indexes at the average.  Sums, total rewards and
+    losses are folded from the tables and records at the end of each block
+    and at checkpoints.  Exceptions propagate.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    model = synth.model
-    core = _UpdateCore(model, learn, variant=hessian,
-                       collect_inference=collect_inference,
-                       collect_value=collect_value, aipw=aipw)
-    summary = RunSummary()
-    cp_set = set(int(c) for c in checkpoints)
-    gen = RngStream(seed).gen
-    sample = default_feature_sampler(model.p)
-    linear = model.tag == "linear"
-    sd = math.sqrt(synth.sigma2)
-    truth = synth.beta0.reshape(2, model.p, 1)
-    value_from = explore.burn_in if skip_value_burn_in else 0
-    chunk = SyntheticEnvironment._CHUNK
-    for start in range(0, horizon, chunk):
-        n = min(chunk, horizon - start)
-        feats, uni, draws = _draw_chunk(gen, sample, linear, n)
-        feats = feats[:n]
-        rewards = _reward_table(model, feats, truth, draws[:n], sd).tolist()
-        for t, x, uniform, y_pair in zip(range(start + 1, start + n + 1), feats,
-                                         uni.tolist(), rewards):
-            eps = exploration_rate(explore, t)
-            greedy, pi, a, u_bar = core.sample(x, eps, uniform)
-            y = y_pair[a]
-            if observer is not None:
-                observer(t, x, a, y, pi, eps, greedy, core.bar)
-            core.apply(x, a, y, pi, eps, greedy, t > value_from, u_bar=u_bar)
-            summary.total_reward += y
-            if t in cp_set:
-                summary.checkpoints.append(core.snapshot(t, eps))
-    summary.steps = horizon
-    return core.result(summary)
-
-
-# ---------------------------------------------------------------------------
-# Lockstep replication batches.
-# ---------------------------------------------------------------------------
-
-# Per replication and step of a draw chunk, a lockstep batch holds its
-# feature row, action uniform and reward draw, and per step of a block (a
-# quarter of the chunk) about 30 floats of tables, records and fold
-# temporaries: p + 10 floats per chunk step.  The budget counts p + 14 for
-# the allocator's overhead; peak RSS grows by about p + 12 (README).
-_LOCKSTEP_FLOATS = 2 ** 22
-
-
-def _lockstep_capacity(p: int) -> int:
-    """Most replications one lockstep batch holds within the float budget."""
-    return max(1, _LOCKSTEP_FLOATS // (SyntheticEnvironment._CHUNK * (p + 14)))
-
-
-def _run_lockstep(synth: SyntheticConfig, learn: LearningSchedule,
-                  explore: ExplorationSchedule, seeds, horizon: int, *,
-                  hessian: str = "exact", aipw: bool = False,
-                  collect_inference: bool = True, collect_value: bool = True,
-                  checkpoints=(), skip_value_burn_in: bool = False, loss_grid=()):
-    """``run_stream`` on ``SyntheticEnvironment(synth, RngStream(seed))`` for
-    every seed, advanced together and equal bit for bit (README, "Defaults").
-
-    Returns each replication's checkpoints and, given ``loss_grid``, each
-    one's running mean loss at the pre-step average at those steps (else
-    None).  Per block of ``_BLOCK_ROWS`` steps, tables hold what does not
-    depend on the learned state: both actions' rewards and, per greedy
-    action, the taken action and its IPW weight.  Per step remain the
-    indexes at the average and the iterate, the greedy comparison, the
-    iterate's scalar link per entry and the update.  Sums are folded at the
-    end of each block and at checkpoints.  Exceptions propagate.
-    """
     model, link = synth.model, synth.model.mean_from_index
     p, reps, chunk = model.p, len(seeds), SyntheticEnvironment._CHUNK
     gens = [RngStream(s).gen for s in seeds]
@@ -535,27 +501,67 @@ def _run_lockstep(synth: SyntheticConfig, learn: LearningSchedule,
     pair = 2 * np.arange(reps)
     plugins = [PluginAccumulators(2 * p) for _ in seeds] if collect_inference else []
     values = [ValueAccumulator(aipw=aipw) for _ in seeds] if collect_value else []
+    reward_total = np.zeros(reps)
     loss_total = np.zeros(reps)
     losses = np.empty((reps, len(grid))) if grid else None
     value_from = explore.burn_in if skip_value_burn_in else 0
 
+    def stacked(i0: int, i1: int) -> None:
+        """Steps i0..i1-1 of the current block, every replication at once."""
+        for j in range(i0, i1):
+            t = t0 + j + 1
+            np.matmul(x_dot[j], state, out=dots[j])
+            g = np.greater(ubar[j, :, 1], ubar[j, :, 0], out=greedy_k[j])
+            ig = pair + g
+            ia = ia_t[j].take(ig)
+            # The step coefficient (mu_hat - y) * w * alpha_t.
+            z = np.array(list(map(link, dots[j, 1].take(ia).tolist())))
+            z -= y_t[j].take(ia)
+            z *= w_t[j].take(ig)
+            z *= alpha_b[j]
+            np.subtract.at(hat_rows, ia, z[:, None] * x_k[j])
+            _average(bar, hat, t)
+
+    def scalar(i0: int, i1: int) -> None:
+        """Steps i0..i1-1 of the current block, one replication after another."""
+        span = slice(i0, i1)
+        for r in range(reps):
+            hat_r, bar_r = hat[r], bar[r]
+            (bar0, bar1), taken = bar_r, tuple(hat_r)
+            rec = []
+            for t, x, alpha_t, y, act, w in zip(
+                    range(t0 + i0 + 1, t0 + i1 + 1), x_k[span, r], alpha_b[span],
+                    y_t[span, r].tolist(), act_t[span, r].tolist(), w_t[span, r].tolist()):
+                u0 = float(bar0.dot(x))
+                u1 = float(bar1.dot(x))
+                g = 1 if u1 > u0 else 0
+                a = act[g]
+                _sgd_step(hat_r, bar_r, taken[a], x, y[a], w[g], alpha_t, t, link)
+                rec.append((g, u0, u1))
+            rec = np.array(rec)
+            greedy_k[span, r] = rec[:, 0]
+            ubar[span, r] = rec[:, 1:]
+
+    advance = stacked if reps >= _MIN_BATCH else scalar
+
     def fold(i0: int, i1: int) -> None:
         """Add steps i0..i1-1 of the current block to the sums."""
-        span, t0 = slice(i0, i1), start + b0 + i0
+        span, s0 = slice(i0, i1), t0 + i0
         greedy = greedy_k[span]
         act = np.where(greedy, act_t[span, :, 1], act_t[span, :, 0])
         y = np.where(act, y_t[span, :, 1], y_t[span, :, 0])
         w = np.where(greedy, w_t[span, :, 1], w_t[span, :, 0])
-        include = np.arange(t0 + 1, t0 + 1 + i1 - i0)[:, None] > value_from
+        include = np.arange(s0 + 1, s0 + 1 + i1 - i0)[:, None] > value_from
         _fold_steps(model, hessian, x_k[span], act, greedy, y, w, eps_k[span], include,
                     ubar[span], plugins, values)
+        reward_total[:] = np.add.accumulate(np.concatenate((reward_total[None], y)))[-1]
         if grid:
             mu = _each(link, np.where(act, ubar[span, :, 1], ubar[span, :, 0]))
             running = np.add.accumulate(np.concatenate(
                 (loss_total[None], _each(model.loss_from_mean, mu, y))))
             loss_total[:] = running[-1]
-            for t in grid.keys() & range(t0 + 1, t0 + 1 + i1 - i0):
-                losses[:, grid[t]] = running[t - t0] / t
+            for t in grid.keys() & range(s0 + 1, s0 + 1 + i1 - i0):
+                losses[:, grid[t]] = running[t - s0] / t
 
     snaps: list[list[Checkpoint]] = [[] for _ in seeds]
     for start in range(0, horizon, chunk):
@@ -564,7 +570,8 @@ def _run_lockstep(synth: SyntheticConfig, learn: LearningSchedule,
             feats[:, r], uni[:n, r], draws[:, r] = _draw_chunk(gen, sample, linear, n)
         for b0 in range(0, n, _BLOCK_ROWS):
             b1 = min(b0 + _BLOCK_ROWS, n)
-            steps = range(start + b0 + 1, start + b1 + 1)
+            t0 = start + b0
+            steps = range(t0 + 1, start + b1 + 1)
             eps_b = [exploration_rate(explore, t) for t in steps]
             alpha_b = [learning_rate(learn, t) for t in steps]
             x_k = feats[b0:b1]
@@ -577,28 +584,20 @@ def _run_lockstep(synth: SyntheticConfig, learn: LearningSchedule,
             # The taken action's flat offset in a replication's pair.
             ia_t = act_t + pair[:, None]
             x_dot = x_k[:, None, :, None, None, :]
-            folded = 0
-            for j, t in enumerate(steps):
-                np.matmul(x_dot[j], state, out=dots[j])
-                g = np.greater(ubar[j, :, 1], ubar[j, :, 0], out=greedy_k[j])
-                ig = pair + g
-                ia = ia_t[j].take(ig)
-                # The step coefficient (mu_hat - y) * w * alpha_t.
-                z = np.array(list(map(link, dots[j, 1].take(ia).tolist())))
-                z -= y_t[j].take(ia)
-                z *= w_t[j].take(ig)
-                z *= alpha_b[j]
-                np.subtract.at(hat_rows, ia, z[:, None] * x_k[j])
-                bar *= float(t - 1)
-                bar += hat
-                bar /= float(t)
-                if t in cp_set:
-                    fold(folded, j + 1)
-                    folded = j + 1
+            i0 = 0
+            for i1 in sorted({t - t0 for t in cp_set.intersection(steps)} | {b1 - b0}):
+                advance(i0, i1)
+                fold(i0, i1)
+                if t0 + i1 in cp_set:
                     for r in range(reps):
                         snaps[r].append(Checkpoint(
-                            t=t, bar_beta=bar[r].reshape(2 * p).copy(), eps=eps_b[j],
-                            plugin=plugins[r].copy() if plugins else None,
+                            t=t0 + i1, bar_beta=bar[r].reshape(2 * p).copy(),
+                            eps=eps_b[i1 - 1], plugin=plugins[r].copy() if plugins else None,
                             value=values[r].copy() if values else None))
-            fold(folded, b1 - b0)
-    return snaps, losses
+                i0 = i1
+    results = [StreamResult(
+        ParameterState(hat[r].reshape(2 * p).copy(), bar[r].reshape(2 * p).copy(), horizon),
+        plugins[r] if plugins else None, values[r] if values else None,
+        RunSummary(steps=horizon, updates=horizon, total_reward=total, checkpoints=snaps[r]))
+        for r, total in enumerate(reward_total.tolist())]
+    return results, losses

@@ -20,9 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import (Checkpoint, _lockstep_capacity, _run_lockstep, _run_synthetic,
-                     run_stream)
-from .environments import ReplayCursor, ReplayEnvironment, SyntheticConfig, load_replay_log
+from .engine import Checkpoint, _batch_capacity, _run_synthetic, run_stream
+from .environments import (ReplayCursor, ReplayEnvironment, SyntheticConfig,
+                           SyntheticEnvironment, load_replay_log)
 from .inference import (SingularHessianError, _parameter_names, _sandwiches, _wald_rows,
                         normal_quantile, value_report_row)
 from .models import make_model
@@ -299,18 +299,13 @@ def _trace_writer(fh, model):
     return observe
 
 
-def _run_stream(config: ExperimentConfig, seed: int, env=None, **kwargs):
-    """The configured stream on its own seeded rng: the synthetic stream from
-    per-chunk tables, or ``run_stream`` against ``env`` when one is given."""
-    common = dict(hessian=config.hessian, aipw=config.aipw,
-                  skip_value_burn_in=config.value_skip_burn_in, **kwargs)
-    if env is None:
-        return _run_synthetic(config.synthetic_config(), config.learning_schedule(),
-                              config.exploration_schedule(), seed, config.horizon,
-                              **common)
-    return run_stream(env, config.model_family(), config.learning_schedule(),
-                      config.exploration_schedule(), RngStream(seed), config.horizon,
-                      **common)
+def _synthetic(config: ExperimentConfig, reps, **kwargs):
+    """The configured synthetic streams of ``(rep, seed)`` pairs as one batch."""
+    return _run_synthetic(config.synthetic_config(), config.learning_schedule(),
+                          config.exploration_schedule(), [seed for _, seed in reps],
+                          config.horizon, hessian=config.hessian, aipw=config.aipw,
+                          checkpoints=config.effective_checkpoints(),
+                          skip_value_burn_in=config.value_skip_burn_in, **kwargs)
 
 
 def run_single(config: ExperimentConfig) -> SingleRunOutput:
@@ -325,9 +320,18 @@ def run_single(config: ExperimentConfig) -> SingleRunOutput:
         env = ReplayEnvironment(cursor)
     trace = nullcontext() if config.trace is None else open(config.trace, "w", newline="")
     with trace as fh:
-        result = _run_stream(
-            config, config.seed, env, checkpoints=config.effective_checkpoints(),
-            observer=None if fh is None else _trace_writer(fh, config.model_family()))
+        if env is None and fh is None:
+            (result,), _ = _synthetic(config, [(0, config.seed)])
+        else:
+            # A trace observes every step, so it runs on the per-step engine.
+            rng = RngStream(config.seed)
+            result = run_stream(
+                env or SyntheticEnvironment(config.synthetic_config(), rng),
+                config.model_family(), config.learning_schedule(),
+                config.exploration_schedule(), rng, config.horizon, hessian=config.hessian,
+                aipw=config.aipw, skip_value_burn_in=config.value_skip_burn_in,
+                checkpoints=config.effective_checkpoints(),
+                observer=None if fh is None else _trace_writer(fh, config.model_family()))
     snapshots = {cp.t: cp for cp in result.summary.checkpoints}
     if result.summary.exhausted and result.summary.steps >= 1 \
             and result.summary.steps not in snapshots:
@@ -367,13 +371,21 @@ class RepResult:
     error: str | None = None
 
 
-def _recorded(out: RepResult, config: ExperimentConfig, checkpoints) -> RepResult:
-    """``out`` with a report per checkpoint of ``checkpoints()``; failures are recorded."""
-    try:
-        cps = checkpoints()
-        out.reports = {cp.t: report for cp, report in zip(cps, _checkpoint_reports(cps, config))}
-    except Exception as exc:  # noqa: BLE001 - failures are recorded, not fatal
-        out.error = f"{type(exc).__name__}: {exc}"
+def _mc_batch(job, collect_inference: bool = True) -> list[RepResult]:
+    """The ``RepResult`` of each ``(rep, seed)`` pair of a ``(config, pairs)``
+    job; a failure to report is recorded in the replication's ``error``."""
+    config, reps = job
+    streams, _ = _synthetic(config, reps, collect_inference=collect_inference)
+    out = []
+    for (rep, seed), stream in zip(reps, streams):
+        result = RepResult(rep=rep, seed=seed)
+        cps = stream.summary.checkpoints
+        try:
+            result.reports = {cp.t: report
+                              for cp, report in zip(cps, _checkpoint_reports(cps, config))}
+        except Exception as exc:  # noqa: BLE001 - failures are recorded, not fatal
+            result.error = f"{type(exc).__name__}: {exc}"
+        out.append(result)
     return out
 
 
@@ -381,9 +393,7 @@ def run_replication(config: ExperimentConfig, rep: int, rep_seed: int | None = N
                     collect_inference: bool = True) -> RepResult:
     """One Monte Carlo replication with its own derived random stream."""
     seed_r = derive_seed(config.seed, rep) if rep_seed is None else rep_seed
-    return _recorded(RepResult(rep=rep, seed=seed_r), config, lambda: _run_stream(
-        config, seed_r, collect_inference=collect_inference,
-        checkpoints=config.effective_checkpoints()).summary.checkpoints)
+    return _mc_batch((config, [(rep, seed_r)]), collect_inference)[0]
 
 
 def _map_jobs(worker, jobs, workers: int):
@@ -394,32 +404,9 @@ def _map_jobs(worker, jobs, workers: int):
         return list(ex.map(worker, jobs, chunksize=chunk))
 
 
-# Smaller batches run on the per-step engine, faster there (README, "Defaults").
-_MIN_BATCH = 3
-
-
-def _lockstep(config: ExperimentConfig, reps, **kwargs):
-    """The configured synthetic streams of ``(rep, seed)`` pairs as one batch."""
-    return _run_lockstep(config.synthetic_config(), config.learning_schedule(),
-                         config.exploration_schedule(), [seed for _, seed in reps],
-                         config.horizon, hessian=config.hessian, aipw=config.aipw,
-                         checkpoints=config.effective_checkpoints(),
-                         skip_value_burn_in=config.value_skip_burn_in, **kwargs)
-
-
-def _mc_batch(job, collect_inference: bool = True) -> list[RepResult]:
-    """The ``RepResult`` of each ``(rep, seed)`` pair of a ``(config, pairs)`` job."""
-    config, reps = job
-    if len(reps) < _MIN_BATCH:
-        return [run_replication(config, rep, seed, collect_inference) for rep, seed in reps]
-    streams, _ = _lockstep(config, reps, collect_inference=collect_inference)
-    return [_recorded(RepResult(rep=rep, seed=seed), config, lambda cps=cps: cps)
-            for (rep, seed), cps in zip(reps, streams)]
-
-
 def _launch(batch_fn, configs, rep_seeds=None) -> list[list]:
     """Every config's replications (seed ``rep_seeds[i]`` or derived) in
-    near-equal batches within the lockstep budget, on ``workers`` processes.
+    near-equal batches within the batch budget, on ``workers`` processes.
 
     The configs share ``reps``, ``seed``, ``p`` and ``workers``; the number
     of batches is a multiple of ``workers`` (at most one per replication).
@@ -429,7 +416,7 @@ def _launch(batch_fn, configs, rep_seeds=None) -> list[list]:
     first, n = configs[0], configs[0].reps
     reps = [(i, derive_seed(first.seed, i) if rep_seeds is None else int(rep_seeds[i]))
             for i in range(n)]
-    batches = -(-n // _lockstep_capacity(first.p))
+    batches = -(-n // _batch_capacity(first.p))
     batches = min(n, -(-batches // first.workers) * first.workers)
     parts = [reps[n * i // batches:n * (i + 1) // batches] for i in range(batches)]
     done = _map_jobs(batch_fn, [(cfg, part) for cfg in configs for part in parts],
@@ -559,22 +546,11 @@ def _tune_batch(job, grid) -> list[np.ndarray]:
     ``(rep, seed)`` pair of a ``(config, pairs)`` job: smooth, and its final
     point is the mean per-step loss of the whole run."""
     config, reps = job
-    if len(reps) >= _MIN_BATCH:
-        _, means = _lockstep(config, reps, collect_inference=False, collect_value=False,
-                             loss_grid=grid)
-        return list(means)
-    model = config.model_family()
-    out = []
-    for _, seed in reps:
-        losses = np.full(config.horizon, np.nan)
-
-        def record(t, x, a, y, pi, eps, greedy, bar):
-            losses[t - 1] = _loss_at_bar(model, x, a, y, bar)
-        _run_stream(config, seed, collect_inference=False, collect_value=False,
-                    observer=record)
-        cum = np.cumsum(losses) / np.arange(1, config.horizon + 1)
-        out.append(cum[grid - 1])
-    return out
+    # A diverging constant's overflows give non-finite losses, not warnings.
+    with np.errstate(all="ignore"):
+        _, means = _synthetic(config, reps, collect_inference=False, collect_value=False,
+                              loss_grid=grid)
+    return list(means)
 
 
 def loss_grid(horizon: int, points: int = 60) -> np.ndarray:
@@ -602,9 +578,10 @@ def tune_alpha(config: ExperimentConfig, alpha_grid, write: bool = True) -> Tune
     final_loss: dict[float, float] = {}
     for a, reps in zip(alphas, trajs):
         traj = np.vstack(reps)
-        mean = traj.mean(axis=0)
-        p05 = np.percentile(traj, 5, axis=0)
-        p95 = np.percentile(traj, 95, axis=0)
+        with np.errstate(all="ignore"):
+            mean = traj.mean(axis=0)
+            p05 = np.percentile(traj, 5, axis=0)
+            p95 = np.percentile(traj, 95, axis=0)
         for k, t in enumerate(grid):
             rows.append(TuneAlphaRow(a, int(t), float(mean[k]), float(p05[k]), float(p95[k])))
         final_loss[a] = float(mean[-1])

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -129,7 +130,6 @@ def test_tune_alpha_rejects_non_finite_constant(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_tune_alpha_warns_when_every_constant_diverges(tmp_path, capsys):
     code = main(["tune-alpha", "--horizon", "200", "--reps", "2",
                  "--alpha-grid", "1e300,1e299", "--out", str(tmp_path / "t")])
@@ -169,3 +169,69 @@ def test_json_format_flag(tmp_path):
     assert code == 0
     payload = json.loads((tmp_path / "j" / "report_t300.json").read_text())
     assert payload["rows"][-1]["name"] == "V_opt"
+
+
+@pytest.mark.parametrize("reps", [2, 5])
+def test_diverging_constant_warns_once_without_numpy_warnings(tmp_path, capsys, reps):
+    # Batches of 2 take the scalar step, of 5 the stacked step.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["tune-alpha", "--alpha-grid", "1e300,0.5", "--reps", str(reps),
+                     "--horizon", "200", "--out", str(tmp_path / "t")])
+    assert code == 0
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert "best alpha: 0.5" in captured.out
+    assert captured.err == "warning: alpha 1e+300 diverged (final loss nan)\n"
+
+
+SATURATED = "--beta0=800,-800,800,-800,800,-800"
+
+
+@pytest.mark.parametrize("argv,rows", [
+    (["run", "--p", "1", "--beta0=0.5,-0.2"], ["beta0_1", "beta1_1", "V_opt"]),
+    (["run", "--model", "logistic", SATURATED], None),
+    (["mc", "--eps", "fixed:1", "--reps", "4"], None),
+    (["mc", "--model", "logistic", SATURATED, "--reps", "4"], None),
+], ids=["run-p1", "run-saturated-logistic", "mc-eps-1", "mc-saturated-logistic"])
+def test_degenerate_inputs_give_finite_reports(tmp_path, capsys, argv, rows):
+    out = tmp_path / "o"
+    code = main(argv + ["--horizon", "300", "--checkpoints", "300", "--seed", "3",
+                        "--format", "json", "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    (path,) = out.glob("report_t300.json") if argv[0] == "run" else [out / "mc_summary.json"]
+    report = json.loads(path.read_text())
+    if rows is not None:
+        assert [row["name"] for row in report["rows"]] == rows
+    flag, numbers = (("flag", ("estimate", "se", "ci_lo", "ci_hi")) if argv[0] == "run"
+                     else ("n_excluded", ("coverage", "ci_length")))
+    for row in report["rows"]:
+        assert row[flag] in ("", 0)
+        assert all(row[k] is not None for k in numbers)
+
+
+def _replay_log(path, actions):
+    """A replay log for p = 2 whose rows take ``actions``."""
+    path.write_text("x1,x2,action,reward,propensity\n" + "".join(
+        f"1.0,{0.25 * k},{a},{k % 2}.0,0.5\n" for k, a in enumerate(actions)))
+    return path
+
+
+@pytest.mark.parametrize("actions,seed,summary", [
+    ([], 1, "matched 0 of 0 entries (fraction nan)"),
+    # Seed 85 proposes action 0 for each of these entries during burn-in.
+    ([1, 1, 1, 1], 85, "matched 0 of 4 entries (fraction 0.0000)"),
+], ids=["header-only", "nothing-matches"])
+def test_replay_without_a_match_warns_that_no_report_was_written(tmp_path, capsys,
+                                                                  actions, seed, summary):
+    log = _replay_log(tmp_path / "log.csv", actions)
+    out = tmp_path / "o"
+    code = main(["replay", "--replay-log", str(log), "--model", "logistic", "--p", "2",
+                 "--beta0=0.1,0.2,0.3,0.4", "--horizon", "100", "--seed", str(seed),
+                 "--out", str(out)])
+    assert code == 0
+    assert [p.name for p in out.iterdir()] == ["replay_stats.csv"]
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == summary
+    assert captured.err == "warning: no log entry matched, so no report was written\n"

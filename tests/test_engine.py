@@ -455,7 +455,8 @@ TABLE_CASES = [
 
 
 class TestSyntheticTables:
-    """``_run_synthetic`` against ``run_stream`` on a ``SyntheticEnvironment``."""
+    """A one-stream ``_run_synthetic`` against ``run_stream`` on a
+    ``SyntheticEnvironment``."""
 
     @staticmethod
     def _both(family, p, case):
@@ -467,27 +468,19 @@ class TestSyntheticTables:
         cps = sorted({t for t in (1, 50, 51, 4096, 4097, horizon) if t <= horizon})
         kw = dict(hessian=hessian, aipw=aipw, skip_value_burn_in=skip, checkpoints=cps,
                   collect_inference=collect, collect_value=collect)
-        runs = []
-        for table in (False, True):
-            calls = []
-            observe = (lambda t, x, a, y, pi, eps, greedy, bar, calls=calls:
-                       calls.append((t, x.copy(), a, y, pi, eps, greedy, bar.copy())))
-            seed = 500 + p
-            if table:
-                res = engine._run_synthetic(synth, LEARN, explore, seed, horizon,
-                                            observer=observe, **kw)
-            else:
-                rng = RngStream(seed)
-                res = run_stream(SyntheticEnvironment(synth, rng), model, LEARN, explore,
-                                 rng, horizon, observer=observe, **kw)
-            runs.append((res, calls))
-        return runs
+        seed = 500 + p
+        rng = RngStream(seed)
+        want = run_stream(SyntheticEnvironment(synth, rng), model, LEARN, explore, rng,
+                          horizon, **kw)
+        (got,), losses = engine._run_synthetic(synth, LEARN, explore, [seed], horizon, **kw)
+        assert losses is None
+        return want, got
 
     @pytest.mark.parametrize("case", TABLE_CASES, ids=lambda c: f"h{c[0]}-{c[1]}-{c[2]}")
     @pytest.mark.parametrize("p", [1, 3, 10])
     @pytest.mark.parametrize("family", ["linear", "logistic"])
     def test_matches_run_stream(self, family, p, case):
-        (want, want_calls), (got, got_calls) = self._both(family, p, case)
+        want, got = self._both(family, p, case)
         assert got.summary.steps == want.summary.steps == case[0]
         assert got.summary.total_reward == want.summary.total_reward
         assert got.summary.updates == want.summary.updates
@@ -502,14 +495,6 @@ class TestSyntheticTables:
                               [_sums(r) for r in want_cps + [want]])
         else:
             assert all(r.plugin is None and r.value is None for r in got_cps + [got])
-        assert len(got_calls) == len(want_calls) == case[0]
-        for g, w in zip(got_calls, want_calls):
-            assert len(g) == len(w) == 8
-            for u, v in zip(g, w):
-                if isinstance(v, np.ndarray):
-                    np.testing.assert_array_equal(u, v)
-                else:
-                    assert u == v and type(u) in (int, float)
 
 
 @settings(max_examples=30, deadline=None)

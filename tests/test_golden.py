@@ -37,6 +37,12 @@ COMMANDS = {
                      "--format", "json"],
     "mc-workers-2": ["mc", "--config", "mc.cfg", "--workers", "2", "--seed", "17",
                      "--format", "json"],
+    "mc-2-reps-2-workers": ["mc", "--config", "mc.cfg", "--reps", "2", "--workers", "2",
+                            "--seed", "20", "--format", "json"],
+    "mc-4-reps-2-workers": ["mc", "--config", "mc.cfg", "--reps", "4", "--workers", "2",
+                            "--seed", "21"],
+    "tune-alpha-5-reps": ["tune-alpha", "--alpha-grid", "0.3,1.0", "--reps", "5",
+                          "--horizon", "500", "--seed", "22", "--format", "json"],
     "tune-alpha-2-reps": ["tune-alpha", "--alpha-grid", "0.3,1.0", "--reps", "2",
                           "--horizon", "500", "--seed", "18", "--format", "json"],
     "replay-csv": ["replay", "--replay-log", "log.csv", "--model", "logistic", "--p", "2",
@@ -96,6 +102,24 @@ GOLDEN = {
             "out/report_t3.json": "0e404ef5d537ef21556da9ab99af06bf1ea81268f05bb5fda8e553d070416321",
             "out/report_t4.json": "40b0dd3584165aabcb1eaa5cd38aa173744f89b90f844087e0c7a010d9eb0987",
             "out/report_t5.json": "2e595e7b2999c592af9cf96adefbf78b579d5903ec6721009178ad7819be893f"
+        }
+    },
+    "mc-2-reps-2-workers": {
+        "exit": 0,
+        "stdout": "b9235c1830d425f3736b1fe1d3e233d6c7668bef7db20a9295dfe12aff8f0b5e",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "out/mc_meta.json": "08b810a35543d20e57c92bbfe09e497cb23e81a0eb3a8d704d68c928e548502a",
+            "out/mc_summary.json": "8d28e0c3522984d0c9e9c168c480cb1150c3a6735b897e09ddc65dcf9e18853a"
+        }
+    },
+    "mc-4-reps-2-workers": {
+        "exit": 0,
+        "stdout": "9b88fc7aa4b0513de179a8ace1a4a594cacf96ff65fdcd5cbda57dafda2ac2e4",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "out/mc_meta.json": "a0bc5e66cd11d6ab3a4333b65db3451b01ad78f8b39fe0d4412ee969c2902bdc",
+            "out/mc_summary.csv": "d1081ff8805384d48a3779f6f2078c63c8505583a64d65c1af2e776cda868918"
         }
     },
     "mc-workers-1": {
@@ -190,6 +214,15 @@ GOLDEN = {
         "files": {
             "out/tune_alpha.json": "c13230b1de28e91396f3dfdf3db78159402fbb0f6c60b907f04b35cc458715b5",
             "out/tune_alpha_summary.json": "29af83b26b463cb20fbff3408f18159c47fb56ec708848f16c15d8fa8d63c3ae"
+        }
+    },
+    "tune-alpha-5-reps": {
+        "exit": 0,
+        "stdout": "0f79905c3229a95ea32802ec9c951751874d00b3b4c9b7435f275ca3d82cd5f1",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "out/tune_alpha.json": "50bbe8f9bdceef209e802af7d412a04c44fdd8ffc67eb5b38c5634f938d95632",
+            "out/tune_alpha_summary.json": "4daab5392de77764577da36ba8ba9a84389e07ae0bdceef31ecd58dc4384fbc8"
         }
     }
 }

@@ -1,4 +1,5 @@
-"""The lockstep replication engine against the per-step engine, bit for bit."""
+"""The synthetic engine, in batches of every size, against the per-step
+engine, bit for bit."""
 import json
 from functools import partial
 from unittest import mock
@@ -12,9 +13,9 @@ from banditsgd import (ExperimentConfig, ExplorationSchedule, RngStream,
                        SyntheticEnvironment, run_monte_carlo, run_stream)
 from banditsgd import experiments
 from banditsgd.cli import main
-from banditsgd.engine import _rewards
+from banditsgd.engine import _MIN_BATCH, _rewards
 from banditsgd.models import make_model
-from banditsgd.experiments import _MIN_BATCH, _launch, _mc_batch, _tune_batch, loss_grid
+from banditsgd.experiments import _launch, _loss_at_bar, _mc_batch, _tune_batch, loss_grid
 from banditsgd.policy import derive_seed
 
 
@@ -29,29 +30,40 @@ def _per_step(config, seed, **kw):
     return run_stream(SyntheticEnvironment(synth, rng), synth.model,
                       config.learning_schedule(), config.exploration_schedule(), rng,
                       config.horizon, hessian=config.hessian, aipw=config.aipw,
-                      skip_value_burn_in=config.value_skip_burn_in, **kw).summary.checkpoints
+                      skip_value_burn_in=config.value_skip_burn_in, **kw)
+
+
+def _assert_same_sums(a, b):
+    assert (a.plugin is None) == (b.plugin is None)
+    if a.plugin is not None:
+        assert a.plugin.n == b.plugin.n
+        assert np.array_equal(a.plugin.S_sum, b.plugin.S_sum)
+        assert np.array_equal(a.plugin.H_sum, b.plugin.H_sum)
+    assert (a.value is None) == (b.value is None)
+    if a.value is not None:
+        for name in ("sum_v", "sum_v2", "sum_aipw", "sum_aipw2", "t"):
+            assert getattr(a.value, name) == getattr(b.value, name), name
 
 
 def _assert_identical(got, want):
-    assert [cp.t for cp in got] == [cp.t for cp in want]
-    for a, b in zip(got, want):
+    """Equal checkpoints, and equal end states, total rewards and sums."""
+    got_cps, want_cps = got.summary.checkpoints, want.summary.checkpoints
+    assert [cp.t for cp in got_cps] == [cp.t for cp in want_cps]
+    for a, b in zip(got_cps, want_cps):
         assert a.eps == b.eps
         assert np.array_equal(a.bar_beta, b.bar_beta)
-        assert (a.plugin is None) == (b.plugin is None)
-        if a.plugin is not None:
-            assert a.plugin.n == b.plugin.n
-            assert np.array_equal(a.plugin.S_sum, b.plugin.S_sum)
-            assert np.array_equal(a.plugin.H_sum, b.plugin.H_sum)
-        assert (a.value is None) == (b.value is None)
-        if a.value is not None:
-            for name in ("sum_v", "sum_v2", "sum_aipw", "sum_aipw2", "t"):
-                assert getattr(a.value, name) == getattr(b.value, name), name
+        _assert_same_sums(a, b)
+    assert (got.summary.steps, got.summary.updates, got.summary.total_reward) \
+        == (want.summary.steps, want.summary.updates, want.summary.total_reward)
+    assert np.array_equal(got.state.hat_beta, want.state.hat_beta)
+    assert np.array_equal(got.state.bar_beta, want.state.bar_beta)
+    _assert_same_sums(got, want)
 
 
 def _check(config, batch, collect_inference=True, collect_value=True):
     reps = [(i, derive_seed(config.seed, i)) for i in range(batch)]
     kw = dict(collect_inference=collect_inference, collect_value=collect_value)
-    streams, losses = experiments._lockstep(config, reps, **kw)
+    streams, losses = experiments._synthetic(config, reps, **kw)
     assert losses is None and len(streams) == batch
     for (_, seed), got in zip(reps, streams):
         _assert_identical(got, _per_step(config, seed, **kw,
@@ -85,16 +97,29 @@ def test_without_value_sums(family):
     _check(_config(family, 3, horizon=300, checkpoints=(1, 300)), 3, collect_value=False)
 
 
+def _per_step_losses(config, seed, grid):
+    """Running mean loss at the pre-step average, at the steps of ``grid``,
+    from the observer of the per-step engine."""
+    model = config.model_family()
+    losses = []
+    _per_step(config, seed, collect_inference=False, collect_value=False,
+              observer=lambda t, x, a, y, pi, eps, greedy, bar:
+              losses.append(_loss_at_bar(model, x, a, y, bar)))
+    return (np.cumsum(losses) / np.arange(1, config.horizon + 1))[grid - 1]
+
+
 @pytest.mark.parametrize("family", ["linear", "logistic"])
 def test_tune_trajectories_match_per_step(family):
     config = _config(family, 3, horizon=4100, alpha=1.0, seed=77)
     grid = loss_grid(config.horizon)
     reps = [(i, derive_seed(config.seed, i)) for i in range(max(_MIN_BATCH, 5))]
-    lockstep = _tune_batch((config, reps), grid)
-    per_step = [traj for rep in reps for traj in _tune_batch((config, [rep]), grid)]
-    assert len(lockstep) == len(per_step) == len(reps)
-    for a, b in zip(lockstep, per_step):
-        assert np.array_equal(a, b)
+    want = [_per_step_losses(config, seed, grid) for _, seed in reps]
+    # One batch on the stacked step, then batches of 2 and 1 on the scalar step.
+    for batches in ([reps], [reps[:2], reps[2:3]]):
+        got = [traj for batch in batches for traj in _tune_batch((config, batch), grid)]
+        assert len(got) == sum(map(len, batches))
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 @settings(max_examples=10, deadline=None)
@@ -110,7 +135,7 @@ def test_random_batches_match_per_step(batch, horizon, family, marks, seed):
 def test_batch_error_escapes_monte_carlo(tmp_path):
     config = ExperimentConfig(horizon=200, reps=2 * _MIN_BATCH, checkpoints=(200,),
                               oracle_draws=1000, out=str(tmp_path))
-    with mock.patch.object(experiments, "_run_lockstep", side_effect=RuntimeError("boom")):
+    with mock.patch.object(experiments, "_run_synthetic", side_effect=RuntimeError("boom")):
         with pytest.raises(RuntimeError, match="boom"):
             run_monte_carlo(config)
 
