@@ -9,8 +9,8 @@ representative of the full log.
 """
 import numpy as np
 
-from banditsgd import (ExperimentConfig, LogisticModel, ReplayLogEntry,
-                       run_single, write_replay_log)
+from banditsgd import (ExperimentConfig, LogisticModel, ReplayLog, run_single,
+                       write_replay_log)
 
 P = 5
 N_ENTRIES = 30_000
@@ -25,8 +25,7 @@ actions = gen.integers(0, 2, size=N_ENTRIES)
 u = np.where(actions == 1, x @ TRUTH[P:], x @ TRUTH[:P])
 clicks = (gen.random(N_ENTRIES) < model.mean_from_index_array(u)).astype(float)
 
-entries = [ReplayLogEntry(x[i], int(actions[i]), clicks[i]) for i in range(N_ENTRIES)]
-write_replay_log("results/demo_click_log.csv", entries)
+write_replay_log("results/demo_click_log.csv", ReplayLog(x, actions, clicks))
 print(f"wrote {N_ENTRIES} logged entries; mean click rate {clicks.mean():.4f}")
 
 config = ExperimentConfig(

@@ -9,11 +9,10 @@ O(p^2) regardless of stream length.
 """
 
 from .engine import ProtocolError, StreamResult, run_stream, run_stream_lagged
-from .environments import (LaggedSyntheticEnvironment, ReplayCursor,
-                           ReplayEnvironment, ReplayExhausted, ReplayLogEntry,
-                           ReplayLogError, SyntheticConfig, SyntheticEnvironment,
-                           constant_lag, geometric_lag, load_replay_log,
-                           write_replay_log)
+from .environments import (LaggedSyntheticEnvironment, ReplayCursor, ReplayExhausted,
+                           ReplayLog, ReplayLogError, SyntheticConfig,
+                           SyntheticEnvironment, constant_lag, geometric_lag,
+                           load_replay_log, write_replay_log)
 from .experiments import (ConfigError, ExperimentConfig, MonteCarloSummary,
                           TuneAlphaResult, build_config, emit_report,
                           load_config_file, oracle_truth_value, run_monte_carlo,
@@ -26,7 +25,7 @@ from .models import (HESSIAN_EXACT, HESSIAN_OUTER, LinearModel, LogisticModel,
 from .policy import (RngStream, derive_seed, exploration_rate, learning_rate,
                      splitmix64)
 from .types import (DimensionError, ExplorationSchedule, InferenceReport,
-                    LearningSchedule, Observation, ParameterState, ReportRow)
+                    LearningSchedule, ParameterState, ReportRow)
 from .value import (ValueAccumulator, oracle_value, raw_value_variance,
                     value_estimate, value_standard_error, value_variance)
 

@@ -1,4 +1,4 @@
-"""Observation sources: synthetic streams, lagged delivery, and replay logs.
+"""Feature and reward sources: synthetic streams, lagged delivery, replay logs.
 
 Replay follows the match/drop evaluation for uniformly randomized logs: the
 policy proposes an action for each logged entry; on agreement with the logged
@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import InitVar, dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from .policy import RngStream
-from .types import DimensionError, Observation, as_float_vector
+from .types import DimensionError, as_float_vector
 from .value import default_feature_sampler
 
 
@@ -151,7 +153,7 @@ class LaggedSyntheticEnvironment:
 # ---------------------------------------------------------------------------
 
 class ReplayLogError(ValueError):
-    """A replay log file failed validation; the message carries the row index."""
+    """A replay log failed validation; the message names the record."""
 
 
 class ReplayExhausted(Exception):
@@ -159,126 +161,137 @@ class ReplayExhausted(Exception):
 
 
 @dataclass(frozen=True)
-class ReplayLogEntry:
-    """One logged randomized-trial record."""
+class ReplayLog:
+    """A logged randomized trial as columns: features (n, p), logged action in
+    {0, 1}, finite reward, and the logged action's propensity in (0, 1).
+
+    ``record(i)`` gives row ``i``'s record number and fields as written, for
+    error messages; by default rows count from 1 and show their values.
+    """
 
     x: np.ndarray
-    action: int
-    reward: float
-    propensity: float = 0.5
+    action: np.ndarray
+    reward: np.ndarray
+    propensity: np.ndarray | float = 0.5
+    record: InitVar[object] = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", as_float_vector(self.x, "x"))
-        if self.action not in (0, 1):
-            raise ValueError(f"logged action must be 0 or 1, got {self.action!r}")
-        if not 0.0 < self.propensity < 1.0:
-            raise ValueError(f"logged propensity must lie in (0, 1), got {self.propensity}")
+    def __post_init__(self, record):
+        x = np.asarray(self.x, dtype=np.float64)
+        action, reward = np.asarray(self.action), np.asarray(self.reward, dtype=np.float64)
+        if x.ndim != 2 or not x.shape[1] or not action.shape == reward.shape == x.shape[:1]:
+            raise ReplayLogError(f"expected (n, p) features and n actions and rewards, got "
+                                 f"shapes {x.shape}, {action.shape} and {reward.shape}")
+        prop = np.broadcast_to(np.asarray(self.propensity, dtype=np.float64), action.shape)
+        checks = (~np.isfinite(x).all(axis=1), (action != 0) & (action != 1),
+                  ~((prop > 0.0) & (prop < 1.0)), ~np.isfinite(reward))
+        bad = np.logical_or.reduce(checks)
+        if bad.any():
+            i, p = int(bad.argmax()), x.shape[1]
+            number, fields = record(i) if record else (
+                i + 1, x[i].tolist() + [action[i].item(), reward[i].item()])
+            messages = (f"features must be finite, got {fields[:p]!r}",
+                        f"action must be 0 or 1, got {fields[p]!r}",
+                        f"propensity must lie in (0, 1), got {float(prop[i])}",
+                        f"reward must be finite, got {fields[p + 1]!r}")
+            k = next(k for k, check in enumerate(checks) if check[i])
+            raise ReplayLogError(f"row {number}: {messages[k]}")
+        for name, column in zip(("x", "action", "reward", "propensity"),
+                                (x, action.astype(np.int64, copy=False), reward, prop)):
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return self.x.shape[0]
 
 
-def load_replay_log(path) -> list[ReplayLogEntry]:
-    """Read a replay log CSV with header ``x1,...,xp,action,reward[,propensity]``."""
+def _data_records(reader):
+    """``(record number, fields)`` of each non-blank record after the header."""
+    for number, row in enumerate(reader, start=1):
+        if row and not (len(row) == 1 and not row[0].strip()):
+            yield number, row
+
+
+def load_replay_log(path) -> ReplayLog:
+    """Read a replay log CSV with header ``x1,...,xp,action,reward[,propensity]``.
+
+    Rows are named by record number after the header, blank records counted.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ReplayLogError("empty file: missing header") from None
-        header = [h.strip() for h in header]
-        has_prop = header and header[-1] == "propensity"
-        feat_cols = header[:-3] if has_prop else header[:-2]
-        tail = header[len(feat_cols):]
-        expected_tail = ["action", "reward", "propensity"] if has_prop else ["action", "reward"]
-        expected_feats = [f"x{i + 1}" for i in range(len(feat_cols))]
-        if not feat_cols or feat_cols != expected_feats or tail != expected_tail:
-            raise ReplayLogError(
-                f"bad header {header!r}; expected x1,...,xp,action,reward[,propensity]"
-            )
-        p = len(feat_cols)
-        entries = []
-        for i, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
-                raise ReplayLogError(f"row {i}: expected {len(header)} fields, got {len(row)}")
+        has_prop = header[-1:] == ["propensity"]
+        p, width = len(header) - 2 - has_prop, len(header)
+        if p < 1 or header != [f"x{i + 1}" for i in range(p)] \
+                + ["action", "reward", "propensity"][:2 + has_prop]:
+            raise ReplayLogError(f"bad header {header!r}; "
+                                 "expected x1,...,xp,action,reward[,propensity]")
+        buf = array("d")
+
+        def columns():
+            data = np.frombuffer(buf, dtype=np.float64).reshape(-1, width)
+            return ReplayLog(data[:, :p], data[:, p], data[:, p + 1],
+                             data[:, p + 2] if has_prop else 0.5, record=record)
+
+        def record(i):
+            # Error path only: read the offending record back as written.
+            with open(path, newline="") as again:
+                rows = csv.reader(again)
+                next(rows)
+                return next(islice(_data_records(rows), i, None))
+
+        for number, row in _data_records(reader):
             try:
-                x = np.array([float(v) for v in row[:p]])
-                action_f = float(row[p])
-                reward = float(row[p + 1])
-                prop = float(row[p + 2]) if has_prop else 0.5
+                if len(row) != width:
+                    raise ValueError(f"expected {width} fields, got {len(row)}")
+                buf.extend(map(float, row))
             except ValueError as exc:
-                raise ReplayLogError(f"row {i}: {exc}") from None
-            if not np.isfinite(x).all():
-                raise ReplayLogError(f"row {i}: features must be finite, got {row[:p]!r}")
-            if action_f not in (0.0, 1.0):
-                raise ReplayLogError(f"row {i}: action must be 0 or 1, got {row[p]!r}")
-            if not 0.0 < prop < 1.0:
-                raise ReplayLogError(f"row {i}: propensity must lie in (0, 1), got {prop}")
-            if not math.isfinite(reward):
-                raise ReplayLogError(f"row {i}: reward must be finite, got {row[p + 1]!r}")
-            entries.append(ReplayLogEntry(x, int(action_f), reward, prop))
-    return entries
+                # An earlier record's range error is the first error in the file.
+                del buf[len(buf) - len(buf) % width:]
+                columns()
+                raise ReplayLogError(f"row {number}: {exc}") from None
+    return columns()
 
 
-def write_replay_log(path, entries) -> None:
-    """Write entries in the documented CSV schema (propensity column included)."""
-    if not entries:
-        raise ValueError("refusing to write an empty replay log")
-    p = entries[0].x.shape[0]
+def write_replay_log(path, log: ReplayLog) -> None:
+    """Write a log in the documented CSV schema (propensity column included)."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"x{i + 1}" for i in range(p)] + ["action", "reward", "propensity"])
-        for e in entries:
-            writer.writerow([repr(float(v)) for v in e.x]
-                            + [e.action, repr(float(e.reward)), repr(float(e.propensity))])
+        writer.writerow([f"x{i + 1}" for i in range(log.x.shape[1])]
+                        + ["action", "reward", "propensity"])
+        for x, a, y, prop in zip(log.x.tolist(), log.action.tolist(), log.reward.tolist(),
+                                 log.propensity.tolist()):
+            writer.writerow([*map(repr, x), a, repr(y), repr(prop)])
 
 
 class ReplayCursor:
-    """Single pass over a replay log with match/drop bookkeeping."""
+    """The engine's environment for replay: one pass over a log, match/drop.
 
-    def __init__(self, entries):
-        self.entries = list(entries)
-        self._i = 0
-        self.matched = 0
-        self.skipped = 0
+    ``next_feature()`` gives the current entry's features (``None`` once the
+    log is exhausted); ``outcome(x, a)`` consumes the entry and gives its
+    reward when ``a`` is the logged action, ``None`` when the entry is dropped.
+    """
+
+    def __init__(self, log: ReplayLog):
+        self.log = log
+        self.consumed = self.matched = self.skipped = 0
 
     @property
     def exhausted(self) -> bool:
-        return self._i >= len(self.entries)
-
-    @property
-    def consumed(self) -> int:
-        return self._i
-
-    def peek_feature(self):
-        if self.exhausted:
-            return None
-        return self.entries[self._i].x
-
-    def step(self, proposed: int):
-        """Consume one entry; return the matched observation or None on drop."""
-        if self.exhausted:
-            raise ReplayExhausted(f"all {len(self.entries)} entries consumed")
-        if proposed not in (0, 1):
-            raise ValueError(f"proposed action must be 0 or 1, got {proposed!r}")
-        entry = self.entries[self._i]
-        self._i += 1
-        if proposed == entry.action:
-            self.matched += 1
-            return Observation(entry.x, proposed, entry.reward)
-        self.skipped += 1
-        return None
-
-
-class ReplayEnvironment:
-    """Adapter exposing a replay cursor through the engine's interface."""
-
-    def __init__(self, cursor: ReplayCursor):
-        self.cursor = cursor
+        return self.consumed >= len(self.log)
 
     def next_feature(self):
-        return self.cursor.peek_feature()
+        return None if self.exhausted else self.log.x[self.consumed]
 
     def outcome(self, x, a: int):
-        obs = self.cursor.step(a)
-        return None if obs is None else obs.y
+        i = self.consumed
+        if i >= len(self.log):
+            raise ReplayExhausted(f"all {len(self.log)} entries consumed")
+        self.consumed = i + 1
+        if a == self.log.action[i]:
+            self.matched += 1
+            return float(self.log.reward[i])
+        self.skipped += 1
+        return None

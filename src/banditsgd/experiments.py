@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .engine import Checkpoint, _batch_capacity, _run_synthetic, run_stream
-from .environments import (ReplayCursor, ReplayEnvironment, SyntheticConfig,
-                           SyntheticEnvironment, load_replay_log)
+from .environments import (ReplayCursor, SyntheticConfig, SyntheticEnvironment,
+                           load_replay_log)
 from .inference import (SingularHessianError, _parameter_names, _sandwiches, _wald_rows,
                         normal_quantile, value_report_row)
 from .models import make_model
@@ -311,22 +311,21 @@ def _synthetic(config: ExperimentConfig, reps, **kwargs):
 def run_single(config: ExperimentConfig) -> SingleRunOutput:
     """One seeded stream; writes one report file per checkpoint."""
     config.validate()
-    cursor = env = None
+    cursor = None
     if config.replay_log is not None:
-        entries = load_replay_log(config.replay_log)
-        if entries and (n := entries[0].x.shape[0]) != config.p:
+        log = load_replay_log(config.replay_log)
+        if (n := log.x.shape[1]) != config.p:
             raise ConfigError(f"replay log rows have {n} features, but p is {config.p}")
-        cursor = ReplayCursor(entries)
-        env = ReplayEnvironment(cursor)
+        cursor = ReplayCursor(log)
     trace = nullcontext() if config.trace is None else open(config.trace, "w", newline="")
     with trace as fh:
-        if env is None and fh is None:
+        if cursor is None and fh is None:
             (result,), _ = _synthetic(config, [(0, config.seed)])
         else:
             # A trace observes every step, so it runs on the per-step engine.
             rng = RngStream(config.seed)
             result = run_stream(
-                env or SyntheticEnvironment(config.synthetic_config(), rng),
+                cursor or SyntheticEnvironment(config.synthetic_config(), rng),
                 config.model_family(), config.learning_schedule(),
                 config.exploration_schedule(), rng, config.horizon, hessian=config.hessian,
                 aipw=config.aipw, skip_value_burn_in=config.value_skip_burn_in,
@@ -348,7 +347,7 @@ def run_single(config: ExperimentConfig) -> SingleRunOutput:
     replay_stats = None
     if cursor is not None:
         replay_stats = {
-            "entries": len(cursor.entries), "consumed": cursor.consumed,
+            "entries": len(cursor.log), "consumed": cursor.consumed,
             "matched": cursor.matched, "skipped": cursor.skipped,
             "matched_fraction": cursor.matched / cursor.consumed if cursor.consumed else math.nan,
         }
@@ -478,6 +477,13 @@ def _mc_row(t: int, name: str, est, se, truth: float, z: float, n_excluded: int)
     return McRow(t, name, ratio, cov, cov_se, length, len(est), n_excluded)
 
 
+def _reject_stream_options(config: ExperimentConfig, command: str) -> None:
+    """Suites run synthetic streams only, so a replay log or a trace would go unread."""
+    for key in ("replay_log", "trace"):
+        if getattr(config, key) is not None:
+            raise ConfigError(f"{command} does not read {key} (--{key.replace('_', '-')})")
+
+
 def run_monte_carlo(config: ExperimentConfig, rep_seeds=None,
                     collect_inference: bool = True,
                     write: bool = True) -> MonteCarloSummary:
@@ -488,6 +494,7 @@ def run_monte_carlo(config: ExperimentConfig, rep_seeds=None,
     per-step cost when only value statistics are needed.
     """
     config.validate()
+    _reject_stream_options(config, "mc")
     if config.reps < 2:
         raise ConfigError("Monte Carlo suites need at least 2 replications")
     if rep_seeds is not None and len(rep_seeds) != config.reps:
@@ -562,6 +569,7 @@ def tune_alpha(config: ExperimentConfig, alpha_grid, write: bool = True) -> Tune
     """Compare running mean loss across step-size constants; the lowest finite
     final loss wins, and ``best_alpha`` is NaN when no final loss is finite."""
     config.validate()
+    _reject_stream_options(config, "tune-alpha")
     alphas = [float(a) for a in alpha_grid]
     if not alphas:
         raise ConfigError("alpha grid must not be empty")

@@ -1,4 +1,4 @@
-"""Shared data model: observations, parameter state, schedules, and reports.
+"""Shared data model: parameter state, schedules, and reports.
 
 Parameter vectors follow a fixed block layout: a model with feature dimension
 ``p`` carries ``2p`` parameters, the first ``p`` for action 0 and the last
@@ -22,27 +22,6 @@ def as_float_vector(v, name: str = "vector") -> np.ndarray:
     if arr.ndim != 1:
         raise DimensionError(f"{name} must be 1-D, got shape {arr.shape}")
     return arr
-
-
-@dataclass(frozen=True)
-class Observation:
-    """One decision step: feature vector ``x``, binary action ``a``, reward ``y``."""
-
-    x: np.ndarray
-    a: int
-    y: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", as_float_vector(self.x, "x"))
-        if self.a not in (0, 1):
-            raise ValueError(f"action must be 0 or 1, got {self.a!r}")
-        object.__setattr__(self, "y", float(self.y))
-        if not math.isfinite(self.y):
-            raise ValueError(f"reward must be finite, got {self.y!r}")
-
-    @property
-    def p(self) -> int:
-        return self.x.shape[0]
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ and check them against finite differences.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,9 +19,29 @@ from banditsgd.inference import PluginAccumulators, ipw_weight
 from banditsgd.environments import ReplayCursor
 from banditsgd.models import HESSIAN_EXACT, _HESSIAN_VARIANTS
 from banditsgd.policy import RngStream, learning_rate
-from banditsgd.types import (DimensionError, LearningSchedule, Observation, ParameterState,
-                             as_float_vector)
+from banditsgd.types import DimensionError, LearningSchedule, ParameterState, as_float_vector
 from banditsgd.value import ValueAccumulator
+
+
+@dataclass(frozen=True)
+class Observation:
+    """One decision step: feature vector ``x``, binary action ``a``, reward ``y``."""
+
+    x: np.ndarray
+    a: int
+    y: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "x", as_float_vector(self.x, "x"))
+        if self.a not in (0, 1):
+            raise ValueError(f"action must be 0 or 1, got {self.a!r}")
+        object.__setattr__(self, "y", float(self.y))
+        if not math.isfinite(self.y):
+            raise ValueError(f"reward must be finite, got {self.y!r}")
+
+    @property
+    def p(self) -> int:
+        return self.x.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -229,19 +250,18 @@ class MeanTrackingCursor(ReplayCursor):
     """A replay cursor that also sums the features of the entries it consumes
     and of those it matches."""
 
-    def __init__(self, entries):
-        super().__init__(entries)
-        p = self.entries[0].x.shape[0] if self.entries else 0
-        self._sum_all = np.zeros(p)
-        self._sum_matched = np.zeros(p)
+    def __init__(self, log):
+        super().__init__(log)
+        self._sum_all = np.zeros(log.x.shape[1])
+        self._sum_matched = np.zeros(log.x.shape[1])
 
-    def step(self, proposed: int):
-        x = None if self.exhausted else self.entries[self.consumed].x
-        obs = super().step(proposed)
+    def outcome(self, x, a: int):
+        x = self.next_feature()
+        y = super().outcome(x, a)
         self._sum_all += x
-        if obs is not None:
+        if y is not None:
             self._sum_matched += x
-        return obs
+        return y
 
     def feature_mean_all(self) -> np.ndarray:
         if self.consumed == 0:

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from banditsgd import (ExperimentConfig, ExplorationSchedule, LearningSchedule,
-                       LinearModel, LogisticModel, Observation, ReplayEnvironment,
-                       ReplayLogEntry, RngStream, SyntheticConfig,
+                       LinearModel, LogisticModel, ReplayLog, RngStream, SyntheticConfig,
                        SyntheticEnvironment, exploration_rate, make_model,
                        oracle_value, run_monte_carlo, run_single, run_stream,
                        run_stream_lagged, tune_alpha, write_replay_log)
@@ -22,6 +21,7 @@ from banditsgd.environments import LaggedSyntheticEnvironment
 from banditsgd.experiments import _launch, _mc_batch
 
 import oracle
+from oracle import Observation
 
 BETA0 = np.array([0.3, -0.1, 0.7, 0.8, 0.5, -0.4])
 WORKERS = max(1, min(4, os.cpu_count() or 1))
@@ -277,11 +277,9 @@ def test_criterion_09_replay_matching():
     actions = gen.integers(0, 2, n)
     u = np.where(actions == 1, x @ BETA0[3:], x @ BETA0[:3])
     rewards = (gen.random(n) < model.mean_from_index_array(u)).astype(float)
-    entries = [ReplayLogEntry(x[i], int(actions[i]), rewards[i]) for i in range(n)]
-
-    cursor = oracle.MeanTrackingCursor(entries)
+    cursor = oracle.MeanTrackingCursor(ReplayLog(x, actions, rewards))
     rng = RngStream(20250813)
-    run_stream(ReplayEnvironment(cursor), model, LearningSchedule(0.5, 0.501),
+    run_stream(cursor, model, LearningSchedule(0.5, 0.501),
                ExplorationSchedule.fixed(0.2), rng, n)
     frac = cursor.matched / cursor.consumed
     means_gap = np.abs(cursor.feature_mean_matched() - cursor.feature_mean_all())
@@ -369,8 +367,7 @@ def test_fixture_replay_report(tmp_path):
     u = np.where(actions == 1, x @ truth[p:], x @ truth[:p])
     clicks = (gen.random(n) < model.mean_from_index_array(u)).astype(float)
     log_path = tmp_path / "fixture_log.csv"
-    write_replay_log(log_path, [ReplayLogEntry(x[i], int(actions[i]), clicks[i])
-                                for i in range(n)])
+    write_replay_log(log_path, ReplayLog(x, actions, clicks))
 
     cfg = ExperimentConfig(model="logistic", p=p, beta0=tuple(truth),
                            replay_log=str(log_path), horizon=n, seed=20250816,

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from banditsgd import ReplayLogEntry, write_replay_log
+from banditsgd import ReplayLog, write_replay_log
 from banditsgd.cli import main
 
 
@@ -60,11 +60,11 @@ def test_missing_replay_log_is_config_error(tmp_path, capsys):
 
 def test_replay_subcommand(tmp_path, capsys):
     gen = np.random.default_rng(3)
-    entries = [ReplayLogEntry(np.append(1.0, gen.standard_normal(2)),
-                              int(gen.integers(0, 2)), float(gen.integers(0, 2)))
-               for _ in range(400)]
+    rows = [(np.append(1.0, gen.standard_normal(2)),
+             int(gen.integers(0, 2)), float(gen.integers(0, 2)))
+            for _ in range(400)]
     log = tmp_path / "log.csv"
-    write_replay_log(log, entries)
+    write_replay_log(log, ReplayLog(*map(np.array, zip(*rows))))
     code = main(["replay", "--model", "logistic", "--replay-log", str(log),
                  "--horizon", "400", "--burn-in", "20", "--seed", "2",
                  "--checkpoints", "100", "--out", str(tmp_path / "r")])
@@ -74,13 +74,34 @@ def test_replay_subcommand(tmp_path, capsys):
 
 
 def test_replay_log_width_must_match_p(tmp_path, capsys):
-    entries = [ReplayLogEntry(np.array([1.0, 0.5]), i % 2, 1.0) for i in range(20)]
     log = tmp_path / "log.csv"
-    write_replay_log(log, entries)
+    write_replay_log(log, ReplayLog(np.tile([1.0, 0.5], (20, 1)), np.arange(20) % 2,
+                                    np.ones(20)))
     code = main(["replay", "--model", "logistic", "--replay-log", str(log),
                  "--horizon", "20", "--out", str(tmp_path / "r")])
     assert code == 1
     assert "replay log rows have 2 features, but p is 3" in capsys.readouterr().err
+
+
+def test_header_only_log_width_must_match_p(tmp_path, capsys):
+    log = tmp_path / "log.csv"
+    log.write_text("x1,x2,x3,action,reward\n")
+    code = main(["replay", "--model", "logistic", "--replay-log", str(log), "--p", "2",
+                 "--beta0=0.1,0.2,0.3,0.4", "--horizon", "20", "--out", str(tmp_path / "r")])
+    assert code == 1
+    assert "replay log rows have 3 features, but p is 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--replay-log", "missing.csv"),
+                                        ("--trace", "t.csv")])
+@pytest.mark.parametrize("command", [["mc", "--reps", "2"],
+                                     ["tune-alpha", "--alpha-grid", "0.5", "--reps", "2"]])
+def test_suites_reject_stream_only_flags(tmp_path, capsys, monkeypatch, command, flag, value):
+    monkeypatch.chdir(tmp_path)
+    code = main([*command, "--horizon", "100", flag, value, "--out", "o"])
+    assert code == 1
+    assert flag in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_mc_subcommand(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banditsgd import (ExplorationSchedule, LearningSchedule, LinearModel,
-                       LogisticModel, Observation, ParameterState, ProtocolError,
+                       LogisticModel, ParameterState, ProtocolError,
                        RngStream, SyntheticConfig, SyntheticEnvironment,
                        exploration_rate, make_model, run_stream, run_stream_lagged)
 from banditsgd import engine
@@ -17,8 +17,8 @@ from banditsgd.experiments import _loss_at_bar, _map_jobs, _trace_writer
 from banditsgd.inference import PluginAccumulators, ipw_weight
 from banditsgd.value import ValueAccumulator
 
-from oracle import (accumulate, ipw_gradient, loss_gradient, mean_reward, sgd_step,
-                    update_value, zero_state)
+from oracle import (Observation, accumulate, ipw_gradient, loss_gradient, mean_reward,
+                    sgd_step, update_value, zero_state)
 
 BETA0 = np.array([0.3, -0.1, 0.7, 0.8, 0.5, -0.4])
 LEARN = LearningSchedule(0.5, 0.501)
@@ -265,14 +265,14 @@ class TestRunStream:
         np.testing.assert_array_equal(cps[1].bar_beta, res.state.bar_beta)
 
     def test_environment_exhaustion_stops_cleanly(self):
-        from banditsgd import ReplayCursor, ReplayEnvironment, ReplayLogEntry
+        from banditsgd import ReplayCursor, ReplayLog
         rng_np = np.random.default_rng(6)
-        entries = [ReplayLogEntry(np.append(1.0, rng_np.standard_normal(2)),
-                                  int(rng_np.integers(0, 2)), float(rng_np.integers(0, 2)))
-                   for _ in range(40)]
+        rows = [(np.append(1.0, rng_np.standard_normal(2)),
+                 int(rng_np.integers(0, 2)), float(rng_np.integers(0, 2)))
+                for _ in range(40)]
         m = LogisticModel(3)
-        cursor = ReplayCursor(entries)
-        res = run_stream(ReplayEnvironment(cursor), m, LEARN, EXPLORE,
+        cursor = ReplayCursor(ReplayLog(*map(np.array, zip(*rows))))
+        res = run_stream(cursor, m, LEARN, EXPLORE,
                          RngStream(8), 1000)
         assert res.summary.exhausted
         assert res.summary.steps == cursor.matched

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banditsgd import (LinearModel, LogisticModel, ReplayCursor, ReplayExhausted,
-                       ReplayLogEntry, ReplayLogError, RngStream, SyntheticConfig,
+                       ReplayLog, ReplayLogError, RngStream, SyntheticConfig,
                        SyntheticEnvironment, load_replay_log, write_replay_log)
 from banditsgd.environments import (LaggedSyntheticEnvironment, constant_lag,
                                     geometric_lag)
@@ -137,32 +137,31 @@ class TestLaggedEnvironment:
             geometric_lag(0.0)
 
 
-def _make_entries(n, seed=0, p=3):
+def _make_log(n, seed=0, p=3):
     gen = np.random.default_rng(seed)
-    entries = []
+    rows = []
     for _ in range(n):
         x = np.append(1.0, gen.standard_normal(p - 1))
-        entries.append(ReplayLogEntry(x, int(gen.integers(0, 2)),
-                                      float(gen.integers(0, 2))))
-    return entries
+        rows.append((x, int(gen.integers(0, 2)), float(gen.integers(0, 2))))
+    return ReplayLog(*map(np.array, zip(*rows)))
 
 
 class TestReplayLogIO:
     def test_roundtrip(self, tmp_path):
-        entries = _make_entries(3)
+        log = _make_log(3)
         path = tmp_path / "log.csv"
-        write_replay_log(path, entries)
+        write_replay_log(path, log)
         back = load_replay_log(path)
         assert len(back) == 3
-        for a, b in zip(entries, back):
-            np.testing.assert_array_equal(a.x, b.x)
-            assert a.action == b.action and a.reward == b.reward
-            assert a.propensity == b.propensity
+        for i in range(3):
+            np.testing.assert_array_equal(log.x[i], back.x[i])
+            assert log.action[i] == back.action[i] and log.reward[i] == back.reward[i]
+            assert log.propensity[i] == back.propensity[i]
 
     def test_empty_data_section(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("x1,x2,x3,action,reward\n")
-        assert load_replay_log(path) == []
+        assert len(load_replay_log(path)) == 0
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "nohdr.csv"
@@ -207,6 +206,31 @@ class TestReplayLogIO:
         with pytest.raises(ReplayLogError, match="header"):
             load_replay_log(path)
 
+    def test_blank_record_counts_in_row_number(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,x2,action,reward\n1.0,0.5,0,1.0\n\n1.0,0.5,2,1.0\n")
+        with pytest.raises(ReplayLogError) as exc:
+            load_replay_log(path)
+        assert str(exc.value) == "row 3: action must be 0 or 1, got '2'"
+
+    @pytest.mark.parametrize("later", ["1.0,oops,0.5", "1.0,0.5"], ids=["parse", "width"])
+    def test_first_bad_record_is_named(self, tmp_path, later):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x1,action,reward\n1.0,0,inf\n1.0,1,0.5\n{later}\n")
+        with pytest.raises(ReplayLogError) as exc:
+            load_replay_log(path)
+        assert str(exc.value) == "row 1: reward must be finite, got 'inf'"
+
+    def test_log_built_in_memory_is_checked(self):
+        with pytest.raises(ReplayLogError, match="row 2: action must be 0 or 1"):
+            ReplayLog(np.ones((3, 2)), [0, 2, 1], [0.0, 1.0, 0.0])
+        with pytest.raises(ReplayLogError, match="row 3: reward must be finite"):
+            ReplayLog(np.ones((3, 2)), [0, 1, 1], [0.0, 1.0, math.nan])
+        with pytest.raises(ReplayLogError, match=r"expected \(n, p\) features"):
+            ReplayLog(np.ones(3), [0, 1, 1], [0.0, 1.0, 0.0])
+        assert ReplayLog(np.ones((3, 2)), [0, 1, 1], [0.0, 1.0, 0.0]).propensity.tolist() \
+            == [0.5, 0.5, 0.5]
+
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -218,60 +242,59 @@ def test_replay_log_round_trips(p, data, tmp_path_factory):
     rows = data.draw(st.lists(st.tuples(
         st.lists(_FINITE, min_size=p, max_size=p), st.integers(0, 1), _FINITE,
         st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)), min_size=1, max_size=20))
-    entries = [ReplayLogEntry(np.array(x), a, y, prop) for x, a, y, prop in rows]
+    log = ReplayLog(*map(np.array, zip(*rows)))
     path = tmp_path_factory.mktemp("log") / "log.csv"
-    write_replay_log(path, entries)
+    write_replay_log(path, log)
     back = load_replay_log(path)
-    assert len(back) == len(entries)
-    for a, b in zip(entries, back):
-        assert a.x.tobytes() == b.x.tobytes()
-        assert (a.action, a.reward, a.propensity) == (b.action, b.reward, b.propensity)
-        assert math.copysign(1.0, a.reward) == math.copysign(1.0, b.reward)
+    assert len(back) == len(log)
+    for i in range(len(log)):
+        assert log.x[i].tobytes() == back.x[i].tobytes()
+        assert (log.action[i], log.reward[i], log.propensity[i]) \
+            == (back.action[i], back.reward[i], back.propensity[i])
+        assert math.copysign(1.0, log.reward[i]) == math.copysign(1.0, back.reward[i])
 
 class TestReplayCursor:
     def test_match_keeps_reward(self):
-        entries = [ReplayLogEntry(np.array([1.0, 0.2]), 1, 0.7)]
-        cursor = ReplayCursor(entries)
-        obs = cursor.step(1)
-        assert obs is not None and obs.y == 0.7 and obs.a == 1
+        cursor = ReplayCursor(ReplayLog(np.array([[1.0, 0.2]]), [1], [0.7]))
+        assert cursor.outcome(cursor.next_feature(), 1) == 0.7
         assert cursor.matched == 1 and cursor.skipped == 0 and cursor.exhausted
 
     def test_mismatch_drops_entry(self):
-        entries = [ReplayLogEntry(np.array([1.0, 0.2]), 1, 0.7)]
-        cursor = ReplayCursor(entries)
-        assert cursor.step(0) is None
+        cursor = ReplayCursor(ReplayLog(np.array([[1.0, 0.2]]), [1], [0.7]))
+        assert cursor.outcome(cursor.next_feature(), 0) is None
         assert cursor.matched == 0 and cursor.skipped == 1 and cursor.exhausted
 
     def test_exhaustion_reported_distinctly(self):
-        cursor = ReplayCursor(_make_entries(1))
-        cursor.step(1)
+        cursor = ReplayCursor(_make_log(1))
+        cursor.outcome(cursor.next_feature(), 1)
+        assert cursor.next_feature() is None
         with pytest.raises(ReplayExhausted):
-            cursor.step(1)
+            cursor.outcome(None, 1)
 
     def test_every_entry_consumed_once(self):
         n = 500
-        cursor = ReplayCursor(_make_entries(n, seed=2))
+        cursor = ReplayCursor(_make_log(n, seed=2))
         gen = np.random.default_rng(3)
         while not cursor.exhausted:
-            cursor.step(int(gen.integers(0, 2)))
+            cursor.outcome(cursor.next_feature(), int(gen.integers(0, 2)))
         assert cursor.consumed == n == cursor.matched + cursor.skipped
 
     def test_uniform_log_matches_about_half(self):
         n = 20_000
-        cursor = ReplayCursor(_make_entries(n, seed=4))
+        cursor = ReplayCursor(_make_log(n, seed=4))
         while not cursor.exhausted:
-            cursor.step(1)  # any proposal rule works against a uniform log
+            cursor.outcome(cursor.next_feature(), 1)  # any proposal works on a uniform log
         se = 0.5 / math.sqrt(n)
         assert abs(cursor.matched / n - 0.5) < 4.0 * se
 
     def test_matched_subpopulation_representative(self):
         n = 20_000
-        entries = _make_entries(n, seed=5)
-        cursor = MeanTrackingCursor(entries)
+        log = _make_log(n, seed=5)
+        cursor = MeanTrackingCursor(log)
         gen = np.random.default_rng(6)
         while not cursor.exhausted:
-            cursor.step(int(gen.integers(0, 2)))
-        sd = np.array([e.x for e in entries]).std(axis=0, ddof=1)
+            cursor.outcome(cursor.next_feature(), int(gen.integers(0, 2)))
+        sd = log.x.std(axis=0, ddof=1)
         gap = np.abs(cursor.feature_mean_matched() - cursor.feature_mean_all())
         assert (gap[1:] < 4.0 * sd[1:] / math.sqrt(cursor.matched)).all()
         assert gap[0] == 0.0  # intercept column

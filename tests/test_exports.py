@@ -7,8 +7,8 @@ EXPORTS = {
     # engine
     "ProtocolError", "StreamResult", "run_stream", "run_stream_lagged",
     # environments
-    "LaggedSyntheticEnvironment", "ReplayCursor", "ReplayEnvironment", "ReplayExhausted",
-    "ReplayLogEntry", "ReplayLogError", "SyntheticConfig", "SyntheticEnvironment",
+    "LaggedSyntheticEnvironment", "ReplayCursor", "ReplayExhausted", "ReplayLog",
+    "ReplayLogError", "SyntheticConfig", "SyntheticEnvironment",
     "constant_lag", "geometric_lag", "load_replay_log", "write_replay_log",
     # experiments
     "ConfigError", "ExperimentConfig", "MonteCarloSummary", "TuneAlphaResult",
@@ -24,7 +24,7 @@ EXPORTS = {
     "RngStream", "derive_seed", "exploration_rate", "learning_rate", "splitmix64",
     # types
     "DimensionError", "ExplorationSchedule", "InferenceReport", "LearningSchedule",
-    "Observation", "ParameterState", "ReportRow",
+    "ParameterState", "ReportRow",
     # value
     "ValueAccumulator", "oracle_value", "raw_value_variance", "value_estimate",
     "value_standard_error", "value_variance",
@@ -35,4 +35,4 @@ def test_exported_names():
     public = {name for name, obj in vars(banditsgd).items()
               if not name.startswith("_") and not inspect.ismodule(obj)}
     assert public == EXPORTS
-    assert len(EXPORTS) == 59
+    assert len(EXPORTS) == 57

@@ -50,11 +50,18 @@ COMMANDS = {
     "replay-json": ["replay", "--replay-log", "log.csv", "--model", "logistic", "--p", "2",
                     "--beta0=-0.5,0.4,0.3,-0.6", "--horizon", "3000", "--seed", "19",
                     "--format", "json"],
+    "replay-trace": ["replay", "--replay-log", "log.csv", "--model", "logistic", "--p", "2",
+                     "--beta0=-0.5,0.4,0.3,-0.6", "--horizon", "3000", "--seed", "23",
+                     "--trace", "trace.csv"],
+    "replay-no-propensity": ["replay", "--replay-log", "log-no-propensity.csv",
+                             "--model", "logistic", "--p", "2", "--beta0=-0.5,0.4,0.3,-0.6",
+                             "--horizon", "3000", "--seed", "24", "--format", "json"],
 }
 
 
 def _write_inputs(work: Path) -> None:
-    """The mc config file and a uniformly randomized logistic replay log."""
+    """The mc config file and a uniformly randomized logistic replay log, with
+    and without its propensity column."""
     (work / "mc.cfg").write_text(MC_CONFIG)
     gen = np.random.default_rng(2024)
     rows = 2000
@@ -62,10 +69,11 @@ def _write_inputs(work: Path) -> None:
     actions = gen.integers(0, 2, rows)
     u = np.where(actions == 1, x @ [0.3, -0.6], x @ [-0.5, 0.4])
     rewards = (gen.random(rows) < 1.0 / (1.0 + np.exp(-u))).astype(float)
-    lines = ["x1,x2,action,reward,propensity"]
-    lines += [f"{a!r},{b!r},{int(c)},{d!r},0.5"
-              for a, b, c, d in zip(x[:, 0].tolist(), x[:, 1].tolist(), actions, rewards.tolist())]
-    (work / "log.csv").write_text("\n".join(lines) + "\n")
+    rows = [f"{a!r},{b!r},{int(c)},{d!r}"
+            for a, b, c, d in zip(x[:, 0].tolist(), x[:, 1].tolist(), actions, rewards.tolist())]
+    (work / "log.csv").write_text(
+        "\n".join(["x1,x2,action,reward,propensity"] + [r + ",0.5" for r in rows]) + "\n")
+    (work / "log-no-propensity.csv").write_text("\n".join(["x1,x2,action,reward"] + rows) + "\n")
 
 
 def _sha(data: bytes) -> str:
@@ -167,6 +175,26 @@ GOLDEN = {
         "files": {
             "out/replay_stats.json": "4d93f4767e09dcee395302f28ee8cfb0ce6138ac910d8781bb5992d9a1412ae9",
             "out/report_t978.json": "b61b4625b22aa814a287cffc53c2467e5a5e6b901d03dafe49842ace71ab46bf"
+        }
+    },
+    "replay-no-propensity": {
+        "exit": 0,
+        "stdout": "5797507029ab9a55802c1ef8d6b2e474bd499e428eddc980c32e8541b1c4a9f9",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "out/replay_stats.json": "efc54d2063e42bbf031fb09da9939a1377194096036d4bc6e6dd5f35ee1c7997",
+            "out/report_t955.json": "2dce5b9068c3a22f9fee01533c90c1e6d0b19e6f51deb0049bc65739320cb433"
+        }
+    },
+    "replay-trace": {
+        "exit": 0,
+        "stdout": "aecd57ae40e0425aa4fd4562c8d20e1da33fecab26fb9f2e3917a6c4ebef03c3",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "out/replay_stats.csv": "0349009985bbbb278e0dbd22cc08c6e36e04eb13a773de81c80c2f89d1bf1008",
+            "out/report_t1000.csv": "910ee118a089b407261df158822613c50a29de9a561f52cc9e787303b4cac519",
+            "out/report_t1005.csv": "7dd650430960c691a3d46430a8713de1218bbc9664a9867308fd694881b3cb4e",
+            "trace.csv": "4db93dc98510dad6c0e305825567c8ed9080de18286cb082ff04fe887ac91840"
         }
     },
     "run-csv": {

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banditsgd import (ExplorationSchedule, LearningSchedule, LinearModel,
-                       LogisticModel, Observation, RngStream, SingularHessianError,
+                       LogisticModel, RngStream, SingularHessianError,
                        SyntheticConfig, SyntheticEnvironment, normal_cdf,
                        normal_quantile, run_stream, sandwich_covariance,
                        two_sided_p, wald_report)
@@ -15,6 +15,7 @@ from banditsgd import inference
 from banditsgd.inference import PluginAccumulators, ipw_weight, value_report_row
 
 import oracle
+from oracle import Observation
 
 BETA0 = np.array([0.3, -0.1, 0.7, 0.8, 0.5, -0.4])
 

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from banditsgd import (HESSIAN_EXACT, HESSIAN_OUTER, LinearModel, LogisticModel,
-                       Observation, make_model)
+from banditsgd import HESSIAN_EXACT, HESSIAN_OUTER, LinearModel, LogisticModel, make_model
 from banditsgd.types import DimensionError
 
-from oracle import linear_index, loss, loss_gradient, loss_hessian, mean_reward
+from oracle import (Observation, linear_index, loss, loss_gradient, loss_hessian,
+                    mean_reward)
 
 BETA0 = np.array([0.3, -0.1, 0.7, 0.8, 0.5, -0.4])
 E1 = np.array([1.0, 0.0, 0.0])

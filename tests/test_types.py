@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from banditsgd import (DimensionError, ExplorationSchedule, LearningSchedule,
-                       LinearModel, LogisticModel, Observation, ParameterState)
+                       LinearModel, LogisticModel, ParameterState)
 from banditsgd.types import ReportRow
 
-from oracle import decide_optimal, zero_state
+from oracle import Observation, decide_optimal, zero_state
 
 BETA0 = np.array([0.3, -0.1, 0.7, 0.8, 0.5, -0.4])
 

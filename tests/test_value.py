@@ -5,13 +5,13 @@ from functools import partial
 import numpy as np
 import pytest
 
-from banditsgd import (LinearModel, LogisticModel, Observation, RngStream,
+from banditsgd import (LinearModel, LogisticModel, RngStream,
                        oracle_value, raw_value_variance, value_estimate,
                        value_standard_error, value_variance)
 from banditsgd.experiments import ExperimentConfig, _launch, _mc_batch
 from banditsgd.value import ValueAccumulator
 
-from oracle import merge_value, update_value
+from oracle import Observation, merge_value, update_value
 
 BETA0 = np.array([0.3, -0.1, 0.7, 0.8, 0.5, -0.4])
 
