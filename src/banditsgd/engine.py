@@ -10,6 +10,7 @@ average under a propensity that stays frozen between updates, and each
 arriving reward triggers exactly one update, in first-in-first-out order.
 ``_run_synthetic`` runs a batch of synthetic streams from per-block draw
 tables, each equal bit for bit to ``run_stream`` on a ``SyntheticEnvironment``.
+Both show their steps to one hook, ``on_steps`` (``run_stream``).
 """
 from __future__ import annotations
 
@@ -185,12 +186,12 @@ class _UpdateCore:
     copy of ``x`` and the step's raw scalars (actions, reward, weight,
     exploration rate, include flag and both indexes at the pre-step average)
     wait in a pending block of at most ``_block_rows(p)`` steps, which
-    ``fold`` hands to ``_fold_steps`` before every snapshot, when the block
-    fills and before the result is returned.
+    ``fold`` hands to ``on_steps`` and ``_fold_steps`` before every snapshot,
+    when the block fills and before the result is returned.
     """
 
     def __init__(self, model, learn: LearningSchedule, *, variant: str,
-                 collect_inference: bool, collect_value: bool, aipw: bool):
+                 collect_inference: bool, collect_value: bool, aipw: bool, on_steps=None):
         if variant not in _HESSIAN_VARIANTS:
             raise ValueError(f"unknown hessian variant {variant!r}")
         self.learn = learn
@@ -206,8 +207,10 @@ class _UpdateCore:
         self.value = ValueAccumulator(aipw=aipw) if collect_value else None
         self._sums = ([self.plugin] if collect_inference else [],
                       [self.value] if collect_value else [])
+        self._on_steps = on_steps
         self._rows = _block_rows(p)
-        self._x = np.empty((self._rows, p)) if collect_inference or collect_value else None
+        keep = collect_inference or collect_value or on_steps is not None
+        self._x = np.empty((self._rows, p)) if keep else None
         self._pending: list[tuple] = []
         self._link = model.mean_from_index
         self._check_reward = model.validate_reward
@@ -252,13 +255,17 @@ class _UpdateCore:
             self.fold()
 
     def fold(self) -> None:
-        """Add the pending steps to the sums, oldest first."""
+        """Hand the pending steps to ``on_steps`` and the sums, oldest first."""
         if self._pending:
             n = len(self._pending)
             # (steps, R = 1, fields): the last two fields are both indexes.
             rec = np.fromiter(chain.from_iterable(self._pending), np.float64,
                               8 * n).reshape(n, 1, 8)
             a, greedy, y, w, eps, include = (rec[..., k] for k in range(6))
+            if self._on_steps is not None:
+                self._on_steps(np.arange(self.updates - n + 1, self.updates + 1),
+                               a.astype(np.uint8), greedy.astype(np.uint8), y, eps[:, 0],
+                               rec[..., 6:])
             _fold_steps(self.model, self.variant, self._x[:n, None], a, greedy, y, w, eps[:, 0],
                         include != 0.0, rec[..., 6:], *self._sums)
             self._pending.clear()
@@ -282,23 +289,24 @@ def run_stream(env, model, learn: LearningSchedule, explore: ExplorationSchedule
                rng: RngStream, horizon: int, *, hessian: str = "exact",
                aipw: bool = False, collect_inference: bool = True,
                collect_value: bool = True, checkpoints=(),
-               skip_value_burn_in: bool = False, observer=None) -> StreamResult:
+               skip_value_burn_in: bool = False, on_steps=None) -> StreamResult:
     """Run ``horizon`` decision steps against an environment.
 
     The environment supplies features via ``next_feature()`` (``None`` once
     exhausted, which stops the run cleanly) and rewards via
     ``outcome(x, action)``; an ``outcome`` of ``None`` marks a skipped replay
     entry, which consumes the entry but not a decision step.  Fixed seeds give
-    bit-identical runs.  ``observer``, if given, is called once per decision
-    step, before the update, as ``observer(t, x, a, y, pi, eps, greedy, bar)``;
-    ``bar`` is the live pre-step average, so an observer that keeps it must
-    copy it.
+    bit-identical runs.  Each run of steps added to the sums is first passed
+    to ``on_steps(t, act, greedy, y, eps, ubar)``, if given, oldest first: the
+    step indexes (n,), the taken and greedy actions (uint8) and rewards
+    (n, R = 1), the exploration rates (n,) and both indexes at the pre-step
+    average (n, R, 2), in arrays valid only during the call.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     core = _UpdateCore(model, learn, variant=hessian,
                        collect_inference=collect_inference,
-                       collect_value=collect_value, aipw=aipw)
+                       collect_value=collect_value, aipw=aipw, on_steps=on_steps)
     summary = RunSummary()
     cp_set = set(int(c) for c in checkpoints)
     for t in range(1, horizon + 1):
@@ -314,8 +322,6 @@ def run_stream(env, model, learn: LearningSchedule, explore: ExplorationSchedule
                 break
         if summary.exhausted:
             break
-        if observer is not None:
-            observer(t, x, a, y, pi, eps, greedy, core.bar)
         include_value = not (skip_value_burn_in and t <= explore.burn_in)
         core.apply(x, a, float(y), pi, eps, greedy, include_value, u_bar=u_bar)
         summary.total_reward += y
@@ -458,20 +464,19 @@ def _run_synthetic(synth: SyntheticConfig, learn: LearningSchedule,
                    explore: ExplorationSchedule, seeds, horizon: int, *,
                    hessian: str = "exact", aipw: bool = False,
                    collect_inference: bool = True, collect_value: bool = True,
-                   checkpoints=(), skip_value_burn_in: bool = False, loss_grid=()):
-    """``run_stream`` on ``SyntheticEnvironment(synth, RngStream(seed))`` with
-    the default feature sampler, for every seed, equal bit for bit (README,
-    "Defaults").
+                   checkpoints=(), skip_value_burn_in: bool = False, on_steps=None):
+    """``run_stream`` on ``SyntheticEnvironment(synth, RngStream(seed))`` for
+    every seed, equal bit for bit (README, "Defaults"), and with ``on_steps``
+    seeing the columns it would see, one per seed.
 
-    Returns each seed's ``StreamResult`` and, given ``loss_grid``, each one's
-    running mean loss at the pre-step average at those steps (else None).
-    Per block of ``_BLOCK_ROWS`` steps, tables hold what does not depend on
-    the learned state: both actions' rewards and, per greedy action, the
-    taken action and its IPW weight.  Per step remain the indexes at the
-    average, the greedy comparison and the update; a step records the
-    greedy action and both indexes at the average.  Sums, total rewards and
-    losses are folded from the tables and records at the end of each block
-    and at checkpoints.  Exceptions propagate.
+    Returns each seed's ``StreamResult``.  Per block of ``_BLOCK_ROWS``
+    steps, tables hold what does not depend on the learned state: both
+    actions' rewards and, per greedy action, the taken action and its IPW
+    weight.  Per step remain the indexes at the average, the greedy
+    comparison and the update; a step records the greedy action and both
+    indexes at the average.  Sums and total rewards are folded from the
+    tables and records, after ``on_steps`` has seen them, at the end of each
+    block and at checkpoints.  Exceptions propagate.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -482,7 +487,6 @@ def _run_synthetic(synth: SyntheticConfig, learn: LearningSchedule,
     linear = model.tag == "linear"
     sd = math.sqrt(synth.sigma2)
     cp_set = set(int(c) for c in checkpoints)
-    grid = {int(t): j for j, t in enumerate(loss_grid)}
     # Averages and iterates.  A stacked 1 x p by p x 1 matmul gives every
     # index, each by the BLAS dot call of ``block.dot(x)``.
     blocks = np.zeros((2, reps, 2, p))
@@ -502,8 +506,6 @@ def _run_synthetic(synth: SyntheticConfig, learn: LearningSchedule,
     plugins = [PluginAccumulators(2 * p) for _ in seeds] if collect_inference else []
     values = [ValueAccumulator(aipw=aipw) for _ in seeds] if collect_value else []
     reward_total = np.zeros(reps)
-    loss_total = np.zeros(reps)
-    losses = np.empty((reps, len(grid))) if grid else None
     value_from = explore.burn_in if skip_value_burn_in else 0
 
     def stacked(i0: int, i1: int) -> None:
@@ -545,23 +547,17 @@ def _run_synthetic(synth: SyntheticConfig, learn: LearningSchedule,
     advance = stacked if reps >= _MIN_BATCH else scalar
 
     def fold(i0: int, i1: int) -> None:
-        """Add steps i0..i1-1 of the current block to the sums."""
-        span, s0 = slice(i0, i1), t0 + i0
+        """Hand steps i0..i1-1 of the current block to ``on_steps`` and the sums."""
+        span, t = slice(i0, i1), np.arange(t0 + i0 + 1, t0 + i1 + 1)
         greedy = greedy_k[span]
         act = np.where(greedy, act_t[span, :, 1], act_t[span, :, 0])
         y = np.where(act, y_t[span, :, 1], y_t[span, :, 0])
         w = np.where(greedy, w_t[span, :, 1], w_t[span, :, 0])
-        include = np.arange(s0 + 1, s0 + 1 + i1 - i0)[:, None] > value_from
-        _fold_steps(model, hessian, x_k[span], act, greedy, y, w, eps_k[span], include,
-                    ubar[span], plugins, values)
+        if on_steps is not None:
+            on_steps(t, act, greedy, y, eps_k[span], ubar[span])
+        _fold_steps(model, hessian, x_k[span], act, greedy, y, w, eps_k[span],
+                    t[:, None] > value_from, ubar[span], plugins, values)
         reward_total[:] = np.add.accumulate(np.concatenate((reward_total[None], y)))[-1]
-        if grid:
-            mu = _each(link, np.where(act, ubar[span, :, 1], ubar[span, :, 0]))
-            running = np.add.accumulate(np.concatenate(
-                (loss_total[None], _each(model.loss_from_mean, mu, y))))
-            loss_total[:] = running[-1]
-            for t in grid.keys() & range(s0 + 1, s0 + 1 + i1 - i0):
-                losses[:, grid[t]] = running[t - s0] / t
 
     snaps: list[list[Checkpoint]] = [[] for _ in seeds]
     for start in range(0, horizon, chunk):
@@ -595,9 +591,8 @@ def _run_synthetic(synth: SyntheticConfig, learn: LearningSchedule,
                             eps=eps_b[i1 - 1], plugin=plugins[r].copy() if plugins else None,
                             value=values[r].copy() if values else None))
                 i0 = i1
-    results = [StreamResult(
+    return [StreamResult(
         ParameterState(hat[r].reshape(2 * p).copy(), bar[r].reshape(2 * p).copy(), horizon),
         plugins[r] if plugins else None, values[r] if values else None,
         RunSummary(steps=horizon, updates=horizon, total_reward=total, checkpoints=snaps[r]))
         for r, total in enumerate(reward_total.tolist())]
-    return results, losses

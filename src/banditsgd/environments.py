@@ -28,15 +28,13 @@ class SyntheticConfig:
 
     ``beta0`` is the true parameter vector; ``sigma2`` is the reward noise
     variance (linear families only) and defaults to the model's own value.
-    Features default to an intercept plus p-1 independent standard normal
-    coordinates; a custom sampler must be a callable ``(generator, size) ->
-    (size, p) array``.
+    Features are an intercept plus p-1 independent standard normal
+    coordinates.
     """
 
     model: object
     beta0: np.ndarray
     sigma2: float | None = None
-    feature_sampler: object = None
 
     def __post_init__(self):
         self.beta0 = as_float_vector(self.beta0, "beta0")
@@ -61,7 +59,6 @@ class SyntheticEnvironment:
     _CHUNK = 4096
 
     def __init__(self, config: SyntheticConfig, rng: RngStream):
-        self.config = config
         self.rng = rng
         self._gen = rng.gen
         p = config.model.p
@@ -76,8 +73,6 @@ class SyntheticEnvironment:
         self._di = self._CHUNK
 
     def next_feature(self):
-        if self.config.feature_sampler is not None:
-            return np.asarray(self.config.feature_sampler(self._gen, 1), dtype=np.float64)[0]
         if self._fi >= self._CHUNK:
             self._features = self._sample_chunk(self._gen, self._CHUNK)
             self._fi = 0

@@ -20,9 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import Checkpoint, _batch_capacity, _run_synthetic, run_stream
-from .environments import (ReplayCursor, SyntheticConfig, SyntheticEnvironment,
-                           load_replay_log)
+from .engine import Checkpoint, _batch_capacity, _each, _run_synthetic, run_stream
+from .environments import ReplayCursor, SyntheticConfig, load_replay_log
 from .inference import (SingularHessianError, _parameter_names, _sandwiches, _wald_rows,
                         normal_quantile, value_report_row)
 from .models import make_model
@@ -281,22 +280,25 @@ def _checkpoint_reports(cps: list[Checkpoint], config: ExperimentConfig) -> list
     return reports
 
 
-def _loss_at_bar(model, x, a: int, y: float, bar) -> float:
-    """Loss of the pre-step average on the step just observed."""
-    p = model.p
-    u = float(x @ (bar[p:] if a == 1 else bar[:p]))
-    return model.loss_from_mean(model.mean_from_index(u), y)
+def _step_losses(model, act, y, ubar) -> np.ndarray:
+    """Loss of the pre-step average on each step of an ``on_steps`` block."""
+    mu = _each(model.mean_from_index, np.where(act, ubar[..., 1], ubar[..., 0]))
+    return _each(model.loss_from_mean, mu, y)
 
 
-def _trace_writer(fh, model):
-    """Stream observer writing the per-step trace CSV to the open file ``fh``."""
+def _trace_steps(fh, model):
+    """``on_steps`` hook of one stream writing the per-step trace CSV to the
+    open file ``fh``."""
     writer = csv.writer(fh)
     writer.writerow(["step", "eps", "pi", "action", "reward", "loss"])
 
-    def observe(t, x, a, y, pi, eps, greedy, bar):
-        loss = _loss_at_bar(model, x, a, y, bar)
-        writer.writerow([t, repr(eps), repr(pi), a, repr(float(y)), repr(float(loss))])
-    return observe
+    def on_steps(t, act, greedy, y, eps, ubar):
+        pi = np.where(greedy[:, 0], 1.0 - eps / 2.0, eps / 2.0)
+        loss = _step_losses(model, act, y, ubar)
+        writer.writerows(zip(t.tolist(), map(repr, eps.tolist()), map(repr, pi.tolist()),
+                             act[:, 0].tolist(), map(repr, y[:, 0].tolist()),
+                             map(repr, loss[:, 0].tolist())))
+    return on_steps
 
 
 def _synthetic(config: ExperimentConfig, reps, **kwargs):
@@ -317,20 +319,20 @@ def run_single(config: ExperimentConfig) -> SingleRunOutput:
         if (n := log.x.shape[1]) != config.p:
             raise ConfigError(f"replay log rows have {n} features, but p is {config.p}")
         cursor = ReplayCursor(log)
+    if config.trace is not None:
+        Path(config.trace).parent.mkdir(parents=True, exist_ok=True)
     trace = nullcontext() if config.trace is None else open(config.trace, "w", newline="")
     with trace as fh:
-        if cursor is None and fh is None:
-            (result,), _ = _synthetic(config, [(0, config.seed)])
+        on_steps = None if fh is None else _trace_steps(fh, config.model_family())
+        if cursor is None:
+            (result,) = _synthetic(config, [(0, config.seed)], on_steps=on_steps)
         else:
-            # A trace observes every step, so it runs on the per-step engine.
             rng = RngStream(config.seed)
             result = run_stream(
-                cursor or SyntheticEnvironment(config.synthetic_config(), rng),
-                config.model_family(), config.learning_schedule(),
+                cursor, config.model_family(), config.learning_schedule(),
                 config.exploration_schedule(), rng, config.horizon, hessian=config.hessian,
                 aipw=config.aipw, skip_value_burn_in=config.value_skip_burn_in,
-                checkpoints=config.effective_checkpoints(),
-                observer=None if fh is None else _trace_writer(fh, config.model_family()))
+                checkpoints=config.effective_checkpoints(), on_steps=on_steps)
     snapshots = {cp.t: cp for cp in result.summary.checkpoints}
     if result.summary.exhausted and result.summary.steps >= 1 \
             and result.summary.steps not in snapshots:
@@ -374,7 +376,7 @@ def _mc_batch(job, collect_inference: bool = True) -> list[RepResult]:
     """The ``RepResult`` of each ``(rep, seed)`` pair of a ``(config, pairs)``
     job; a failure to report is recorded in the replication's ``error``."""
     config, reps = job
-    streams, _ = _synthetic(config, reps, collect_inference=collect_inference)
+    streams = _synthetic(config, reps, collect_inference=collect_inference)
     out = []
     for (rep, seed), stream in zip(reps, streams):
         result = RepResult(rep=rep, seed=seed)
@@ -553,16 +555,22 @@ def _tune_batch(job, grid) -> list[np.ndarray]:
     ``(rep, seed)`` pair of a ``(config, pairs)`` job: smooth, and its final
     point is the mean per-step loss of the whole run."""
     config, reps = job
+    model = config.model_family()
+    total = np.zeros(len(reps))
+    means = np.empty((len(grid), len(reps)))
+
+    def on_steps(t, act, greedy, y, eps, ubar):
+        running = np.add.accumulate(
+            np.concatenate((total[None], _step_losses(model, act, y, ubar))))
+        total[:] = running[-1]
+        hit = (grid >= t[0]) & (grid <= t[-1])
+        means[hit] = running[grid[hit] - t[0] + 1] / grid[hit, None]
+
     # A diverging constant's overflows give non-finite losses, not warnings.
     with np.errstate(all="ignore"):
-        _, means = _synthetic(config, reps, collect_inference=False, collect_value=False,
-                              loss_grid=grid)
-    return list(means)
-
-
-def loss_grid(horizon: int, points: int = 60) -> np.ndarray:
-    """Log-spaced step indices at which tuning trajectories are reported."""
-    return np.unique(np.geomspace(1, horizon, num=min(points, horizon)).astype(int))
+        _synthetic(config, reps, collect_inference=False, collect_value=False,
+                   on_steps=on_steps)
+    return list(means.T)
 
 
 def tune_alpha(config: ExperimentConfig, alpha_grid, write: bool = True) -> TuneAlphaResult:
@@ -580,7 +588,8 @@ def tune_alpha(config: ExperimentConfig, alpha_grid, write: bool = True) -> Tune
     repeated = [a for k, a in enumerate(alphas) if a in alphas[:k]]
     if repeated:
         raise ConfigError(f"alpha grid repeats {repeated[0]:g}")
-    grid = loss_grid(config.horizon)
+    # Log-spaced steps at which the trajectories are reported.
+    grid = np.unique(np.geomspace(1, config.horizon, num=min(60, config.horizon)).astype(int))
     trajs = _launch(partial(_tune_batch, grid=grid), [replace(config, alpha=a) for a in alphas])
     rows: list[TuneAlphaRow] = []
     final_loss: dict[float, float] = {}

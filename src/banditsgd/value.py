@@ -81,7 +81,7 @@ def default_feature_sampler(p: int):
     return sample
 
 
-def oracle_value(model, beta0, n: int, rng, feature_sampler=None) -> tuple[float, float]:
+def oracle_value(model, beta0, n: int, rng) -> tuple[float, float]:
     """Monte Carlo value of the greedy rule under the true parameters.
 
     Simulates ``n`` i.i.d. feature vectors, applies the greedy decision under
@@ -93,7 +93,7 @@ def oracle_value(model, beta0, n: int, rng, feature_sampler=None) -> tuple[float
     beta0 = np.asarray(beta0, dtype=np.float64)
     p = model.p
     b0, b1 = beta0[:p], beta0[p:]
-    sampler = feature_sampler if feature_sampler is not None else default_feature_sampler(p)
+    sampler = default_feature_sampler(p)
     gen = rng.gen
     total = 0.0
     total_sq = 0.0

@@ -6,7 +6,8 @@ quantities one observation at a time, straight from the paper's formulas:
 the loss of one observation with its gradient and curvature, the greedy
 decision and its propensity, one IPW-SGD step with its running average, and
 one step of the plug-in and value sums.  Tests compare the engine with them
-and check them against finite differences.
+and check them against finite differences.  A ``RecordingEnvironment`` and a
+snapshot at every step give a run's steps for that comparison.
 """
 from __future__ import annotations
 
@@ -272,3 +273,39 @@ class MeanTrackingCursor(ReplayCursor):
         if self.matched == 0:
             raise ValueError("no matched entries yet")
         return self._sum_matched / self.matched
+
+
+# ---------------------------------------------------------------------------
+# The steps of a recorded run.
+# ---------------------------------------------------------------------------
+
+class RecordingEnvironment:
+    """Wraps an environment, keeping the observation of each decision step and
+    counting the feature draws."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.draws = 0
+        self.steps: list[Observation] = []
+
+    def next_feature(self):
+        self.draws += 1
+        return self.inner.next_feature()
+
+    def outcome(self, x, a: int):
+        y = self.inner.outcome(x, a)
+        if y is not None:
+            self.steps.append(Observation(x.copy(), a, y))
+        return y
+
+
+def recorded_steps(model, env: RecordingEnvironment, result) -> list[tuple]:
+    """Per decision step of a run on ``env`` with a snapshot at every step:
+    the pre-step average, the observation, the propensity and exploration
+    rate that sampled it, and the greedy action at the average."""
+    cps = result.summary.checkpoints
+    assert [cp.t for cp in cps] == list(range(1, len(env.steps) + 1))
+    bars = [np.zeros(2 * model.p)] + [cp.bar_beta for cp in cps[:-1]]
+    return [(bar, obs, propensity(model, bar, obs.x, cp.eps), cp.eps,
+             decide_optimal(model, bar, obs.x))
+            for bar, obs, cp in zip(bars, env.steps, cps)]

@@ -58,19 +58,51 @@ def test_missing_replay_log_is_config_error(tmp_path, capsys):
     assert "replay-log" in capsys.readouterr().err
 
 
-def test_replay_subcommand(tmp_path, capsys):
+def _click_log(path):
+    """A 400-row replay log of 0/1 rewards and three features, written to ``path``."""
     gen = np.random.default_rng(3)
     rows = [(np.append(1.0, gen.standard_normal(2)),
              int(gen.integers(0, 2)), float(gen.integers(0, 2)))
             for _ in range(400)]
-    log = tmp_path / "log.csv"
-    write_replay_log(log, ReplayLog(*map(np.array, zip(*rows))))
+    write_replay_log(path, ReplayLog(*map(np.array, zip(*rows))))
+    return path
+
+
+def test_replay_subcommand(tmp_path, capsys):
+    log = _click_log(tmp_path / "log.csv")
     code = main(["replay", "--model", "logistic", "--replay-log", str(log),
                  "--horizon", "400", "--burn-in", "20", "--seed", "2",
                  "--checkpoints", "100", "--out", str(tmp_path / "r")])
     assert code == 0
     assert (tmp_path / "r" / "replay_stats.csv").exists()
     assert "matched" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["run", "replay"])
+def test_trace_leaves_reports_unchanged(tmp_path, command):
+    flags = [command, "--model", "logistic", "--horizon", "400", "--seed", "2",
+             "--checkpoints", "50,400", "--format", "json"]
+    if command == "replay":
+        flags += ["--replay-log", str(_click_log(tmp_path / "log.csv"))]
+    trace = tmp_path / "trace.csv"
+    assert main([*flags, "--out", str(tmp_path / "plain")]) == 0
+    assert main([*flags, "--out", str(tmp_path / "traced"), "--trace", str(trace)]) == 0
+    plain, traced = ({f.name: f.read_bytes() for f in (tmp_path / d).iterdir()}
+                     for d in ("plain", "traced"))
+    assert traced == plain
+    steps = 400
+    if command == "replay":
+        steps = json.loads(plain["replay_stats.json"])["matched"]
+        assert 0 < steps < 400
+    rows = trace.read_text().splitlines()
+    assert rows[0] == "step,eps,pi,action,reward,loss"
+    assert [int(row.split(",")[0]) for row in rows[1:]] == list(range(1, steps + 1))
+
+
+def test_trace_creates_its_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--horizon", "200", "--trace", "sub/trace.csv", "--out", "r"]) == 0
+    assert len((tmp_path / "sub" / "trace.csv").read_text().splitlines()) == 201
 
 
 def test_replay_log_width_must_match_p(tmp_path, capsys):

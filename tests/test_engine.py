@@ -13,12 +13,13 @@ from banditsgd import (ExplorationSchedule, LearningSchedule, LinearModel,
                        exploration_rate, make_model, run_stream, run_stream_lagged)
 from banditsgd import engine
 from banditsgd.environments import LaggedSyntheticEnvironment, constant_lag, geometric_lag
-from banditsgd.experiments import _loss_at_bar, _map_jobs, _trace_writer
+from banditsgd.experiments import _map_jobs, _step_losses, _trace_steps
 from banditsgd.inference import PluginAccumulators, ipw_weight
 from banditsgd.value import ValueAccumulator
 
-from oracle import (Observation, accumulate, ipw_gradient, loss_gradient, mean_reward,
-                    sgd_step, update_value, zero_state)
+from oracle import (Observation, RecordingEnvironment, accumulate, ipw_gradient, loss,
+                    loss_gradient, mean_reward, recorded_steps, sgd_step, update_value,
+                    zero_state)
 
 BETA0 = np.array([0.3, -0.1, 0.7, 0.8, 0.5, -0.4])
 LEARN = LearningSchedule(0.5, 0.501)
@@ -169,10 +170,9 @@ class TestSgdStep:
 class TestRunStream:
     def test_single_step_burn_in(self):
         m, env, rng = make_env()
-        seen = []
-        res = run_stream(env, m, LEARN, EXPLORE, rng, 1,
-                         observer=lambda t, x, a, y, pi, eps, greedy, bar:
-                         seen.append((pi, eps)))
+        env = RecordingEnvironment(env)
+        res = run_stream(env, m, LEARN, EXPLORE, rng, 1, checkpoints=(1,))
+        seen = [(pi, eps) for _, _, pi, eps, _ in recorded_steps(m, env, res)]
         assert res.summary.steps == 1 and res.plugin.n == 1 and res.value.t == 1
         assert seen == [(0.5, 1.0)]
 
@@ -190,15 +190,14 @@ class TestRunStream:
         # The engine's fused update must reproduce the per-step operations
         # applied one at a time.
         m, env, rng = make_env(family, seed=7)
-        steps = []
+        env = RecordingEnvironment(env)
         res = run_stream(env, m, LEARN,
                          ExplorationSchedule.fixed(0.2, burn_in=10), rng, 1500,
-                         observer=lambda t, x, a, y, pi, eps, greedy, bar: steps.append(
-                             (bar.copy(), Observation(x, a, y), pi, eps, greedy)))
+                         checkpoints=range(1, 1501))
         state = zero_state(3)
         acc = PluginAccumulators(6)
         val = ValueAccumulator()
-        for bar_prev, obs, pi, eps, greedy in steps:
+        for bar_prev, obs, pi, eps, greedy in recorded_steps(m, env, res):
             np.testing.assert_allclose(bar_prev, state.bar_beta, rtol=1e-10, atol=1e-13)
             accumulate(acc, m, state.bar_beta, obs, pi)
             update_value(val, obs, greedy, eps)
@@ -229,14 +228,17 @@ class TestRunStream:
 
     def test_losses_recorded_at_running_average(self):
         m, env, rng = make_env(seed=3)
+        env = RecordingEnvironment(env)
         recorded = []
-        run_stream(env, m, LEARN, EXPLORE, rng, 200,
-                   observer=lambda t, x, a, y, pi, eps, greedy, bar:
-                   recorded.append(_loss_at_bar(m, x, a, y, bar)))
+        res = run_stream(env, m, LEARN, EXPLORE, rng, 200, checkpoints=range(1, 201),
+                         on_steps=lambda t, act, greedy, y, eps, ubar:
+                         recorded.extend(_step_losses(m, act, y, ubar)[:, 0]))
         losses = np.array(recorded)
         assert losses.shape == (200,)
         assert np.isfinite(losses).all()
         assert (losses >= 0).all()
+        want = [loss(m, bar, obs) for bar, obs, *_ in recorded_steps(m, env, res)]
+        assert np.array_equal(losses, want)
 
     def test_trace_emission(self, tmp_path):
         for family in ("linear", "logistic"):
@@ -244,7 +246,7 @@ class TestRunStream:
             path = tmp_path / f"trace_{family}.csv"
             with open(path, "w", newline="") as fh:
                 res = run_stream(env, m, LEARN, EXPLORE, rng, 5,
-                                 observer=_trace_writer(fh, m))
+                                 on_steps=_trace_steps(fh, m))
             rows = list(csv.DictReader(open(path)))
             assert len(rows) == 5
             assert list(rows[0]) == ["step", "eps", "pi", "action", "reward", "loss"]
@@ -382,14 +384,14 @@ class TestBlockFolding:
         # The value sums equal update_value's, and the plugin blocks equal
         # x x^T times the step's coefficient added one step at a time.
         m, env, rng = make_env(family, seed=13)
-        steps = []
+        env = RecordingEnvironment(env)
         res = run_stream(env, m, LEARN, EXPLORE, rng, 2500, hessian=hessian,
-                         aipw=True,
-                         observer=lambda t, x, a, y, pi, eps, greedy, bar: steps.append(
-                             (x.copy(), a, y, pi, eps, greedy, bar.copy())))
+                         aipw=True, checkpoints=range(1, 2501))
         s_sum, h_sum = np.zeros((6, 6)), np.zeros((6, 6))
         val = ValueAccumulator(aipw=True)
-        for x, a, y, pi, eps, greedy, bar in steps:
+        steps = recorded_steps(m, env, res)
+        for bar, obs, pi, eps, greedy in steps:
+            x, a, y = obs.x, obs.a, obs.y
             blk = slice(3, 6) if a == 1 else slice(0, 3)
             mu = m.mean_from_index(float(x @ bar[blk]))
             w = ipw_weight(a, pi)
@@ -398,8 +400,7 @@ class TestBlockFolding:
             s_sum[blk, blk] += xx * (gw * gw)
             h_sum[blk, blk] += xx * (m.hessian_scale(mu, y, hessian) * w)
             g_blk = slice(3, 6) if greedy == 1 else slice(0, 3)
-            update_value(val, Observation(x, a, y), greedy, eps,
-                         m.mean_from_index(float(x @ bar[g_blk])))
+            update_value(val, obs, greedy, eps, m.mean_from_index(float(x @ bar[g_blk])))
         np.testing.assert_array_equal(res.plugin.S_sum, s_sum)
         np.testing.assert_array_equal(res.plugin.H_sum, h_sum)
         assert res.plugin.n == len(steps) == val.t == res.value.t
@@ -423,13 +424,12 @@ class TestBlockFolding:
     def test_eps_check_fires_at_the_offending_step(self):
         # The schedule validates its rate, so bypass it to reach the check.
         m, env, rng = make_env(seed=14)
+        env = RecordingEnvironment(env)
         bad = ExplorationSchedule.fixed(0.2, burn_in=2)
         object.__setattr__(bad, "eps_fixed", 1.5)
-        seen = []
         with pytest.raises(ValueError, match=r"exploration rate must lie in \(0, 1\], got 1.5"):
-            run_stream(env, m, LEARN, bad, rng, 10,
-                       observer=lambda t, *rest: seen.append(t))
-        assert seen == [1, 2, 3]
+            run_stream(env, m, LEARN, bad, rng, 10)
+        assert env.draws == len(env.steps) == 3
 
 
 @settings(max_examples=25, deadline=None)
@@ -472,8 +472,7 @@ class TestSyntheticTables:
         rng = RngStream(seed)
         want = run_stream(SyntheticEnvironment(synth, rng), model, LEARN, explore, rng,
                           horizon, **kw)
-        (got,), losses = engine._run_synthetic(synth, LEARN, explore, [seed], horizon, **kw)
-        assert losses is None
+        (got,) = engine._run_synthetic(synth, LEARN, explore, [seed], horizon, **kw)
         return want, got
 
     @pytest.mark.parametrize("case", TABLE_CASES, ids=lambda c: f"h{c[0]}-{c[1]}-{c[2]}")
@@ -495,6 +494,43 @@ class TestSyntheticTables:
                               [_sums(r) for r in want_cps + [want]])
         else:
             assert all(r.plugin is None and r.value is None for r in got_cps + [got])
+
+
+def _seen_steps(run, *args, **kw) -> list[np.ndarray]:
+    """The columns ``on_steps`` sees over a whole run, each joined over calls."""
+    calls = []
+    run(*args, **kw, on_steps=lambda *cols: calls.append([np.array(c) for c in cols]))
+    n, reps = calls[0][1].shape
+    assert [c.shape for c in calls[0]] == [(n,), (n, reps), (n, reps), (n, reps), (n,),
+                                           (n, reps, 2)]
+    assert calls[0][1].dtype == calls[0][2].dtype == np.uint8
+    return [np.concatenate(cols) for cols in zip(*calls)]
+
+
+class TestOnSteps:
+    """Both engines show each step once, in order, with the same columns."""
+
+    @pytest.mark.parametrize("collect", [True, False], ids=["sums", "no-sums"])
+    @pytest.mark.parametrize("family,reps", [("linear", 1), ("logistic", 2), ("logistic", 7)])
+    def test_engines_show_the_same_steps(self, family, reps, collect):
+        # Checkpoints at the first step and across the draw-chunk edge, and
+        # runs of more than a full pending block between them.
+        horizon = 4100
+        model = make_model(family, 3)
+        synth = SyntheticConfig(model, BETA0)
+        kw = dict(checkpoints=(1, 1500, 4096, 4097), aipw=True,
+                  collect_inference=collect, collect_value=collect)
+        seeds = [60 + r for r in range(reps)]
+        got = _seen_steps(engine._run_synthetic, synth, LEARN, EXPLORE, seeds, horizon, **kw)
+        assert np.array_equal(got[0], np.arange(1, horizon + 1))
+        for r, seed in enumerate(seeds):
+            rng = RngStream(seed)
+            want = _seen_steps(run_stream, SyntheticEnvironment(synth, rng), model, LEARN,
+                               EXPLORE, rng, horizon, **kw)
+            for k in (0, 4):
+                assert np.array_equal(got[k], want[k])
+            for k in (1, 2, 3, 5):
+                assert np.array_equal(got[k][:, r], want[k][:, 0])
 
 
 @settings(max_examples=30, deadline=None)
@@ -589,12 +625,10 @@ class TestRunStreamLagged:
         env1 = LaggedSyntheticEnvironment(SyntheticConfig(m1, BETA0), rng1, lag=1)
         lag_res = run_stream_lagged(env1, m1, LEARN, EXPLORE, rng1, 600)
         m2, env2, rng2 = make_env(seed=22)
-        steps = []
-        run_stream(env2, m2, LEARN, EXPLORE, rng2, 600,
-                   observer=lambda t, x, a, y, pi, eps, greedy, bar: steps.append(
-                       (bar.copy(), Observation(x, a, y), pi, eps, greedy)))
+        env2 = RecordingEnvironment(env2)
+        plain = run_stream(env2, m2, LEARN, EXPLORE, rng2, 600, checkpoints=range(1, 601))
         state = zero_state(3)
-        for bar_prev, obs, pi, eps, greedy in steps[:-1]:
+        for bar_prev, obs, pi, eps, greedy in recorded_steps(m2, env2, plain)[:-1]:
             state = sgd_step(state, m2, LEARN, obs, pi)
         assert lag_res.summary.updates == 599
         assert lag_res.summary.pending == 1

@@ -36,17 +36,6 @@ class TestDrawFeature:
         assert abs(xs[:, 1].mean()) < 4.0 / math.sqrt(n)
         assert abs(xs[:, 2].var(ddof=1) - 1.0) < 0.05
 
-    def test_custom_sampler(self):
-        def uniform_features(gen, size):
-            out = np.empty((size, 3))
-            out[:, 0] = 1.0
-            out[:, 1:] = gen.uniform(0.0, 1.0, size=(size, 2))
-            return out
-
-        cfg = SyntheticConfig(LinearModel(3), BETA0, feature_sampler=uniform_features)
-        x = SyntheticEnvironment(cfg, RngStream(3)).next_feature()
-        assert x[0] == 1.0 and 0.0 <= x[1] <= 1.0 and 0.0 <= x[2] <= 1.0
-
 
 class TestDrawReward:
     """Reward draws of ``SyntheticEnvironment.outcome``."""

@@ -15,8 +15,10 @@ from banditsgd import experiments
 from banditsgd.cli import main
 from banditsgd.engine import _MIN_BATCH, _rewards
 from banditsgd.models import make_model
-from banditsgd.experiments import _launch, _loss_at_bar, _mc_batch, _tune_batch, loss_grid
+from banditsgd.experiments import _launch, _mc_batch, _tune_batch
 from banditsgd.policy import derive_seed
+
+from oracle import RecordingEnvironment, loss, recorded_steps
 
 
 def _config(family, p, **kw):
@@ -63,8 +65,8 @@ def _assert_identical(got, want):
 def _check(config, batch, collect_inference=True, collect_value=True):
     reps = [(i, derive_seed(config.seed, i)) for i in range(batch)]
     kw = dict(collect_inference=collect_inference, collect_value=collect_value)
-    streams, losses = experiments._synthetic(config, reps, **kw)
-    assert losses is None and len(streams) == batch
+    streams = experiments._synthetic(config, reps, **kw)
+    assert len(streams) == batch
     for (_, seed), got in zip(reps, streams):
         _assert_identical(got, _per_step(config, seed, **kw,
                                          checkpoints=config.effective_checkpoints()))
@@ -99,19 +101,26 @@ def test_without_value_sums(family):
 
 def _per_step_losses(config, seed, grid):
     """Running mean loss at the pre-step average, at the steps of ``grid``,
-    from the observer of the per-step engine."""
-    model = config.model_family()
-    losses = []
-    _per_step(config, seed, collect_inference=False, collect_value=False,
-              observer=lambda t, x, a, y, pi, eps, greedy, bar:
-              losses.append(_loss_at_bar(model, x, a, y, bar)))
+    from a per-step run snapshotted at every step."""
+    synth = config.synthetic_config()
+    rng = RngStream(seed)
+    env = RecordingEnvironment(SyntheticEnvironment(synth, rng))
+    res = run_stream(env, synth.model, config.learning_schedule(),
+                     config.exploration_schedule(), rng, config.horizon,
+                     collect_inference=False, collect_value=False,
+                     checkpoints=range(1, config.horizon + 1))
+    steps = recorded_steps(synth.model, env, res)
+    losses = [loss(synth.model, bar, obs) for bar, obs, *_ in steps]
     return (np.cumsum(losses) / np.arange(1, config.horizon + 1))[grid - 1]
 
 
 @pytest.mark.parametrize("family", ["linear", "logistic"])
 def test_tune_trajectories_match_per_step(family):
     config = _config(family, 3, horizon=4100, alpha=1.0, seed=77)
-    grid = loss_grid(config.horizon)
+    # The tuning grid's log-spaced steps, and the steps on both sides of a
+    # block and a draw-chunk edge.
+    grid = np.union1d(np.geomspace(1, config.horizon, num=60).astype(int),
+                      [1024, 1025, 4096, 4097])
     reps = [(i, derive_seed(config.seed, i)) for i in range(max(_MIN_BATCH, 5))]
     want = [_per_step_losses(config, seed, grid) for _, seed in reps]
     # One batch on the stacked step, then batches of 2 and 1 on the scalar step.
