@@ -20,9 +20,9 @@ explore = ExplorationSchedule.fixed(0.2, burn_in=50)
 
 
 def fresh(seed=99):
-    model = LinearModel(3, sigma2=0.01)
+    model = LinearModel(3)
     rng = RngStream(seed)
-    return model, SyntheticConfig(model, BETA0), rng
+    return model, SyntheticConfig(model, BETA0, sigma2=0.01), rng
 
 
 model, config, rng = fresh()

@@ -15,9 +15,9 @@ from banditsgd.inference import value_report_row
 
 BETA0 = np.array([0.3, -0.1, 0.7, 0.8, 0.5, -0.4])
 
-model = LinearModel(3, sigma2=0.01)
+model = LinearModel(3)
 rng = RngStream(seed=20090501)
-env = SyntheticEnvironment(SyntheticConfig(model, BETA0), rng)
+env = SyntheticEnvironment(SyntheticConfig(model, BETA0, sigma2=0.01), rng)
 
 result = run_stream(
     env, model,

@@ -10,7 +10,9 @@ average under a propensity that stays frozen between updates, and each
 arriving reward triggers exactly one update, in first-in-first-out order.
 ``_run_synthetic`` runs a batch of synthetic streams from per-block draw
 tables, each equal bit for bit to ``run_stream`` on a ``SyntheticEnvironment``.
-Both show their steps to one hook, ``on_steps`` (``run_stream``).
+Every engine hands its steps to one owner, ``_Sums``, which shows them to the
+``on_steps`` hook (``run_stream``), keeps each stream's sums and total reward,
+and builds its checkpoints and result.
 """
 from __future__ import annotations
 
@@ -102,58 +104,92 @@ def _each(fn, *columns: np.ndarray) -> np.ndarray:
     return np.reshape(list(map(fn, *(c.ravel().tolist() for c in columns))), columns[0].shape)
 
 
-def _fold_steps(model, variant: str, x: np.ndarray, act: np.ndarray, greedy: np.ndarray,
-                y: np.ndarray, w: np.ndarray, eps: np.ndarray, include: np.ndarray,
-                ubar: np.ndarray, plugins: list, values: list) -> None:
-    """Add a run of steps to each replication's plug-in and value sums.
+class _Sums:
+    """The plug-in and value sums, total rewards, checkpoints and results of
+    a batch of ``reps`` streams (one for the per-step engines)."""
 
-    Row ``i`` is a step, oldest first, and column ``r`` a replication whose
-    sums are ``plugins[r]`` and ``values[r]`` (either list may be empty).
-    Per step and replication: the feature row ``x`` (steps, R, p), the taken
-    and the greedy action, the reward ``y``, the taken action's IPW weight
-    ``w`` and both actions' indexes at the pre-step average, ``ubar``
-    (steps, R, 2).  Per step: the exploration rate ``eps`` (steps,) and
-    whether its value terms count, ``include`` (steps, 1).  Every sum ends
-    bit-identical to adding each step's term as it arrives.
-    """
-    link = model.mean_from_index
-    if plugins:
-        p = x.shape[-1]
-        mu = _each(link, np.where(act, ubar[..., 1], ubar[..., 0]))
-        gw = (mu - y) * w
-        # hessian_scale is + - x only, so it takes the arrays whole.
-        coefs = (gw * gw, model.hessian_scale(mu, y, variant) * w)
-        block = _block_rows(p)
-        for r, plugin in enumerate(plugins):
-            for a, d in ((0, slice(0, p)), (1, slice(p, 2 * p))):
-                taken = np.flatnonzero(act[:, r] == a)
-                for b in range(0, len(taken), block):
-                    j = taken[b:b + block]
-                    xr = x[j, r]
-                    outer = xr[:, :, None] * xr[:, None, :]
-                    _fold_rows(plugin.S_sum[d, d], outer, coefs[0][j, r])
-                    _fold_rows(plugin.H_sum[d, d], outer, coefs[1][j, r])
-            plugin.n += len(y)
-    if values:
-        pi_c = (1.0 - eps / 2.0)[:, None]
-        consistent = act == greedy
-        v = y / pi_c
-        # A zero in place of a skipped term leaves a sum unchanged: sums
-        # start at +0.0 and so never become -0.0.
-        terms = [np.where(consistent & include, v, 0.0),
-                 np.where(consistent & include, y * v, 0.0)]
-        if values[0].aipw:
-            c = consistent.astype(np.float64)
-            mu_g = _each(link, np.where(greedy, ubar[..., 1], ubar[..., 0]))
-            term = np.where(include, c * y / pi_c - (c - pi_c) / pi_c * mu_g, 0.0)
-            terms += [term, term * term]
-        sums = np.array([[a.sum_v, a.sum_v2, a.sum_aipw, a.sum_aipw2] for a in values]).T
-        for j, term in enumerate(terms):
-            sums[j] = np.add.accumulate(np.concatenate((sums[j][None], term)))[-1]
-        included = int(include.sum())
-        for value, column in zip(values, sums.T.tolist()):
-            value.sum_v, value.sum_v2, value.sum_aipw, value.sum_aipw2 = column
-            value.t += included
+    def __init__(self, model, hessian: str, reps: int, collect_inference: bool,
+                 collect_value: bool, aipw: bool, on_steps=None):
+        if hessian not in _HESSIAN_VARIANTS:
+            raise ValueError(f"unknown hessian variant {hessian!r}")
+        self.model, self.hessian, self.on_steps = model, hessian, on_steps
+        self.plugins = ([PluginAccumulators(2 * model.p) for _ in range(reps)]
+                        if collect_inference else [])
+        self.values = [ValueAccumulator(aipw=aipw) for _ in range(reps)] if collect_value else []
+        self.total_reward = np.zeros(reps)
+
+    def add(self, t: np.ndarray, x: np.ndarray, act: np.ndarray, greedy: np.ndarray,
+            y: np.ndarray, w: np.ndarray, eps: np.ndarray, include: np.ndarray,
+            ubar: np.ndarray) -> None:
+        """Add a run of steps to each stream's sums and total reward.
+
+        Row ``i`` is a step, oldest first, and column ``r`` a stream.  Per
+        step: its index ``t`` (steps,) and exploration rate ``eps`` (steps,),
+        and whether its value terms count, ``include`` (steps, 1).  Per step
+        and stream: the feature row ``x`` (steps, R, p), the taken and the
+        greedy action (uint8), the reward ``y``, the taken action's IPW weight
+        ``w`` and both actions' indexes at the pre-step average, ``ubar``
+        (steps, R, 2).  Every sum ends bit-identical to adding each step's
+        term as it arrives.
+        """
+        if self.on_steps is not None:
+            self.on_steps(t, act, greedy, y, eps, ubar)
+        model, plugins, values = self.model, self.plugins, self.values
+        link = model.mean_from_index
+        if plugins:
+            p = x.shape[-1]
+            mu = _each(link, np.where(act, ubar[..., 1], ubar[..., 0]))
+            gw = (mu - y) * w
+            # hessian_scale is + - x only, so it takes the arrays whole.
+            coefs = (gw * gw, model.hessian_scale(mu, y, self.hessian) * w)
+            block = _block_rows(p)
+            for r, plugin in enumerate(plugins):
+                for a, d in ((0, slice(0, p)), (1, slice(p, 2 * p))):
+                    taken = np.flatnonzero(act[:, r] == a)
+                    for b in range(0, len(taken), block):
+                        j = taken[b:b + block]
+                        xr = x[j, r]
+                        outer = xr[:, :, None] * xr[:, None, :]
+                        _fold_rows(plugin.S_sum[d, d], outer, coefs[0][j, r])
+                        _fold_rows(plugin.H_sum[d, d], outer, coefs[1][j, r])
+                plugin.n += len(y)
+        if values:
+            pi_c = (1.0 - eps / 2.0)[:, None]
+            consistent = act == greedy
+            v = y / pi_c
+            # A zero in place of a skipped term leaves a sum unchanged: sums
+            # start at +0.0 and so never become -0.0.
+            terms = [np.where(consistent & include, v, 0.0),
+                     np.where(consistent & include, y * v, 0.0)]
+            if values[0].aipw:
+                c = consistent.astype(np.float64)
+                mu_g = _each(link, np.where(greedy, ubar[..., 1], ubar[..., 0]))
+                term = np.where(include, c * y / pi_c - (c - pi_c) / pi_c * mu_g, 0.0)
+                terms += [term, term * term]
+            sums = np.array([[a.sum_v, a.sum_v2, a.sum_aipw, a.sum_aipw2] for a in values]).T
+            for j, term in enumerate(terms):
+                sums[j] = np.add.accumulate(np.concatenate((sums[j][None], term)))[-1]
+            included = int(include.sum())
+            for value, column in zip(values, sums.T.tolist()):
+                value.sum_v, value.sum_v2, value.sum_aipw, value.sum_aipw2 = column
+                value.t += included
+        self.total_reward[:] = np.add.accumulate(
+            np.concatenate((self.total_reward[None], y)))[-1]
+
+    def checkpoint(self, r: int, t: int, bar: np.ndarray, eps: float) -> Checkpoint:
+        """Stream ``r``'s record after step ``t``: copies of ``bar`` and its sums."""
+        return Checkpoint(t=t, bar_beta=bar.copy(), eps=eps,
+                          plugin=self.plugins[r].copy() if self.plugins else None,
+                          value=self.values[r].copy() if self.values else None)
+
+    def result(self, r: int, hat: np.ndarray, bar: np.ndarray,
+               summary: RunSummary) -> StreamResult:
+        """Stream ``r``'s result after ``summary.updates`` updates, with its
+        total reward filled in."""
+        summary.total_reward = float(self.total_reward[r])
+        return StreamResult(ParameterState(hat.copy(), bar.copy(), summary.updates),
+                            self.plugins[r] if self.plugins else None,
+                            self.values[r] if self.values else None, summary)
 
 
 def _average(bar: np.ndarray, hat: np.ndarray, t: int) -> None:
@@ -182,35 +218,24 @@ class _UpdateCore:
     with cached block views; the IPW weight and the step size are the
     package's own ``ipw_weight`` and ``learning_rate``.
 
-    ``apply`` takes the SGD step at once but defers the accumulator terms: a
+    ``apply`` takes the SGD step at once but defers the step's record: a
     copy of ``x`` and the step's raw scalars (actions, reward, weight,
     exploration rate, include flag and both indexes at the pre-step average)
     wait in a pending block of at most ``_block_rows(p)`` steps, which
-    ``fold`` hands to ``on_steps`` and ``_fold_steps`` before every snapshot,
-    when the block fills and before the result is returned.
+    ``fold`` hands to ``sums.add`` (one stream) before every snapshot, when
+    the block fills and before the result is returned.
     """
 
-    def __init__(self, model, learn: LearningSchedule, *, variant: str,
-                 collect_inference: bool, collect_value: bool, aipw: bool, on_steps=None):
-        if variant not in _HESSIAN_VARIANTS:
-            raise ValueError(f"unknown hessian variant {variant!r}")
+    def __init__(self, model, learn: LearningSchedule, sums: _Sums):
         self.learn = learn
-        self.variant = variant
-        self.model = model
+        self.sums = sums
         p = model.p
-        dim = 2 * p
-        self.hat = np.zeros(dim)
-        self.bar = np.zeros(dim)
+        self.hat = np.zeros(2 * p)
+        self.bar = np.zeros(2 * p)
         self._hat_blocks = (self.hat[:p], self.hat[p:])
         self._bar_blocks = (self.bar[:p], self.bar[p:])
-        self.plugin = PluginAccumulators(dim) if collect_inference else None
-        self.value = ValueAccumulator(aipw=aipw) if collect_value else None
-        self._sums = ([self.plugin] if collect_inference else [],
-                      [self.value] if collect_value else [])
-        self._on_steps = on_steps
         self._rows = _block_rows(p)
-        keep = collect_inference or collect_value or on_steps is not None
-        self._x = np.empty((self._rows, p)) if keep else None
+        self._x = np.empty((self._rows, p))
         self._pending: list[tuple] = []
         self._link = model.mean_from_index
         self._check_reward = model.validate_reward
@@ -230,8 +255,8 @@ class _UpdateCore:
 
     def apply(self, x, a: int, y: float, pi: float, eps: float, greedy: int,
               include_value: bool = True, u_bar: tuple | None = None) -> None:
-        """Consume one reward: record the step for the accumulators at the
-        pre-step average, then take the SGD step with ordinal ``updates + 1``.
+        """Consume one reward: record the step at the pre-step average, then
+        take the SGD step with ordinal ``updates + 1``.
 
         ``u_bar`` may carry both indexes at the current average when the
         caller already computed them for the decision.
@@ -239,14 +264,12 @@ class _UpdateCore:
         self._check_reward(y)
         w = ipw_weight(a, pi)
         ordinal = self.updates + 1
-
-        if self._x is not None:
-            if self.value is not None and include_value and not 0.0 < eps <= 1.0:
-                raise ValueError(f"exploration rate must lie in (0, 1], got {eps}")
-            if u_bar is None:
-                u_bar = (float(self._bar_blocks[0].dot(x)), float(self._bar_blocks[1].dot(x)))
-            self._x[len(self._pending)] = x
-            self._pending.append((a, greedy, y, w, eps, include_value) + u_bar)
+        if self.sums.values and include_value and not 0.0 < eps <= 1.0:
+            raise ValueError(f"exploration rate must lie in (0, 1], got {eps}")
+        if u_bar is None:
+            u_bar = (float(self._bar_blocks[0].dot(x)), float(self._bar_blocks[1].dot(x)))
+        self._x[len(self._pending)] = x
+        self._pending.append((a, greedy, y, w, eps, include_value) + u_bar)
 
         _sgd_step(self.hat, self.bar, self._hat_blocks[a], x, y, w,
                   learning_rate(self.learn, ordinal), ordinal, self._link)
@@ -255,34 +278,26 @@ class _UpdateCore:
             self.fold()
 
     def fold(self) -> None:
-        """Hand the pending steps to ``on_steps`` and the sums, oldest first."""
+        """Hand the pending steps to the sums, oldest first."""
         if self._pending:
             n = len(self._pending)
             # (steps, R = 1, fields): the last two fields are both indexes.
             rec = np.fromiter(chain.from_iterable(self._pending), np.float64,
                               8 * n).reshape(n, 1, 8)
             a, greedy, y, w, eps, include = (rec[..., k] for k in range(6))
-            if self._on_steps is not None:
-                self._on_steps(np.arange(self.updates - n + 1, self.updates + 1),
-                               a.astype(np.uint8), greedy.astype(np.uint8), y, eps[:, 0],
-                               rec[..., 6:])
-            _fold_steps(self.model, self.variant, self._x[:n, None], a, greedy, y, w, eps[:, 0],
-                        include != 0.0, rec[..., 6:], *self._sums)
+            self.sums.add(np.arange(self.updates - n + 1, self.updates + 1), self._x[:n, None],
+                          a.astype(np.uint8), greedy.astype(np.uint8), y, w, eps[:, 0],
+                          include != 0.0, rec[..., 6:])
             self._pending.clear()
 
     def snapshot(self, t: int, eps: float) -> Checkpoint:
         self.fold()
-        return Checkpoint(
-            t=t, bar_beta=self.bar.copy(), eps=eps,
-            plugin=self.plugin.copy() if self.plugin is not None else None,
-            value=self.value.copy() if self.value is not None else None,
-        )
+        return self.sums.checkpoint(0, t, self.bar, eps)
 
     def result(self, summary: RunSummary) -> StreamResult:
         self.fold()
         summary.updates = self.updates
-        state = ParameterState(self.hat.copy(), self.bar.copy(), self.updates)
-        return StreamResult(state, self.plugin, self.value, summary)
+        return self.sums.result(0, self.hat, self.bar, summary)
 
 
 def run_stream(env, model, learn: LearningSchedule, explore: ExplorationSchedule,
@@ -304,9 +319,8 @@ def run_stream(env, model, learn: LearningSchedule, explore: ExplorationSchedule
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    core = _UpdateCore(model, learn, variant=hessian,
-                       collect_inference=collect_inference,
-                       collect_value=collect_value, aipw=aipw, on_steps=on_steps)
+    core = _UpdateCore(model, learn, _Sums(model, hessian, 1, collect_inference,
+                                           collect_value, aipw, on_steps))
     summary = RunSummary()
     cp_set = set(int(c) for c in checkpoints)
     for t in range(1, horizon + 1):
@@ -324,7 +338,6 @@ def run_stream(env, model, learn: LearningSchedule, explore: ExplorationSchedule
             break
         include_value = not (skip_value_burn_in and t <= explore.burn_in)
         core.apply(x, a, float(y), pi, eps, greedy, include_value, u_bar=u_bar)
-        summary.total_reward += y
         summary.steps = t
         if t in cp_set:
             summary.checkpoints.append(core.snapshot(t, eps))
@@ -349,9 +362,8 @@ def run_stream_lagged(env, model, learn: LearningSchedule, explore: ExplorationS
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    core = _UpdateCore(model, learn, variant=hessian,
-                       collect_inference=collect_inference,
-                       collect_value=collect_value, aipw=aipw)
+    core = _UpdateCore(model, learn, _Sums(model, hessian, 1, collect_inference,
+                                           collect_value, aipw))
     summary = RunSummary()
     cp_set = set(int(c) for c in checkpoints)
     pending: deque[StepRecord] = deque()
@@ -369,7 +381,6 @@ def run_stream_lagged(env, model, learn: LearningSchedule, explore: ExplorationS
             pending.popleft()
             core.apply(head.x, head.a, float(y), head.pi_used, head.eps_used,
                        head.greedy, head.include_value)
-            summary.total_reward += y
 
     for t in range(1, horizon + 1):
         drain(t)
@@ -474,14 +485,14 @@ def _run_synthetic(synth: SyntheticConfig, learn: LearningSchedule,
     actions' rewards and, per greedy action, the taken action and its IPW
     weight.  Per step remain the indexes at the average, the greedy
     comparison and the update; a step records the greedy action and both
-    indexes at the average.  Sums and total rewards are folded from the
-    tables and records, after ``on_steps`` has seen them, at the end of each
-    block and at checkpoints.  Exceptions propagate.
+    indexes at the average.  The tables and records go to ``_Sums.add`` at
+    the end of each block and at checkpoints.  Exceptions propagate.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     model, link = synth.model, synth.model.mean_from_index
     p, reps, chunk = model.p, len(seeds), SyntheticEnvironment._CHUNK
+    sums = _Sums(model, hessian, reps, collect_inference, collect_value, aipw, on_steps)
     gens = [RngStream(s).gen for s in seeds]
     sample = default_feature_sampler(p)
     linear = model.tag == "linear"
@@ -503,9 +514,6 @@ def _run_synthetic(synth: SyntheticConfig, learn: LearningSchedule,
     greedy_k = np.empty((_BLOCK_ROWS, reps), dtype=np.uint8)
     # Flat offset of each replication's pair in a (reps, 2) table.
     pair = 2 * np.arange(reps)
-    plugins = [PluginAccumulators(2 * p) for _ in seeds] if collect_inference else []
-    values = [ValueAccumulator(aipw=aipw) for _ in seeds] if collect_value else []
-    reward_total = np.zeros(reps)
     value_from = explore.burn_in if skip_value_burn_in else 0
 
     def stacked(i0: int, i1: int) -> None:
@@ -547,17 +555,14 @@ def _run_synthetic(synth: SyntheticConfig, learn: LearningSchedule,
     advance = stacked if reps >= _MIN_BATCH else scalar
 
     def fold(i0: int, i1: int) -> None:
-        """Hand steps i0..i1-1 of the current block to ``on_steps`` and the sums."""
+        """Hand steps i0..i1-1 of the current block to the sums."""
         span, t = slice(i0, i1), np.arange(t0 + i0 + 1, t0 + i1 + 1)
         greedy = greedy_k[span]
         act = np.where(greedy, act_t[span, :, 1], act_t[span, :, 0])
         y = np.where(act, y_t[span, :, 1], y_t[span, :, 0])
         w = np.where(greedy, w_t[span, :, 1], w_t[span, :, 0])
-        if on_steps is not None:
-            on_steps(t, act, greedy, y, eps_k[span], ubar[span])
-        _fold_steps(model, hessian, x_k[span], act, greedy, y, w, eps_k[span],
-                    t[:, None] > value_from, ubar[span], plugins, values)
-        reward_total[:] = np.add.accumulate(np.concatenate((reward_total[None], y)))[-1]
+        sums.add(t, x_k[span], act, greedy, y, w, eps_k[span], t[:, None] > value_from,
+                 ubar[span])
 
     snaps: list[list[Checkpoint]] = [[] for _ in seeds]
     for start in range(0, horizon, chunk):
@@ -586,13 +591,9 @@ def _run_synthetic(synth: SyntheticConfig, learn: LearningSchedule,
                 fold(i0, i1)
                 if t0 + i1 in cp_set:
                     for r in range(reps):
-                        snaps[r].append(Checkpoint(
-                            t=t0 + i1, bar_beta=bar[r].reshape(2 * p).copy(),
-                            eps=eps_b[i1 - 1], plugin=plugins[r].copy() if plugins else None,
-                            value=values[r].copy() if values else None))
+                        snaps[r].append(sums.checkpoint(r, t0 + i1, bar[r].reshape(2 * p),
+                                                        eps_b[i1 - 1]))
                 i0 = i1
-    return [StreamResult(
-        ParameterState(hat[r].reshape(2 * p).copy(), bar[r].reshape(2 * p).copy(), horizon),
-        plugins[r] if plugins else None, values[r] if values else None,
-        RunSummary(steps=horizon, updates=horizon, total_reward=total, checkpoints=snaps[r]))
-        for r, total in enumerate(reward_total.tolist())]
+    return [sums.result(r, hat[r].reshape(2 * p), bar[r].reshape(2 * p),
+                        RunSummary(steps=horizon, updates=horizon, checkpoints=snaps[r]))
+            for r in range(reps)]

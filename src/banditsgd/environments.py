@@ -27,14 +27,14 @@ class SyntheticConfig:
     """Ground truth for a simulated stream.
 
     ``beta0`` is the true parameter vector; ``sigma2`` is the reward noise
-    variance (linear families only) and defaults to the model's own value.
+    variance (linear families only; logistic streams never read it).
     Features are an intercept plus p-1 independent standard normal
     coordinates.
     """
 
     model: object
     beta0: np.ndarray
-    sigma2: float | None = None
+    sigma2: float = 0.01
 
     def __post_init__(self):
         self.beta0 = as_float_vector(self.beta0, "beta0")
@@ -42,8 +42,6 @@ class SyntheticConfig:
             raise DimensionError(
                 f"beta0 has length {self.beta0.shape[0]}, expected {2 * self.model.p}"
             )
-        if self.sigma2 is None:
-            self.sigma2 = float(getattr(self.model, "sigma2", 0.0))
         if self.sigma2 < 0:
             raise ValueError("noise variance must be nonnegative")
 
@@ -157,28 +155,31 @@ class ReplayExhausted(Exception):
 
 @dataclass(frozen=True)
 class ReplayLog:
-    """A logged randomized trial as columns: features (n, p), logged action in
-    {0, 1}, finite reward, and the logged action's propensity in (0, 1).
+    """A logged uniformly randomized trial as columns: features (n, p), logged
+    action in {0, 1} and finite reward.
 
-    ``record(i)`` gives row ``i``'s record number and fields as written, for
-    error messages; by default rows count from 1 and show their values.
+    ``propensity``, the logged action's propensity (a column or one value),
+    is checked to be 0.5 in every row and not kept: match/drop replay is
+    unbiased only for a uniformly randomized log.  ``record(i)`` gives row
+    ``i``'s record number and fields as written, for error messages; by
+    default rows count from 1 and show their values.
     """
 
     x: np.ndarray
     action: np.ndarray
     reward: np.ndarray
-    propensity: np.ndarray | float = 0.5
+    propensity: InitVar[object] = 0.5
     record: InitVar[object] = None
 
-    def __post_init__(self, record):
+    def __post_init__(self, propensity, record):
         x = np.asarray(self.x, dtype=np.float64)
         action, reward = np.asarray(self.action), np.asarray(self.reward, dtype=np.float64)
         if x.ndim != 2 or not x.shape[1] or not action.shape == reward.shape == x.shape[:1]:
             raise ReplayLogError(f"expected (n, p) features and n actions and rewards, got "
                                  f"shapes {x.shape}, {action.shape} and {reward.shape}")
-        prop = np.broadcast_to(np.asarray(self.propensity, dtype=np.float64), action.shape)
+        prop = np.broadcast_to(np.asarray(propensity, dtype=np.float64), action.shape)
         checks = (~np.isfinite(x).all(axis=1), (action != 0) & (action != 1),
-                  ~((prop > 0.0) & (prop < 1.0)), ~np.isfinite(reward))
+                  prop != 0.5, ~np.isfinite(reward))
         bad = np.logical_or.reduce(checks)
         if bad.any():
             i, p = int(bad.argmax()), x.shape[1]
@@ -186,12 +187,13 @@ class ReplayLog:
                 i + 1, x[i].tolist() + [action[i].item(), reward[i].item()])
             messages = (f"features must be finite, got {fields[:p]!r}",
                         f"action must be 0 or 1, got {fields[p]!r}",
-                        f"propensity must lie in (0, 1), got {float(prop[i])}",
+                        f"propensity must be 0.5 (replay needs a uniformly randomized "
+                        f"log), got {float(prop[i])}",
                         f"reward must be finite, got {fields[p + 1]!r}")
             k = next(k for k, check in enumerate(checks) if check[i])
             raise ReplayLogError(f"row {number}: {messages[k]}")
-        for name, column in zip(("x", "action", "reward", "propensity"),
-                                (x, action.astype(np.int64, copy=False), reward, prop)):
+        for name, column in zip(("x", "action", "reward"),
+                                (x, action.astype(np.int64, copy=False), reward)):
             object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
@@ -250,15 +252,13 @@ def load_replay_log(path) -> ReplayLog:
 
 
 def write_replay_log(path, log: ReplayLog) -> None:
-    """Write a log in the documented CSV schema (propensity column included)."""
+    """Write a log in the documented CSV schema, without the propensity column."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"x{i + 1}" for i in range(log.x.shape[1])]
-                        + ["action", "reward", "propensity"])
-        for x, a, y, prop in zip(log.x.tolist(), log.action.tolist(), log.reward.tolist(),
-                                 log.propensity.tolist()):
-            writer.writerow([*map(repr, x), a, repr(y), repr(prop)])
+        writer.writerow([f"x{i + 1}" for i in range(log.x.shape[1])] + ["action", "reward"])
+        for x, a, y in zip(log.x.tolist(), log.action.tolist(), log.reward.tolist()):
+            writer.writerow([*map(repr, x), a, repr(y)])
 
 
 class ReplayCursor:

@@ -71,23 +71,18 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         if self.model not in ("linear", "logistic"):
             raise ConfigError(f"model must be 'linear' or 'logistic', got {self.model!r}")
-        if self.p < 1:
-            raise ConfigError("p must be at least 1")
-        if self.horizon < 1:
-            raise ConfigError("horizon must be at least 1")
-        if self.reps < 1:
-            raise ConfigError("reps must be at least 1")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be 'csv' or 'json', got {self.format!r}")
         if self.hessian not in ("exact", "outer"):
             raise ConfigError(f"hessian must be 'exact' or 'outer', got {self.hessian!r}")
         if not 0.0 < self.level < 1.0:
             raise ConfigError("confidence level must lie in (0, 1)")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
         for name in _FLOAT_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
+        for name, least in _LOWER_BOUNDS:
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)!r}")
         beta0 = self.beta0_array()
         if beta0.shape[0] != 2 * self.p:
             raise ConfigError(f"beta0 has length {beta0.shape[0]}, expected {2 * self.p}")
@@ -123,7 +118,7 @@ class ExperimentConfig:
         return parse_eps_spec(self.eps, self.burn_in)
 
     def model_family(self):
-        return make_model(self.model, self.p, sigma2=self.sigma2)
+        return make_model(self.model, self.p)
 
     def synthetic_config(self) -> SyntheticConfig:
         return SyntheticConfig(self.model_family(), self.beta0_array(), sigma2=self.sigma2)
@@ -150,6 +145,8 @@ def parse_eps_spec(spec: str, burn_in: int) -> ExplorationSchedule:
 _BOOL_FIELDS = {"aipw", "ridge", "value_skip_burn_in"}
 _INT_FIELDS = {"p", "burn_in", "horizon", "reps", "seed", "workers", "oracle_draws"}
 _FLOAT_FIELDS = ("sigma2", "alpha", "gamma", "level")
+_LOWER_BOUNDS = (("p", 1), ("horizon", 1), ("reps", 1), ("workers", 1), ("oracle_draws", 1),
+                 ("seed", 0), ("burn_in", 0), ("sigma2", 0))
 _TUPLE_FLOAT_FIELDS = {"beta0"}
 _TUPLE_INT_FIELDS = {"checkpoints"}
 

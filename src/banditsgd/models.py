@@ -81,14 +81,6 @@ class LinearModel(ModelFamily):
 
     tag = "linear"
 
-    def __init__(self, p: int, sigma2: float = 0.01):
-        super().__init__(p)
-        if sigma2 < 0:
-            raise ValueError("noise variance must be nonnegative")
-        # Noise variance of the data-generating process; used by synthetic
-        # environments only, never by estimation.
-        self.sigma2 = float(sigma2)
-
     def mean_from_index(self, u: float) -> float:
         return u
 
@@ -138,10 +130,10 @@ class LogisticModel(ModelFamily):
         return r * r
 
 
-def make_model(family: str, p: int, sigma2: float = 0.01) -> ModelFamily:
+def make_model(family: str, p: int) -> ModelFamily:
     """Construct a model family by tag ('linear' or 'logistic')."""
     if family == "linear":
-        return LinearModel(p, sigma2=sigma2)
+        return LinearModel(p)
     if family == "logistic":
         return LogisticModel(p)
     raise ValueError(f"unknown model family {family!r}")

@@ -29,8 +29,8 @@ class ParameterState:
     """Raw SGD iterate, its running average, and the step count.
 
     ``bar_beta`` is the arithmetic mean of the iterates produced so far,
-    maintained recursively.  At ``t == 0`` both vectors are zero.  Treat the
-    arrays as immutable; update functions return fresh states.
+    maintained recursively.  At ``t == 0`` both vectors are zero.  An engine
+    returns a state holding copies of its arrays; treat them as immutable.
     """
 
     hat_beta: np.ndarray

@@ -6,7 +6,7 @@ probability of that agreement.  A running sum of C * y^2 / pi_C supports the
 plugin variance.  The augmented variant adds a model-based correction and is
 experimental: its variance is reported through the same plugin form applied
 to its summands, which has no established guarantee.  The engine forms the
-per-step terms and adds them to these sums (``engine._fold_steps``).
+per-step terms and adds them to these sums (``engine._Sums.add``).
 """
 from __future__ import annotations
 

@@ -1,6 +1,6 @@
 """Per-observation reference operations that the engine is checked against.
 
-The package forms its accumulator terms in blocks (``engine._fold_steps``)
+The package forms its accumulator terms in blocks (``engine._Sums.add``)
 and takes SGD steps on in-place arrays.  The functions here state the same
 quantities one observation at a time, straight from the paper's formulas:
 the loss of one observation with its gradient and curvature, the greedy

@@ -197,9 +197,9 @@ def test_criterion_05_finite_difference_checks():
 # ---------------------------------------------------------------------------
 
 def test_criterion_06_curvature_oracle():
-    model = LinearModel(3, sigma2=0.01)
+    model = LinearModel(3)
     rng = RngStream(20250808)
-    env = SyntheticEnvironment(SyntheticConfig(model, BETA0), rng)
+    env = SyntheticEnvironment(SyntheticConfig(model, BETA0, sigma2=0.01), rng)
     res = run_stream(env, model, LearningSchedule(0.5, 0.501),
                      ExplorationSchedule.fixed(0.2), rng, 100_000,
                      collect_value=False)
@@ -334,9 +334,9 @@ def _reference_fold(model, learn, explore, events):
 
 
 def test_criterion_10_lagged_equivalence():
-    model = LinearModel(3, sigma2=0.01)
+    model = LinearModel(3)
     rng = RngStream(20250814)
-    env = _Recorder(LaggedSyntheticEnvironment(SyntheticConfig(model, BETA0),
+    env = _Recorder(LaggedSyntheticEnvironment(SyntheticConfig(model, BETA0, sigma2=0.01),
                                                rng, lag=3))
     learn = LearningSchedule(0.5, 0.501)
     explore = ExplorationSchedule.fixed(0.2)

@@ -1,11 +1,14 @@
 import json
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import banditsgd
 from banditsgd import ReplayLog, write_replay_log
 from banditsgd.cli import main
 
@@ -174,6 +177,13 @@ def test_non_finite_flag_names_its_field(tmp_path, capsys, flag, field):
     assert not out.exists()
 
 
+def test_negative_seed_names_its_field(tmp_path, capsys):
+    out = tmp_path / "r"
+    assert main(run_flags(out, extra=("--seed", "-1"))) == 1
+    assert "error: seed must be at least 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_tune_alpha_rejects_non_finite_constant(tmp_path, capsys):
     out = tmp_path / "t"
     code = main(["tune-alpha", "--horizon", "200", "--reps", "2",
@@ -211,8 +221,12 @@ def test_bad_list_flag_names_its_key(tmp_path, capsys):
 
 
 def test_module_entry_point_help():
+    # The child imports the package from where this process found it.
+    where = str(Path(banditsgd.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [where] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
     proc = subprocess.run([sys.executable, "-m", "banditsgd", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "tune-alpha" in proc.stdout
 

@@ -27,9 +27,9 @@ EXPLORE = ExplorationSchedule.fixed(0.2, burn_in=50)
 
 
 def make_env(family="linear", seed=1, sigma2=0.01):
-    model = make_model(family, 3, sigma2=sigma2)
+    model = make_model(family, 3)
     rng = RngStream(seed)
-    env = SyntheticEnvironment(SyntheticConfig(model, BETA0), rng)
+    env = SyntheticEnvironment(SyntheticConfig(model, BETA0, sigma2=sigma2), rng)
     return model, env, rng
 
 
@@ -209,15 +209,33 @@ class TestRunStream:
         assert res.value.t == val.t
         assert res.value.sum_v == pytest.approx(val.sum_v, rel=1e-13)
 
-    @pytest.mark.parametrize("lagged", [False, True], ids=["plain", "lagged"])
-    def test_unknown_hessian_variant_rejected(self, lagged):
+    @pytest.mark.parametrize("kind", ["plain", "lagged", "synthetic"])
+    def test_unknown_hessian_variant_rejected(self, kind):
         m, env, rng = make_env("logistic", seed=6)
-        run = run_stream
-        if lagged:
-            env = LaggedSyntheticEnvironment(SyntheticConfig(m, BETA0), rng, lag=2)
-            run = run_stream_lagged
         with pytest.raises(ValueError, match="unknown hessian variant 'bogus'"):
-            run(env, m, LEARN, EXPLORE, rng, 100, hessian="bogus")
+            if kind == "synthetic":
+                engine._run_synthetic(SyntheticConfig(m, BETA0), LEARN, EXPLORE, [6], 100,
+                                      hessian="bogus")
+            elif kind == "lagged":
+                env = LaggedSyntheticEnvironment(SyntheticConfig(m, BETA0), rng, lag=2)
+                run_stream_lagged(env, m, LEARN, EXPLORE, rng, 100, hessian="bogus")
+            else:
+                run_stream(env, m, LEARN, EXPLORE, rng, 100, hessian="bogus")
+
+    @pytest.mark.parametrize("lagged", [False, True], ids=["plain", "lagged"])
+    def test_bare_run_reports_the_same_total_reward(self, lagged):
+        # Without sums or a hook the total still comes from the folded steps.
+        totals = []
+        for sums in (True, False):
+            m, env, rng = make_env(seed=8)
+            run = run_stream
+            if lagged:
+                env = LaggedSyntheticEnvironment(SyntheticConfig(m, BETA0), rng, lag=2)
+                run = run_stream_lagged
+            res = run(env, m, LEARN, EXPLORE, rng, 3000,
+                      collect_inference=sums, collect_value=sums)
+            totals.append(res.summary.total_reward)
+        assert totals[0] == totals[1] != 0.0
 
     def test_consistency_over_replications(self):
         # At horizon 1e4 the averaged iterate should be inside a 0.1 ball

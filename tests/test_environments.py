@@ -18,7 +18,7 @@ BETA0 = np.array([0.3, -0.1, 0.7, 0.8, 0.5, -0.4])
 
 
 def linear_config(sigma2=0.01):
-    return SyntheticConfig(LinearModel(3, sigma2=sigma2), BETA0)
+    return SyntheticConfig(LinearModel(3), BETA0, sigma2=sigma2)
 
 
 class TestDrawFeature:
@@ -145,7 +145,6 @@ class TestReplayLogIO:
         for i in range(3):
             np.testing.assert_array_equal(log.x[i], back.x[i])
             assert log.action[i] == back.action[i] and log.reward[i] == back.reward[i]
-            assert log.propensity[i] == back.propensity[i]
 
     def test_empty_data_section(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -169,6 +168,14 @@ class TestReplayLogIO:
         path.write_text("x1,action,reward,propensity\n1.0,0,0.5,1.5\n")
         with pytest.raises(ReplayLogError, match="row 1"):
             load_replay_log(path)
+
+    def test_non_uniform_propensity_reports_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,action,reward,propensity\n1.0,0,0.5,0.5\n1.0,1,0.5,0.8\n")
+        with pytest.raises(ReplayLogError) as exc:
+            load_replay_log(path)
+        assert str(exc.value) == ("row 2: propensity must be 0.5 (replay needs a uniformly "
+                                  "randomized log), got 0.8")
 
     def test_wrong_field_count(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -217,8 +224,9 @@ class TestReplayLogIO:
             ReplayLog(np.ones((3, 2)), [0, 1, 1], [0.0, 1.0, math.nan])
         with pytest.raises(ReplayLogError, match=r"expected \(n, p\) features"):
             ReplayLog(np.ones(3), [0, 1, 1], [0.0, 1.0, 0.0])
-        assert ReplayLog(np.ones((3, 2)), [0, 1, 1], [0.0, 1.0, 0.0]).propensity.tolist() \
-            == [0.5, 0.5, 0.5]
+        with pytest.raises(ReplayLogError, match="row 3: propensity must be 0.5 .*uniformly"):
+            ReplayLog(np.ones((3, 2)), [0, 1, 1], [0.0, 1.0, 0.0], [0.5, 0.5, 0.2])
+        assert len(ReplayLog(np.ones((3, 2)), [0, 1, 1], [0.0, 1.0, 0.0], 0.5)) == 3
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -229,8 +237,8 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 def test_replay_log_round_trips(p, data, tmp_path_factory):
     """Every finite row written by write_replay_log reads back bit for bit."""
     rows = data.draw(st.lists(st.tuples(
-        st.lists(_FINITE, min_size=p, max_size=p), st.integers(0, 1), _FINITE,
-        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)), min_size=1, max_size=20))
+        st.lists(_FINITE, min_size=p, max_size=p), st.integers(0, 1), _FINITE),
+        min_size=1, max_size=20))
     log = ReplayLog(*map(np.array, zip(*rows)))
     path = tmp_path_factory.mktemp("log") / "log.csv"
     write_replay_log(path, log)
@@ -238,8 +246,7 @@ def test_replay_log_round_trips(p, data, tmp_path_factory):
     assert len(back) == len(log)
     for i in range(len(log)):
         assert log.x[i].tobytes() == back.x[i].tobytes()
-        assert (log.action[i], log.reward[i], log.propensity[i]) \
-            == (back.action[i], back.reward[i], back.propensity[i])
+        assert (log.action[i], log.reward[i]) == (back.action[i], back.reward[i])
         assert math.copysign(1.0, log.reward[i]) == math.copysign(1.0, back.reward[i])
 
 class TestReplayCursor:

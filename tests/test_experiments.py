@@ -95,6 +95,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{field} must be finite"):
             ExperimentConfig(**{field: value}).validate()
 
+    @pytest.mark.parametrize("field,value", [("seed", -1), ("oracle_draws", 0),
+                                             ("burn_in", -3), ("sigma2", -1.0)])
+    def test_out_of_range_value_names_its_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be at least"):
+            ExperimentConfig(**{field: value}).validate()
+
     @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
     def test_non_finite_beta0_entry_rejected(self, entry):
         with pytest.raises(ConfigError, match="beta0 entries must be finite"):

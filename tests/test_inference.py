@@ -251,9 +251,9 @@ class TestConvergedRunMagnitudes:
         # One converged linear run at horizon 1e4 with eps = 0.2: the reported
         # coordinate standard errors sit in the low-0.003 range (published
         # interval lengths 0.009-0.011 imply SE about 0.0023-0.0028).
-        m = LinearModel(3, sigma2=0.01)
+        m = LinearModel(3)
         rng = RngStream(77)
-        env = SyntheticEnvironment(SyntheticConfig(m, BETA0), rng)
+        env = SyntheticEnvironment(SyntheticConfig(m, BETA0, sigma2=0.01), rng)
         res = run_stream(env, m, LearningSchedule(0.5, 0.501),
                          ExplorationSchedule.fixed(0.2), rng, 10_000)
         se = np.sqrt(np.diag(sandwich_covariance(res.plugin)))
@@ -262,9 +262,9 @@ class TestConvergedRunMagnitudes:
     def test_curvature_estimate_near_half_identity(self):
         # Weighted curvature averages to 1/2 I (intercept-plus-standard-normal
         # features make the feature second moment the identity).
-        m = LinearModel(3, sigma2=0.01)
+        m = LinearModel(3)
         rng = RngStream(78)
-        env = SyntheticEnvironment(SyntheticConfig(m, BETA0), rng)
+        env = SyntheticEnvironment(SyntheticConfig(m, BETA0, sigma2=0.01), rng)
         res = run_stream(env, m, LearningSchedule(0.5, 0.501),
                          ExplorationSchedule.fixed(0.2), rng, 20_000)
         np.testing.assert_allclose(oracle.h_hat(res.plugin), 0.5 * np.eye(6), atol=0.05)
@@ -275,9 +275,9 @@ class TestConvergedRunMagnitudes:
         # features and weighting each action's residual covariance by the
         # limiting propensity of the true greedy rule.
         sigma2 = 0.01
-        m = LinearModel(3, sigma2=sigma2)
+        m = LinearModel(3)
         rng = RngStream(79)
-        env = SyntheticEnvironment(SyntheticConfig(m, BETA0), rng)
+        env = SyntheticEnvironment(SyntheticConfig(m, BETA0, sigma2=sigma2), rng)
         res = run_stream(env, m, LearningSchedule(0.5, 0.501),
                          ExplorationSchedule.fixed(0.2), rng, 100_000,
                          collect_value=False)

@@ -161,7 +161,7 @@ class TestOracleValue:
     def test_expected_reward_agrees_with_noisy_draws(self):
         # Averaging the modeled mean equals averaging noisy rewards up to
         # Monte Carlo error; the noisy version is the independent check.
-        m = LinearModel(3, sigma2=0.04)
+        m = LinearModel(3)
         n = 200_000
         v, se = oracle_value(m, BETA0, n, RngStream(7))
         gen = np.random.default_rng(123)
