@@ -310,7 +310,9 @@ def run_stream(env, model, learn: LearningSchedule, explore: ExplorationSchedule
     The environment supplies features via ``next_feature()`` (``None`` once
     exhausted, which stops the run cleanly) and rewards via
     ``outcome(x, action)``; an ``outcome`` of ``None`` marks a skipped replay
-    entry, which consumes the entry but not a decision step.  Fixed seeds give
+    entry, which consumes the entry but not a decision step.  A run whose
+    environment runs out after at least one step ends with a checkpoint of
+    its final step, unless that step already is one.  Fixed seeds give
     bit-identical runs.  Each run of steps added to the sums is first passed
     to ``on_steps(t, act, greedy, y, eps, ubar)``, if given, oldest first: the
     step indexes (n,), the taken and greedy actions (uint8) and rewards
@@ -341,6 +343,9 @@ def run_stream(env, model, learn: LearningSchedule, explore: ExplorationSchedule
         summary.steps = t
         if t in cp_set:
             summary.checkpoints.append(core.snapshot(t, eps))
+    if summary.exhausted and summary.steps >= 1 and summary.steps not in cp_set:
+        summary.checkpoints.append(
+            core.snapshot(summary.steps, exploration_rate(explore, summary.steps)))
     return core.result(summary)
 
 

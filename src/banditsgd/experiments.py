@@ -22,10 +22,10 @@ import numpy as np
 
 from .engine import Checkpoint, _batch_capacity, _each, _run_synthetic, run_stream
 from .environments import ReplayCursor, SyntheticConfig, load_replay_log
-from .inference import (SingularHessianError, _parameter_names, _sandwiches, _wald_rows,
-                        normal_quantile, value_report_row)
+from .inference import (_parameter_names, _sandwiches, _wald_rows, normal_quantile,
+                        value_report_row)
 from .models import make_model
-from .policy import RngStream, derive_seed, exploration_rate
+from .policy import RngStream, derive_seed
 from .types import ExplorationSchedule, InferenceReport, LearningSchedule, ReportRow
 from .value import (oracle_value, raw_value_variance, value_estimate,
                     value_standard_error)
@@ -228,19 +228,12 @@ def _parameter_rows(cps: list[Checkpoint], config: ExperimentConfig) -> list[lis
     """Wald rows for each checkpoint's ``bar_beta``; when no covariance comes
     out (singular curvature or a negative variance) the rows carry the
     estimate with NaN numbers, flagged ``singular_hessian``."""
-    found = _sandwiches([cp.plugin for cp in cps], ridge=config.ridge)
+    cov, ridged, _, ok = _sandwiches([cp.plugin for cp in cps], ridge=config.ridge)
     est = np.array([cp.bar_beta for cp in cps])
-    variances = np.full(est.shape, math.nan)
-    flags = []
-    for k, out in enumerate(found):
-        if isinstance(out, SingularHessianError):
-            flags.append("singular_hessian")
-        else:
-            cov, ridged = out
-            variances[k] = np.diag(cov)
-            flags.append("ridge" if ridged else "")
-    rows = _wald_rows(est, variances, config.level, np.zeros(est.shape[1]))
-    for cp_rows, flag in zip(rows, flags):
+    rows = _wald_rows(est, np.diagonal(cov, axis1=1, axis2=2), config.level,
+                      np.zeros(est.shape[1]))
+    flags = np.where(ok, np.where(ridged, "ridge", ""), "singular_hessian")
+    for cp_rows, flag in zip(rows, flags.tolist()):
         for row in cp_rows:
             row.flag = flag
     return rows
@@ -254,11 +247,11 @@ def _checkpoint_reports(cps: list[Checkpoint], config: ExperimentConfig) -> list
     for up to ``_REPORT_BLOCK`` checkpoints at once.
     """
     reports = [InferenceReport(level=config.level) for _ in cps]
-    stacked = [k for k, cp in enumerate(cps) if cp.plugin is not None]
-    for b in range(0, len(stacked), _REPORT_BLOCK):
-        block = stacked[b:b + _REPORT_BLOCK]
-        for k, rows in zip(block, _parameter_rows([cps[k] for k in block], config)):
-            reports[k].rows = rows
+    if cps and cps[0].plugin is not None:
+        for b in range(0, len(cps), _REPORT_BLOCK):
+            block = slice(b, b + _REPORT_BLOCK)
+            for report, rows in zip(reports[block], _parameter_rows(cps[block], config)):
+                report.rows = rows
     for cp, report in zip(cps, reports):
         for name in ("V_opt", "V_opt_aipw") if config.aipw else ("V_opt",):
             aipw = name == "V_opt_aipw"
@@ -330,19 +323,11 @@ def run_single(config: ExperimentConfig) -> SingleRunOutput:
                 config.exploration_schedule(), rng, config.horizon, hessian=config.hessian,
                 aipw=config.aipw, skip_value_burn_in=config.value_skip_burn_in,
                 checkpoints=config.effective_checkpoints(), on_steps=on_steps)
-    snapshots = {cp.t: cp for cp in result.summary.checkpoints}
-    if result.summary.exhausted and result.summary.steps >= 1 \
-            and result.summary.steps not in snapshots:
-        # Replay ran out of entries early; report at the final matched step.
-        snapshots[result.summary.steps] = Checkpoint(
-            t=result.summary.steps, bar_beta=result.state.bar_beta,
-            eps=exploration_rate(config.exploration_schedule(), result.summary.steps),
-            plugin=result.plugin, value=result.value)
-    steps = sorted(snapshots)
-    reports = dict(zip(steps, _checkpoint_reports([snapshots[t] for t in steps], config)))
+    cps = result.summary.checkpoints
+    reports = {cp.t: report for cp, report in zip(cps, _checkpoint_reports(cps, config))}
     out_dir = Path(config.out)
-    paths = [emit_report(reports[t], config.format, out_dir / f"report_t{t}.{config.format}")
-             for t in steps]
+    paths = [emit_report(report, config.format, out_dir / f"report_t{t}.{config.format}")
+             for t, report in reports.items()]
     replay_stats = None
     if cursor is not None:
         replay_stats = {

@@ -70,16 +70,19 @@ def sandwich_covariance(acc: PluginAccumulators, *, ridge: bool = False) -> np.n
     eigenvalues) also raises SingularHessianError.  After the ridge, the error
     says so and carries the condition number of the ridged curvature.
     """
-    (out,) = _sandwiches([acc], ridge=ridge)
-    if isinstance(out, SingularHessianError):
-        raise out
-    return out[0]
+    cov, ridged, cond, ok = _sandwiches([acc], ridge=ridge)
+    if not ok[0]:
+        raise SingularHessianError(float(cond[0]), bool(ridged[0]))
+    return cov[0]
 
 
-def _sandwiches(accs, *, ridge: bool = False) -> list:
-    """``sandwich_covariance`` of every accumulator: per accumulator the pair
-    (covariance, whether the ridge was applied), or the SingularHessianError
-    its own call raises.
+def _sandwiches(accs, *, ridge: bool = False):
+    """``sandwich_covariance`` of every accumulator, as four columns: the
+    covariances ``cov`` (K, dim, dim), NaN where none came out; whether the
+    ridge was applied, ``ridged`` (K,); the condition estimate of the
+    curvature that was inverted, ``cond`` (K,); and whether a covariance came
+    out, ``ok`` (K,).  Where ``ok`` is false, the one-matrix call raises
+    ``SingularHessianError(cond, ridged)``.
 
     One stacked ``eigh`` and stacked ``matmul`` calls serve all of them; each
     slice equals its one-matrix call bit for bit (README, "Defaults").  Only
@@ -93,34 +96,26 @@ def _sandwiches(accs, *, ridge: bool = False) -> list:
     h = np.array([acc.H_sum for acc in accs]) / n[:, None, None]
     lam, q = np.linalg.eigh(h)
     cond = _conditions(lam)
-    ridged = (lam.min(axis=1) <= 0.0) | (cond > _MAX_CONDITION)
-    out: list = [None] * len(accs)
+    # Negated tests, here and below: a NaN eigenvalue or variance rejects nothing.
+    ok = ~((lam.min(axis=1) <= 0.0) | (cond > _MAX_CONDITION))
+    ridged = ~ok & ridge
     if ridged.any():
         redo = np.flatnonzero(ridged)
-        if not ridge:
-            for k in redo.tolist():
-                out[k] = SingularHessianError(float(cond[k]))
-        else:
-            eye = np.eye(dim)
-            h_r = np.array([h[k] + (1e-8 * np.trace(h[k]) / dim) * eye for k in redo])
-            lam[redo], q[redo] = np.linalg.eigh(h_r)
-            cond[redo] = _conditions(lam[redo])
-            for k in redo[lam[redo].min(axis=1) <= 0.0].tolist():
-                out[k] = SingularHessianError(float(cond[k]), ridged=True)
-    keep = np.array([o is None for o in out])
-    if not keep.any():
-        return out
-    lam, q, n = lam[keep], q[keep], n[keep]
-    s = np.array([acc.S_sum for acc, o in zip(accs, out) if o is None]) / n[:, None, None]
+        eye = np.eye(dim)
+        h_r = np.array([h[k] + (1e-8 * np.trace(h[k]) / dim) * eye for k in redo])
+        lam[redo], q[redo] = np.linalg.eigh(h_r)
+        cond[redo] = _conditions(lam[redo])
+        ok[redo] = ~(lam[redo].min(axis=1) <= 0.0)
+    lam, q, n = lam[ok], q[ok], n[ok]
+    s = np.array([acc.S_sum for acc in accs])[ok] / n[:, None, None]
     q_t = q.swapaxes(1, 2)
     core = (q_t @ s @ q) / (lam[:, :, None] * lam[:, None, :])
-    cov = (q @ core @ q_t) / n[:, None, None]
-    cov = 0.5 * (cov + cov.swapaxes(1, 2))
-    low = np.diagonal(cov, axis1=1, axis2=2).min(axis=1) < -_VARIANCE_TOL
-    for k, c, is_low in zip(np.flatnonzero(keep).tolist(), cov, low.tolist()):
-        is_ridged = bool(ridged[k])
-        out[k] = SingularHessianError(float(cond[k]), is_ridged) if is_low else (c, is_ridged)
-    return out
+    kept = (q @ core @ q_t) / n[:, None, None]
+    cov = np.full(h.shape, math.nan)
+    cov[ok] = 0.5 * (kept + kept.swapaxes(1, 2))
+    ok &= ~(np.diagonal(cov, axis1=1, axis2=2).min(axis=1) < -_VARIANCE_TOL)
+    cov[~ok] = math.nan
+    return cov, ridged, cond, ok
 
 
 def _conditions(lam: np.ndarray) -> np.ndarray:
@@ -209,6 +204,8 @@ def wald_report(bar_beta, cov, level: float = 0.95, null=None) -> InferenceRepor
     if variances.min() < -_VARIANCE_TOL:
         raise ValueError(f"negative variance on the diagonal: {variances.min()}")
     null = np.zeros(dim) if null is None else np.asarray(null, dtype=np.float64)
+    if null.shape != (dim,):
+        raise ValueError(f"null shape {null.shape} does not match estimate shape {(dim,)}")
     (rows,) = _wald_rows(bar_beta[None], variances[None], level, null)
     return InferenceReport(level=level, rows=rows)
 

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banditsgd import (ExplorationSchedule, LearningSchedule, LinearModel,
-                       LogisticModel, ParameterState, ProtocolError,
-                       RngStream, SyntheticConfig, SyntheticEnvironment,
+                       LogisticModel, ParameterState, ProtocolError, ReplayCursor,
+                       ReplayLog, RngStream, SyntheticConfig, SyntheticEnvironment,
                        exploration_rate, make_model, run_stream, run_stream_lagged)
 from banditsgd import engine
 from banditsgd.environments import LaggedSyntheticEnvironment, constant_lag, geometric_lag
@@ -285,7 +285,6 @@ class TestRunStream:
         np.testing.assert_array_equal(cps[1].bar_beta, res.state.bar_beta)
 
     def test_environment_exhaustion_stops_cleanly(self):
-        from banditsgd import ReplayCursor, ReplayLog
         rng_np = np.random.default_rng(6)
         rows = [(np.append(1.0, rng_np.standard_normal(2)),
                  int(rng_np.integers(0, 2)), float(rng_np.integers(0, 2)))
@@ -319,6 +318,50 @@ def _assert_same_sums(got, want):
     for g, w in zip(got, want):
         for a, b in zip(g, w):
             np.testing.assert_array_equal(a, b)
+
+
+def _replay_log(rows, seed=6):
+    """A logged logistic trial of ``rows`` entries with p = 3."""
+    gen = np.random.default_rng(seed)
+    return ReplayLog(np.column_stack([np.ones(rows), gen.standard_normal((rows, 2))]),
+                     gen.integers(0, 2, rows), gen.integers(0, 2, rows).astype(float))
+
+
+class TestExhaustedRunRecord:
+    # A decaying rate tells the final step's clock from the next one's.
+    explore = ExplorationSchedule.decaying(0.3, 0.01, burn_in=5)
+
+    def _run(self, log, checkpoints=()):
+        return run_stream(ReplayCursor(log), LogisticModel(3), LEARN, self.explore,
+                          RngStream(8), 1000, checkpoints=checkpoints)
+
+    def test_final_step_is_recorded(self):
+        res = self._run(_replay_log(40), checkpoints=(5,))
+        steps = res.summary.steps
+        assert res.summary.exhausted and 5 < steps < 1000
+        assert [cp.t for cp in res.summary.checkpoints] == [5, steps]
+        last = res.summary.checkpoints[-1]
+        assert last.eps == exploration_rate(self.explore, steps)
+        assert last.eps != exploration_rate(self.explore, steps + 1)
+        np.testing.assert_array_equal(last.bar_beta, res.state.bar_beta)
+        _assert_same_sums([_sums(last)], [_sums(res)])
+
+    def test_final_checkpoint_is_not_recorded_twice(self):
+        log = _replay_log(40)
+        steps = self._run(log).summary.steps
+        res = self._run(log, checkpoints=(5, steps))
+        assert [cp.t for cp in res.summary.checkpoints] == [5, steps]
+
+    def test_no_record_without_a_matched_step(self):
+        # Of two one-entry logs that differ in the logged action, exactly one
+        # matches the run's first action.
+        runs = [self._run(ReplayLog(np.array([[1.0, 0.2, -0.3]]), [a], [1.0]))
+                for a in (0, 1)]
+        assert sorted(r.summary.steps for r in runs) == [0, 1]
+        for res in runs:
+            assert res.summary.exhausted
+            want = [1] if res.summary.steps else []
+            assert [cp.t for cp in res.summary.checkpoints] == want
 
 
 def _folded_sums(rows, horizon, checkpoints, *, family="linear", p=3, lag=None,

@@ -56,6 +56,14 @@ COMMANDS = {
     "replay-no-propensity": ["replay", "--replay-log", "log-no-propensity.csv",
                              "--model", "logistic", "--p", "2", "--beta0=-0.5,0.4,0.3,-0.6",
                              "--horizon", "3000", "--seed", "24", "--format", "json"],
+    # Singular curvature: t=3 flagged singular_hessian, t=10 and t=30 not.
+    "singular-mixed": ["run", "--horizon", "30", "--checkpoints", "3,10,30", "--seed", "25",
+                       "--format", "json"],
+    "singular-all-1-5": ["run", "--model", "logistic", "--horizon", "5",
+                         "--checkpoints", "1,2,3,4,5", "--seed", "25", "--format", "json"],
+    # mc leaves the singular t=3 rows out: n_used 0, n_excluded 6.
+    "mc-singular": ["mc", "--config", "mc.cfg", "--checkpoints", "3,100,400", "--seed", "26",
+                    "--format", "json"],
 }
 
 
@@ -128,6 +136,15 @@ GOLDEN = {
         "files": {
             "out/mc_meta.json": "a0bc5e66cd11d6ab3a4333b65db3451b01ad78f8b39fe0d4412ee969c2902bdc",
             "out/mc_summary.csv": "d1081ff8805384d48a3779f6f2078c63c8505583a64d65c1af2e776cda868918"
+        }
+    },
+    "mc-singular": {
+        "exit": 0,
+        "stdout": "b9235c1830d425f3736b1fe1d3e233d6c7668bef7db20a9295dfe12aff8f0b5e",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "out/mc_meta.json": "1331a2b292da4030e142d6f6a4cf0452c1d1eda72181e51edd22efae8a94bf62",
+            "out/mc_summary.json": "2fc5baebfa4eacf36ab1f4b048251211c0a4b0b51ea4112b043b3150726845c9"
         }
     },
     "mc-workers-1": {
@@ -215,6 +232,28 @@ GOLDEN = {
         "files": {
             "out/report_t1000.json": "558693d78cf55466284616eb0564037e73f349733a0d314c2e55ebcee53dbdc7",
             "out/report_t3000.json": "7f295fcfca7c5648c16ac957037a743d7efa8cfbd75a8220f862c0fd6be0ecf1"
+        }
+    },
+    "singular-all-1-5": {
+        "exit": 0,
+        "stdout": "66538a18bd3f3529a7c03d4bb39956d7e546c54bda8d052d4b7cdb08efd67c98",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "out/report_t1.json": "11b65674a81ccd96c1381bd4b545a5e93ffb2762bf545958ff1b4bef4c8998b6",
+            "out/report_t2.json": "562e4cf34120653803d5bc18147cbfc51b4225495b5a23a82bf648338508a8ab",
+            "out/report_t3.json": "2ebe4c42313cf780dee8f5cdbd87f185813bb2b3fc7b21f86e5f3cbacf135f2f",
+            "out/report_t4.json": "b818822c14f0ac88e601ef8d4c4ab970b4b5fee3447fbe25fd8170cd2b80b5ef",
+            "out/report_t5.json": "489659c0260bded1ce4ba0b7fab5867d3ca33542700b44c517282e9ddb5aa678"
+        }
+    },
+    "singular-mixed": {
+        "exit": 0,
+        "stdout": "d89f4091a1918a87e271c50adb8aa8bb30ddb47a4a383c27c4c0e3aee0dcf7ee",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "out/report_t10.json": "e9804b2fce9cbaa42d8e5f342c3ccadb26d7419e69bdb4a24ea7445ed752d22c",
+            "out/report_t3.json": "e3a528fff7f0003b245e3a8bba798081fcad1632e1e44f35e0265fec2e5c8b0f",
+            "out/report_t30.json": "5d290622dcb4da30ff5acda1506f7894bf4cf067f8fab56e543bf785030baedc"
         }
     },
     "trace-linear": {

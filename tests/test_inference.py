@@ -225,13 +225,23 @@ def _same_outcome(got, want):
         assert got[0].shape == want[0].shape and got[0].tobytes() == want[0].tobytes()
 
 
+def _outcomes(stack, ridge):
+    """``_sandwiches``' columns as one outcome per accumulator: the covariance
+    and whether the ridge was applied, or the error its one-matrix call
+    raises.  Rows without a covariance must be NaN."""
+    cov, ridged, cond, ok = inference._sandwiches(stack, ridge=ridge)
+    assert np.isnan(cov[~ok]).all()
+    return [(c, bool(r)) if o else SingularHessianError(float(k), bool(r))
+            for c, r, k, o in zip(cov, ridged, cond, ok)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(stack=accumulator_stacks(), ridge=st.booleans())
 def test_stacked_sandwiches_equal_one_matrix_calls(stack, ridge):
-    stacked = inference._sandwiches(stack, ridge=ridge)
+    stacked = _outcomes(stack, ridge)
     assert len(stacked) == len(stack)
     for acc, got in zip(stack, stacked):
-        (single,) = inference._sandwiches([acc], ridge=ridge)
+        (single,) = _outcomes([acc], ridge)
         _same_outcome(got, single)
         _same_outcome(got, _reference_sandwich(acc, ridge))
         try:
@@ -338,6 +348,14 @@ class TestWaldReport:
     def test_custom_null(self):
         report = wald_report(np.array([2.0]), np.array([[1.0]]), null=np.array([2.0]))
         assert report.rows[0].t_value == 0.0
+
+    @pytest.mark.parametrize("null", [np.ones(1), np.ones((4, 4)), np.ones(2)],
+                             ids=["length-1", "4x4", "length-2"])
+    def test_null_of_another_shape_rejected(self, null):
+        # Not broadcast to every coordinate, nor read off its first row.
+        with pytest.raises(ValueError) as err:
+            wald_report(np.zeros(4), np.eye(4), null=null)
+        assert str(err.value) == f"null shape {null.shape} does not match estimate shape (4,)"
 
     def test_value_row_has_no_t_or_p(self):
         row = value_report_row(1.5, 0.1, 0.95)
