@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from array import array
+from collections import deque
 from dataclasses import InitVar, dataclass
 from itertools import islice
 from pathlib import Path
@@ -121,8 +122,7 @@ class LaggedSyntheticEnvironment:
     def __init__(self, config: SyntheticConfig, rng: RngStream, lag=1):
         self._inner = SyntheticEnvironment(config, rng)
         self._lag_fn = constant_lag(lag) if isinstance(lag, int) else lag
-        self._queue: list[tuple[int, float, int]] = []  # (step, reward, due)
-        self._head = 0
+        self._queue: deque[tuple[int, float, int]] = deque()  # (step, reward, due)
 
     def next_feature(self):
         return self._inner.next_feature()
@@ -134,10 +134,9 @@ class LaggedSyntheticEnvironment:
 
     def arrivals(self, now: int):
         out = []
-        while self._head < len(self._queue) and self._queue[self._head][2] <= now:
-            step, y, _ = self._queue[self._head]
+        while self._queue and self._queue[0][2] <= now:
+            step, y, _ = self._queue.popleft()
             out.append((step, y))
-            self._head += 1
         return out
 
 

@@ -226,8 +226,8 @@ _REPORT_BLOCK = 64
 
 def _parameter_rows(cps: list[Checkpoint], config: ExperimentConfig) -> list[list[ReportRow]]:
     """Wald rows for each checkpoint's ``bar_beta``; when no covariance comes
-    out (singular curvature or a negative variance) the rows carry the
-    estimate with NaN numbers, flagged ``singular_hessian``."""
+    out (singular curvature, or a negative or NaN variance) the rows carry
+    the estimate with NaN numbers, flagged ``singular_hessian``."""
     cov, ridged, _, ok = _sandwiches([cp.plugin for cp in cps], ridge=config.ridge)
     est = np.array([cp.bar_beta for cp in cps])
     rows = _wald_rows(est, np.diagonal(cov, axis1=1, axis2=2), config.level,
@@ -380,11 +380,11 @@ def run_replication(config: ExperimentConfig, rep: int, rep_seed: int | None = N
 
 
 def _map_jobs(worker, jobs, workers: int):
-    if workers <= 1 or len(jobs) <= 1:
+    workers = min(workers, len(jobs))
+    if workers <= 1:
         return [worker(j) for j in jobs]
-    chunk = max(1, len(jobs) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(worker, jobs, chunksize=chunk))
+        return list(ex.map(worker, jobs))
 
 
 def _launch(batch_fn, configs, rep_seeds=None) -> list[list]:
@@ -442,10 +442,6 @@ def oracle_truth_value(config: ExperimentConfig) -> tuple[float, float]:
                         config.oracle_draws, rng)
 
 
-# Rows with these flags have no usable standard error; mc leaves them out.
-_EXCLUDED_FLAGS = ("singular_hessian", "no_value_steps")
-
-
 def _mc_row(t: int, name: str, est, se, truth: float, z: float, n_excluded: int) -> McRow:
     """SE/SD ratio, coverage of ``truth`` with its binomial SE, and mean CI length."""
     est = np.array(est)
@@ -498,7 +494,7 @@ def run_monte_carlo(config: ExperimentConfig, rep_seeds=None,
         # Every replication's report has the same rows in the same order.
         for rows in zip(*(r.reports[t].rows for r in ok)):
             name = rows[0].name
-            used = [row for row in rows if row.flag not in _EXCLUDED_FLAGS]
+            used = [row for row in rows if not math.isnan(row.se)]
             summary.rows.append(_mc_row(
                 t, name, [row.estimate for row in used], [row.se for row in used],
                 truth[name], z, len(rows) - len(used) + failures))

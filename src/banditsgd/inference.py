@@ -67,8 +67,9 @@ def sandwich_covariance(acc: PluginAccumulators, *, ridge: bool = False) -> np.n
     set, in which case lam = 1e-8 * trace(Hhat) / dim is added to the diagonal
     before inverting.  A result with a diagonal entry below -1e-10 (seen with
     the ridge at very short horizons, where cancellation swamps the tiny
-    eigenvalues) also raises SingularHessianError.  After the ridge, the error
-    says so and carries the condition number of the ridged curvature.
+    eigenvalues) or NaN (a diverged run) also raises SingularHessianError.
+    After the ridge, the error says so and carries the condition number of
+    the ridged curvature.
     """
     cov, ridged, cond, ok = _sandwiches([acc], ridge=ridge)
     if not ok[0]:
@@ -96,8 +97,7 @@ def _sandwiches(accs, *, ridge: bool = False):
     h = np.array([acc.H_sum for acc in accs]) / n[:, None, None]
     lam, q = np.linalg.eigh(h)
     cond = _conditions(lam)
-    # Negated tests, here and below: a NaN eigenvalue or variance rejects nothing.
-    ok = ~((lam.min(axis=1) <= 0.0) | (cond > _MAX_CONDITION))
+    ok = (lam.min(axis=1) > 0.0) & (cond <= _MAX_CONDITION)
     ridged = ~ok & ridge
     if ridged.any():
         redo = np.flatnonzero(ridged)
@@ -105,7 +105,7 @@ def _sandwiches(accs, *, ridge: bool = False):
         h_r = np.array([h[k] + (1e-8 * np.trace(h[k]) / dim) * eye for k in redo])
         lam[redo], q[redo] = np.linalg.eigh(h_r)
         cond[redo] = _conditions(lam[redo])
-        ok[redo] = ~(lam[redo].min(axis=1) <= 0.0)
+        ok[redo] = lam[redo].min(axis=1) > 0.0
     lam, q, n = lam[ok], q[ok], n[ok]
     s = np.array([acc.S_sum for acc in accs])[ok] / n[:, None, None]
     q_t = q.swapaxes(1, 2)
@@ -113,7 +113,7 @@ def _sandwiches(accs, *, ridge: bool = False):
     kept = (q @ core @ q_t) / n[:, None, None]
     cov = np.full(h.shape, math.nan)
     cov[ok] = 0.5 * (kept + kept.swapaxes(1, 2))
-    ok &= ~(np.diagonal(cov, axis1=1, axis2=2).min(axis=1) < -_VARIANCE_TOL)
+    ok &= (np.diagonal(cov, axis1=1, axis2=2) >= -_VARIANCE_TOL).all(axis=1)
     cov[~ok] = math.nan
     return cov, ridged, cond, ok
 

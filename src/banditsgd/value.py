@@ -62,8 +62,10 @@ def raw_value_variance(acc: ValueAccumulator, eps_t: float, aipw: bool = False) 
 
 
 def value_variance(acc: ValueAccumulator, eps_t: float, aipw: bool = False) -> float:
-    """Plugin variance clamped at zero; callers flag the clamp via the raw form."""
-    return max(0.0, raw_value_variance(acc, eps_t, aipw=aipw))
+    """Plugin variance clamped at zero (NaN stays NaN); callers flag the clamp
+    via the raw form."""
+    raw = raw_value_variance(acc, eps_t, aipw=aipw)
+    return 0.0 if raw <= 0.0 else raw
 
 
 def value_standard_error(acc: ValueAccumulator, eps_t: float, aipw: bool = False) -> float:

@@ -696,6 +696,13 @@ class TestRunStreamLagged:
         np.testing.assert_allclose(lag_res.state.bar_beta, state.bar_beta,
                                    rtol=1e-12, atol=1e-14)
 
+    def test_delivered_rewards_leave_the_queue(self):
+        m, _, rng = make_env(seed=24)
+        env = LaggedSyntheticEnvironment(SyntheticConfig(m, BETA0), rng, lag=3)
+        res = run_stream_lagged(env, m, LEARN, EXPLORE, rng, 2000)
+        assert res.summary.pending == 3
+        assert len(env._queue) == res.summary.pending
+
     @pytest.mark.parametrize("lag", [2, 5])
     def test_constant_lag_matches_reference(self, lag):
         m, _, rng = make_env(seed=23 + lag)

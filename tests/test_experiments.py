@@ -219,6 +219,18 @@ class TestRunSingle:
             assert math.isnan(r.estimate) and math.isnan(r.se)
         assert all(math.isfinite(r.estimate) for r in rows[:-2])
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_run_is_flagged(self, tmp_path):
+        # alpha=50 overflows the linear iterate: the plug-in sums turn NaN.
+        cfg = small_config(alpha=50, horizon=2000, checkpoints=(2000,),
+                           out=str(tmp_path / "dv"))
+        rows = run_single(cfg).reports[2000].rows
+        assert len(rows[:-1]) == 6
+        assert all(r.flag == "singular_hessian" for r in rows[:-1])
+        assert all(math.isnan(r.se) for r in rows[:-1])
+        assert rows[-1].name == "V_opt" and rows[-1].flag == ""
+        assert math.isfinite(rows[-1].estimate) and math.isfinite(rows[-1].se)
+
     def test_json_report_is_valid(self, tmp_path):
         cfg = small_config(format="json", out=str(tmp_path / "j"))
         run_single(cfg)
@@ -337,6 +349,39 @@ class TestRunMonteCarlo:
         value_row = summary.row(30, "V_opt")
         assert value_row.n_used == 0 and value_row.n_excluded == 4
         assert math.isnan(value_row.coverage)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_rows_excluded(self):
+        cfg = small_config(alpha=1e3, aipw=True, reps=4, horizon=2000, checkpoints=(2000,))
+        summary = run_monte_carlo(cfg, write=False)
+        for row in summary.rows:
+            if row.name == "V_opt":
+                assert (row.n_used, row.n_excluded) == (4, 0)
+            else:
+                assert (row.n_used, row.n_excluded) == (0, 4)
+        assert [r.name for r in summary.rows][-2:] == ["V_opt", "V_opt_aipw"]
+
+    def test_pool_forks_at_most_one_process_per_batch(self):
+        recorded = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                recorded.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        cfg = small_config(reps=2, workers=8, horizon=50, checkpoints=(50,))
+        with mock.patch.object(experiments, "ProcessPoolExecutor", InlinePool):
+            summary = run_monte_carlo(cfg, write=False)
+        assert recorded == [2]
+        assert summary.failures == 0
 
     def test_all_replications_failed_keeps_the_csv_header(self, tmp_path):
         cfg = small_config(reps=3, out=str(tmp_path / "x"))

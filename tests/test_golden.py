@@ -64,6 +64,11 @@ COMMANDS = {
     # mc leaves the singular t=3 rows out: n_used 0, n_excluded 6.
     "mc-singular": ["mc", "--config", "mc.cfg", "--checkpoints", "3,100,400", "--seed", "26",
                     "--format", "json"],
+    "mc-aipw": ["mc", "--config", "mc.cfg", "--aipw", "--seed", "27", "--format", "json"],
+    # Checkpoints 10 and 50 fall inside the skipped burn-in: no_value_steps.
+    "value-skip-aipw": ["run", "--model", "logistic", "--aipw", "--value-skip-burn-in",
+                        "--horizon", "300", "--checkpoints", "10,50,51,300", "--seed", "28",
+                        "--format", "json"],
 }
 
 
@@ -136,6 +141,15 @@ GOLDEN = {
         "files": {
             "out/mc_meta.json": "a0bc5e66cd11d6ab3a4333b65db3451b01ad78f8b39fe0d4412ee969c2902bdc",
             "out/mc_summary.csv": "d1081ff8805384d48a3779f6f2078c63c8505583a64d65c1af2e776cda868918"
+        }
+    },
+    "mc-aipw": {
+        "exit": 0,
+        "stdout": "b9235c1830d425f3736b1fe1d3e233d6c7668bef7db20a9295dfe12aff8f0b5e",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "out/mc_meta.json": "85762334b7b8997f9a105a623b6c9b970a626953186a0db908ab92dff09ab01e",
+            "out/mc_summary.json": "252ec9c01bc775bea207f9463144d5c45f5234aa60b52c60b2ae18b1b9b3e848"
         }
     },
     "mc-singular": {
@@ -290,6 +304,17 @@ GOLDEN = {
         "files": {
             "out/tune_alpha.json": "50bbe8f9bdceef209e802af7d412a04c44fdd8ffc67eb5b38c5634f938d95632",
             "out/tune_alpha_summary.json": "4daab5392de77764577da36ba8ba9a84389e07ae0bdceef31ecd58dc4384fbc8"
+        }
+    },
+    "value-skip-aipw": {
+        "exit": 0,
+        "stdout": "14eb7c92381f6edb1e62b5e9241c9fe828bb3fcdced7a160e867369ff9cc8ac9",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "out/report_t10.json": "2f538ef3e07c3c1110a289f897e33b33d794af534005b1f0d237a76e7b0ee86c",
+            "out/report_t300.json": "8487f498689df76849af11a71a350dd0edbf845a34db6fdc25b943c44a7513c9",
+            "out/report_t50.json": "44c7f2343750cb4c1657c7881f2f43234ef5a7837c07730a557f95e526ed92ef",
+            "out/report_t51.json": "b601e6f2e5a89f385956ee2de5ea4e69eb31387aae90bc2101cbcc8b02bba0ca"
         }
     }
 }

@@ -148,6 +148,19 @@ class TestSandwichCovariance:
         # leaves eigenvalues T + lam and lam: condition 1 + 6e8.
         assert ridged.value.condition == pytest.approx(1.0 + 6.0 / 1e-8, rel=1e-9)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_run_raises(self):
+        # alpha=50 overflows the linear iterate; the gradient sums turn NaN
+        # while the curvature, which does not depend on it, stays finite.
+        m = LinearModel(3)
+        rng = RngStream(321)
+        env = SyntheticEnvironment(SyntheticConfig(m, BETA0, sigma2=0.01), rng)
+        res = run_stream(env, m, LearningSchedule(50.0, 0.501),
+                         ExplorationSchedule.fixed(0.2, burn_in=50), rng, 2000)
+        assert np.isfinite(res.plugin.H_sum).all()
+        with pytest.raises(SingularHessianError):
+            sandwich_covariance(res.plugin)
+
     def test_empty_accumulator_rejected(self):
         with pytest.raises(ValueError):
             sandwich_covariance(PluginAccumulators(4))

@@ -84,6 +84,18 @@ class TestValueVariance:
         # evaluating the variance at a smaller current rate can go negative
         assert raw_value_variance(acc, 0.01) < 0.0
         assert value_variance(acc, 0.01) == 0.0
+        # A raw variance of -0.0 (2 * -0.0 / 5 - 0.0) or below zero reads +0.0.
+        for sum_v2, raw in ((-0.0, "-0.0"), (-1.0, "-0.4")):
+            acc = ValueAccumulator()
+            acc.sum_v2, acc.t = sum_v2, 5
+            assert repr(raw_value_variance(acc, 1.0)) == raw
+            assert repr(value_variance(acc, 1.0)) == "0.0"
+
+    def test_nan_sums_give_nan(self):
+        acc = ValueAccumulator()
+        acc.sum_v = acc.sum_v2 = math.nan
+        acc.t = 5
+        assert math.isnan(value_variance(acc, 0.2))
 
     def test_standard_error_scaling(self):
         acc = ValueAccumulator()
