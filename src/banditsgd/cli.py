@@ -13,6 +13,8 @@ import math
 import sys
 from dataclasses import fields
 
+import numpy as np
+
 from .environments import ReplayLogError
 from .experiments import (ConfigError, ExperimentConfig, _coerce, build_config,
                           load_config_file, run_monte_carlo, run_single, tune_alpha)
@@ -93,40 +95,43 @@ def main(argv=None) -> int:
     try:
         file_values = load_config_file(args.config) if args.config else None
         config = build_config(file_values, _overrides_from_args(args))
-        if args.command == "run":
-            out = run_single(config)
-            for path in out.paths:
-                print(path)
-        elif args.command == "replay":
-            if config.replay_log is None:
-                raise ConfigError("replay requires --replay-log PATH")
-            out = run_single(config)
-            for path in out.paths:
-                print(path)
-            if out.replay_stats is not None:
-                s = out.replay_stats
-                print(f"matched {s['matched']} of {s['consumed']} entries "
-                      f"(fraction {s['matched_fraction']:.4f})")
-                if not out.reports:
-                    print("warning: no log entry matched, so no report was written",
+        # A diverged run shows in its flags and non-finite numbers, not in numpy
+        # warnings; forked suite workers inherit this state.
+        with np.errstate(all="ignore"):
+            if args.command == "run":
+                out = run_single(config)
+                for path in out.paths:
+                    print(path)
+            elif args.command == "replay":
+                if config.replay_log is None:
+                    raise ConfigError("replay requires --replay-log PATH")
+                out = run_single(config)
+                for path in out.paths:
+                    print(path)
+                if out.replay_stats is not None:
+                    s = out.replay_stats
+                    print(f"matched {s['matched']} of {s['consumed']} entries "
+                          f"(fraction {s['matched_fraction']:.4f})")
+                    if not out.reports:
+                        print("warning: no log entry matched, so no report was written",
+                              file=sys.stderr)
+            elif args.command == "mc":
+                summary = run_monte_carlo(config)
+                print(f"{config.out}/mc_summary.{config.format}")
+                if summary.failures:
+                    print(f"warning: {summary.failures} replication(s) failed and were excluded",
                           file=sys.stderr)
-        elif args.command == "mc":
-            summary = run_monte_carlo(config)
-            print(f"{config.out}/mc_summary.{config.format}")
-            if summary.failures:
-                print(f"warning: {summary.failures} replication(s) failed and were excluded",
-                      file=sys.stderr)
-        elif args.command == "tune-alpha":
-            grid = tuple(float(s) for s in args.alpha_grid.split(","))
-            result = tune_alpha(config, grid)
-            print(f"{config.out}/tune_alpha.{config.format}")
-            print(f"best alpha: {result.best_alpha:g}")
-            for alpha, loss in result.final_loss.items():
-                if not math.isfinite(loss):
-                    print(f"warning: alpha {alpha:g} diverged (final loss {loss})",
-                          file=sys.stderr)
-            if math.isnan(result.best_alpha):
-                print("warning: no alpha reached a finite final loss", file=sys.stderr)
+            elif args.command == "tune-alpha":
+                grid = tuple(float(s) for s in args.alpha_grid.split(","))
+                result = tune_alpha(config, grid)
+                print(f"{config.out}/tune_alpha.{config.format}")
+                print(f"best alpha: {result.best_alpha:g}")
+                for alpha, loss in result.final_loss.items():
+                    if not math.isfinite(loss):
+                        print(f"warning: alpha {alpha:g} diverged (final loss {loss})",
+                              file=sys.stderr)
+                if math.isnan(result.best_alpha):
+                    print("warning: no alpha reached a finite final loss", file=sys.stderr)
         return 0
     except (ConfigError, ReplayLogError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

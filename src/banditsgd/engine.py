@@ -36,19 +36,6 @@ class ProtocolError(RuntimeError):
 
 
 @dataclass
-class StepRecord:
-    """Pending decision awaiting its reward in lagged mode."""
-
-    x: np.ndarray
-    a: int
-    pi_used: float
-    eps_used: float
-    greedy: int
-    step: int
-    include_value: bool = True
-
-
-@dataclass
 class Checkpoint:
     """State snapshot taken immediately after a given decision step."""
 
@@ -219,11 +206,10 @@ class _UpdateCore:
     package's own ``ipw_weight`` and ``learning_rate``.
 
     ``apply`` takes the SGD step at once but defers the step's record: a
-    copy of ``x`` and the step's raw scalars (actions, reward, weight,
-    exploration rate, include flag and both indexes at the pre-step average)
-    wait in a pending block of at most ``_block_rows(p)`` steps, which
-    ``fold`` hands to ``sums.add`` (one stream) before every snapshot, when
-    the block fills and before the result is returned.
+    copy of ``x`` and the decision with its reward and weight wait in a
+    pending block of at most ``_block_rows(p)`` steps, which ``fold`` hands
+    to ``sums.add`` (one stream) before every snapshot, when the block fills
+    and before the result is returned.
     """
 
     def __init__(self, model, learn: LearningSchedule, sums: _Sums):
@@ -241,35 +227,33 @@ class _UpdateCore:
         self._check_reward = model.validate_reward
         self.updates = 0
 
-    def sample(self, x, eps: float, uniform: float) -> tuple[int, float, int, tuple]:
-        """Epsilon-greedy draw at the current average, taking action 1 when
-        ``uniform`` falls below its propensity: the greedy action, the
-        propensity of action 1, the sampled action and both indexes."""
-        # Same expression as the update-time recomputation so that zero-lag
-        # delivery reproduces the plain stream bit for bit.
-        u0 = float(self._bar_blocks[0].dot(x))
-        u1 = float(self._bar_blocks[1].dot(x))
+    def indexes(self, x) -> tuple[float, float]:
+        """Both actions' indexes at the current average."""
+        return float(self._bar_blocks[0].dot(x)), float(self._bar_blocks[1].dot(x))
+
+    def sample(self, x, eps: float, uniform: float, include: bool) -> tuple:
+        """The epsilon-greedy decision at the current average, taking action 1
+        when ``uniform`` falls below its propensity: the tuple ``(a, greedy,
+        pi, eps, include, u0, u1)`` of the sampled and the greedy action, the
+        propensity of action 1, the exploration rate, whether the step's value
+        terms count, and both indexes."""
+        u0, u1 = self.indexes(x)
         greedy = 1 if u1 > u0 else 0
         pi = 1.0 - eps / 2.0 if greedy == 1 else eps / 2.0
-        return greedy, pi, 1 if uniform < pi else 0, (u0, u1)
+        return 1 if uniform < pi else 0, greedy, pi, eps, include, u0, u1
 
-    def apply(self, x, a: int, y: float, pi: float, eps: float, greedy: int,
-              include_value: bool = True, u_bar: tuple | None = None) -> None:
-        """Consume one reward: record the step at the pre-step average, then
-        take the SGD step with ordinal ``updates + 1``.
-
-        ``u_bar`` may carry both indexes at the current average when the
-        caller already computed them for the decision.
-        """
+    def apply(self, x, decision: tuple, y: float) -> None:
+        """Consume the reward ``y`` of ``sample``'s ``decision``: record the
+        decision with ``y`` and the IPW weight, then take the SGD step with
+        ordinal ``updates + 1``."""
+        a, _, pi, eps, include = decision[:5]
         self._check_reward(y)
         w = ipw_weight(a, pi)
         ordinal = self.updates + 1
-        if self.sums.values and include_value and not 0.0 < eps <= 1.0:
+        if self.sums.values and include and not 0.0 < eps <= 1.0:
             raise ValueError(f"exploration rate must lie in (0, 1], got {eps}")
-        if u_bar is None:
-            u_bar = (float(self._bar_blocks[0].dot(x)), float(self._bar_blocks[1].dot(x)))
         self._x[len(self._pending)] = x
-        self._pending.append((a, greedy, y, w, eps, include_value) + u_bar)
+        self._pending.append(decision + (y, w))
 
         _sgd_step(self.hat, self.bar, self._hat_blocks[a], x, y, w,
                   learning_rate(self.learn, ordinal), ordinal, self._link)
@@ -281,13 +265,13 @@ class _UpdateCore:
         """Hand the pending steps to the sums, oldest first."""
         if self._pending:
             n = len(self._pending)
-            # (steps, R = 1, fields): the last two fields are both indexes.
+            # (steps, R = 1, fields) in the order of apply's record.
             rec = np.fromiter(chain.from_iterable(self._pending), np.float64,
-                              8 * n).reshape(n, 1, 8)
-            a, greedy, y, w, eps, include = (rec[..., k] for k in range(6))
+                              9 * n).reshape(n, 1, 9)
+            a, greedy, _, eps, include, _, _, y, w = (rec[..., k] for k in range(9))
             self.sums.add(np.arange(self.updates - n + 1, self.updates + 1), self._x[:n, None],
                           a.astype(np.uint8), greedy.astype(np.uint8), y, w, eps[:, 0],
-                          include != 0.0, rec[..., 6:])
+                          include != 0.0, rec[..., 5:7])
             self._pending.clear()
 
     def snapshot(self, t: int, eps: float) -> Checkpoint:
@@ -327,19 +311,19 @@ def run_stream(env, model, learn: LearningSchedule, explore: ExplorationSchedule
     cp_set = set(int(c) for c in checkpoints)
     for t in range(1, horizon + 1):
         eps = exploration_rate(explore, t)
+        include = not (skip_value_burn_in and t <= explore.burn_in)
         while True:
             x = env.next_feature()
             if x is None:
                 summary.exhausted = True
                 break
-            greedy, pi, a, u_bar = core.sample(x, eps, rng.uniform())
-            y = env.outcome(x, a)
+            decision = core.sample(x, eps, rng.uniform(), include)
+            y = env.outcome(x, decision[0])
             if y is not None:
                 break
         if summary.exhausted:
             break
-        include_value = not (skip_value_burn_in and t <= explore.burn_in)
-        core.apply(x, a, float(y), pi, eps, greedy, include_value, u_bar=u_bar)
+        core.apply(x, decision, float(y))
         summary.steps = t
         if t in cp_set:
             summary.checkpoints.append(core.snapshot(t, eps))
@@ -371,21 +355,22 @@ def run_stream_lagged(env, model, learn: LearningSchedule, explore: ExplorationS
                                            collect_value, aipw))
     summary = RunSummary()
     cp_set = set(int(c) for c in checkpoints)
-    pending: deque[StepRecord] = deque()
+    # (step, copy of x, decision) per decision awaiting its reward.
+    pending: deque[tuple] = deque()
 
     def drain(now: int) -> None:
         for step_idx, y in env.arrivals(now):
             if not pending:
                 raise ProtocolError(f"reward for step {step_idx} has no pending record")
-            head = pending[0]
-            if head.step != step_idx:
+            step, x, decision = pending[0]
+            if step != step_idx:
                 raise ProtocolError(
                     f"reward for step {step_idx} arrived out of order; "
-                    f"expected step {head.step}"
+                    f"expected step {step}"
                 )
             pending.popleft()
-            core.apply(head.x, head.a, float(y), head.pi_used, head.eps_used,
-                       head.greedy, head.include_value)
+            # The sums take both indexes at the average in force at the update.
+            core.apply(x, decision[:5] + core.indexes(x), float(y))
 
     for t in range(1, horizon + 1):
         drain(t)
@@ -395,11 +380,11 @@ def run_stream_lagged(env, model, learn: LearningSchedule, explore: ExplorationS
             break
         ordinal_next = core.updates + 1
         eps = exploration_rate(explore, ordinal_next)
-        greedy, pi, a, _ = core.sample(x, eps, rng.uniform())
-        include_value = not (skip_value_burn_in and ordinal_next <= explore.burn_in)
+        include = not (skip_value_burn_in and ordinal_next <= explore.burn_in)
+        decision = core.sample(x, eps, rng.uniform(), include)
         # A copy: an environment may reuse one feature array for every step.
-        pending.append(StepRecord(x.copy(), a, pi, eps, greedy, t, include_value))
-        env.submit(t, x, a)
+        pending.append((t, x.copy(), decision))
+        env.submit(t, x, decision[0])
         drain(t)
         summary.steps = t
         if t in cp_set:

@@ -21,13 +21,18 @@ _VARIANCE_TOL = 1e-10
 
 
 class SingularHessianError(RuntimeError):
-    """Curvature estimate too ill-conditioned to invert."""
+    """Curvature estimate too ill-conditioned to invert, or plug-in sums that
+    are not finite (``finite`` false)."""
 
-    def __init__(self, condition: float, ridged: bool = False):
+    def __init__(self, condition: float, ridged: bool = False, finite: bool = True):
         advice = ("the ridge fallback was applied; accumulate more steps" if ridged
                   else "accumulate more steps or enable the ridge fallback")
-        super().__init__(f"curvature matrix is numerically singular "
-                         f"(condition estimate {condition:.3e}); {advice}")
+        message = (f"curvature matrix is numerically singular "
+                   f"(condition estimate {condition:.3e}); {advice}")
+        if not finite:
+            message = ("plug-in sums are not finite (the iterate diverged); "
+                       "use a smaller learning-rate constant alpha")
+        super().__init__(message)
         self.condition = condition
 
 
@@ -69,11 +74,12 @@ def sandwich_covariance(acc: PluginAccumulators, *, ridge: bool = False) -> np.n
     the ridge at very short horizons, where cancellation swamps the tiny
     eigenvalues) or NaN (a diverged run) also raises SingularHessianError.
     After the ridge, the error says so and carries the condition number of
-    the ridged curvature.
+    the ridged curvature; when a sum is not finite, it says so instead.
     """
     cov, ridged, cond, ok = _sandwiches([acc], ridge=ridge)
     if not ok[0]:
-        raise SingularHessianError(float(cond[0]), bool(ridged[0]))
+        finite = np.isfinite(acc.S_sum).all() and np.isfinite(acc.H_sum).all()
+        raise SingularHessianError(float(cond[0]), bool(ridged[0]), bool(finite))
     return cov[0]
 
 

@@ -252,6 +252,31 @@ def test_diverging_constant_warns_once_without_numpy_warnings(tmp_path, capsys, 
     assert captured.err == "warning: alpha 1e+300 diverged (final loss nan)\n"
 
 
+DIVERGED = ["--model", "linear", "--p", "3", "--alpha", "1e3", "--horizon", "2000"]
+
+
+def test_diverged_run_is_flagged_without_numpy_warnings(tmp_path, capsys):
+    # A numpy warning here would be raised as an error (pyproject.toml).
+    code = main(["run", *DIVERGED, "--checkpoints", "2000", "--format", "json",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    rows = json.loads((tmp_path / "report_t2000.json").read_text())["rows"]
+    assert [row["flag"] for row in rows[:-1]] == ["singular_hessian"] * 6
+
+
+def test_diverged_mc_workers_print_no_numpy_warnings(tmp_path):
+    # Forked workers step outside this process's warning filters.
+    where = str(Path(banditsgd.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [where] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, "-m", "banditsgd", "mc", *DIVERGED, "--aipw",
+                           "--reps", "4", "--workers", "2", "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
 SATURATED = "--beta0=800,-800,800,-800,800,-800"
 
 

@@ -17,9 +17,9 @@ from banditsgd.experiments import _map_jobs, _step_losses, _trace_steps
 from banditsgd.inference import PluginAccumulators, ipw_weight
 from banditsgd.value import ValueAccumulator
 
-from oracle import (Observation, RecordingEnvironment, accumulate, ipw_gradient, loss,
-                    loss_gradient, mean_reward, recorded_steps, sgd_step, update_value,
-                    zero_state)
+from oracle import (Observation, RecordingEnvironment, accumulate, decide_optimal,
+                    ipw_gradient, loss, loss_gradient, mean_reward, propensity,
+                    recorded_steps, sgd_step, update_value, zero_state)
 
 BETA0 = np.array([0.3, -0.1, 0.7, 0.8, 0.5, -0.4])
 LEARN = LearningSchedule(0.5, 0.501)
@@ -727,6 +727,58 @@ class TestRunStreamLagged:
         assert res.summary.updates + res.summary.pending == res.summary.steps
         np.testing.assert_allclose(res.state.bar_beta, ref.bar_beta,
                                    rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("family,lag", [("linear", 3), ("logistic", geometric_lag(0.4))],
+                             ids=["lag-3", "geometric"])
+    def test_sums_match_stepwise_reference(self, family, lag):
+        # Epsilon, the greedy action, the propensity and value inclusion come
+        # from the decision clock; the plug-in mean and the AIPW mu_hat from
+        # the average in force at the update.
+        explore = ExplorationSchedule.decaying(0.3, 0.1, burn_in=20)
+        m, _, rng = make_env(family, seed=35)
+        env = _RecordingLaggedEnv(
+            LaggedSyntheticEnvironment(SyntheticConfig(m, BETA0), rng, lag=lag))
+        bars = []  # bars[k]: the average after k updates
+        step = engine._sgd_step
+
+        def spy(hat, bar, *args):
+            bars.append(bar.copy())
+            step(hat, bar, *args)
+
+        with mock.patch.object(engine, "_sgd_step", spy):
+            res = run_stream_lagged(env, m, LEARN, explore, rng, 700, aipw=True,
+                                    skip_value_burn_in=True)
+        bars.append(res.state.bar_beta)
+        s_sum, h_sum = np.zeros((6, 6)), np.zeros((6, 6))
+        val = ValueAccumulator(aipw=True)
+        stored, updates = {}, 0
+        for ev in env.events:
+            bar = bars[updates]
+            if ev[0] == "action":
+                _, t, x, a = ev
+                eps = exploration_rate(explore, updates + 1)
+                stored[t] = (x, a, propensity(m, bar, x, eps), eps, decide_optimal(m, bar, x),
+                             updates + 1 > explore.burn_in)
+                continue
+            _, t, y = ev
+            x, a, pi, eps, greedy, include = stored.pop(t)
+            blk = slice(3, 6) if a == 1 else slice(0, 3)
+            mu = m.mean_from_index(float(x @ bar[blk]))
+            gw = (mu - y) * ipw_weight(a, pi)
+            xx = np.outer(x, x)
+            s_sum[blk, blk] += xx * (gw * gw)
+            h_sum[blk, blk] += xx * (m.hessian_scale(mu, y, "exact") * ipw_weight(a, pi))
+            if include:
+                g_blk = slice(3, 6) if greedy == 1 else slice(0, 3)
+                update_value(val, Observation(x, a, y), greedy, eps,
+                             m.mean_from_index(float(x @ bar[g_blk])))
+            updates += 1
+        assert updates == res.summary.updates == res.plugin.n > 600
+        assert 0 < val.t == res.value.t < updates
+        np.testing.assert_array_equal(res.plugin.S_sum, s_sum)
+        np.testing.assert_array_equal(res.plugin.H_sum, h_sum)
+        assert (res.value.sum_v, res.value.sum_v2) == (val.sum_v, val.sum_v2)
+        assert (res.value.sum_aipw, res.value.sum_aipw2) == (val.sum_aipw, val.sum_aipw2)
 
     def test_out_of_order_arrival_raises(self):
         m, _, rng = make_env(seed=41)

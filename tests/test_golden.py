@@ -69,6 +69,13 @@ COMMANDS = {
     "value-skip-aipw": ["run", "--model", "logistic", "--aipw", "--value-skip-burn-in",
                         "--horizon", "300", "--checkpoints", "10,50,51,300", "--seed", "28",
                         "--format", "json"],
+    # A decaying eps with skipped burn-in value steps (no_value_steps at t=10
+    # and t=20), AIPW, and the log running out at t=963.
+    "replay-decay-skip-aipw": ["replay", "--replay-log", "log.csv", "--model", "logistic",
+                               "--p", "2", "--beta0=-0.5,0.4,0.3,-0.6", "--eps",
+                               "decay:0.3,0.1", "--burn-in", "20", "--value-skip-burn-in",
+                               "--aipw", "--checkpoints", "10,20,21,500", "--horizon", "3000",
+                               "--seed", "29", "--format", "json"],
 }
 
 
@@ -197,6 +204,19 @@ GOLDEN = {
         "files": {
             "out/replay_stats.csv": "45e672111613595a5dde1be441b478c9e9621fa0d586009ca3463325fd644883",
             "out/report_t978.csv": "a66bbe0aa59569fbf001bf433a23e946e3897c4ef5db7ea3175005a6013a0246"
+        }
+    },
+    "replay-decay-skip-aipw": {
+        "exit": 0,
+        "stdout": "88e73e7f9b442afc5cbbd5c247184425b2571b87069a4a9201a71cb8e3147f0d",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "out/replay_stats.json": "ff45e4c79f8371e83f89d73028257ca4d2b37bfa55a3edbcc9e05c571a16ae79",
+            "out/report_t10.json": "666c430ae31ada182fc3be059e700edeec22213aed70cbf26423acf32858e272",
+            "out/report_t20.json": "1deef950b02e5af5e1fdeef422c0a01967fd28a044d47260cc02a45dbc4ff0b2",
+            "out/report_t21.json": "f89a0e94c2b2e0f0faf3e312fc6120c38a62294c554de68f0614a9631c14e562",
+            "out/report_t500.json": "779f33f447dea0775d181cc48b8738ef6c67995306190954ad12bf592f9d93de",
+            "out/report_t963.json": "19d80b9e785a735c7b2cc3a8ff23e620bc6f00f2a915885e24abb31c8256aabe"
         }
     },
     "replay-json": {

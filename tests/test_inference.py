@@ -161,6 +161,22 @@ class TestSandwichCovariance:
         with pytest.raises(SingularHessianError):
             sandwich_covariance(res.plugin)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_run_names_its_non_finite_sums(self):
+        # The run of test_diverged_run_raises: its curvature is well
+        # conditioned, so the error names the NaN gradient sums instead.
+        m = LinearModel(3)
+        rng = RngStream(321)
+        env = SyntheticEnvironment(SyntheticConfig(m, BETA0, sigma2=0.01), rng)
+        res = run_stream(env, m, LearningSchedule(50.0, 0.501),
+                         ExplorationSchedule.fixed(0.2, burn_in=50), rng, 2000)
+        assert not np.isfinite(res.plugin.S_sum).all()
+        for ridge in (False, True):
+            with pytest.raises(SingularHessianError, match="plug-in sums are not finite") as err:
+                sandwich_covariance(res.plugin, ridge=ridge)
+            assert "smaller learning-rate constant alpha" in str(err.value)
+            assert "numerically singular" not in str(err.value)
+
     def test_empty_accumulator_rejected(self):
         with pytest.raises(ValueError):
             sandwich_covariance(PluginAccumulators(4))
