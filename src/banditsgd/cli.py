@@ -3,69 +3,64 @@
 Subcommands: ``run`` (one stream), ``mc`` (replication suite),
 ``tune-alpha`` (step-size sweep), ``replay`` (evaluate on a logged trial).
 A ``--config`` file provides defaults; any flag given on the command line
-overrides the file value.  Exit code 0 on success, 1 on configuration or
-I/O errors.
+overrides the file value, its text read as the file's would be.  Exit 0 on
+success; 1 on I/O errors or a malformed or out-of-range value, named by its
+key (and line, in a config file); 2 on usage errors: an unknown flag, a
+missing value, or a value outside a flag's choices.
 """
 from __future__ import annotations
 
 import argparse
 import math
 import sys
-from dataclasses import fields
 
 import numpy as np
 
 from .environments import ReplayLogError
-from .experiments import (ConfigError, ExperimentConfig, _coerce, build_config,
+from .experiments import (_CHOICES, _KINDS, ConfigError, _coerce, build_config,
                           load_config_file, run_monte_carlo, run_single, tune_alpha)
 
 
 def _add_common_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", metavar="PATH", help="flat key = value config file")
-    sp.add_argument("--model", choices=("linear", "logistic"))
-    sp.add_argument("--p", type=int, metavar="N", help="feature dimension")
+    sp.add_argument("--model", choices=_CHOICES["model"])
+    sp.add_argument("--p", metavar="N", help="feature dimension")
     sp.add_argument("--beta0", metavar="v1,...,v2p", help="true parameters, comma separated")
-    sp.add_argument("--sigma2", type=float, metavar="F", help="reward noise variance (linear)")
-    sp.add_argument("--alpha", type=float, metavar="F", help="learning-rate constant")
-    sp.add_argument("--gamma", type=float, metavar="F", help="learning-rate exponent (default 0.501)")
+    sp.add_argument("--sigma2", metavar="F", help="reward noise variance (linear)")
+    sp.add_argument("--alpha", metavar="F", help="learning-rate constant")
+    sp.add_argument("--gamma", metavar="F", help="learning-rate exponent (default 0.501)")
     sp.add_argument("--eps", metavar="SPEC", help="exploration: fixed:F or decay:EXP,FLOOR")
-    sp.add_argument("--burn-in", dest="burn_in", type=int, metavar="N",
+    sp.add_argument("--burn-in", metavar="N",
                     help="pure-exploration steps at the start (default 50)")
-    sp.add_argument("--horizon", type=int, metavar="N", help="decision steps per run")
-    sp.add_argument("--reps", type=int, metavar="N", help="replications for suites")
-    sp.add_argument("--seed", type=int, metavar="N")
+    sp.add_argument("--horizon", metavar="N", help="decision steps per run")
+    sp.add_argument("--reps", metavar="N", help="replications for suites")
+    sp.add_argument("--seed", metavar="N")
     sp.add_argument("--checkpoints", metavar="t1,t2,...", help="steps at which to report")
-    sp.add_argument("--hessian", choices=("exact", "paper", "outer"),
+    sp.add_argument("--hessian", choices=(*_CHOICES["hessian"], "paper"),
                     help="curvature form: analytic second derivative, or the "
                          "squared-residual outer product ('paper' is an alias for 'outer')")
-    sp.add_argument("--aipw", action="store_true", default=None,
+    sp.add_argument("--aipw", action="store_const", const="true",
                     help="also report the augmented value estimator (experimental)")
-    sp.add_argument("--ridge", action="store_true", default=None,
+    sp.add_argument("--ridge", action="store_const", const="true",
                     help="stabilize a singular curvature with a small ridge")
-    sp.add_argument("--value-skip-burn-in", dest="value_skip_burn_in",
-                    action="store_true", default=None,
+    sp.add_argument("--value-skip-burn-in", action="store_const", const="true",
                     help="exclude burn-in steps from the value sums")
-    sp.add_argument("--workers", type=int, metavar="N", help="worker processes for suites")
-    sp.add_argument("--level", type=float, metavar="F", help="confidence level (default 0.95)")
-    sp.add_argument("--replay-log", dest="replay_log", metavar="PATH")
+    sp.add_argument("--workers", metavar="N", help="worker processes for suites")
+    sp.add_argument("--level", metavar="F", help="confidence level (default 0.95)")
+    sp.add_argument("--replay-log", metavar="PATH")
     sp.add_argument("--trace", metavar="PATH", help="per-step CSV trace (run only)")
     sp.add_argument("--out", metavar="DIR", help="output directory (default results)")
-    sp.add_argument("--format", choices=("csv", "json"))
+    sp.add_argument("--format", choices=_CHOICES["format"])
 
 
-# Flags share the config's field names; oracle_draws has no flag, so its
-# getattr returns None and it is skipped.
-_CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
-# Flags whose text is parsed as a config file's value would be.
-_TEXT_KEYS = ("beta0", "checkpoints", "hessian")
-
-
+# Flags share the config's field names and are parsed as file values are;
+# oracle_draws has no flag, so its getattr returns None and it is skipped.
 def _overrides_from_args(args: argparse.Namespace) -> dict:
     out = {}
-    for key in _CONFIG_KEYS:
+    for key in _KINDS:
         v = getattr(args, key, None)
         if v is not None:
-            out[key] = _coerce(key, v) if key in _TEXT_KEYS else v
+            out[key] = _coerce(key, v)
     return out
 
 
@@ -84,8 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         _add_common_flags(sp)
         if name == "tune-alpha":
-            sp.add_argument("--alpha-grid", dest="alpha_grid", required=True,
-                            metavar="a1,a2,...", help="learning-rate constants to compare")
+            sp.add_argument("--alpha-grid", required=True, metavar="a1,a2,...",
+                            help="learning-rate constants to compare")
     return parser
 
 
@@ -122,8 +117,7 @@ def main(argv=None) -> int:
                     print(f"warning: {summary.failures} replication(s) failed and were excluded",
                           file=sys.stderr)
             elif args.command == "tune-alpha":
-                grid = tuple(float(s) for s in args.alpha_grid.split(","))
-                result = tune_alpha(config, grid)
+                result = tune_alpha(config, args.alpha_grid.split(","))
                 print(f"{config.out}/tune_alpha.{config.format}")
                 print(f"best alpha: {result.best_alpha:g}")
                 for alpha, loss in result.final_loss.items():

@@ -24,7 +24,7 @@ from .engine import Checkpoint, _batch_capacity, _each, _run_synthetic, run_stre
 from .environments import ReplayCursor, SyntheticConfig, load_replay_log
 from .inference import (_parameter_names, _sandwiches, _wald_rows, normal_quantile,
                         value_report_row)
-from .models import make_model
+from .models import _FAMILIES, _HESSIAN_VARIANTS, make_model
 from .policy import RngStream, derive_seed
 from .types import ExplorationSchedule, InferenceReport, LearningSchedule, ReportRow
 from .value import (oracle_value, raw_value_variance, value_estimate,
@@ -69,16 +69,14 @@ class ExperimentConfig:
     format: str = "csv"
 
     def validate(self) -> "ExperimentConfig":
-        if self.model not in ("linear", "logistic"):
-            raise ConfigError(f"model must be 'linear' or 'logistic', got {self.model!r}")
-        if self.format not in ("csv", "json"):
-            raise ConfigError(f"format must be 'csv' or 'json', got {self.format!r}")
-        if self.hessian not in ("exact", "outer"):
-            raise ConfigError(f"hessian must be 'exact' or 'outer', got {self.hessian!r}")
+        for name, allowed in _CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"{name} must be {' or '.join(map(repr, allowed))}, "
+                                  f"got {getattr(self, name)!r}")
         if not 0.0 < self.level < 1.0:
             raise ConfigError("confidence level must lie in (0, 1)")
-        for name in _FLOAT_FIELDS:
-            if not math.isfinite(getattr(self, name)):
+        for name, kind in _KINDS.items():
+            if kind is float and not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         for name, least in _LOWER_BOUNDS:
             if getattr(self, name) < least:
@@ -142,21 +140,21 @@ def parse_eps_spec(spec: str, burn_in: int) -> ExplorationSchedule:
 # Config file handling.
 # ---------------------------------------------------------------------------
 
-_BOOL_FIELDS = {"aipw", "ridge", "value_skip_burn_in"}
-_INT_FIELDS = {"p", "burn_in", "horizon", "reps", "seed", "workers", "oracle_draws"}
-_FLOAT_FIELDS = ("sigma2", "alpha", "gamma", "level")
+# Each field's type, with None dropped from an optional field's.
+_KINDS = {name: typing.get_args(hint)[0] if type(None) in typing.get_args(hint) else hint
+          for name, hint in typing.get_type_hints(ExperimentConfig).items()}
+_CHOICES = {"model": tuple(_FAMILIES), "format": ("csv", "json"), "hessian": _HESSIAN_VARIANTS}
 _LOWER_BOUNDS = (("p", 1), ("horizon", 1), ("reps", 1), ("workers", 1), ("oracle_draws", 1),
                  ("seed", 0), ("burn_in", 0), ("sigma2", 0))
-_TUPLE_FLOAT_FIELDS = {"beta0"}
-_TUPLE_INT_FIELDS = {"checkpoints"}
 
 
 def _coerce(key: str, raw: str):
     """Parse one config value given as text (a config file line or a flag)."""
     raw = raw.strip()
+    kind = _KINDS[key]
     if key == "hessian" and raw == "paper":
         return "outer"  # the paper's name for the outer-product form
-    if key in _BOOL_FIELDS:
+    if kind is bool:
         low = raw.lower()
         if low in ("true", "1", "yes", "on"):
             return True
@@ -164,14 +162,10 @@ def _coerce(key: str, raw: str):
             return False
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
     try:
-        if key in _INT_FIELDS:
-            return int(raw)
-        if key in _FLOAT_FIELDS:
-            return float(raw)
-        if key in _TUPLE_FLOAT_FIELDS:
-            return tuple(float(v) for v in raw.split(","))
-        if key in _TUPLE_INT_FIELDS:
-            return tuple(int(v) for v in raw.split(","))
+        if kind in (int, float):
+            return kind(raw)
+        if kind is not str:  # tuple[float, ...] or tuple[int, ...]
+            return tuple(map(typing.get_args(kind)[0], raw.split(",")))
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from None
     return raw
@@ -179,7 +173,6 @@ def _coerce(key: str, raw: str):
 
 def load_config_file(path) -> dict:
     """Read a flat ``key = value`` config file (# starts a comment)."""
-    known = {f.name for f in fields(ExperimentConfig)}
     out = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -190,9 +183,12 @@ def load_config_file(path) -> dict:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, _, raw = stripped.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in known:
+            if key not in _KINDS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = _coerce(key, raw)
+            try:
+                out[key] = _coerce(key, raw)
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return out
 
 
@@ -556,11 +552,14 @@ def tune_alpha(config: ExperimentConfig, alpha_grid, write: bool = True) -> Tune
     final loss wins, and ``best_alpha`` is NaN when no final loss is finite."""
     config.validate()
     _reject_stream_options(config, "tune-alpha")
-    alphas = [float(a) for a in alpha_grid]
+    try:
+        alphas = [float(a) for a in alpha_grid]
+    except ValueError as exc:
+        raise ConfigError(f"alpha grid entries must be numbers: {exc}") from None
     if not alphas:
         raise ConfigError("alpha grid must not be empty")
     if not all(map(math.isfinite, alphas)):
-        raise ConfigError(f"alpha grid entries must be finite, got {alpha_grid!r}")
+        raise ConfigError(f"alpha grid entries must be finite, got {tuple(alphas)!r}")
     if any(a <= 0 for a in alphas):
         raise ConfigError("alpha grid entries must be positive")
     repeated = [a for k, a in enumerate(alphas) if a in alphas[:k]]

@@ -130,10 +130,11 @@ class LogisticModel(ModelFamily):
         return r * r
 
 
+_FAMILIES = {cls.tag: cls for cls in (LinearModel, LogisticModel)}
+
+
 def make_model(family: str, p: int) -> ModelFamily:
-    """Construct a model family by tag ('linear' or 'logistic')."""
-    if family == "linear":
-        return LinearModel(p)
-    if family == "logistic":
-        return LogisticModel(p)
-    raise ValueError(f"unknown model family {family!r}")
+    """Construct a model family by tag (a key of ``_FAMILIES``)."""
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown model family {family!r}")
+    return _FAMILIES[family](p)

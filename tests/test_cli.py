@@ -1,16 +1,18 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import banditsgd
-from banditsgd import ReplayLog, write_replay_log
-from banditsgd.cli import main
+from banditsgd import ExperimentConfig, ReplayLog, write_replay_log
+from banditsgd.cli import build_parser, main
 
 
 def run_flags(tmp_path, extra=()):
@@ -218,6 +220,41 @@ def test_config_file_paper_alias_matches_flag(tmp_path):
 def test_bad_list_flag_names_its_key(tmp_path, capsys):
     assert main(run_flags(tmp_path, extra=("--beta0", "1,2,x"))) == 1
     assert "error: beta0: " in capsys.readouterr().err
+    # Scalar flags are parsed by the same code as list flags and config files.
+    for flag, text in (("p", "abc"), ("alpha", "x"), ("seed", "1.5")):
+        assert main(run_flags(tmp_path, extra=(f"--{flag}", text))) == 1
+        assert f"error: {flag}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("0.1,x", "alpha grid entries must be numbers: "),
+    ("0.1,inf", "alpha grid entries must be finite, got (0.1, inf)"),
+])
+def test_bad_alpha_grid_entry_is_named(tmp_path, capsys, grid, message):
+    code = main(["tune-alpha", "--alpha-grid", grid, "--reps", "2", "--horizon", "50",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert message in capsys.readouterr().err
+
+
+def test_config_file_value_error_names_its_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("model = linear\nhorizon = soon\n")
+    assert main(run_flags(tmp_path, extra=("--config", str(cfg)))) == 1
+    assert f"error: {cfg}:2: horizon: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "mc", "tune-alpha", "replay"])
+def test_flags_are_the_config_fields(command):
+    """Every config field but oracle_draws has a flag of its name, and no
+    flag sets anything else but the config file and the alpha grid."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in sub.choices[command]._actions} - {"help"}
+    expected = {f.name for f in fields(ExperimentConfig)} - {"oracle_draws"} | {"config"}
+    if command == "tune-alpha":
+        expected.add("alpha_grid")
+    assert dests == expected
 
 
 def test_module_entry_point_help():

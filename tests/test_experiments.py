@@ -15,6 +15,7 @@ from banditsgd import (ConfigError, ExperimentConfig, InferenceReport,
                        emit_report, load_config_file, oracle_truth_value,
                        run_monte_carlo, run_replication, run_single, tune_alpha)
 from banditsgd import experiments
+from banditsgd.cli import _overrides_from_args, build_parser
 from banditsgd.experiments import (McRow, TuneAlphaRow, _launch, _mc_batch,
                                    parse_eps_spec)
 
@@ -143,13 +144,11 @@ def _config_file_text(cfg: ExperimentConfig) -> str:
 _POSITIVE = st.floats(1e-6, 1e6)
 
 
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_config_file_round_trips(data, tmp_path_factory):
-    """A valid config written as a config file reads back equal."""
+def _draw_config(data) -> ExperimentConfig:
+    """A valid config with every field drawn."""
     p = data.draw(st.integers(1, 4))
     horizon = data.draw(st.integers(1, 10 ** 6))
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         model=data.draw(st.sampled_from(["linear", "logistic"])), p=p,
         beta0=tuple(data.draw(st.lists(st.floats(-10, 10), min_size=2 * p, max_size=2 * p))),
         sigma2=data.draw(st.floats(0.0, 100.0)), alpha=data.draw(_POSITIVE),
@@ -167,9 +166,47 @@ def test_config_file_round_trips(data, tmp_path_factory):
         replay_log=data.draw(st.one_of(st.none(), st.just("logs/clicks.csv"))),
         out=data.draw(st.sampled_from(["results", "out/run-1"])),
         format=data.draw(st.sampled_from(["csv", "json"]))).validate()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_config_file_round_trips(data, tmp_path_factory):
+    """A valid config written as a config file reads back equal."""
+    cfg = _draw_config(data)
     path = tmp_path_factory.mktemp("cfg") / "exp.cfg"
     path.write_text(_config_file_text(cfg))
     assert build_config(load_config_file(path)) == cfg
+
+
+def _flags(cfg: ExperimentConfig) -> list[str]:
+    """``cfg`` as command-line flags, every field but oracle_draws written out;
+    lists take the ``--key=v1,v2`` form so a leading minus is not a flag."""
+    flags = []
+    for f in fields(cfg):
+        v = getattr(cfg, f.name)
+        if f.name == "oracle_draws" or v is None or v is False:
+            continue
+        flag = "--" + f.name.replace("_", "-")
+        if v is True:
+            flags.append(flag)
+        elif isinstance(v, tuple):
+            flags.append(f"{flag}={','.join(map(repr, v))}")
+        else:
+            flags += [flag, repr(v) if isinstance(v, float) else str(v)]
+    return flags
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_flags_parse_as_config_file(data, tmp_path_factory):
+    """A valid config given as flags builds the config its file gives."""
+    cfg = replace(_draw_config(data), oracle_draws=ExperimentConfig.oracle_draws)
+    path = tmp_path_factory.mktemp("cfg") / "exp.cfg"
+    path.write_text(_config_file_text(cfg))
+    args = build_parser().parse_args(["run", *_flags(cfg)])
+    assert build_config(None, _overrides_from_args(args)) \
+        == build_config(load_config_file(path)) == cfg
+
 
 class TestRunSingle:
     def test_writes_checkpoint_reports(self, tmp_path):
