@@ -16,7 +16,6 @@ import sys
 
 import numpy as np
 
-from .environments import ReplayLogError
 from .experiments import (_CHOICES, _KINDS, ConfigError, _coerce, build_config,
                           load_config_file, run_monte_carlo, run_single, tune_alpha)
 
@@ -93,12 +92,8 @@ def main(argv=None) -> int:
         # A diverged run shows in its flags and non-finite numbers, not in numpy
         # warnings; forked suite workers inherit this state.
         with np.errstate(all="ignore"):
-            if args.command == "run":
-                out = run_single(config)
-                for path in out.paths:
-                    print(path)
-            elif args.command == "replay":
-                if config.replay_log is None:
+            if args.command in ("run", "replay"):
+                if args.command == "replay" and config.replay_log is None:
                     raise ConfigError("replay requires --replay-log PATH")
                 out = run_single(config)
                 for path in out.paths:
@@ -127,7 +122,7 @@ def main(argv=None) -> int:
                 if math.isnan(result.best_alpha):
                     print("warning: no alpha reached a finite final loss", file=sys.stderr)
         return 0
-    except (ConfigError, ReplayLogError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

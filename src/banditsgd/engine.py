@@ -10,9 +10,9 @@ average under a propensity that stays frozen between updates, and each
 arriving reward triggers exactly one update, in first-in-first-out order.
 ``_run_synthetic`` runs a batch of synthetic streams from per-block draw
 tables, each equal bit for bit to ``run_stream`` on a ``SyntheticEnvironment``.
-Every engine hands its steps to one owner, ``_Sums``, which shows them to the
-``on_steps`` hook (``run_stream``), keeps each stream's sums and total reward,
-and builds its checkpoints and result.
+Every engine hands its steps to one record, ``_Sums``, which shows them to the
+``on_steps`` hook, keeps every sum as one array across the streams, holds the
+checkpoint schedule and builds each stream's checkpoints and result.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from .inference import PluginAccumulators, ipw_weight
 from .models import _HESSIAN_VARIANTS
 from .policy import RngStream, exploration_rate, learning_rate
 from .types import ExplorationSchedule, LearningSchedule, ParameterState
-from .value import ValueAccumulator, default_feature_sampler
+from .value import ValueAccumulator, draw_features
 
 
 class ProtocolError(RuntimeError):
@@ -92,18 +92,27 @@ def _each(fn, *columns: np.ndarray) -> np.ndarray:
 
 
 class _Sums:
-    """The plug-in and value sums, total rewards, checkpoints and results of
-    a batch of ``reps`` streams (one for the per-step engines)."""
+    """The one record of a batch of ``reps`` streams (one for the per-step
+    engines): the checkpoint steps ``due``, each stream's checkpoints, and
+    every sum on a stream axis: the plug-in sums ``S`` and ``H`` (R, 2p, 2p)
+    and the four value sums (4, R), ``None`` when not collected, and the
+    total rewards (R,).  Its step counts ``n`` and ``t`` hold for every stream."""
 
-    def __init__(self, model, hessian: str, reps: int, collect_inference: bool,
-                 collect_value: bool, aipw: bool, on_steps=None):
+    def __init__(self, model, hessian: str, reps: int, horizon: int, checkpoints,
+                 collect_inference: bool, collect_value: bool, aipw: bool, on_steps=None):
+        if horizon < 1:
+            raise ValueError("horizon must be at least 1")
         if hessian not in _HESSIAN_VARIANTS:
             raise ValueError(f"unknown hessian variant {hessian!r}")
-        self.model, self.hessian, self.on_steps = model, hessian, on_steps
-        self.plugins = ([PluginAccumulators(2 * model.p) for _ in range(reps)]
-                        if collect_inference else [])
-        self.values = [ValueAccumulator(aipw=aipw) for _ in range(reps)] if collect_value else []
+        self.model, self.hessian, self.aipw, self.on_steps = model, hessian, aipw, on_steps
+        self.due = set(int(c) for c in checkpoints)
+        self.checkpoints: list[list[Checkpoint]] = [[] for _ in range(reps)]
+        dim = 2 * model.p
+        self.S = np.zeros((reps, dim, dim)) if collect_inference else None
+        self.H = np.zeros((reps, dim, dim)) if collect_inference else None
+        self.value = np.zeros((4, reps)) if collect_value else None
         self.total_reward = np.zeros(reps)
+        self.n = self.t = 0
 
     def add(self, t: np.ndarray, x: np.ndarray, act: np.ndarray, greedy: np.ndarray,
             y: np.ndarray, w: np.ndarray, eps: np.ndarray, include: np.ndarray,
@@ -121,26 +130,24 @@ class _Sums:
         """
         if self.on_steps is not None:
             self.on_steps(t, act, greedy, y, eps, ubar)
-        model, plugins, values = self.model, self.plugins, self.values
-        link = model.mean_from_index
-        if plugins:
+        model, link = self.model, self.model.mean_from_index
+        if self.S is not None:
             p = x.shape[-1]
             mu = _each(link, np.where(act, ubar[..., 1], ubar[..., 0]))
             gw = (mu - y) * w
             # hessian_scale is + - x only, so it takes the arrays whole.
             coefs = (gw * gw, model.hessian_scale(mu, y, self.hessian) * w)
             block = _block_rows(p)
-            for r, plugin in enumerate(plugins):
+            for r in range(x.shape[1]):
                 for a, d in ((0, slice(0, p)), (1, slice(p, 2 * p))):
                     taken = np.flatnonzero(act[:, r] == a)
                     for b in range(0, len(taken), block):
                         j = taken[b:b + block]
                         xr = x[j, r]
                         outer = xr[:, :, None] * xr[:, None, :]
-                        _fold_rows(plugin.S_sum[d, d], outer, coefs[0][j, r])
-                        _fold_rows(plugin.H_sum[d, d], outer, coefs[1][j, r])
-                plugin.n += len(y)
-        if values:
+                        _fold_rows(self.S[r, d, d], outer, coefs[0][j, r])
+                        _fold_rows(self.H[r, d, d], outer, coefs[1][j, r])
+        if self.value is not None:
             pi_c = (1.0 - eps / 2.0)[:, None]
             consistent = act == greedy
             v = y / pi_c
@@ -148,35 +155,45 @@ class _Sums:
             # start at +0.0 and so never become -0.0.
             terms = [np.where(consistent & include, v, 0.0),
                      np.where(consistent & include, y * v, 0.0)]
-            if values[0].aipw:
+            if self.aipw:
                 c = consistent.astype(np.float64)
                 mu_g = _each(link, np.where(greedy, ubar[..., 1], ubar[..., 0]))
                 term = np.where(include, c * y / pi_c - (c - pi_c) / pi_c * mu_g, 0.0)
                 terms += [term, term * term]
-            sums = np.array([[a.sum_v, a.sum_v2, a.sum_aipw, a.sum_aipw2] for a in values]).T
             for j, term in enumerate(terms):
-                sums[j] = np.add.accumulate(np.concatenate((sums[j][None], term)))[-1]
-            included = int(include.sum())
-            for value, column in zip(values, sums.T.tolist()):
-                value.sum_v, value.sum_v2, value.sum_aipw, value.sum_aipw2 = column
-                value.t += included
+                self.value[j] = np.add.accumulate(np.concatenate((self.value[j][None], term)))[-1]
+        self.n += len(y)
+        self.t += int(include.sum())
         self.total_reward[:] = np.add.accumulate(
             np.concatenate((self.total_reward[None], y)))[-1]
 
-    def checkpoint(self, r: int, t: int, bar: np.ndarray, eps: float) -> Checkpoint:
-        """Stream ``r``'s record after step ``t``: copies of ``bar`` and its sums."""
-        return Checkpoint(t=t, bar_beta=bar.copy(), eps=eps,
-                          plugin=self.plugins[r].copy() if self.plugins else None,
-                          value=self.values[r].copy() if self.values else None)
+    def _records(self, r: int) -> tuple:
+        """Copies of stream ``r``'s plug-in and value sums as records, or ``None``."""
+        plugin = value = None
+        if self.S is not None:
+            plugin = PluginAccumulators(self.S.shape[-1])
+            plugin.S_sum[:], plugin.H_sum[:] = self.S[r], self.H[r]
+            plugin.n = self.n
+        if self.value is not None:
+            value = ValueAccumulator(aipw=self.aipw)
+            value.sum_v, value.sum_v2, value.sum_aipw, value.sum_aipw2 = self.value[:, r].tolist()
+            value.t = self.t
+        return plugin, value
+
+    def checkpoint(self, t: int, bar: np.ndarray, eps: float) -> None:
+        """Record every stream's checkpoint after step ``t``: copies of its
+        row of the averages ``bar`` (R, 2p) and of its sums."""
+        for r, cps in enumerate(self.checkpoints):
+            cps.append(Checkpoint(t, bar[r].copy(), eps, *self._records(r)))
 
     def result(self, r: int, hat: np.ndarray, bar: np.ndarray,
                summary: RunSummary) -> StreamResult:
         """Stream ``r``'s result after ``summary.updates`` updates, with its
-        total reward filled in."""
+        total reward and checkpoints filled in."""
         summary.total_reward = float(self.total_reward[r])
+        summary.checkpoints = self.checkpoints[r]
         return StreamResult(ParameterState(hat.copy(), bar.copy(), summary.updates),
-                            self.plugins[r] if self.plugins else None,
-                            self.values[r] if self.values else None, summary)
+                            *self._records(r), summary)
 
 
 def _average(bar: np.ndarray, hat: np.ndarray, t: int) -> None:
@@ -208,8 +225,8 @@ class _UpdateCore:
     ``apply`` takes the SGD step at once but defers the step's record: a
     copy of ``x`` and the decision with its reward and weight wait in a
     pending block of at most ``_block_rows(p)`` steps, which ``fold`` hands
-    to ``sums.add`` (one stream) before every snapshot, when the block fills
-    and before the result is returned.
+    to ``sums.add`` (one stream) before every checkpoint that ``snapshot``
+    has ``sums`` record, when the block fills and before the result.
     """
 
     def __init__(self, model, learn: LearningSchedule, sums: _Sums):
@@ -250,7 +267,7 @@ class _UpdateCore:
         self._check_reward(y)
         w = ipw_weight(a, pi)
         ordinal = self.updates + 1
-        if self.sums.values and include and not 0.0 < eps <= 1.0:
+        if self.sums.value is not None and include and not 0.0 < eps <= 1.0:
             raise ValueError(f"exploration rate must lie in (0, 1], got {eps}")
         self._x[len(self._pending)] = x
         self._pending.append(decision + (y, w))
@@ -274,9 +291,9 @@ class _UpdateCore:
                           include != 0.0, rec[..., 5:7])
             self._pending.clear()
 
-    def snapshot(self, t: int, eps: float) -> Checkpoint:
+    def snapshot(self, t: int, eps: float) -> None:
         self.fold()
-        return self.sums.checkpoint(0, t, self.bar, eps)
+        self.sums.checkpoint(t, self.bar[None], eps)
 
     def result(self, summary: RunSummary) -> StreamResult:
         self.fold()
@@ -303,12 +320,10 @@ def run_stream(env, model, learn: LearningSchedule, explore: ExplorationSchedule
     (n, R = 1), the exploration rates (n,) and both indexes at the pre-step
     average (n, R, 2), in arrays valid only during the call.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    core = _UpdateCore(model, learn, _Sums(model, hessian, 1, collect_inference,
-                                           collect_value, aipw, on_steps))
+    sums = _Sums(model, hessian, 1, horizon, checkpoints, collect_inference,
+                 collect_value, aipw, on_steps)
+    core = _UpdateCore(model, learn, sums)
     summary = RunSummary()
-    cp_set = set(int(c) for c in checkpoints)
     for t in range(1, horizon + 1):
         eps = exploration_rate(explore, t)
         include = not (skip_value_burn_in and t <= explore.burn_in)
@@ -325,11 +340,10 @@ def run_stream(env, model, learn: LearningSchedule, explore: ExplorationSchedule
             break
         core.apply(x, decision, float(y))
         summary.steps = t
-        if t in cp_set:
-            summary.checkpoints.append(core.snapshot(t, eps))
-    if summary.exhausted and summary.steps >= 1 and summary.steps not in cp_set:
-        summary.checkpoints.append(
-            core.snapshot(summary.steps, exploration_rate(explore, summary.steps)))
+        if t in sums.due:
+            core.snapshot(t, eps)
+    if summary.exhausted and summary.steps >= 1 and summary.steps not in sums.due:
+        core.snapshot(summary.steps, exploration_rate(explore, summary.steps))
     return core.result(summary)
 
 
@@ -349,12 +363,10 @@ def run_stream_lagged(env, model, learn: LearningSchedule, explore: ExplorationS
     are outstanding.  Records whose rewards never arrive simply never update
     (they remain counted in ``summary.pending``).
     """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    core = _UpdateCore(model, learn, _Sums(model, hessian, 1, collect_inference,
-                                           collect_value, aipw))
+    sums = _Sums(model, hessian, 1, horizon, checkpoints, collect_inference,
+                 collect_value, aipw)
+    core = _UpdateCore(model, learn, sums)
     summary = RunSummary()
-    cp_set = set(int(c) for c in checkpoints)
     # (step, copy of x, decision) per decision awaiting its reward.
     pending: deque[tuple] = deque()
 
@@ -387,8 +399,8 @@ def run_stream_lagged(env, model, learn: LearningSchedule, explore: ExplorationS
         env.submit(t, x, decision[0])
         drain(t)
         summary.steps = t
-        if t in cp_set:
-            summary.checkpoints.append(core.snapshot(t, eps))
+        if t in sums.due:
+            core.snapshot(t, eps)
     summary.pending = len(pending)
     return core.result(summary)
 
@@ -429,14 +441,14 @@ def _reward_table(model, x: np.ndarray, truth: np.ndarray, d: np.ndarray,
     return _rewards(model, u, d[..., None], sd)
 
 
-def _draw_chunk(gen, sample, linear: bool, n: int):
+def _draw_chunk(gen, p: int, linear: bool, n: int):
     """One draw chunk of a synthetic stream whose first ``n`` steps are used,
     read from ``gen`` in the order ``run_stream`` on a ``SyntheticEnvironment``
     reads it: the feature chunk, the first step's action uniform, the
     reward-draw chunk (normal noise or uniforms), then one uniform per
     remaining step.  Returns the features, the ``n`` uniforms and the draws."""
     chunk = SyntheticEnvironment._CHUNK
-    x = sample(gen, chunk)
+    x = draw_features(gen, chunk, p)
     uni = np.empty(n)
     uni[0] = gen.random()
     d = gen.standard_normal(chunk) if linear else gen.random(chunk)
@@ -478,16 +490,13 @@ def _run_synthetic(synth: SyntheticConfig, learn: LearningSchedule,
     indexes at the average.  The tables and records go to ``_Sums.add`` at
     the end of each block and at checkpoints.  Exceptions propagate.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
     model, link = synth.model, synth.model.mean_from_index
     p, reps, chunk = model.p, len(seeds), SyntheticEnvironment._CHUNK
-    sums = _Sums(model, hessian, reps, collect_inference, collect_value, aipw, on_steps)
+    sums = _Sums(model, hessian, reps, horizon, checkpoints, collect_inference,
+                 collect_value, aipw, on_steps)
     gens = [RngStream(s).gen for s in seeds]
-    sample = default_feature_sampler(p)
     linear = model.tag == "linear"
     sd = math.sqrt(synth.sigma2)
-    cp_set = set(int(c) for c in checkpoints)
     # Averages and iterates.  A stacked 1 x p by p x 1 matmul gives every
     # index, each by the BLAS dot call of ``block.dot(x)``.
     blocks = np.zeros((2, reps, 2, p))
@@ -554,11 +563,10 @@ def _run_synthetic(synth: SyntheticConfig, learn: LearningSchedule,
         sums.add(t, x_k[span], act, greedy, y, w, eps_k[span], t[:, None] > value_from,
                  ubar[span])
 
-    snaps: list[list[Checkpoint]] = [[] for _ in seeds]
     for start in range(0, horizon, chunk):
         n = min(chunk, horizon - start)
         for r, gen in enumerate(gens):
-            feats[:, r], uni[:n, r], draws[:, r] = _draw_chunk(gen, sample, linear, n)
+            feats[:, r], uni[:n, r], draws[:, r] = _draw_chunk(gen, p, linear, n)
         for b0 in range(0, n, _BLOCK_ROWS):
             b1 = min(b0 + _BLOCK_ROWS, n)
             t0 = start + b0
@@ -576,14 +584,12 @@ def _run_synthetic(synth: SyntheticConfig, learn: LearningSchedule,
             ia_t = act_t + pair[:, None]
             x_dot = x_k[:, None, :, None, None, :]
             i0 = 0
-            for i1 in sorted({t - t0 for t in cp_set.intersection(steps)} | {b1 - b0}):
+            for i1 in sorted({t - t0 for t in sums.due.intersection(steps)} | {b1 - b0}):
                 advance(i0, i1)
                 fold(i0, i1)
-                if t0 + i1 in cp_set:
-                    for r in range(reps):
-                        snaps[r].append(sums.checkpoint(r, t0 + i1, bar[r].reshape(2 * p),
-                                                        eps_b[i1 - 1]))
+                if t0 + i1 in sums.due:
+                    sums.checkpoint(t0 + i1, bar.reshape(reps, 2 * p), eps_b[i1 - 1])
                 i0 = i1
     return [sums.result(r, hat[r].reshape(2 * p), bar[r].reshape(2 * p),
-                        RunSummary(steps=horizon, updates=horizon, checkpoints=snaps[r]))
+                        RunSummary(steps=horizon, updates=horizon))
             for r in range(reps)]

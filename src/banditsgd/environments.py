@@ -20,7 +20,7 @@ import numpy as np
 
 from .policy import RngStream
 from .types import DimensionError, as_float_vector
-from .value import default_feature_sampler
+from .value import draw_features
 
 
 @dataclass
@@ -52,7 +52,8 @@ class SyntheticEnvironment:
 
     Random draws are generated in chunks (features, reward noise) for speed;
     the stream is a pure function of the seed either way.  Returned feature
-    vectors are read-only views into the current chunk.
+    vectors are views into the current chunk, which later draws never
+    overwrite: each chunk is a new array.
     """
 
     _CHUNK = 4096
@@ -60,8 +61,7 @@ class SyntheticEnvironment:
     def __init__(self, config: SyntheticConfig, rng: RngStream):
         self.rng = rng
         self._gen = rng.gen
-        p = config.model.p
-        self._sample_chunk = default_feature_sampler(p)
+        p = self._p = config.model.p
         self._blocks = (config.beta0[:p].copy(), config.beta0[p:].copy())
         self._sd = math.sqrt(config.sigma2)
         self._linear = config.model.tag == "linear"
@@ -73,7 +73,7 @@ class SyntheticEnvironment:
 
     def next_feature(self):
         if self._fi >= self._CHUNK:
-            self._features = self._sample_chunk(self._gen, self._CHUNK)
+            self._features = draw_features(self._gen, self._CHUNK, self._p)
             self._fi = 0
         x = self._features[self._fi]
         self._fi += 1

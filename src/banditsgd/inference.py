@@ -47,13 +47,6 @@ class PluginAccumulators:
         self.H_sum = np.zeros((dim, dim))
         self.n = 0
 
-    def copy(self) -> "PluginAccumulators":
-        out = PluginAccumulators(self.dim)
-        out.S_sum[:] = self.S_sum
-        out.H_sum[:] = self.H_sum
-        out.n = self.n
-        return out
-
 
 def ipw_weight(a: int, pi: float) -> float:
     """Importance ratio toward the uniform-random rule: 1/(2*pi) for action 1,

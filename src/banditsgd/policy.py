@@ -26,24 +26,20 @@ def derive_seed(seed: int, index: int) -> int:
 
 
 class RngStream:
-    """Seeded random stream; identical (seed, stream) gives identical draws.
+    """Seeded random stream; identical seeds give identical draws.
 
     Thin wrapper over numpy's PCG64 generator.  One stream is owned by one
     replication; never share a stream across threads.
     """
 
-    def __init__(self, seed: int, stream: int = 0):
+    def __init__(self, seed: int):
         self.seed = int(seed)
-        self.stream = int(stream)
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(0,))
         self.gen = np.random.Generator(np.random.PCG64(ss))
 
     def uniform(self) -> float:
         """One uniform draw on [0, 1)."""
         return float(self.gen.random())
-
-    def normal(self, size=None):
-        return self.gen.standard_normal(size)
 
 
 def learning_rate(schedule: LearningSchedule, t: int) -> float:

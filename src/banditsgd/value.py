@@ -28,13 +28,6 @@ class ValueAccumulator:
         self.t = 0
         self.aipw = bool(aipw)
 
-    def copy(self) -> "ValueAccumulator":
-        out = ValueAccumulator(self.aipw)
-        out.sum_v, out.sum_v2 = self.sum_v, self.sum_v2
-        out.sum_aipw, out.sum_aipw2 = self.sum_aipw, self.sum_aipw2
-        out.t = self.t
-        return out
-
 
 def value_estimate(acc: ValueAccumulator, aipw: bool = False) -> float:
     if acc.t < 1:
@@ -72,15 +65,13 @@ def value_standard_error(acc: ValueAccumulator, eps_t: float, aipw: bool = False
     return math.sqrt(value_variance(acc, eps_t, aipw=aipw) / acc.t)
 
 
-def default_feature_sampler(p: int):
-    """Intercept plus p-1 independent standard normal coordinates."""
-    def sample(gen: np.random.Generator, size: int) -> np.ndarray:
-        x = np.empty((size, p))
-        x[:, 0] = 1.0
-        if p > 1:
-            x[:, 1:] = gen.standard_normal((size, p - 1))
-        return x
-    return sample
+def draw_features(gen: np.random.Generator, size: int, p: int) -> np.ndarray:
+    """``size`` feature rows: intercept plus p-1 independent standard normals."""
+    x = np.empty((size, p))
+    x[:, 0] = 1.0
+    if p > 1:
+        x[:, 1:] = gen.standard_normal((size, p - 1))
+    return x
 
 
 def oracle_value(model, beta0, n: int, rng) -> tuple[float, float]:
@@ -95,14 +86,13 @@ def oracle_value(model, beta0, n: int, rng) -> tuple[float, float]:
     beta0 = np.asarray(beta0, dtype=np.float64)
     p = model.p
     b0, b1 = beta0[:p], beta0[p:]
-    sampler = default_feature_sampler(p)
     gen = rng.gen
     total = 0.0
     total_sq = 0.0
     remaining = n
     while remaining > 0:
         m = min(_ORACLE_BATCH, remaining)
-        x = sampler(gen, m)
+        x = draw_features(gen, m, p)
         u0, u1 = x @ b0, x @ b1
         rewards = model.mean_from_index_array(np.where(u1 > u0, u1, u0))
         total += float(rewards.sum())

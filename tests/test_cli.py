@@ -84,6 +84,19 @@ def test_replay_subcommand(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "replay"])
+def test_replay_log_prints_the_match_count(tmp_path, capsys, command):
+    log = _click_log(tmp_path / "log.csv")
+    code = main([command, "--model", "logistic", "--replay-log", str(log),
+                 "--horizon", "400", "--seed", "2", "--checkpoints", "50",
+                 "--format", "json", "--out", str(tmp_path / "r")])
+    assert code == 0
+    stats = json.loads((tmp_path / "r" / "replay_stats.json").read_text())
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"matched {stats['matched']} of 400 entries "
+        f"(fraction {stats['matched_fraction']:.4f})")
+
+
+@pytest.mark.parametrize("command", ["run", "replay"])
 def test_trace_leaves_reports_unchanged(tmp_path, command):
     flags = [command, "--model", "logistic", "--horizon", "400", "--seed", "2",
              "--checkpoints", "50,400", "--format", "json"]

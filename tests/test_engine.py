@@ -222,6 +222,22 @@ class TestRunStream:
             else:
                 run_stream(env, m, LEARN, EXPLORE, rng, 100, hessian="bogus")
 
+    @pytest.mark.parametrize("kind", ["plain", "lagged", "synthetic"])
+    def test_horizon_below_one_rejected_before_the_environment(self, kind):
+        m, env, rng = make_env(seed=6)
+        if kind == "lagged":
+            env = LaggedSyntheticEnvironment(SyntheticConfig(m, BETA0), rng, lag=2)
+        # The synthetic engine's environment is its per-chunk draw.
+        env = mock.Mock(wraps=env)
+        with mock.patch.object(engine, "_draw_chunk") as draw, \
+                pytest.raises(ValueError, match="^horizon must be at least 1$"):
+            if kind == "synthetic":
+                engine._run_synthetic(SyntheticConfig(m, BETA0), LEARN, EXPLORE, [6], 0)
+            else:
+                run = run_stream_lagged if kind == "lagged" else run_stream
+                run(env, m, LEARN, EXPLORE, rng, 0)
+        assert env.mock_calls == [] and draw.mock_calls == []
+
     @pytest.mark.parametrize("lagged", [False, True], ids=["plain", "lagged"])
     def test_bare_run_reports_the_same_total_reward(self, lagged):
         # Without sums or a hook the total still comes from the folded steps.

@@ -57,7 +57,7 @@ class TestAccumulate:
             pi = float(rng.uniform(0.1, 0.9))
             oracle.accumulate(full, m, beta, obs, pi)
             oracle.accumulate(left if i % 2 == 0 else right, m, beta, obs, pi)
-        merged = oracle.merge_plugin(left.copy(), right)
+        merged = oracle.merge_plugin(left, right)
         assert merged.n == full.n
         np.testing.assert_allclose(merged.S_sum, full.S_sum, rtol=1e-10)
         np.testing.assert_allclose(merged.H_sum, full.H_sum, rtol=1e-10)
