@@ -8,10 +8,9 @@ coordinate and for the optimal-rule value.
 import numpy as np
 
 from banditsgd import (ExplorationSchedule, LearningSchedule, LinearModel,
-                       RngStream, SyntheticConfig, SyntheticEnvironment,
-                       oracle_value, run_stream, sandwich_covariance,
+                       ReportRow, RngStream, SyntheticConfig, SyntheticEnvironment,
+                       normal_quantile, oracle_value, run_stream, sandwich_covariance,
                        value_estimate, value_standard_error, wald_report)
-from banditsgd.inference import value_report_row
 
 BETA0 = np.array([0.3, -0.1, 0.7, 0.8, 0.5, -0.4])
 
@@ -29,9 +28,10 @@ result = run_stream(
 cov = sandwich_covariance(result.plugin)
 report = wald_report(result.state.bar_beta, cov, level=0.95)
 eps_final = 0.2
-report.rows.append(value_report_row(
-    value_estimate(result.value),
-    value_standard_error(result.value, eps_final), level=0.95))
+v = value_estimate(result.value)
+se_v = value_standard_error(result.value, eps_final)
+z = normal_quantile(0.975)
+report.rows.append(ReportRow("V_opt", v, se_v, v - z * se_v, v + z * se_v))
 
 print(f"{'name':10s} {'truth':>8s} {'estimate':>9s} {'se':>8s} {'95% CI':>20s}")
 truth_v, _ = oracle_value(model, BETA0, 1_000_000, RngStream(1))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -36,14 +36,21 @@ class ProtocolError(RuntimeError):
 
 
 @dataclass
-class Checkpoint:
-    """State snapshot taken immediately after a given decision step."""
+class Checkpoints:
+    """A stream's K checkpoints, oldest first, as arrays over them: the step
+    ``t``, the exploration rate ``eps`` then in force, the step counts ``n``
+    of the plug-in and ``value_t`` of the value sums, the averages
+    ``bar_beta`` (K, 2p), and the sums ``S`` and ``H`` (K, 2p, 2p) and
+    ``value`` (K, 4) in ``ValueAccumulator`` order, ``None`` when not collected."""
 
-    t: int
+    t: np.ndarray
+    eps: np.ndarray
+    n: np.ndarray
+    value_t: np.ndarray
     bar_beta: np.ndarray
-    eps: float
-    plugin: PluginAccumulators | None
-    value: ValueAccumulator | None
+    S: np.ndarray | None
+    H: np.ndarray | None
+    value: np.ndarray | None
 
 
 @dataclass
@@ -53,7 +60,7 @@ class RunSummary:
     total_reward: float = 0.0
     exhausted: bool = False
     pending: int = 0
-    checkpoints: list[Checkpoint] = field(default_factory=list)
+    checkpoints: Checkpoints | None = None
 
 
 @dataclass
@@ -93,10 +100,12 @@ def _each(fn, *columns: np.ndarray) -> np.ndarray:
 
 class _Sums:
     """The one record of a batch of ``reps`` streams (one for the per-step
-    engines): the checkpoint steps ``due``, each stream's checkpoints, and
-    every sum on a stream axis: the plug-in sums ``S`` and ``H`` (R, 2p, 2p)
-    and the four value sums (4, R), ``None`` when not collected, and the
-    total rewards (R,).  Its step counts ``n`` and ``t`` hold for every stream."""
+    engines): the checkpoint steps ``due``; every sum on a stream axis: the
+    plug-in sums ``S`` and ``H`` (R, 2p, 2p) and the four value sums (R, 4),
+    ``None`` when not collected, and the total rewards (R,); and the first
+    ``k`` checkpoints' ``rows``, with a stream axis after the checkpoint
+    axis in per-stream fields.  Its step counts ``n`` and ``t`` hold for
+    every stream."""
 
     def __init__(self, model, hessian: str, reps: int, horizon: int, checkpoints,
                  collect_inference: bool, collect_value: bool, aipw: bool, on_steps=None):
@@ -106,13 +115,18 @@ class _Sums:
             raise ValueError(f"unknown hessian variant {hessian!r}")
         self.model, self.hessian, self.aipw, self.on_steps = model, hessian, aipw, on_steps
         self.due = set(int(c) for c in checkpoints)
-        self.checkpoints: list[list[Checkpoint]] = [[] for _ in range(reps)]
         dim = 2 * model.p
         self.S = np.zeros((reps, dim, dim)) if collect_inference else None
         self.H = np.zeros((reps, dim, dim)) if collect_inference else None
-        self.value = np.zeros((4, reps)) if collect_value else None
+        self.value = np.zeros((reps, 4)) if collect_value else None
         self.total_reward = np.zeros(reps)
-        self.n = self.t = 0
+        self.n = self.t = self.k = 0
+        # A row per due step within the horizon, and one for the final step
+        # of a run whose environment runs out; step counts stay integers.
+        k = sum(1 <= c <= horizon for c in self.due) + 1
+        self.rows = Checkpoints(*(
+            None if a is None else np.empty((k,) + np.shape(a), np.result_type(a))
+            for a in self._row(0, np.empty((reps, dim)), 0.0)))
 
     def add(self, t: np.ndarray, x: np.ndarray, act: np.ndarray, greedy: np.ndarray,
             y: np.ndarray, w: np.ndarray, eps: np.ndarray, include: np.ndarray,
@@ -161,14 +175,33 @@ class _Sums:
                 term = np.where(include, c * y / pi_c - (c - pi_c) / pi_c * mu_g, 0.0)
                 terms += [term, term * term]
             for j, term in enumerate(terms):
-                self.value[j] = np.add.accumulate(np.concatenate((self.value[j][None], term)))[-1]
+                self.value[:, j] = np.add.accumulate(
+                    np.concatenate((self.value[None, :, j], term)))[-1]
         self.n += len(y)
         self.t += int(include.sum())
         self.total_reward[:] = np.add.accumulate(
             np.concatenate((self.total_reward[None], y)))[-1]
 
-    def _records(self, r: int) -> tuple:
-        """Copies of stream ``r``'s plug-in and value sums as records, or ``None``."""
+    def _row(self, t: int, bar: np.ndarray, eps: float) -> tuple:
+        """The fields of a checkpoint after step ``t``, in ``Checkpoints``
+        order, with the averages ``bar`` (R, 2p)."""
+        return t, eps, self.n, self.t, bar, self.S, self.H, self.value
+
+    def checkpoint(self, t: int, bar: np.ndarray, eps: float) -> None:
+        """Record every stream's checkpoint after step ``t`` as the next row."""
+        for stack, field in zip(vars(self.rows).values(), self._row(t, bar, eps)):
+            if stack is not None:
+                stack[self.k] = field
+        self.k += 1
+
+    def result(self, r: int, hat: np.ndarray, bar: np.ndarray,
+               summary: RunSummary) -> StreamResult:
+        """Stream ``r``'s result after ``summary.updates`` updates, with its
+        total reward and checkpoints (views of its rows) filled in."""
+        summary.total_reward = float(self.total_reward[r])
+        summary.checkpoints = Checkpoints(*(
+            None if a is None else a[:self.k] if a.ndim == 1 else a[:self.k, r]
+            for a in vars(self.rows).values()))
         plugin = value = None
         if self.S is not None:
             plugin = PluginAccumulators(self.S.shape[-1])
@@ -176,24 +209,10 @@ class _Sums:
             plugin.n = self.n
         if self.value is not None:
             value = ValueAccumulator(aipw=self.aipw)
-            value.sum_v, value.sum_v2, value.sum_aipw, value.sum_aipw2 = self.value[:, r].tolist()
+            value.sum_v, value.sum_v2, value.sum_aipw, value.sum_aipw2 = self.value[r].tolist()
             value.t = self.t
-        return plugin, value
-
-    def checkpoint(self, t: int, bar: np.ndarray, eps: float) -> None:
-        """Record every stream's checkpoint after step ``t``: copies of its
-        row of the averages ``bar`` (R, 2p) and of its sums."""
-        for r, cps in enumerate(self.checkpoints):
-            cps.append(Checkpoint(t, bar[r].copy(), eps, *self._records(r)))
-
-    def result(self, r: int, hat: np.ndarray, bar: np.ndarray,
-               summary: RunSummary) -> StreamResult:
-        """Stream ``r``'s result after ``summary.updates`` updates, with its
-        total reward and checkpoints filled in."""
-        summary.total_reward = float(self.total_reward[r])
-        summary.checkpoints = self.checkpoints[r]
         return StreamResult(ParameterState(hat.copy(), bar.copy(), summary.updates),
-                            *self._records(r), summary)
+                            plugin, value, summary)
 
 
 def _average(bar: np.ndarray, hat: np.ndarray, t: int) -> None:

@@ -20,15 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import Checkpoint, _batch_capacity, _each, _run_synthetic, run_stream
+from .engine import Checkpoints, _batch_capacity, _each, _run_synthetic, run_stream
 from .environments import ReplayCursor, SyntheticConfig, load_replay_log
-from .inference import (_parameter_names, _sandwiches, _wald_rows, normal_quantile,
-                        value_report_row)
+from .inference import _parameter_names, _sandwiches, _wald_rows, normal_quantile
 from .models import _FAMILIES, _HESSIAN_VARIANTS, make_model
 from .policy import RngStream, derive_seed
-from .types import ExplorationSchedule, InferenceReport, LearningSchedule, ReportRow
-from .value import (oracle_value, raw_value_variance, value_estimate,
-                    value_standard_error)
+from .types import ExplorationSchedule, InferenceReport, LearningSchedule
+from .value import _value_columns, oracle_value
 
 DEFAULT_BETA0_P3 = (0.3, -0.1, 0.7, 0.8, 0.5, -0.4)
 DEFAULT_CHECKPOINT_GRID = (1_000, 10_000, 100_000)
@@ -220,50 +218,37 @@ class SingleRunOutput:
 _REPORT_BLOCK = 64
 
 
-def _parameter_rows(cps: list[Checkpoint], config: ExperimentConfig) -> list[list[ReportRow]]:
-    """Wald rows for each checkpoint's ``bar_beta``; when no covariance comes
-    out (singular curvature, or a negative or NaN variance) the rows carry
-    the estimate with NaN numbers, flagged ``singular_hessian``."""
-    cov, ridged, _, ok = _sandwiches([cp.plugin for cp in cps], ridge=config.ridge)
-    est = np.array([cp.bar_beta for cp in cps])
-    rows = _wald_rows(est, np.diagonal(cov, axis1=1, axis2=2), config.level,
-                      np.zeros(est.shape[1]))
-    flags = np.where(ok, np.where(ridged, "ridge", ""), "singular_hessian")
-    for cp_rows, flag in zip(rows, flags.tolist()):
-        for row in cp_rows:
-            row.flag = flag
-    return rows
-
-
-def _checkpoint_reports(cps: list[Checkpoint], config: ExperimentConfig) -> list[InferenceReport]:
-    """Every number of each checkpoint, for ``run`` and ``mc`` alike: the
-    parameter rows when the run collected parameter sums, then ``V_opt``, then
-    ``V_opt_aipw`` with aipw.  A checkpoint without value steps gets NaN value
-    rows flagged ``no_value_steps``.  Sandwiches and Wald columns are built
-    for up to ``_REPORT_BLOCK`` checkpoints at once.
-    """
-    reports = [InferenceReport(level=config.level) for _ in cps]
-    if cps and cps[0].plugin is not None:
-        for b in range(0, len(cps), _REPORT_BLOCK):
+def _checkpoint_reports(cps: Checkpoints, config: ExperimentConfig) -> dict[int, InferenceReport]:
+    """Every number of each checkpoint by its step, for ``run`` and ``mc``
+    alike: the parameter rows when the run collected parameter sums, then
+    ``V_opt``, then ``V_opt_aipw`` with aipw.  Rows without a covariance
+    (singular curvature, or a negative or NaN variance) or value steps have
+    NaN numbers, flagged ``singular_hessian`` or ``no_value_steps``.
+    Sandwiches and Wald columns are built for up to ``_REPORT_BLOCK``
+    checkpoints at once."""
+    rows = [[] for _ in cps.t]
+    if cps.S is not None:
+        names = _parameter_names(cps.bar_beta.shape[1])
+        for b in range(0, len(rows), _REPORT_BLOCK):
             block = slice(b, b + _REPORT_BLOCK)
-            for report, rows in zip(reports[block], _parameter_rows(cps[block], config)):
-                report.rows = rows
-    for cp, report in zip(cps, reports):
-        for name in ("V_opt", "V_opt_aipw") if config.aipw else ("V_opt",):
-            aipw = name == "V_opt_aipw"
-            if cp.value.t == 0:
-                est, se, flag = math.nan, math.nan, "no_value_steps"
-            else:
-                est = value_estimate(cp.value, aipw=aipw)
-                se = value_standard_error(cp.value, cp.eps, aipw=aipw)
-                if aipw:
-                    flag = "experimental"
-                else:
-                    flag = "variance_clamped" if raw_value_variance(cp.value, cp.eps) < 0 else ""
-            row = value_report_row(est, se, config.level, flag=flag)
-            row.name = name
-            report.rows.append(row)
-    return reports
+            cov, ridged, _, ok = _sandwiches(cps.S[block], cps.H[block], cps.n[block],
+                                             ridge=config.ridge)
+            flags = np.where(ok, np.where(ridged, "ridge", ""), "singular_hessian").tolist()
+            rows[block] = _wald_rows(cps.bar_beta[block], np.diagonal(cov, axis1=1, axis2=2),
+                                     config.level, names, flags, np.zeros(len(names)))
+    t, empty = cps.value_t, cps.value_t == 0
+    # Empty, NaN or overflowing sums give NaN or inf without a warning, as floats do.
+    with np.errstate(all="ignore"):
+        for j, name in enumerate(("V_opt", "V_opt_aipw")[:1 + config.aipw]):
+            est, raw = _value_columns(*cps.value[:, 2 * j:2 * j + 2].T, t, cps.eps, j == 1)
+            flags = np.where(empty, "no_value_steps", "experimental" if j else
+                             np.where(raw < 0.0, "variance_clamped", "")).tolist()
+            # value_variance's clamp, which also reads a raw -0.0 as +0.0.
+            est, var = (np.where(empty, math.nan, a)[:, None]
+                        for a in (est, np.where(raw <= 0.0, 0.0, raw) / t))
+            for cp_rows, (row,) in zip(rows, _wald_rows(est, var, config.level, [name], flags)):
+                cp_rows.append(row)
+    return {k: InferenceReport(config.level, r) for k, r in zip(cps.t.tolist(), rows)}
 
 
 def _step_losses(model, act, y, ubar) -> np.ndarray:
@@ -319,8 +304,7 @@ def run_single(config: ExperimentConfig) -> SingleRunOutput:
                 config.exploration_schedule(), rng, config.horizon, hessian=config.hessian,
                 aipw=config.aipw, skip_value_burn_in=config.value_skip_burn_in,
                 checkpoints=config.effective_checkpoints(), on_steps=on_steps)
-    cps = result.summary.checkpoints
-    reports = {cp.t: report for cp, report in zip(cps, _checkpoint_reports(cps, config))}
+    reports = _checkpoint_reports(result.summary.checkpoints, config)
     out_dir = Path(config.out)
     paths = [emit_report(report, config.format, out_dir / f"report_t{t}.{config.format}")
              for t, report in reports.items()]
@@ -358,10 +342,8 @@ def _mc_batch(job, collect_inference: bool = True) -> list[RepResult]:
     out = []
     for (rep, seed), stream in zip(reps, streams):
         result = RepResult(rep=rep, seed=seed)
-        cps = stream.summary.checkpoints
         try:
-            result.reports = {cp.t: report
-                              for cp, report in zip(cps, _checkpoint_reports(cps, config))}
+            result.reports = _checkpoint_reports(stream.summary.checkpoints, config)
         except Exception as exc:  # noqa: BLE001 - failures are recorded, not fatal
             result.error = f"{type(exc).__name__}: {exc}"
         out.append(result)
@@ -466,8 +448,9 @@ def run_monte_carlo(config: ExperimentConfig, rep_seeds=None,
     """R independent replications summarized as SE/SD ratio, coverage, CI length.
 
     ``rep_seeds`` overrides the derived per-replication seeds (testing hook).
-    ``collect_inference=False`` skips the parameter accumulators, halving the
-    per-step cost when only value statistics are needed.
+    ``collect_inference=False`` skips the parameter accumulators (the plug-in
+    sums and the sandwich covariances), for when only value statistics are
+    needed; the summary then has value rows only.
     """
     config.validate()
     _reject_stream_options(config, "mc")

@@ -69,15 +69,17 @@ def sandwich_covariance(acc: PluginAccumulators, *, ridge: bool = False) -> np.n
     After the ridge, the error says so and carries the condition number of
     the ridged curvature; when a sum is not finite, it says so instead.
     """
-    cov, ridged, cond, ok = _sandwiches([acc], ridge=ridge)
+    cov, ridged, cond, ok = _sandwiches(acc.S_sum[None], acc.H_sum[None], np.array([acc.n]),
+                                        ridge=ridge)
     if not ok[0]:
         finite = np.isfinite(acc.S_sum).all() and np.isfinite(acc.H_sum).all()
         raise SingularHessianError(float(cond[0]), bool(ridged[0]), bool(finite))
     return cov[0]
 
 
-def _sandwiches(accs, *, ridge: bool = False):
-    """``sandwich_covariance`` of every accumulator, as four columns: the
+def _sandwiches(S: np.ndarray, H: np.ndarray, n: np.ndarray, *, ridge: bool = False):
+    """``sandwich_covariance`` of every row of the plug-in sums ``S`` and
+    ``H`` (K, dim, dim) over ``n`` (K,) steps, as four columns: the
     covariances ``cov`` (K, dim, dim), NaN where none came out; whether the
     ridge was applied, ``ridged`` (K,); the condition estimate of the
     curvature that was inverted, ``cond`` (K,); and whether a covariance came
@@ -89,11 +91,10 @@ def _sandwiches(accs, *, ridge: bool = False):
     the curvatures that fail the condition check are factored again with the
     ridge.
     """
-    n = np.array([acc.n for acc in accs])
     if n.min() < 1:
         raise ValueError("no accumulated steps")
-    dim = accs[0].dim
-    h = np.array([acc.H_sum for acc in accs]) / n[:, None, None]
+    dim = H.shape[-1]
+    h = H / n[:, None, None]
     lam, q = np.linalg.eigh(h)
     cond = _conditions(lam)
     ok = (lam.min(axis=1) > 0.0) & (cond <= _MAX_CONDITION)
@@ -106,7 +107,7 @@ def _sandwiches(accs, *, ridge: bool = False):
         cond[redo] = _conditions(lam[redo])
         ok[redo] = lam[redo].min(axis=1) > 0.0
     lam, q, n = lam[ok], q[ok], n[ok]
-    s = np.array([acc.S_sum for acc in accs])[ok] / n[:, None, None]
+    s = S[ok] / n[:, None, None]
     q_t = q.swapaxes(1, 2)
     core = (q_t @ s @ q) / (lam[:, :, None] * lam[:, None, :])
     kept = (q @ core @ q_t) / n[:, None, None]
@@ -205,34 +206,25 @@ def wald_report(bar_beta, cov, level: float = 0.95, null=None) -> InferenceRepor
     null = np.zeros(dim) if null is None else np.asarray(null, dtype=np.float64)
     if null.shape != (dim,):
         raise ValueError(f"null shape {null.shape} does not match estimate shape {(dim,)}")
-    (rows,) = _wald_rows(bar_beta[None], variances[None], level, null)
+    (rows,) = _wald_rows(bar_beta[None], variances[None], level, _parameter_names(dim), [""], null)
     return InferenceReport(level=level, rows=rows)
 
 
-def _wald_rows(est: np.ndarray, variances: np.ndarray, level: float,
-               null: np.ndarray) -> list[list[ReportRow]]:
-    """``wald_report``'s rows for each row of the (K, dim) estimates and
-    variances, computed column-wise; a NaN variance gives NaN numbers."""
+def _wald_rows(est: np.ndarray, variances: np.ndarray, level: float, names, flags,
+               null: np.ndarray | None = None) -> list[list[ReportRow]]:
+    """``wald_report``'s rows, named ``names``, for each row of the (K, dim)
+    estimates and variances, computed column-wise; row ``k``'s records carry
+    ``flags[k]``.  A NaN variance gives NaN numbers.  Without a ``null`` the
+    records have no t statistic or p value."""
     z = normal_quantile(0.5 * (1.0 + level))
     # max(v, 0.0) entry for entry, signed zeros and NaN included.
     se = np.sqrt(np.where(0.0 > variances, 0.0, variances))
-    diff = est - null
-    zero = se == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(zero, np.where(est == null, 0.0, np.where(est > null, math.inf, -math.inf)),
-                     diff / se)
-    p = np.reshape(list(map(two_sided_p, t.ravel().tolist())), t.shape)
-    names = _parameter_names(est.shape[1])
-    return [[ReportRow(name=name, estimate=e, se=s, ci_lo=lo, ci_hi=hi, t_value=tv, p_value=pv)
-             for name, e, s, lo, hi, tv, pv in zip(names, *columns)]
-            for columns in zip(*(a.tolist() for a in (est, se, est - z * se, est + z * se, t, p)))]
-
-
-def value_report_row(estimate: float, se: float, level: float, flag: str = "") -> ReportRow:
-    """Wald record for the value estimate; no t statistic or p value."""
-    if se < 0:
-        raise ValueError(f"standard error must be nonnegative, got {se}")
-    z = normal_quantile(0.5 * (1.0 + level))
-    return ReportRow(name="V_opt", estimate=estimate, se=se,
-                     ci_lo=estimate - z * se, ci_hi=estimate + z * se,
-                     t_value=None, p_value=None, flag=flag)
+    columns = [est, se, est - z * se, est + z * se]
+    if null is not None:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(se == 0.0, np.where(est == null, 0.0,
+                                             np.where(est > null, math.inf, -math.inf)),
+                         (est - null) / se)
+        columns += [t, np.reshape(list(map(two_sided_p, t.ravel().tolist())), t.shape)]
+    return [[ReportRow(name, *numbers, flag=flag) for name, *numbers in zip(names, *cols)]
+            for flag, *cols in zip(flags, *(a.tolist() for a in columns))]

@@ -39,19 +39,24 @@ def value_estimate(acc: ValueAccumulator, aipw: bool = False) -> float:
     return acc.sum_v / acc.t
 
 
+def _value_columns(total, total_sq, t, eps_t, aipw: bool):
+    """The estimate ``total / t`` from a value estimator's sums of terms and
+    of squared terms over ``t`` steps at exploration rate ``eps_t``, and its
+    plug-in variance before clamping; floats, or (K,) arrays of K checkpoints."""
+    mean = total / t
+    return mean, (1.0 if aipw else 2.0 / (2.0 - eps_t)) * total_sq / t - mean * mean
+
+
 def raw_value_variance(acc: ValueAccumulator, eps_t: float, aipw: bool = False) -> float:
     """Plugin variance before clamping; may be slightly negative in finite samples."""
     if acc.t < 1:
         raise ValueError("no accumulated steps")
     if not 0.0 < eps_t <= 1.0:
         raise ValueError(f"exploration rate must lie in (0, 1], got {eps_t}")
-    if aipw:
-        if not acc.aipw:
-            raise ValueError("accumulator was not collecting the augmented estimator")
-        mean = acc.sum_aipw / acc.t
-        return acc.sum_aipw2 / acc.t - mean * mean
-    mean = acc.sum_v / acc.t
-    return (2.0 / (2.0 - eps_t)) * acc.sum_v2 / acc.t - mean * mean
+    if aipw and not acc.aipw:
+        raise ValueError("accumulator was not collecting the augmented estimator")
+    sums = (acc.sum_aipw, acc.sum_aipw2) if aipw else (acc.sum_v, acc.sum_v2)
+    return _value_columns(*sums, acc.t, eps_t, aipw)[1]
 
 
 def value_variance(acc: ValueAccumulator, eps_t: float, aipw: bool = False) -> float:

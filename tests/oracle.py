@@ -12,7 +12,7 @@ snapshot at every step give a run's steps for that comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -304,8 +304,18 @@ def recorded_steps(model, env: RecordingEnvironment, result) -> list[tuple]:
     the pre-step average, the observation, the propensity and exploration
     rate that sampled it, and the greedy action at the average."""
     cps = result.summary.checkpoints
-    assert [cp.t for cp in cps] == list(range(1, len(env.steps) + 1))
-    bars = [np.zeros(2 * model.p)] + [cp.bar_beta for cp in cps[:-1]]
-    return [(bar, obs, propensity(model, bar, obs.x, cp.eps), cp.eps,
+    assert cps.t.tolist() == list(range(1, len(env.steps) + 1))
+    bars = [np.zeros(2 * model.p)] + list(cps.bar_beta[:-1])
+    return [(bar, obs, propensity(model, bar, obs.x, eps), eps,
              decide_optimal(model, bar, obs.x))
-            for bar, obs, cp in zip(bars, env.steps, cps)]
+            for bar, obs, eps in zip(bars, env.steps, cps.eps.tolist())]
+
+
+def assert_same_checkpoints(got, want):
+    """Two runs' ``Checkpoints`` equal in every field, exactly: the same
+    fields collected, with equal shapes and entries."""
+    for f in fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert (a is None) == (b is None), f.name
+        if b is not None:
+            assert a.shape == b.shape and np.array_equal(a, b), f.name

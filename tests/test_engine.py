@@ -17,9 +17,9 @@ from banditsgd.experiments import _map_jobs, _step_losses, _trace_steps
 from banditsgd.inference import PluginAccumulators, ipw_weight
 from banditsgd.value import ValueAccumulator
 
-from oracle import (Observation, RecordingEnvironment, accumulate, decide_optimal,
-                    ipw_gradient, loss, loss_gradient, mean_reward, propensity,
-                    recorded_steps, sgd_step, update_value, zero_state)
+from oracle import (Observation, RecordingEnvironment, accumulate, assert_same_checkpoints,
+                    decide_optimal, ipw_gradient, loss, loss_gradient, mean_reward,
+                    propensity, recorded_steps, sgd_step, update_value, zero_state)
 
 BETA0 = np.array([0.3, -0.1, 0.7, 0.8, 0.5, -0.4])
 LEARN = LearningSchedule(0.5, 0.501)
@@ -294,11 +294,10 @@ class TestRunStream:
         m, env, rng = make_env(seed=5)
         res = run_stream(env, m, LEARN, EXPLORE, rng, 400, checkpoints=(100, 400))
         cps = res.summary.checkpoints
-        assert [cp.t for cp in cps] == [100, 400]
-        assert cps[0].plugin.n == 100 and cps[1].plugin.n == 400
-        assert cps[0].value.t == 100
-        assert not np.array_equal(cps[0].bar_beta, res.state.bar_beta)
-        np.testing.assert_array_equal(cps[1].bar_beta, res.state.bar_beta)
+        assert cps.t.tolist() == cps.n.tolist() == [100, 400]
+        assert cps.value_t[0] == 100
+        assert not np.array_equal(cps.bar_beta[0], res.state.bar_beta)
+        np.testing.assert_array_equal(cps.bar_beta[1], res.state.bar_beta)
 
     def test_environment_exhaustion_stops_cleanly(self):
         rng_np = np.random.default_rng(6)
@@ -323,17 +322,17 @@ class TestRunStream:
         np.testing.assert_array_equal(keep.state.bar_beta, skip.state.bar_beta)
 
 
-def _sums(acc):
-    """The accumulator sums a checkpoint or a stream result carries."""
-    pl, v = acc.plugin, acc.value
+def _sums(res):
+    """The sums at the end of a run."""
+    pl, v = res.plugin, res.value
     return (pl.S_sum, pl.H_sum, pl.n, v.sum_v, v.sum_v2, v.sum_aipw, v.sum_aipw2, v.t)
 
 
 def _assert_same_sums(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        for a, b in zip(g, w):
-            np.testing.assert_array_equal(a, b)
+    """Two runs with equal checkpoints, every field, and equal final sums."""
+    assert_same_checkpoints(got.summary.checkpoints, want.summary.checkpoints)
+    for a, b in zip(_sums(got), _sums(want)):
+        np.testing.assert_array_equal(a, b)
 
 
 def _replay_log(rows, seed=6):
@@ -355,18 +354,20 @@ class TestExhaustedRunRecord:
         res = self._run(_replay_log(40), checkpoints=(5,))
         steps = res.summary.steps
         assert res.summary.exhausted and 5 < steps < 1000
-        assert [cp.t for cp in res.summary.checkpoints] == [5, steps]
-        last = res.summary.checkpoints[-1]
-        assert last.eps == exploration_rate(self.explore, steps)
-        assert last.eps != exploration_rate(self.explore, steps + 1)
-        np.testing.assert_array_equal(last.bar_beta, res.state.bar_beta)
-        _assert_same_sums([_sums(last)], [_sums(res)])
+        cps = res.summary.checkpoints
+        assert cps.t.tolist() == [5, steps]
+        assert cps.eps[-1] == exploration_rate(self.explore, steps)
+        assert cps.eps[-1] != exploration_rate(self.explore, steps + 1)
+        np.testing.assert_array_equal(cps.bar_beta[-1], res.state.bar_beta)
+        last = (cps.S[-1], cps.H[-1], cps.n[-1], *cps.value[-1], cps.value_t[-1])
+        for a, b in zip(last, _sums(res)):
+            np.testing.assert_array_equal(a, b)
 
     def test_final_checkpoint_is_not_recorded_twice(self):
         log = _replay_log(40)
         steps = self._run(log).summary.steps
         res = self._run(log, checkpoints=(5, steps))
-        assert [cp.t for cp in res.summary.checkpoints] == [5, steps]
+        assert res.summary.checkpoints.t.tolist() == [5, steps]
 
     def test_no_record_without_a_matched_step(self):
         # Of two one-entry logs that differ in the logged action, exactly one
@@ -377,13 +378,13 @@ class TestExhaustedRunRecord:
         for res in runs:
             assert res.summary.exhausted
             want = [1] if res.summary.steps else []
-            assert [cp.t for cp in res.summary.checkpoints] == want
+            assert res.summary.checkpoints.t.tolist() == want
 
 
 def _folded_sums(rows, horizon, checkpoints, *, family="linear", p=3, lag=None,
                  env_wrapper=None, **kw):
-    """Sums at every checkpoint and at the end of a seeded run whose pending
-    block holds at most ``rows`` steps (``None`` keeps the default)."""
+    """A seeded run whose pending block holds at most ``rows`` steps
+    (``None`` keeps the default)."""
     model = make_model(family, p)
     rng = RngStream(11)
     config = SyntheticConfig(model, np.linspace(-0.5, 0.6, 2 * p))
@@ -395,8 +396,8 @@ def _folded_sums(rows, horizon, checkpoints, *, family="linear", p=3, lag=None,
         if env_wrapper is not None:
             env = env_wrapper(env)
         res = run(env, model, LEARN, EXPLORE, rng, horizon, checkpoints=checkpoints, **kw)
-    assert [cp.t for cp in res.summary.checkpoints] == sorted(checkpoints)
-    return [_sums(cp) for cp in res.summary.checkpoints] + [_sums(res)]
+    assert res.summary.checkpoints.t.tolist() == sorted(checkpoints)
+    return res
 
 
 class _OneFeatureBuffer:
@@ -562,15 +563,12 @@ class TestSyntheticTables:
         assert got.summary.updates == want.summary.updates
         np.testing.assert_array_equal(got.state.hat_beta, want.state.hat_beta)
         np.testing.assert_array_equal(got.state.bar_beta, want.state.bar_beta)
-        got_cps, want_cps = got.summary.checkpoints, want.summary.checkpoints
-        assert [(cp.t, cp.eps) for cp in got_cps] == [(cp.t, cp.eps) for cp in want_cps]
-        for a, b in zip(got_cps, want_cps):
-            np.testing.assert_array_equal(a.bar_beta, b.bar_beta)
         if case[5]:
-            _assert_same_sums([_sums(r) for r in got_cps + [got]],
-                              [_sums(r) for r in want_cps + [want]])
+            _assert_same_sums(got, want)
         else:
-            assert all(r.plugin is None and r.value is None for r in got_cps + [got])
+            assert_same_checkpoints(got.summary.checkpoints, want.summary.checkpoints)
+            cps = got.summary.checkpoints
+            assert cps.S is cps.H is cps.value is got.plugin is got.value is None
 
 
 def _seen_steps(run, *args, **kw) -> list[np.ndarray]:
@@ -632,11 +630,7 @@ def test_zero_lag_equals_plain_stream_bit_for_bit(family, hessian, aipw, skip, s
         == (plain.summary.steps, plain.summary.updates, plain.summary.total_reward)
     np.testing.assert_array_equal(lagged.state.hat_beta, plain.state.hat_beta)
     np.testing.assert_array_equal(lagged.state.bar_beta, plain.state.bar_beta)
-    got, want = lagged.summary.checkpoints, plain.summary.checkpoints
-    assert [(cp.t, cp.eps) for cp in got] == [(cp.t, cp.eps) for cp in want]
-    for a, b in zip(got, want):
-        np.testing.assert_array_equal(a.bar_beta, b.bar_beta)
-    _assert_same_sums([_sums(r) for r in got + [lagged]], [_sums(r) for r in want + [plain]])
+    _assert_same_sums(lagged, plain)
 
 class _RecordingLaggedEnv:
     """Wraps a lagged environment, logging actions and arrivals in call order."""

@@ -5,7 +5,9 @@ exit code and the sha256 of its stdout, its stderr and every file it writes
 must equal the digests below.  A change that alters any output byte fails
 here.  To record the digests of a checkout, run this file as a script from
 the root of that checkout (``PYTHONPATH=src python tests/test_golden.py``)
-and paste its output over ``GOLDEN``.
+and paste its output over ``GOLDEN``.  Given command names
+(``PYTHONPATH=src python tests/test_golden.py NAME...``), it prints only
+those entries, to paste into ``GOLDEN`` beside the others.
 """
 import contextlib
 import hashlib
@@ -69,6 +71,11 @@ COMMANDS = {
     "value-skip-aipw": ["run", "--model", "logistic", "--aipw", "--value-skip-burn-in",
                         "--horizon", "300", "--checkpoints", "10,50,51,300", "--seed", "28",
                         "--format", "json"],
+    # At t=2 the V_opt plug-in variance is negative: se 0, flagged
+    # variance_clamped; at t=1 it is exactly 0 and the row is unflagged.
+    "value-clamped": ["run", "--model", "logistic", "--p", "1", "--beta0=9,9", "--burn-in", "1",
+                      "--horizon", "2", "--checkpoints", "1,2", "--seed", "0", "--aipw",
+                      "--format", "json"],
     # A decaying eps with skipped burn-in value steps (no_value_steps at t=10
     # and t=20), AIPW, and the log running out at t=963.
     "replay-decay-skip-aipw": ["replay", "--replay-log", "log.csv", "--model", "logistic",
@@ -326,6 +333,15 @@ GOLDEN = {
             "out/tune_alpha_summary.json": "4daab5392de77764577da36ba8ba9a84389e07ae0bdceef31ecd58dc4384fbc8"
         }
     },
+    "value-clamped": {
+        "exit": 0,
+        "stdout": "0a614ce6ad64f904e891462d66441bb5c8ff3af0649cd7cfbbf9f3a8bd45f0e4",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "out/report_t1.json": "661f8e2b1796d74e50b6dda43f6e2614ecdd17a77c5af4d4b6af1bd9e70e35fc",
+            "out/report_t2.json": "2595a6d1a8d6b32177ea24a08ee4c7cd7f4f9a856c0042d28f1b7f379dec3a18"
+        }
+    },
     "value-skip-aipw": {
         "exit": 0,
         "stdout": "14eb7c92381f6edb1e62b5e9241c9fe828bb3fcdced7a160e867369ff9cc8ac9",
@@ -351,7 +367,14 @@ def test_worker_count_never_changes_mc_bytes():
 
 if __name__ == "__main__":
     import json
+    import sys
     import tempfile
+    names = sys.argv[1:]
+    unknown = [name for name in names if name not in COMMANDS]
+    if unknown:
+        sys.exit(f"unknown command {unknown[0]!r}; choose from {', '.join(sorted(COMMANDS))}")
     with tempfile.TemporaryDirectory() as tmp:
-        recorded = {name: digests(name, Path(tmp) / name) for name in sorted(COMMANDS)}
-    print("GOLDEN = " + json.dumps(recorded, indent=4))
+        recorded = {name: digests(name, Path(tmp) / name) for name in names or sorted(COMMANDS)}
+    text = json.dumps(recorded, indent=4)
+    # Named commands print as entries to paste into GOLDEN beside the others.
+    print(text[2:-2] + "," if names else "GOLDEN = " + text)

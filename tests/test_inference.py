@@ -12,7 +12,7 @@ from banditsgd import (ExplorationSchedule, LearningSchedule, LinearModel,
                        normal_quantile, run_stream, sandwich_covariance,
                        two_sided_p, wald_report)
 from banditsgd import inference
-from banditsgd.inference import PluginAccumulators, ipw_weight, value_report_row
+from banditsgd.inference import PluginAccumulators, ipw_weight
 
 import oracle
 from oracle import Observation
@@ -258,7 +258,9 @@ def _outcomes(stack, ridge):
     """``_sandwiches``' columns as one outcome per accumulator: the covariance
     and whether the ridge was applied, or the error its one-matrix call
     raises.  Rows without a covariance must be NaN."""
-    cov, ridged, cond, ok = inference._sandwiches(stack, ridge=ridge)
+    cov, ridged, cond, ok = inference._sandwiches(
+        np.array([acc.S_sum for acc in stack]), np.array([acc.H_sum for acc in stack]),
+        np.array([acc.n for acc in stack]), ridge=ridge)
     assert np.isnan(cov[~ok]).all()
     return [(c, bool(r)) if o else SingularHessianError(float(k), bool(r))
             for c, r, k, o in zip(cov, ridged, cond, ok)]
@@ -387,8 +389,9 @@ class TestWaldReport:
         assert str(err.value) == f"null shape {null.shape} does not match estimate shape (4,)"
 
     def test_value_row_has_no_t_or_p(self):
-        row = value_report_row(1.5, 0.1, 0.95)
-        assert row.name == "V_opt"
+        ((row,),) = inference._wald_rows(np.array([[1.5]]), np.array([[0.01]]), 0.95,
+                                         ["V_opt"], [""])
+        assert row.name == "V_opt" and row.se == 0.1
         assert row.t_value is None and row.p_value is None
         assert row.ci_lo < 1.5 < row.ci_hi
 

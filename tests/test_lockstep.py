@@ -18,7 +18,7 @@ from banditsgd.models import make_model
 from banditsgd.experiments import _launch, _mc_batch, _tune_batch
 from banditsgd.policy import derive_seed
 
-from oracle import RecordingEnvironment, loss, recorded_steps
+from oracle import RecordingEnvironment, assert_same_checkpoints, loss, recorded_steps
 
 
 def _config(family, p, **kw):
@@ -49,12 +49,7 @@ def _assert_same_sums(a, b):
 
 def _assert_identical(got, want):
     """Equal checkpoints, and equal end states, total rewards and sums."""
-    got_cps, want_cps = got.summary.checkpoints, want.summary.checkpoints
-    assert [cp.t for cp in got_cps] == [cp.t for cp in want_cps]
-    for a, b in zip(got_cps, want_cps):
-        assert a.eps == b.eps
-        assert np.array_equal(a.bar_beta, b.bar_beta)
-        _assert_same_sums(a, b)
+    assert_same_checkpoints(got.summary.checkpoints, want.summary.checkpoints)
     assert (got.summary.steps, got.summary.updates, got.summary.total_reward) \
         == (want.summary.steps, want.summary.updates, want.summary.total_reward)
     assert np.array_equal(got.state.hat_beta, want.state.hat_beta)

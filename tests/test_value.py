@@ -4,12 +4,15 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from banditsgd import (LinearModel, LogisticModel, RngStream,
+from banditsgd import (LinearModel, LogisticModel, RngStream, normal_quantile,
                        oracle_value, raw_value_variance, value_estimate,
                        value_standard_error, value_variance)
-from banditsgd.experiments import ExperimentConfig, _launch, _mc_batch
-from banditsgd.value import ValueAccumulator
+from banditsgd.engine import Checkpoints
+from banditsgd.experiments import ExperimentConfig, _checkpoint_reports, _launch, _mc_batch
+from banditsgd.value import ValueAccumulator, _value_columns
 
 from oracle import Observation, merge_value, update_value
 
@@ -106,6 +109,53 @@ class TestValueVariance:
             update_value(acc, Observation([1.0], consistent, y), 1, 0.2)
         se = value_standard_error(acc, 0.2)
         assert se == pytest.approx(math.sqrt(value_variance(acc, 0.2) / acc.t))
+
+
+def _same(a: float, b: float) -> bool:
+    """Equal bits, or both NaN."""
+    return (math.isnan(a) and math.isnan(b)) or np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+# Sums of every sign and size, NaN, +-0.0 and subnormals included; each step
+# count also comes as 0, a checkpoint without value steps.
+_checkpoint_sums = st.tuples(
+    *[st.one_of(st.floats(allow_infinity=False), st.sampled_from([0.0, -0.0, math.nan]))] * 4,
+    st.integers(0, 10 ** 9), st.floats(0.0, 1.0, exclude_min=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(_checkpoint_sums, min_size=1, max_size=8))
+def test_value_columns_and_report_rows_equal_the_scalar_functions(rows):
+    sums = np.array([row[:4] for row in rows])
+    t = np.array([row[4] for row in rows])
+    eps = np.array([row[5] for row in rows])
+    steps = np.arange(1, len(rows) + 1)
+    cps = Checkpoints(t=steps, eps=eps, n=steps, value_t=t, bar_beta=np.zeros((len(rows), 2)),
+                      S=None, H=None, value=sums)
+    reports = _checkpoint_reports(cps, ExperimentConfig(p=1, beta0=(0.0, 0.0), aipw=True))
+    for j, name in enumerate(("V_opt", "V_opt_aipw")):
+        aipw = j == 1
+        with np.errstate(all="ignore"):
+            columns = _value_columns(sums[:, 2 * j], sums[:, 2 * j + 1], t, eps, aipw)
+        for k, (s_v, s_v2, s_a, s_a2, t_k, eps_k) in enumerate(rows):
+            row = reports[k + 1].row(name)
+            if t_k == 0:
+                assert math.isnan(row.estimate) and math.isnan(row.se)
+                assert row.flag == "no_value_steps"
+                continue
+            acc = ValueAccumulator(aipw=True)
+            acc.sum_v, acc.sum_v2, acc.sum_aipw, acc.sum_aipw2, acc.t = s_v, s_v2, s_a, s_a2, t_k
+            raw = raw_value_variance(acc, eps_k, aipw)
+            want = (value_estimate(acc, aipw), raw, value_variance(acc, eps_k, aipw))
+            assert all(map(_same, (c[k] for c in columns), want))
+            # The report row is the value Wald record of the clamped variance.
+            se = value_standard_error(acc, eps_k, aipw)
+            assert _same(row.estimate, want[0]) and _same(row.se, se)
+            z = normal_quantile(0.975)
+            assert _same(row.ci_lo, want[0] - z * se) and _same(row.ci_hi, want[0] + z * se)
+            assert row.t_value is None and row.p_value is None
+            assert row.flag == ("experimental" if aipw else
+                                "variance_clamped" if raw < 0.0 else "")
 
 
 class TestAipwAccumulation:
