@@ -93,11 +93,6 @@ def _fold_rows(acc: np.ndarray, outer: np.ndarray, coef: np.ndarray) -> None:
         acc[...] = np.add.reduce(stack, axis=0)
 
 
-def _each(fn, *columns: np.ndarray) -> np.ndarray:
-    """``fn`` on the entries of equally shaped arrays, one Python float each."""
-    return np.reshape(list(map(fn, *(c.ravel().tolist() for c in columns))), columns[0].shape)
-
-
 class _Sums:
     """The one record of a batch of ``reps`` streams (one for the per-step
     engines): the checkpoint steps ``due``; every sum on a stream axis: the
@@ -144,10 +139,10 @@ class _Sums:
         """
         if self.on_steps is not None:
             self.on_steps(t, act, greedy, y, eps, ubar)
-        model, link = self.model, self.model.mean_from_index
+        model, link = self.model, self.model.mean_from_index_array
         if self.S is not None:
             p = x.shape[-1]
-            mu = _each(link, np.where(act, ubar[..., 1], ubar[..., 0]))
+            mu = link(np.where(act, ubar[..., 1], ubar[..., 0]))
             gw = (mu - y) * w
             # hessian_scale is + - x only, so it takes the arrays whole.
             coefs = (gw * gw, model.hessian_scale(mu, y, self.hessian) * w)
@@ -171,7 +166,7 @@ class _Sums:
                      np.where(consistent & include, y * v, 0.0)]
             if self.aipw:
                 c = consistent.astype(np.float64)
-                mu_g = _each(link, np.where(greedy, ubar[..., 1], ubar[..., 0]))
+                mu_g = link(np.where(greedy, ubar[..., 1], ubar[..., 0]))
                 term = np.where(include, c * y / pi_c - (c - pi_c) / pi_c * mu_g, 0.0)
                 terms += [term, term * term]
             for j, term in enumerate(terms):
@@ -428,25 +423,13 @@ def run_stream_lagged(env, model, learn: LearningSchedule, explore: ExplorationS
 # Synthetic streams fed from per-chunk draw tables.
 # ---------------------------------------------------------------------------
 
-# The vectorized link is within 1e-9 of the scalar hook, so a reward draw
-# farther than this from it falls on the same side of both.
-_LINK_TIE = 1e-9
-
-
 def _rewards(model, u: np.ndarray, d: np.ndarray, sd: float) -> np.ndarray:
     """Rewards at true indexes ``u`` for reward draws ``d`` (broadcast to
     ``u``'s shape), equal entry for entry to ``SyntheticEnvironment.outcome``:
-    ``u + sd * d`` (linear) or ``d < mean_from_index(u)`` (logistic), where
-    draws within ``_LINK_TIE`` of the vectorized link are decided by the
-    scalar hook."""
+    ``u + sd * d`` (linear) or ``d < mean_from_index(u)`` (logistic)."""
     if model.tag == "linear":
         return u + sd * d
-    d = np.broadcast_to(d, u.shape)
-    mu = model.mean_from_index_array(u)
-    y = (d < mu).astype(np.float64)
-    for i in np.flatnonzero(np.abs(d - mu) <= _LINK_TIE).tolist():
-        y.flat[i] = 1.0 if d.flat[i] < model.mean_from_index(float(u.flat[i])) else 0.0
-    return y
+    return (d < model.mean_from_index_array(u)).astype(np.float64)
 
 
 def _reward_table(model, x: np.ndarray, truth: np.ndarray, d: np.ndarray,
@@ -542,7 +525,8 @@ def _run_synthetic(synth: SyntheticConfig, learn: LearningSchedule,
             g = np.greater(ubar[j, :, 1], ubar[j, :, 0], out=greedy_k[j])
             ig = pair + g
             ia = ia_t[j].take(ig)
-            # The step coefficient (mu_hat - y) * w * alpha_t.
+            # The step coefficient (mu_hat - y) * w * alpha_t.  At these batch
+            # sizes the scalar link per replication beats one array call (README).
             z = np.array(list(map(link, dots[j, 1].take(ia).tolist())))
             z -= y_t[j].take(ia)
             z *= w_t[j].take(ig)

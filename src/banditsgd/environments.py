@@ -206,6 +206,16 @@ def _data_records(reader):
             yield number, row
 
 
+def _log_record(path, i: int) -> tuple[int, list[str]]:
+    """Row ``i`` of the replay log CSV at ``path`` as ``(record number,
+    fields)``, numbered as ``load_replay_log`` names rows in its errors.  For
+    error paths: it reads the file again up to that row."""
+    with open(path, newline="") as fh:
+        rows = csv.reader(fh)
+        next(rows)
+        return next(islice(_data_records(rows), i, None))
+
+
 def load_replay_log(path) -> ReplayLog:
     """Read a replay log CSV with header ``x1,...,xp,action,reward[,propensity]``.
 
@@ -228,14 +238,8 @@ def load_replay_log(path) -> ReplayLog:
         def columns():
             data = np.frombuffer(buf, dtype=np.float64).reshape(-1, width)
             return ReplayLog(data[:, :p], data[:, p], data[:, p + 1],
-                             data[:, p + 2] if has_prop else 0.5, record=record)
-
-        def record(i):
-            # Error path only: read the offending record back as written.
-            with open(path, newline="") as again:
-                rows = csv.reader(again)
-                next(rows)
-                return next(islice(_data_records(rows), i, None))
+                             data[:, p + 2] if has_prop else 0.5,
+                             record=lambda i: _log_record(path, i))
 
         for number, row in _data_records(reader):
             try:

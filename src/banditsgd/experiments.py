@@ -20,8 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import Checkpoints, _batch_capacity, _each, _run_synthetic, run_stream
-from .environments import ReplayCursor, SyntheticConfig, load_replay_log
+from .engine import Checkpoints, _batch_capacity, _run_synthetic, run_stream
+from .environments import (ReplayCursor, ReplayLogError, SyntheticConfig, _log_record,
+                           load_replay_log)
 from .inference import _parameter_names, _sandwiches, _wald_rows, normal_quantile
 from .models import _FAMILIES, _HESSIAN_VARIANTS, make_model
 from .policy import RngStream, derive_seed
@@ -79,11 +80,13 @@ class ExperimentConfig:
         for name, least in _LOWER_BOUNDS:
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)!r}")
-        beta0 = self.beta0_array()
-        if beta0.shape[0] != 2 * self.p:
-            raise ConfigError(f"beta0 has length {beta0.shape[0]}, expected {2 * self.p}")
-        if not np.isfinite(beta0).all():
-            raise ConfigError(f"beta0 entries must be finite, got {self.beta0!r}")
+        # Replay builds no synthetic truth, so it needs no beta0.
+        if self.beta0 is not None or self.replay_log is None:
+            beta0 = self.beta0_array()
+            if beta0.shape[0] != 2 * self.p:
+                raise ConfigError(f"beta0 has length {beta0.shape[0]}, expected {2 * self.p}")
+            if not np.isfinite(beta0).all():
+                raise ConfigError(f"beta0 entries must be finite, got {self.beta0!r}")
         for t in self.effective_checkpoints():
             if not 1 <= t <= self.horizon:
                 raise ConfigError(f"checkpoint {t} outside [1, {self.horizon}]")
@@ -253,8 +256,8 @@ def _checkpoint_reports(cps: Checkpoints, config: ExperimentConfig) -> dict[int,
 
 def _step_losses(model, act, y, ubar) -> np.ndarray:
     """Loss of the pre-step average on each step of an ``on_steps`` block."""
-    mu = _each(model.mean_from_index, np.where(act, ubar[..., 1], ubar[..., 0]))
-    return _each(model.loss_from_mean, mu, y)
+    mu = model.mean_from_index_array(np.where(act, ubar[..., 1], ubar[..., 0]))
+    return model.loss_from_mean(mu, y)
 
 
 def _trace_steps(fh, model):
@@ -289,6 +292,14 @@ def run_single(config: ExperimentConfig) -> SingleRunOutput:
         log = load_replay_log(config.replay_log)
         if (n := log.x.shape[1]) != config.p:
             raise ConfigError(f"replay log rows have {n} features, but p is {config.p}")
+        # Checked before the first step, since the seed decides which entries match.
+        check = config.model_family().validate_reward
+        for i, y in enumerate(log.reward.tolist()):
+            try:
+                check(y)
+            except ValueError as exc:
+                raise ReplayLogError(f"row {_log_record(config.replay_log, i)[0]}: {exc}") \
+                    from None
         cursor = ReplayCursor(log)
     if config.trace is not None:
         Path(config.trace).parent.mkdir(parents=True, exist_ok=True)

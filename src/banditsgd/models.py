@@ -13,8 +13,6 @@ identically zero.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 HESSIAN_EXACT = "exact"
@@ -28,11 +26,10 @@ _MU_MAX = 1.0 - 1e-16
 
 
 def _stable_sigmoid(u: float) -> float:
-    if u >= 0.0:
-        mu = 1.0 / (1.0 + math.exp(-u))
-    else:
-        z = math.exp(u)
-        mu = z / (1.0 + z)
+    # numpy's exp, which gives a float the bits it gives the same value in an
+    # array, so that this equals ``mean_from_index_array`` bit for bit.
+    z = float(np.exp(-abs(u)))
+    mu = (1.0 if u >= 0.0 else z) / (1.0 + z)
     if mu < _MU_MIN:
         return _MU_MIN
     if mu > _MU_MAX:
@@ -62,7 +59,8 @@ class ModelFamily:
     def mean_from_index_array(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def loss_from_mean(self, mu: float, y: float) -> float:
+    def loss_from_mean(self, mu, y):
+        """The loss at mean ``mu`` for reward ``y``, on floats or arrays alike."""
         raise NotImplementedError
 
     def hessian_scale(self, mu: float, y: float, variant: str = HESSIAN_EXACT) -> float:
@@ -87,7 +85,7 @@ class LinearModel(ModelFamily):
     def mean_from_index_array(self, u: np.ndarray) -> np.ndarray:
         return np.asarray(u, dtype=np.float64)
 
-    def loss_from_mean(self, mu: float, y: float) -> float:
+    def loss_from_mean(self, mu, y):
         r = mu - y
         return 0.5 * r * r
 
@@ -113,15 +111,14 @@ class LogisticModel(ModelFamily):
         u = np.asarray(u, dtype=np.float64)
         # exp(-|u|) is exp(-u) where u >= 0 and exp(u) elsewhere.
         z = np.exp(-np.abs(u))
-        out = np.where(u >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-        return np.clip(out, _MU_MIN, _MU_MAX)
+        return np.clip(np.where(u >= 0, 1.0, z) / (1.0 + z), _MU_MIN, _MU_MAX)
 
     def validate_reward(self, y: float) -> None:
         if y not in (0.0, 1.0):
             raise ValueError(f"logistic rewards must be 0 or 1, got {y!r}")
 
-    def loss_from_mean(self, mu: float, y: float) -> float:
-        return -y * math.log(mu) - (1.0 - y) * math.log(1.0 - mu)
+    def loss_from_mean(self, mu, y):
+        return -y * np.log(mu) - (1.0 - y) * np.log(1.0 - mu)
 
     def hessian_scale(self, mu: float, y: float, variant: str = HESSIAN_EXACT) -> float:
         if variant == HESSIAN_EXACT:

@@ -133,6 +133,29 @@ def test_replay_log_width_must_match_p(tmp_path, capsys):
     assert "replay log rows have 2 features, but p is 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_logistic_replay_rejects_a_nonbinary_reward_for_every_seed(tmp_path, capsys, seed):
+    # Row 2 holds 0.5 and row 4 holds 2: the log is rejected before the first
+    # step, whichever entries the seed would match, and nothing is written.
+    log = tmp_path / "log.csv"
+    log.write_text("x1,x2,action,reward\n1,0.5,1,1\n1,0.2,0,0.5\n1,0.1,1,0\n1,0.3,0,2\n")
+    code = main(["replay", "--replay-log", str(log), "--model", "logistic", "--p", "2",
+                 "--beta0=0,0,0,0", "--horizon", "10", "--seed", str(seed),
+                 "--trace", str(tmp_path / "trace.csv"), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: row 2: logistic rewards must be 0 or 1, got 0.5\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["log.csv"]
+
+
+def test_replay_reward_error_counts_rows_as_the_loader_does(tmp_path, capsys):
+    log = tmp_path / "log.csv"
+    log.write_text("x1,x2,action,reward\n1,0.5,1,1\n\n1,0.2,0,1\n1,0.3,0,2\n")
+    code = main(["replay", "--replay-log", str(log), "--model", "logistic", "--p", "2",
+                 "--horizon", "10", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: row 4: logistic rewards must be 0 or 1, got 2.0\n"
+
+
 def test_header_only_log_width_must_match_p(tmp_path, capsys):
     log = tmp_path / "log.csv"
     log.write_text("x1,x2,x3,action,reward\n")

@@ -62,6 +62,13 @@ class TestConfig:
             ExperimentConfig(p=4).validate()
         ExperimentConfig(p=2, beta0=(0.1, 0.2, 0.3, 0.4)).validate()
 
+    def test_replay_needs_no_beta0_but_checks_a_given_one(self):
+        ExperimentConfig(p=4, replay_log="log.csv").validate()
+        with pytest.raises(ConfigError, match="beta0 has length 2, expected 8"):
+            ExperimentConfig(p=4, replay_log="log.csv", beta0=(0.1, 0.2)).validate()
+        with pytest.raises(ConfigError, match="beta0 entries must be finite"):
+            ExperimentConfig(p=1, replay_log="log.csv", beta0=(0.1, math.nan)).validate()
+
     @pytest.mark.parametrize("bad", [dict(model="probit"), dict(horizon=0),
                                      dict(reps=0), dict(format="yaml"),
                                      dict(hessian="fancy"), dict(level=1.5),

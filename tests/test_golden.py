@@ -49,6 +49,9 @@ COMMANDS = {
                           "--horizon", "500", "--seed", "18", "--format", "json"],
     "replay-csv": ["replay", "--replay-log", "log.csv", "--model", "logistic", "--p", "2",
                    "--beta0=-0.5,0.4,0.3,-0.6", "--horizon", "3000", "--seed", "19"],
+    # Replay reads no beta0, so this must give replay-csv's bytes.
+    "replay-csv-no-beta0": ["replay", "--replay-log", "log.csv", "--model", "logistic",
+                            "--p", "2", "--horizon", "3000", "--seed", "19"],
     "replay-json": ["replay", "--replay-log", "log.csv", "--model", "logistic", "--p", "2",
                     "--beta0=-0.5,0.4,0.3,-0.6", "--horizon", "3000", "--seed", "19",
                     "--format", "json"],
@@ -213,6 +216,15 @@ GOLDEN = {
             "out/report_t978.csv": "a66bbe0aa59569fbf001bf433a23e946e3897c4ef5db7ea3175005a6013a0246"
         }
     },
+    "replay-csv-no-beta0": {
+        "exit": 0,
+        "stdout": "f8ea8c916f1759aa51dc2077b0fda9c1c1ce2555e9a7fe697b85515ff695f101",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "out/replay_stats.csv": "45e672111613595a5dde1be441b478c9e9621fa0d586009ca3463325fd644883",
+            "out/report_t978.csv": "a66bbe0aa59569fbf001bf433a23e946e3897c4ef5db7ea3175005a6013a0246"
+        }
+    },
     "replay-decay-skip-aipw": {
         "exit": 0,
         "stdout": "88e73e7f9b442afc5cbbd5c247184425b2571b87069a4a9201a71cb8e3147f0d",
@@ -241,7 +253,7 @@ GOLDEN = {
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {
             "out/replay_stats.json": "efc54d2063e42bbf031fb09da9939a1377194096036d4bc6e6dd5f35ee1c7997",
-            "out/report_t955.json": "2dce5b9068c3a22f9fee01533c90c1e6d0b19e6f51deb0049bc65739320cb433"
+            "out/report_t955.json": "bdda6577c4e50c3380367ff20c21fcfe065efb13ff25ad07f204b8ae7fc8da56"
         }
     },
     "replay-trace": {
@@ -252,7 +264,7 @@ GOLDEN = {
             "out/replay_stats.csv": "0349009985bbbb278e0dbd22cc08c6e36e04eb13a773de81c80c2f89d1bf1008",
             "out/report_t1000.csv": "910ee118a089b407261df158822613c50a29de9a561f52cc9e787303b4cac519",
             "out/report_t1005.csv": "7dd650430960c691a3d46430a8713de1218bbc9664a9867308fd694881b3cb4e",
-            "trace.csv": "4db93dc98510dad6c0e305825567c8ed9080de18286cb082ff04fe887ac91840"
+            "trace.csv": "d5e7a338350adcf59ebe0b7b5941b5a943d35231cdb28979f20c0c309e892453"
         }
     },
     "run-csv": {
@@ -271,8 +283,8 @@ GOLDEN = {
         "stdout": "5d7c6c874ff97540fc7bb9d4871e819b7f21121def6112e72712d701a4517eb5",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {
-            "out/report_t1000.json": "558693d78cf55466284616eb0564037e73f349733a0d314c2e55ebcee53dbdc7",
-            "out/report_t3000.json": "7f295fcfca7c5648c16ac957037a743d7efa8cfbd75a8220f862c0fd6be0ecf1"
+            "out/report_t1000.json": "88929cd4bdd55a027a6912e0923798e49d351343d00b9dcbd65c6559876040df",
+            "out/report_t3000.json": "41921d3ac838480e648b3ac9a9b2cbf4f5fdacbb23feb34f6b8b57c278e17584"
         }
     },
     "singular-all-1-5": {
@@ -311,8 +323,8 @@ GOLDEN = {
         "stdout": "9cb74f4f2cc0229cc13fb626674f2feb97110c83e5cabe8f0041ba941383beb2",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {
-            "out/report_t500.json": "0b85282aa308ff2a8393b6856530424970ce0dbac94f7ccffaec3fcb9aa11cf8",
-            "trace.csv": "c1ce7917dc3d5f32de4ecf57067261cf5435b0f47718cfe9e8524eda330be0ba"
+            "out/report_t500.json": "6ce6b4a59e76b17db0d60f76751a4c36458cab506dec7bc39d07faafcb100f34",
+            "trace.csv": "feea2dd905dd8467bc86a43c189a7c97b009593ce7f42d0df01678f070f7dd3f"
         }
     },
     "tune-alpha-2-reps": {
@@ -347,10 +359,10 @@ GOLDEN = {
         "stdout": "14eb7c92381f6edb1e62b5e9241c9fe828bb3fcdced7a160e867369ff9cc8ac9",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "files": {
-            "out/report_t10.json": "2f538ef3e07c3c1110a289f897e33b33d794af534005b1f0d237a76e7b0ee86c",
+            "out/report_t10.json": "edd77d4cc635b8ee228ad2c6e458b53afb514b65792980a11b43b29a807598a5",
             "out/report_t300.json": "8487f498689df76849af11a71a350dd0edbf845a34db6fdc25b943c44a7513c9",
-            "out/report_t50.json": "44c7f2343750cb4c1657c7881f2f43234ef5a7837c07730a557f95e526ed92ef",
-            "out/report_t51.json": "b601e6f2e5a89f385956ee2de5ea4e69eb31387aae90bc2101cbcc8b02bba0ca"
+            "out/report_t50.json": "c61c8ce4689b04e21cd4831c2123d2b6a84e086c0dbbe495b3f512c6f67f5fa8",
+            "out/report_t51.json": "ce2176cb5dc44e214cbcf4b0c29346fbfeec9d6c9804d4f9e2682b1f2df24e91"
         }
     }
 }
@@ -363,6 +375,10 @@ def test_cli_bytes_match_recorded_digests(name, tmp_path):
 
 def test_worker_count_never_changes_mc_bytes():
     assert GOLDEN["mc-workers-1"] == GOLDEN["mc-workers-2"]
+
+
+def test_replay_without_beta0_gives_the_same_bytes():
+    assert GOLDEN["replay-csv-no-beta0"] == GOLDEN["replay-csv"]
 
 
 if __name__ == "__main__":

@@ -90,11 +90,26 @@ class TestMeanReward:
         assert 0.0 < m.mean_from_index(800.0) < 1.0
 
     def test_array_link_matches_scalar(self):
+        # numpy's exp and log give a float the bits they give the same value
+        # in an array, so each hook's float and array spellings agree exactly.
+        def assert_same_bits(vec, scal):
+            scal = np.array(scal, dtype=np.float64)
+            assert np.array_equal(vec, scal, equal_nan=True)
+            assert np.array_equal(np.signbit(vec), np.signbit(scal))
+
+        gen = np.random.default_rng(4)
+        special = [0.0, 36.7, 745.2, 800.0, 1e308, math.inf, 5e-324, 2.2e-308]
+        u = np.concatenate([gen.normal(0.0, scale, 20_000) for scale in (0.1, 1.0, 5.0, 30.0,
+                                                                         400.0)]
+                           + [special, np.negative(special), [math.nan]])
         m = LogisticModel(3)
-        u = np.linspace(-30, 30, 101)
-        vec = m.mean_from_index_array(u)
-        scal = np.array([m.mean_from_index(float(v)) for v in u])
-        np.testing.assert_allclose(vec, scal, rtol=1e-14)
+        mu = m.mean_from_index_array(u)
+        assert_same_bits(mu, [m.mean_from_index(v) for v in u.tolist()])
+        mu = np.concatenate([mu, [0.0, -0.0, 1.0, 1e-300, 1.0 - 1e-16, 5e-324, math.nan]])
+        y = gen.integers(0, 2, mu.shape[0]).astype(np.float64)
+        with np.errstate(all="ignore"):
+            assert_same_bits(m.loss_from_mean(mu, y),
+                             [m.loss_from_mean(a, b) for a, b in zip(mu.tolist(), y.tolist())])
 
     def test_array_link_equals_masked_formula(self):
         def masked(u):
