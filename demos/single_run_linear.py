@@ -1,16 +1,15 @@
 """One seeded run of the linear setting, printed as an inference table.
 
 The stream makes epsilon-greedy decisions, learns by averaged SGD with
-inverse-propensity-weighted gradients, and keeps the sandwich covariance and
-the value accumulators online.  At the end we print Wald intervals for every
-coordinate and for the optimal-rule value.
+inverse-propensity-weighted gradients, and keeps the plug-in and value sums
+online.  At its one checkpoint, the final step, we print Wald intervals for
+every coordinate and for the optimal-rule value.
 """
 import numpy as np
 
-from banditsgd import (ExplorationSchedule, LearningSchedule, LinearModel,
-                       ReportRow, RngStream, SyntheticConfig, SyntheticEnvironment,
-                       normal_quantile, oracle_value, run_stream, sandwich_covariance,
-                       value_estimate, value_standard_error, wald_report)
+from banditsgd import (ExplorationSchedule, LearningSchedule, LinearModel, RngStream,
+                       SyntheticConfig, SyntheticEnvironment, checkpoint_reports,
+                       oracle_value, run_stream)
 
 BETA0 = np.array([0.3, -0.1, 0.7, 0.8, 0.5, -0.4])
 
@@ -22,16 +21,10 @@ result = run_stream(
     env, model,
     LearningSchedule(alpha=0.5, gamma=0.501),
     ExplorationSchedule.fixed(0.2, burn_in=50),
-    rng, horizon=10_000,
+    rng, horizon=10_000, checkpoints=(10_000,),
 )
 
-cov = sandwich_covariance(result.plugin)
-report = wald_report(result.state.bar_beta, cov, level=0.95)
-eps_final = 0.2
-v = value_estimate(result.value)
-se_v = value_standard_error(result.value, eps_final)
-z = normal_quantile(0.975)
-report.rows.append(ReportRow("V_opt", v, se_v, v - z * se_v, v + z * se_v))
+report = checkpoint_reports(result.summary.checkpoints, level=0.95)[10_000]
 
 print(f"{'name':10s} {'truth':>8s} {'estimate':>9s} {'se':>8s} {'95% CI':>20s}")
 truth_v, _ = oracle_value(model, BETA0, 1_000_000, RngStream(1))

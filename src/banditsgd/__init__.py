@@ -17,16 +17,13 @@ from .experiments import (ConfigError, ExperimentConfig, MonteCarloSummary,
                           TuneAlphaResult, build_config, emit_report,
                           load_config_file, oracle_truth_value, run_monte_carlo,
                           run_replication, run_single, tune_alpha)
-from .inference import (PluginAccumulators, SingularHessianError, normal_cdf,
-                        normal_quantile, sandwich_covariance, two_sided_p,
-                        wald_report)
+from .inference import checkpoint_reports, normal_cdf, normal_quantile, two_sided_p
 from .models import (HESSIAN_EXACT, HESSIAN_OUTER, LinearModel, LogisticModel,
                      ModelFamily, make_model)
 from .policy import (RngStream, derive_seed, exploration_rate, learning_rate,
                      splitmix64)
 from .types import (DimensionError, ExplorationSchedule, InferenceReport,
                     LearningSchedule, ParameterState, ReportRow)
-from .value import (ValueAccumulator, oracle_value, raw_value_variance,
-                    value_estimate, value_standard_error, value_variance)
+from .value import oracle_value
 
 __version__ = "0.1.0"

@@ -24,11 +24,11 @@ from itertools import chain
 import numpy as np
 
 from .environments import SyntheticConfig, SyntheticEnvironment
-from .inference import PluginAccumulators, ipw_weight
+from .inference import ipw_weight
 from .models import _HESSIAN_VARIANTS
 from .policy import RngStream, exploration_rate, learning_rate
 from .types import ExplorationSchedule, LearningSchedule, ParameterState
-from .value import ValueAccumulator, draw_features
+from .value import draw_features
 
 
 class ProtocolError(RuntimeError):
@@ -41,7 +41,9 @@ class Checkpoints:
     ``t``, the exploration rate ``eps`` then in force, the step counts ``n``
     of the plug-in and ``value_t`` of the value sums, the averages
     ``bar_beta`` (K, 2p), and the sums ``S`` and ``H`` (K, 2p, 2p) and
-    ``value`` (K, 4) in ``ValueAccumulator`` order, ``None`` when not collected."""
+    ``value``, ``None`` when not collected.  ``value`` (K, 2) holds the sums
+    of the IPW value terms and of their squares; with AIPW it is (K, 4),
+    the sums of the AIPW terms and of their squares following."""
 
     t: np.ndarray
     eps: np.ndarray
@@ -66,8 +68,6 @@ class RunSummary:
 @dataclass
 class StreamResult:
     state: ParameterState
-    plugin: PluginAccumulators | None
-    value: ValueAccumulator | None
     summary: RunSummary
 
 
@@ -96,11 +96,11 @@ def _fold_rows(acc: np.ndarray, outer: np.ndarray, coef: np.ndarray) -> None:
 class _Sums:
     """The one record of a batch of ``reps`` streams (one for the per-step
     engines): the checkpoint steps ``due``; every sum on a stream axis: the
-    plug-in sums ``S`` and ``H`` (R, 2p, 2p) and the four value sums (R, 4),
-    ``None`` when not collected, and the total rewards (R,); and the first
-    ``k`` checkpoints' ``rows``, with a stream axis after the checkpoint
-    axis in per-stream fields.  Its step counts ``n`` and ``t`` hold for
-    every stream."""
+    plug-in sums ``S`` and ``H`` (R, 2p, 2p) and the value sums (R, 2), or
+    (R, 4) with ``aipw``, ``None`` when not collected, and the total rewards
+    (R,); and the first ``k`` checkpoints' ``rows``, with a stream axis after
+    the checkpoint axis in per-stream fields.  Its step counts ``n`` and
+    ``t`` hold for every stream."""
 
     def __init__(self, model, hessian: str, reps: int, horizon: int, checkpoints,
                  collect_inference: bool, collect_value: bool, aipw: bool, on_steps=None):
@@ -113,7 +113,7 @@ class _Sums:
         dim = 2 * model.p
         self.S = np.zeros((reps, dim, dim)) if collect_inference else None
         self.H = np.zeros((reps, dim, dim)) if collect_inference else None
-        self.value = np.zeros((reps, 4)) if collect_value else None
+        self.value = np.zeros((reps, 4 if aipw else 2)) if collect_value else None
         self.total_reward = np.zeros(reps)
         self.n = self.t = self.k = 0
         # A row per due step within the horizon, and one for the final step
@@ -197,17 +197,7 @@ class _Sums:
         summary.checkpoints = Checkpoints(*(
             None if a is None else a[:self.k] if a.ndim == 1 else a[:self.k, r]
             for a in vars(self.rows).values()))
-        plugin = value = None
-        if self.S is not None:
-            plugin = PluginAccumulators(self.S.shape[-1])
-            plugin.S_sum[:], plugin.H_sum[:] = self.S[r], self.H[r]
-            plugin.n = self.n
-        if self.value is not None:
-            value = ValueAccumulator(aipw=self.aipw)
-            value.sum_v, value.sum_v2, value.sum_aipw, value.sum_aipw2 = self.value[r].tolist()
-            value.t = self.t
-        return StreamResult(ParameterState(hat.copy(), bar.copy(), summary.updates),
-                            plugin, value, summary)
+        return StreamResult(ParameterState(hat.copy(), bar.copy(), summary.updates), summary)
 
 
 def _average(bar: np.ndarray, hat: np.ndarray, t: int) -> None:
@@ -327,7 +317,10 @@ def run_stream(env, model, learn: LearningSchedule, explore: ExplorationSchedule
     ``outcome(x, action)``; an ``outcome`` of ``None`` marks a skipped replay
     entry, which consumes the entry but not a decision step.  A run whose
     environment runs out after at least one step ends with a checkpoint of
-    its final step, unless that step already is one.  Fixed seeds give
+    its final step, unless that step already is one.  Reports come from the
+    checkpoints alone: ``inference.checkpoint_reports`` reads one per
+    checkpoint off ``summary.checkpoints``, so a run that should report at
+    its end passes ``checkpoints=(horizon,)``.  Fixed seeds give
     bit-identical runs.  Each run of steps added to the sums is first passed
     to ``on_steps(t, act, greedy, y, eps, ubar)``, if given, oldest first: the
     step indexes (n,), the taken and greedy actions (uint8) and rewards

@@ -20,14 +20,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import Checkpoints, _batch_capacity, _run_synthetic, run_stream
+from .engine import _batch_capacity, _run_synthetic, run_stream
 from .environments import (ReplayCursor, ReplayLogError, SyntheticConfig, _log_record,
                            load_replay_log)
-from .inference import _parameter_names, _sandwiches, _wald_rows, normal_quantile
+from .inference import _parameter_names, checkpoint_reports, normal_quantile
 from .models import _FAMILIES, _HESSIAN_VARIANTS, make_model
 from .policy import RngStream, derive_seed
 from .types import ExplorationSchedule, InferenceReport, LearningSchedule
-from .value import _value_columns, oracle_value
+from .value import oracle_value
 
 DEFAULT_BETA0_P3 = (0.3, -0.1, 0.7, 0.8, 0.5, -0.4)
 DEFAULT_CHECKPOINT_GRID = (1_000, 10_000, 100_000)
@@ -216,44 +216,6 @@ class SingleRunOutput:
     replay_stats: dict | None = None
 
 
-# Checkpoints whose sandwiches are stacked in one pass; stacking all 500
-# reports of a run raised its peak memory by about 8 MB (README).
-_REPORT_BLOCK = 64
-
-
-def _checkpoint_reports(cps: Checkpoints, config: ExperimentConfig) -> dict[int, InferenceReport]:
-    """Every number of each checkpoint by its step, for ``run`` and ``mc``
-    alike: the parameter rows when the run collected parameter sums, then
-    ``V_opt``, then ``V_opt_aipw`` with aipw.  Rows without a covariance
-    (singular curvature, or a negative or NaN variance) or value steps have
-    NaN numbers, flagged ``singular_hessian`` or ``no_value_steps``.
-    Sandwiches and Wald columns are built for up to ``_REPORT_BLOCK``
-    checkpoints at once."""
-    rows = [[] for _ in cps.t]
-    if cps.S is not None:
-        names = _parameter_names(cps.bar_beta.shape[1])
-        for b in range(0, len(rows), _REPORT_BLOCK):
-            block = slice(b, b + _REPORT_BLOCK)
-            cov, ridged, _, ok = _sandwiches(cps.S[block], cps.H[block], cps.n[block],
-                                             ridge=config.ridge)
-            flags = np.where(ok, np.where(ridged, "ridge", ""), "singular_hessian").tolist()
-            rows[block] = _wald_rows(cps.bar_beta[block], np.diagonal(cov, axis1=1, axis2=2),
-                                     config.level, names, flags, np.zeros(len(names)))
-    t, empty = cps.value_t, cps.value_t == 0
-    # Empty, NaN or overflowing sums give NaN or inf without a warning, as floats do.
-    with np.errstate(all="ignore"):
-        for j, name in enumerate(("V_opt", "V_opt_aipw")[:1 + config.aipw]):
-            est, raw = _value_columns(*cps.value[:, 2 * j:2 * j + 2].T, t, cps.eps, j == 1)
-            flags = np.where(empty, "no_value_steps", "experimental" if j else
-                             np.where(raw < 0.0, "variance_clamped", "")).tolist()
-            # value_variance's clamp, which also reads a raw -0.0 as +0.0.
-            est, var = (np.where(empty, math.nan, a)[:, None]
-                        for a in (est, np.where(raw <= 0.0, 0.0, raw) / t))
-            for cp_rows, (row,) in zip(rows, _wald_rows(est, var, config.level, [name], flags)):
-                cp_rows.append(row)
-    return {k: InferenceReport(config.level, r) for k, r in zip(cps.t.tolist(), rows)}
-
-
 def _step_losses(model, act, y, ubar) -> np.ndarray:
     """Loss of the pre-step average on each step of an ``on_steps`` block."""
     mu = model.mean_from_index_array(np.where(act, ubar[..., 1], ubar[..., 0]))
@@ -315,7 +277,8 @@ def run_single(config: ExperimentConfig) -> SingleRunOutput:
                 config.exploration_schedule(), rng, config.horizon, hessian=config.hessian,
                 aipw=config.aipw, skip_value_burn_in=config.value_skip_burn_in,
                 checkpoints=config.effective_checkpoints(), on_steps=on_steps)
-    reports = _checkpoint_reports(result.summary.checkpoints, config)
+    reports = checkpoint_reports(result.summary.checkpoints, config.level,
+                                 ridge=config.ridge)
     out_dir = Path(config.out)
     paths = [emit_report(report, config.format, out_dir / f"report_t{t}.{config.format}")
              for t, report in reports.items()]
@@ -354,7 +317,8 @@ def _mc_batch(job, collect_inference: bool = True) -> list[RepResult]:
     for (rep, seed), stream in zip(reps, streams):
         result = RepResult(rep=rep, seed=seed)
         try:
-            result.reports = _checkpoint_reports(stream.summary.checkpoints, config)
+            result.reports = checkpoint_reports(stream.summary.checkpoints, config.level,
+                                                ridge=config.ridge)
         except Exception as exc:  # noqa: BLE001 - failures are recorded, not fatal
             result.error = f"{type(exc).__name__}: {exc}"
         out.append(result)

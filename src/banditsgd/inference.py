@@ -1,10 +1,11 @@
-"""Online plugin accumulators, sandwich covariance, and Wald reporting.
+"""Checkpoint inference: the plug-in sandwich covariance, and the Wald and
+value reports read off a run's ``Checkpoints``.
 
-The accumulators keep running sums of the weighted-gradient outer products
-and of the inverse-propensity-weighted curvatures, both evaluated at the
-running average of the iterates before each step.  Storage is O(p^2)
-regardless of the stream length; the engine adds a fixed pending block of at
-most 2^16 floats per array, whose steps it folds into the sums in order.
+The engine keeps running sums of the weighted-gradient outer products and
+of the inverse-propensity-weighted curvatures, both evaluated at the running
+average of the iterates before each step, and records them at every
+checkpoint.  ``checkpoint_reports`` turns that record into one report per
+checkpoint, for ``run``, ``mc`` and library callers alike.
 """
 from __future__ import annotations
 
@@ -13,39 +14,15 @@ import math
 import numpy as np
 
 from .types import InferenceReport, ReportRow
+from .value import _value_columns
 
 # A curvature estimate with a larger condition number is not inverted as is.
 _MAX_CONDITION = 1e12
 # A diagonal covariance entry below -_VARIANCE_TOL is not rounding noise.
 _VARIANCE_TOL = 1e-10
-
-
-class SingularHessianError(RuntimeError):
-    """Curvature estimate too ill-conditioned to invert, or plug-in sums that
-    are not finite (``finite`` false)."""
-
-    def __init__(self, condition: float, ridged: bool = False, finite: bool = True):
-        advice = ("the ridge fallback was applied; accumulate more steps" if ridged
-                  else "accumulate more steps or enable the ridge fallback")
-        message = (f"curvature matrix is numerically singular "
-                   f"(condition estimate {condition:.3e}); {advice}")
-        if not finite:
-            message = ("plug-in sums are not finite (the iterate diverged); "
-                       "use a smaller learning-rate constant alpha")
-        super().__init__(message)
-        self.condition = condition
-
-
-class PluginAccumulators:
-    """Running sums for the gradient second moment and the weighted curvature."""
-
-    def __init__(self, dim: int):
-        if dim < 2 or dim % 2 != 0:
-            raise ValueError(f"accumulator dimension must be even and positive, got {dim}")
-        self.dim = dim
-        self.S_sum = np.zeros((dim, dim))
-        self.H_sum = np.zeros((dim, dim))
-        self.n = 0
+# Checkpoints whose sandwiches are stacked in one pass; stacking all 500
+# reports of a run raised its peak memory by about 8 MB (README).
+_REPORT_BLOCK = 64
 
 
 def ipw_weight(a: int, pi: float) -> float:
@@ -56,40 +33,22 @@ def ipw_weight(a: int, pi: float) -> float:
     return 1.0 / (2.0 * pi) if a == 1 else 1.0 / (2.0 * (1.0 - pi))
 
 
-def sandwich_covariance(acc: PluginAccumulators, *, ridge: bool = False) -> np.ndarray:
-    """Covariance estimate of the averaged iterate: Hhat^-1 Shat Hhat^-T / n.
-
-    The curvature is factored symmetrically (eigendecomposition); no explicit
-    cofactor inversion.  If its condition number exceeds 1e12 a
-    SingularHessianError carrying the estimate is raised, unless ``ridge`` is
-    set, in which case lam = 1e-8 * trace(Hhat) / dim is added to the diagonal
-    before inverting.  A result with a diagonal entry below -1e-10 (seen with
-    the ridge at very short horizons, where cancellation swamps the tiny
-    eigenvalues) or NaN (a diverged run) also raises SingularHessianError.
-    After the ridge, the error says so and carries the condition number of
-    the ridged curvature; when a sum is not finite, it says so instead.
-    """
-    cov, ridged, cond, ok = _sandwiches(acc.S_sum[None], acc.H_sum[None], np.array([acc.n]),
-                                        ridge=ridge)
-    if not ok[0]:
-        finite = np.isfinite(acc.S_sum).all() and np.isfinite(acc.H_sum).all()
-        raise SingularHessianError(float(cond[0]), bool(ridged[0]), bool(finite))
-    return cov[0]
-
-
 def _sandwiches(S: np.ndarray, H: np.ndarray, n: np.ndarray, *, ridge: bool = False):
-    """``sandwich_covariance`` of every row of the plug-in sums ``S`` and
-    ``H`` (K, dim, dim) over ``n`` (K,) steps, as four columns: the
-    covariances ``cov`` (K, dim, dim), NaN where none came out; whether the
-    ridge was applied, ``ridged`` (K,); the condition estimate of the
-    curvature that was inverted, ``cond`` (K,); and whether a covariance came
-    out, ``ok`` (K,).  Where ``ok`` is false, the one-matrix call raises
-    ``SingularHessianError(cond, ridged)``.
+    """Covariance estimates of the averaged iterate, Hhat^-1 Shat Hhat^-T / n,
+    for every row of the plug-in sums ``S`` and ``H`` (K, dim, dim) over
+    ``n`` (K,) steps, as four columns: the covariances ``cov``
+    (K, dim, dim), NaN where none came out; whether the ridge was applied,
+    ``ridged`` (K,); the condition estimate of the curvature that was
+    inverted, ``cond`` (K,); and whether a covariance came out, ``ok`` (K,).
 
-    One stacked ``eigh`` and stacked ``matmul`` calls serve all of them; each
-    slice equals its one-matrix call bit for bit (README, "Defaults").  Only
-    the curvatures that fail the condition check are factored again with the
-    ridge.
+    Each curvature is factored symmetrically (one stacked ``eigh``; no
+    explicit inversion), and each slice equals its one-row call bit for bit
+    (README, "Defaults").  No covariance comes out of a curvature whose
+    condition number exceeds 1e12, unless ``ridge`` is set, in which case
+    only those curvatures are factored again with lam = 1e-8 * trace / dim
+    added to the diagonal.  Nor does one come out where a diagonal entry
+    falls below -1e-10 (seen with the ridge at very short horizons, where
+    cancellation swamps the tiny eigenvalues) or is NaN (a diverged run).
     """
     if n.min() < 1:
         raise ValueError("no accumulated steps")
@@ -181,40 +140,19 @@ def normal_quantile(prob: float) -> float:
 
 
 def _parameter_names(dim: int) -> list[str]:
-    if dim % 2 == 0 and dim > 0:
-        p = dim // 2
-        return [f"beta0_{j + 1}" for j in range(p)] + [f"beta1_{j + 1}" for j in range(p)]
-    return [f"b{j + 1}" for j in range(dim)]
-
-
-def wald_report(bar_beta, cov, level: float = 0.95, null=None) -> InferenceReport:
-    """Per-coordinate Wald intervals, t statistics, and two-sided p values.
-
-    A zero standard error yields t = +/-inf with p = 0, except when the
-    estimate equals the null, in which case t = 0 and p = 1.
-    """
-    bar_beta = np.asarray(bar_beta, dtype=np.float64)
-    cov = np.asarray(cov, dtype=np.float64)
-    dim = bar_beta.shape[0]
-    if cov.shape != (dim, dim):
-        raise ValueError(f"covariance shape {cov.shape} does not match estimate length {dim}")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"confidence level must lie in (0, 1), got {level}")
-    variances = np.diag(cov)
-    if variances.min() < -_VARIANCE_TOL:
-        raise ValueError(f"negative variance on the diagonal: {variances.min()}")
-    null = np.zeros(dim) if null is None else np.asarray(null, dtype=np.float64)
-    if null.shape != (dim,):
-        raise ValueError(f"null shape {null.shape} does not match estimate shape {(dim,)}")
-    (rows,) = _wald_rows(bar_beta[None], variances[None], level, _parameter_names(dim), [""], null)
-    return InferenceReport(level=level, rows=rows)
+    """The names of the ``dim`` coordinates, in block order."""
+    p = dim // 2
+    return [f"beta0_{j + 1}" for j in range(p)] + [f"beta1_{j + 1}" for j in range(p)]
 
 
 def _wald_rows(est: np.ndarray, variances: np.ndarray, level: float, names, flags,
                null: np.ndarray | None = None) -> list[list[ReportRow]]:
-    """``wald_report``'s rows, named ``names``, for each row of the (K, dim)
-    estimates and variances, computed column-wise; row ``k``'s records carry
-    ``flags[k]``.  A NaN variance gives NaN numbers.  Without a ``null`` the
+    """Per-coordinate Wald records, named ``names``, for each row of the
+    (K, dim) estimates and variances, computed column-wise: intervals at
+    ``level`` and, against a ``null``, t statistics and two-sided p values;
+    row ``k``'s records carry ``flags[k]``.  A NaN variance gives NaN
+    numbers.  A zero standard error gives t = +/-inf with p = 0, or t = 0
+    with p = 1 where the estimate equals the null.  Without a ``null`` the
     records have no t statistic or p value."""
     z = normal_quantile(0.5 * (1.0 + level))
     # max(v, 0.0) entry for entry, signed zeros and NaN included.
@@ -228,3 +166,43 @@ def _wald_rows(est: np.ndarray, variances: np.ndarray, level: float, names, flag
         columns += [t, np.reshape(list(map(two_sided_p, t.ravel().tolist())), t.shape)]
     return [[ReportRow(name, *numbers, flag=flag) for name, *numbers in zip(names, *cols)]
             for flag, *cols in zip(flags, *(a.tolist() for a in columns))]
+
+
+def checkpoint_reports(checkpoints, level: float = 0.95, *,
+                       ridge: bool = False) -> dict[int, InferenceReport]:
+    """Every number of each checkpoint of a run's ``Checkpoints`` record, by
+    its step: the parameter rows when the run collected parameter sums, then
+    ``V_opt`` when it collected value sums, then ``V_opt_aipw`` when those
+    include the AIPW sums.  Intervals are at ``level``; ``ridge`` is the
+    ridge fallback of ``_sandwiches``.  Rows without a covariance (singular
+    curvature, or a negative or NaN variance) or value steps have NaN
+    numbers, flagged ``singular_hessian`` or ``no_value_steps`` (README,
+    "Report flags").  Sandwiches and Wald columns are built for up to
+    ``_REPORT_BLOCK`` checkpoints at once."""
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must lie in (0, 1), got {level}")
+    cps = checkpoints
+    rows = [[] for _ in cps.t]
+    if cps.S is not None:
+        names = _parameter_names(cps.bar_beta.shape[1])
+        for b in range(0, len(rows), _REPORT_BLOCK):
+            block = slice(b, b + _REPORT_BLOCK)
+            cov, ridged, _, ok = _sandwiches(cps.S[block], cps.H[block], cps.n[block],
+                                             ridge=ridge)
+            flags = np.where(ok, np.where(ridged, "ridge", ""), "singular_hessian").tolist()
+            rows[block] = _wald_rows(cps.bar_beta[block], np.diagonal(cov, axis1=1, axis2=2),
+                                     level, names, flags, np.zeros(len(names)))
+    if cps.value is not None:
+        t, empty = cps.value_t, cps.value_t == 0
+        # Empty, NaN or overflowing sums give NaN or inf without a warning, as floats do.
+        with np.errstate(all="ignore"):
+            for j, name in enumerate(("V_opt", "V_opt_aipw")[:cps.value.shape[1] // 2]):
+                est, raw = _value_columns(*cps.value[:, 2 * j:2 * j + 2].T, t, cps.eps, j == 1)
+                flags = np.where(empty, "no_value_steps", "experimental" if j else
+                                 np.where(raw < 0.0, "variance_clamped", "")).tolist()
+                # The clamp at zero also reads a raw -0.0 as +0.0.
+                est, var = (np.where(empty, math.nan, a)[:, None]
+                            for a in (est, np.where(raw <= 0.0, 0.0, raw) / t))
+                for cp_rows, (row,) in zip(rows, _wald_rows(est, var, level, [name], flags)):
+                    cp_rows.append(row)
+    return {k: InferenceReport(level, r) for k, r in zip(cps.t.tolist(), rows)}

@@ -16,12 +16,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from banditsgd.inference import PluginAccumulators, ipw_weight
+from banditsgd.inference import ipw_weight
 from banditsgd.environments import ReplayCursor
 from banditsgd.models import HESSIAN_EXACT, _HESSIAN_VARIANTS
 from banditsgd.policy import RngStream, learning_rate
 from banditsgd.types import DimensionError, LearningSchedule, ParameterState, as_float_vector
-from banditsgd.value import ValueAccumulator
 
 
 @dataclass(frozen=True)
@@ -165,82 +164,44 @@ def sgd_step(state: ParameterState, model, schedule: LearningSchedule,
 # One step of the plug-in and value sums.
 # ---------------------------------------------------------------------------
 
-def accumulate(acc: PluginAccumulators, model, bar_beta_prev, obs: Observation,
-               pi_prev: float, variant: str = "exact") -> PluginAccumulators:
-    """Add one step to the running sums.
+def accumulate(S: np.ndarray, H: np.ndarray, model, bar_beta_prev, obs: Observation,
+               pi_prev: float, variant: str = "exact") -> None:
+    """Add one step to the running plug-in sums ``S`` and ``H`` (2p, 2p), in
+    place.
 
     ``bar_beta_prev`` must be the averaged iterate before the step and
-    ``pi_prev`` the propensity that actually sampled ``obs.a``.  Mutates and
-    returns ``acc``.
+    ``pi_prev`` the propensity that actually sampled ``obs.a``.
     """
     w = ipw_weight(obs.a, pi_prev)
     g = w * loss_gradient(model, bar_beta_prev, obs)
-    acc.S_sum += np.outer(g, g)
-    acc.H_sum += w * loss_hessian(model, bar_beta_prev, obs, variant)
-    acc.n += 1
-    return acc
+    S += np.outer(g, g)
+    H += w * loss_hessian(model, bar_beta_prev, obs, variant)
 
 
-def merge_plugin(acc: PluginAccumulators, other: PluginAccumulators) -> PluginAccumulators:
-    """Combine streams by summing sums and counts."""
-    if other.dim != acc.dim:
-        raise ValueError("cannot merge accumulators of different dimensions")
-    acc.S_sum += other.S_sum
-    acc.H_sum += other.H_sum
-    acc.n += other.n
-    return acc
-
-
-def s_hat(acc: PluginAccumulators) -> np.ndarray:
-    if acc.n < 1:
-        raise ValueError("no accumulated steps")
-    return acc.S_sum / acc.n
-
-
-def h_hat(acc: PluginAccumulators) -> np.ndarray:
-    if acc.n < 1:
-        raise ValueError("no accumulated steps")
-    return acc.H_sum / acc.n
-
-
-def add_scalars(acc: ValueAccumulator, a: int, y: float, decided_optimal: int,
-                eps_t: float, mu_hat: float | None = None) -> None:
-    """Add one step's value terms: C y / pi_C and C y^2 / pi_C, and with aipw
-    the augmented term and its square."""
+def update_value(sums: np.ndarray, obs: Observation, decided_optimal: int,
+                 eps_t: float, mu_hat: float | None = None) -> np.ndarray:
+    """Add one step's value terms to ``sums``, in place and in the column
+    order of ``Checkpoints.value``: C y / pi_C and C y^2 / pi_C, then, when
+    ``sums`` has four entries, the augmented term and its square.
+    ``decided_optimal`` is the greedy action under the pre-step averaged
+    iterate and ``eps_t`` the exploration rate in force when the action was
+    sampled.  Returns ``sums``."""
     if not 0.0 < eps_t <= 1.0:
         raise ValueError(f"exploration rate must lie in (0, 1], got {eps_t}")
     pi_c = 1.0 - eps_t / 2.0
-    consistent = a == decided_optimal
+    consistent = obs.a == decided_optimal
     if consistent:
-        w = y / pi_c
-        acc.sum_v += w
-        acc.sum_v2 += y * w
-    if acc.aipw:
+        w = obs.y / pi_c
+        sums[0] += w
+        sums[1] += obs.y * w
+    if len(sums) == 4:
         if mu_hat is None:
             raise ValueError("augmented estimator requires the modeled mean reward")
         c = 1.0 if consistent else 0.0
-        term = c * y / pi_c - (c - pi_c) / pi_c * mu_hat
-        acc.sum_aipw += term
-        acc.sum_aipw2 += term * term
-    acc.t += 1
-
-
-def update_value(acc: ValueAccumulator, obs: Observation, decided_optimal: int,
-                 eps_t: float, mu_hat: float | None = None) -> ValueAccumulator:
-    """Add one step; ``decided_optimal`` is the greedy action under the
-    pre-step averaged iterate and ``eps_t`` the exploration rate in force when
-    the action was sampled.  Mutates and returns ``acc``."""
-    add_scalars(acc, obs.a, obs.y, decided_optimal, eps_t, mu_hat)
-    return acc
-
-
-def merge_value(acc: ValueAccumulator, other: ValueAccumulator) -> ValueAccumulator:
-    acc.sum_v += other.sum_v
-    acc.sum_v2 += other.sum_v2
-    acc.sum_aipw += other.sum_aipw
-    acc.sum_aipw2 += other.sum_aipw2
-    acc.t += other.t
-    return acc
+        term = c * obs.y / pi_c - (c - pi_c) / pi_c * mu_hat
+        sums[2] += term
+        sums[3] += term * term
+    return sums
 
 
 # ---------------------------------------------------------------------------

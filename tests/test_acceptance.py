@@ -202,8 +202,9 @@ def test_criterion_06_curvature_oracle():
     env = SyntheticEnvironment(SyntheticConfig(model, BETA0, sigma2=0.01), rng)
     res = run_stream(env, model, LearningSchedule(0.5, 0.501),
                      ExplorationSchedule.fixed(0.2), rng, 100_000,
-                     collect_value=False)
-    h_hat = oracle.h_hat(res.plugin)
+                     collect_value=False, checkpoints=(100_000,))
+    cps = res.summary.checkpoints
+    h_hat = cps.H[-1] / cps.n[-1]
 
     # Oracle: average curvature-times-weight under the uniform-random rule
     # (the weight is identically one there), recomputed by simulation.

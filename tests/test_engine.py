@@ -14,8 +14,7 @@ from banditsgd import (ExplorationSchedule, LearningSchedule, LinearModel,
 from banditsgd import engine
 from banditsgd.environments import LaggedSyntheticEnvironment, constant_lag, geometric_lag
 from banditsgd.experiments import _map_jobs, _step_losses, _trace_steps
-from banditsgd.inference import PluginAccumulators, ipw_weight
-from banditsgd.value import ValueAccumulator
+from banditsgd.inference import ipw_weight
 
 from oracle import (Observation, RecordingEnvironment, accumulate, assert_same_checkpoints,
                     decide_optimal, ipw_gradient, loss, loss_gradient, mean_reward,
@@ -173,17 +172,17 @@ class TestRunStream:
         env = RecordingEnvironment(env)
         res = run_stream(env, m, LEARN, EXPLORE, rng, 1, checkpoints=(1,))
         seen = [(pi, eps) for _, _, pi, eps, _ in recorded_steps(m, env, res)]
-        assert res.summary.steps == 1 and res.plugin.n == 1 and res.value.t == 1
+        cps = res.summary.checkpoints
+        assert res.summary.steps == 1 and cps.n.tolist() == cps.value_t.tolist() == [1]
         assert seen == [(0.5, 1.0)]
 
     def test_fixed_seed_bit_identical(self):
         m1, env1, rng1 = make_env(seed=42)
         m2, env2, rng2 = make_env(seed=42)
-        r1 = run_stream(env1, m1, LEARN, EXPLORE, rng1, 3000)
-        r2 = run_stream(env2, m2, LEARN, EXPLORE, rng2, 3000)
+        r1 = run_stream(env1, m1, LEARN, EXPLORE, rng1, 3000, checkpoints=(3000,))
+        r2 = run_stream(env2, m2, LEARN, EXPLORE, rng2, 3000, checkpoints=(3000,))
         np.testing.assert_array_equal(r1.state.bar_beta, r2.state.bar_beta)
-        np.testing.assert_array_equal(r1.plugin.S_sum, r2.plugin.S_sum)
-        assert r1.value.sum_v == r2.value.sum_v
+        assert_same_checkpoints(r1.summary.checkpoints, r2.summary.checkpoints)
 
     @pytest.mark.parametrize("family", ["linear", "logistic"])
     def test_engine_matches_public_operations(self, family):
@@ -195,19 +194,19 @@ class TestRunStream:
                          ExplorationSchedule.fixed(0.2, burn_in=10), rng, 1500,
                          checkpoints=range(1, 1501))
         state = zero_state(3)
-        acc = PluginAccumulators(6)
-        val = ValueAccumulator()
+        s_sum, h_sum, val = np.zeros((6, 6)), np.zeros((6, 6)), np.zeros(2)
         for bar_prev, obs, pi, eps, greedy in recorded_steps(m, env, res):
             np.testing.assert_allclose(bar_prev, state.bar_beta, rtol=1e-10, atol=1e-13)
-            accumulate(acc, m, state.bar_beta, obs, pi)
+            accumulate(s_sum, h_sum, m, state.bar_beta, obs, pi)
             update_value(val, obs, greedy, eps)
             state = sgd_step(state, m, LEARN, obs, pi)
+        cps = res.summary.checkpoints
         np.testing.assert_allclose(res.state.hat_beta, state.hat_beta, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(res.state.bar_beta, state.bar_beta, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(res.plugin.S_sum, acc.S_sum, rtol=1e-12, atol=1e-13)
-        np.testing.assert_allclose(res.plugin.H_sum, acc.H_sum, rtol=1e-12, atol=1e-13)
-        assert res.value.t == val.t
-        assert res.value.sum_v == pytest.approx(val.sum_v, rel=1e-13)
+        np.testing.assert_allclose(cps.S[-1], s_sum, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(cps.H[-1], h_sum, rtol=1e-12, atol=1e-13)
+        assert cps.n[-1] == cps.value_t[-1] == 1500
+        assert cps.value[-1, 0] == pytest.approx(val[0], rel=1e-13)
 
     @pytest.mark.parametrize("kind", ["plain", "lagged", "synthetic"])
     def test_unknown_hessian_variant_rejected(self, kind):
@@ -314,25 +313,19 @@ class TestRunStream:
 
     def test_value_burn_in_exclusion_switch(self):
         m1, env1, rng1 = make_env(seed=9)
-        keep = run_stream(env1, m1, LEARN, EXPLORE, rng1, 200)
+        keep = run_stream(env1, m1, LEARN, EXPLORE, rng1, 200, checkpoints=(200,))
         m2, env2, rng2 = make_env(seed=9)
-        skip = run_stream(env2, m2, LEARN, EXPLORE, rng2, 200, skip_value_burn_in=True)
-        assert keep.value.t == 200
-        assert skip.value.t == 200 - EXPLORE.burn_in
+        skip = run_stream(env2, m2, LEARN, EXPLORE, rng2, 200, skip_value_burn_in=True,
+                          checkpoints=(200,))
+        assert keep.summary.checkpoints.value_t.tolist() == [200]
+        assert skip.summary.checkpoints.value_t.tolist() == [200 - EXPLORE.burn_in]
         np.testing.assert_array_equal(keep.state.bar_beta, skip.state.bar_beta)
 
 
-def _sums(res):
-    """The sums at the end of a run."""
-    pl, v = res.plugin, res.value
-    return (pl.S_sum, pl.H_sum, pl.n, v.sum_v, v.sum_v2, v.sum_aipw, v.sum_aipw2, v.t)
-
-
 def _assert_same_sums(got, want):
-    """Two runs with equal checkpoints, every field, and equal final sums."""
+    """Two runs with equal checkpoints, every field; runs that end with a
+    checkpoint so have equal final sums."""
     assert_same_checkpoints(got.summary.checkpoints, want.summary.checkpoints)
-    for a, b in zip(_sums(got), _sums(want)):
-        np.testing.assert_array_equal(a, b)
 
 
 def _replay_log(rows, seed=6):
@@ -359,9 +352,9 @@ class TestExhaustedRunRecord:
         assert cps.eps[-1] == exploration_rate(self.explore, steps)
         assert cps.eps[-1] != exploration_rate(self.explore, steps + 1)
         np.testing.assert_array_equal(cps.bar_beta[-1], res.state.bar_beta)
-        last = (cps.S[-1], cps.H[-1], cps.n[-1], *cps.value[-1], cps.value_t[-1])
-        for a, b in zip(last, _sums(res)):
-            np.testing.assert_array_equal(a, b)
+        assert cps.n[-1] == cps.value_t[-1] == steps
+        # The record equals that of the run asked for a checkpoint there.
+        _assert_same_sums(self._run(_replay_log(40), checkpoints=(5, steps)), res)
 
     def test_final_checkpoint_is_not_recorded_twice(self):
         log = _replay_log(40)
@@ -384,7 +377,7 @@ class TestExhaustedRunRecord:
 def _folded_sums(rows, horizon, checkpoints, *, family="linear", p=3, lag=None,
                  env_wrapper=None, **kw):
     """A seeded run whose pending block holds at most ``rows`` steps
-    (``None`` keeps the default)."""
+    (``None`` keeps the default), with a checkpoint at its final step too."""
     model = make_model(family, p)
     rng = RngStream(11)
     config = SyntheticConfig(model, np.linspace(-0.5, 0.6, 2 * p))
@@ -395,8 +388,9 @@ def _folded_sums(rows, horizon, checkpoints, *, family="linear", p=3, lag=None,
             env, run = LaggedSyntheticEnvironment(config, rng, lag=lag), run_stream_lagged
         if env_wrapper is not None:
             env = env_wrapper(env)
+        checkpoints = sorted({*checkpoints, horizon})
         res = run(env, model, LEARN, EXPLORE, rng, horizon, checkpoints=checkpoints, **kw)
-    assert res.summary.checkpoints.t.tolist() == sorted(checkpoints)
+    assert res.summary.checkpoints.t.tolist() == checkpoints
     return res
 
 
@@ -465,8 +459,7 @@ class TestBlockFolding:
         env = RecordingEnvironment(env)
         res = run_stream(env, m, LEARN, EXPLORE, rng, 2500, hessian=hessian,
                          aipw=True, checkpoints=range(1, 2501))
-        s_sum, h_sum = np.zeros((6, 6)), np.zeros((6, 6))
-        val = ValueAccumulator(aipw=True)
+        s_sum, h_sum, val = np.zeros((6, 6)), np.zeros((6, 6)), np.zeros(4)
         steps = recorded_steps(m, env, res)
         for bar, obs, pi, eps, greedy in steps:
             x, a, y = obs.x, obs.a, obs.y
@@ -479,11 +472,11 @@ class TestBlockFolding:
             h_sum[blk, blk] += xx * (m.hessian_scale(mu, y, hessian) * w)
             g_blk = slice(3, 6) if greedy == 1 else slice(0, 3)
             update_value(val, obs, greedy, eps, m.mean_from_index(float(x @ bar[g_blk])))
-        np.testing.assert_array_equal(res.plugin.S_sum, s_sum)
-        np.testing.assert_array_equal(res.plugin.H_sum, h_sum)
-        assert res.plugin.n == len(steps) == val.t == res.value.t
-        assert (res.value.sum_v, res.value.sum_v2) == (val.sum_v, val.sum_v2)
-        assert (res.value.sum_aipw, res.value.sum_aipw2) == (val.sum_aipw, val.sum_aipw2)
+        cps = res.summary.checkpoints
+        np.testing.assert_array_equal(cps.S[-1], s_sum)
+        np.testing.assert_array_equal(cps.H[-1], h_sum)
+        assert cps.n[-1] == len(steps) == cps.value_t[-1]
+        assert cps.value[-1].tolist() == val.tolist()
 
     def test_environment_reusing_one_feature_array(self):
         cps = (100, 1500)
@@ -568,7 +561,7 @@ class TestSyntheticTables:
         else:
             assert_same_checkpoints(got.summary.checkpoints, want.summary.checkpoints)
             cps = got.summary.checkpoints
-            assert cps.S is cps.H is cps.value is got.plugin is got.value is None
+            assert cps.S is cps.H is cps.value is None
 
 
 def _seen_steps(run, *args, **kw) -> list[np.ndarray]:
@@ -681,12 +674,11 @@ class TestRunStreamLagged:
     def test_zero_lag_equals_plain_stream(self):
         m1, _, rng1 = make_env(seed=21)
         env1 = LaggedSyntheticEnvironment(SyntheticConfig(m1, BETA0), rng1, lag=0)
-        lag_res = run_stream_lagged(env1, m1, LEARN, EXPLORE, rng1, 800)
+        lag_res = run_stream_lagged(env1, m1, LEARN, EXPLORE, rng1, 800, checkpoints=(800,))
         m2, env2, rng2 = make_env(seed=21)
-        plain = run_stream(env2, m2, LEARN, EXPLORE, rng2, 800)
+        plain = run_stream(env2, m2, LEARN, EXPLORE, rng2, 800, checkpoints=(800,))
         np.testing.assert_array_equal(lag_res.state.bar_beta, plain.state.bar_beta)
-        np.testing.assert_array_equal(lag_res.plugin.S_sum, plain.plugin.S_sum)
-        assert lag_res.value.sum_v == plain.value.sum_v
+        assert_same_checkpoints(lag_res.summary.checkpoints, plain.summary.checkpoints)
         assert lag_res.summary.pending == 0
 
     def test_unit_lag_is_one_update_behind(self):
@@ -757,11 +749,10 @@ class TestRunStreamLagged:
 
         with mock.patch.object(engine, "_sgd_step", spy):
             res = run_stream_lagged(env, m, LEARN, explore, rng, 700, aipw=True,
-                                    skip_value_burn_in=True)
+                                    skip_value_burn_in=True, checkpoints=(700,))
         bars.append(res.state.bar_beta)
-        s_sum, h_sum = np.zeros((6, 6)), np.zeros((6, 6))
-        val = ValueAccumulator(aipw=True)
-        stored, updates = {}, 0
+        s_sum, h_sum, val = np.zeros((6, 6)), np.zeros((6, 6)), np.zeros(4)
+        stored, updates, value_steps = {}, 0, 0
         for ev in env.events:
             bar = bars[updates]
             if ev[0] == "action":
@@ -782,13 +773,14 @@ class TestRunStreamLagged:
                 g_blk = slice(3, 6) if greedy == 1 else slice(0, 3)
                 update_value(val, Observation(x, a, y), greedy, eps,
                              m.mean_from_index(float(x @ bar[g_blk])))
+                value_steps += 1
             updates += 1
-        assert updates == res.summary.updates == res.plugin.n > 600
-        assert 0 < val.t == res.value.t < updates
-        np.testing.assert_array_equal(res.plugin.S_sum, s_sum)
-        np.testing.assert_array_equal(res.plugin.H_sum, h_sum)
-        assert (res.value.sum_v, res.value.sum_v2) == (val.sum_v, val.sum_v2)
-        assert (res.value.sum_aipw, res.value.sum_aipw2) == (val.sum_aipw, val.sum_aipw2)
+        cps = res.summary.checkpoints
+        assert updates == res.summary.updates == cps.n[-1] > 600
+        assert 0 < value_steps == cps.value_t[-1] < updates
+        np.testing.assert_array_equal(cps.S[-1], s_sum)
+        np.testing.assert_array_equal(cps.H[-1], h_sum)
+        assert cps.value[-1].tolist() == val.tolist()
 
     def test_out_of_order_arrival_raises(self):
         m, _, rng = make_env(seed=41)

@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banditsgd import (ConfigError, ExperimentConfig, InferenceReport,
-                       MonteCarloSummary, ReportRow, TuneAlphaResult, build_config,
-                       emit_report, load_config_file, oracle_truth_value,
-                       run_monte_carlo, run_replication, run_single, tune_alpha)
+                       MonteCarloSummary, ReportRow, RngStream, SyntheticEnvironment,
+                       TuneAlphaResult, build_config, checkpoint_reports, emit_report,
+                       load_config_file, oracle_truth_value, run_monte_carlo,
+                       run_replication, run_single, run_stream, tune_alpha)
 from banditsgd import experiments
 from banditsgd.cli import _overrides_from_args, build_parser
 from banditsgd.experiments import (McRow, TuneAlphaRow, _launch, _mc_batch,
@@ -296,24 +297,40 @@ PARITY_CASES = [
     dict(model="linear", aipw=True, value_skip_burn_in=True, checkpoints=(20, 400)),
     dict(model="linear", horizon=1, checkpoints=None, ridge=True),
     dict(model="logistic", horizon=1, checkpoints=None, ridge=True),
+    dict(model="logistic", aipw=True, value_skip_burn_in=True, ridge=True,
+         checkpoints=(1, 20, 400)),
 ]
 
 
 def _row_keys(report):
     # repr keeps every bit and lets NaN compare equal to NaN.
-    return [(r.name, repr(r.estimate), repr(r.se), r.flag) for r in report.rows]
+    return [tuple(repr(getattr(r, f.name)) for f in fields(r)) for r in report.rows]
+
+
+def _library_reports(cfg):
+    """The reports a library caller reads off ``run_stream`` on the
+    configured synthetic stream."""
+    synth = cfg.synthetic_config()
+    rng = RngStream(cfg.seed)
+    res = run_stream(SyntheticEnvironment(synth, rng), synth.model, cfg.learning_schedule(),
+                     cfg.exploration_schedule(), rng, cfg.horizon, hessian=cfg.hessian,
+                     aipw=cfg.aipw, skip_value_burn_in=cfg.value_skip_burn_in,
+                     checkpoints=cfg.effective_checkpoints())
+    return checkpoint_reports(res.summary.checkpoints, cfg.level, ridge=cfg.ridge)
 
 
 @pytest.mark.parametrize("case", PARITY_CASES,
                          ids=lambda c: "-".join(f"{k}={v}" for k, v in c.items()))
 def test_run_and_replication_report_the_same_rows(case, tmp_path):
+    # run, one mc replication and a library run: every field of every row.
     cfg = small_config(out=str(tmp_path), **case)
     single = run_single(cfg)
     rep = run_replication(cfg, 0, rep_seed=cfg.seed)
+    library = _library_reports(cfg)
     assert rep.error is None
-    assert sorted(rep.reports) == sorted(single.reports)
+    assert sorted(rep.reports) == sorted(library) == sorted(single.reports)
     for t, report in single.reports.items():
-        assert _row_keys(rep.reports[t]) == _row_keys(report)
+        assert _row_keys(rep.reports[t]) == _row_keys(library[t]) == _row_keys(report)
 
 
 class TestRunMonteCarlo:
@@ -430,7 +447,7 @@ class TestRunMonteCarlo:
     def test_all_replications_failed_keeps_the_csv_header(self, tmp_path):
         cfg = small_config(reps=3, out=str(tmp_path / "x"))
         # Reports fail on either engine; a batch of 3 runs in lockstep.
-        with mock.patch.object(experiments, "_checkpoint_reports",
+        with mock.patch.object(experiments, "checkpoint_reports",
                                side_effect=RuntimeError("boom")):
             summary = run_monte_carlo(cfg)
         assert summary.failures == 3 and summary.rows == []

@@ -15,8 +15,7 @@ EXPORTS = {
     "build_config", "emit_report", "load_config_file", "oracle_truth_value",
     "run_monte_carlo", "run_replication", "run_single", "tune_alpha",
     # inference
-    "PluginAccumulators", "SingularHessianError", "normal_cdf", "normal_quantile",
-    "sandwich_covariance", "two_sided_p", "wald_report",
+    "checkpoint_reports", "normal_cdf", "normal_quantile", "two_sided_p",
     # models
     "HESSIAN_EXACT", "HESSIAN_OUTER", "LinearModel", "LogisticModel", "ModelFamily",
     "make_model",
@@ -26,8 +25,7 @@ EXPORTS = {
     "DimensionError", "ExplorationSchedule", "InferenceReport", "LearningSchedule",
     "ParameterState", "ReportRow",
     # value
-    "ValueAccumulator", "oracle_value", "raw_value_variance", "value_estimate",
-    "value_standard_error", "value_variance",
+    "oracle_value",
 }
 
 
@@ -35,4 +33,4 @@ def test_exported_names():
     public = {name for name, obj in vars(banditsgd).items()
               if not name.startswith("_") and not inspect.ismodule(obj)}
     assert public == EXPORTS
-    assert len(EXPORTS) == 57
+    assert len(EXPORTS) == 49

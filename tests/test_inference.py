@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banditsgd import (ExplorationSchedule, LearningSchedule, LinearModel,
-                       LogisticModel, RngStream, SingularHessianError,
-                       SyntheticConfig, SyntheticEnvironment, normal_cdf,
-                       normal_quantile, run_stream, sandwich_covariance,
-                       two_sided_p, wald_report)
+                       LogisticModel, RngStream, SyntheticConfig, SyntheticEnvironment,
+                       checkpoint_reports, normal_cdf, normal_quantile, run_stream,
+                       two_sided_p)
 from banditsgd import inference
-from banditsgd.inference import PluginAccumulators, ipw_weight
+from banditsgd.engine import Checkpoints
+from banditsgd.inference import ipw_weight
 
 import oracle
 from oracle import Observation
@@ -20,24 +20,42 @@ from oracle import Observation
 BETA0 = np.array([0.3, -0.1, 0.7, 0.8, 0.5, -0.4])
 
 
+def _zeros(dim):
+    """Empty plug-in sums ``S`` and ``H``."""
+    return np.zeros((dim, dim)), np.zeros((dim, dim))
+
+
+def _sandwich(S, H, n, ridge=False):
+    """The one-row ``_sandwiches`` columns of one pair of sums over ``n`` steps."""
+    cov, ridged, cond, ok = inference._sandwiches(S[None], H[None], np.array([n]), ridge=ridge)
+    return cov[0], bool(ridged[0]), float(cond[0]), bool(ok[0])
+
+
+def _final_run(horizon, alpha=0.5, seed=1, **kw):
+    """A linear run with one checkpoint, at its final step."""
+    m = LinearModel(3)
+    rng = RngStream(seed)
+    env = SyntheticEnvironment(SyntheticConfig(m, BETA0, sigma2=0.01), rng)
+    return run_stream(env, m, LearningSchedule(alpha, 0.501), ExplorationSchedule.fixed(0.2),
+                      rng, horizon, checkpoints=(horizon,), **kw)
+
+
 class TestAccumulate:
     def test_unit_feature_curvature_entry(self):
         # At pi = 1/2 the inverse weight is one for either action, so a unit
         # feature puts exactly 1 in the active diagonal entry.
-        acc = PluginAccumulators(6)
-        m = LinearModel(3)
+        S, H = _zeros(6)
         obs = Observation([1.0, 0.0, 0.0], 0, 0.0)
-        oracle.accumulate(acc, m, BETA0, obs, 0.5)
-        assert acc.H_sum[0, 0] == 1.0
-        assert acc.n == 1
-        assert np.count_nonzero(acc.H_sum) == 1
+        oracle.accumulate(S, H, LinearModel(3), BETA0, obs, 0.5)
+        assert H[0, 0] == 1.0
+        assert np.count_nonzero(H) == 1
 
     def test_single_step_rank_one(self):
-        acc = PluginAccumulators(6)
-        m = LogisticModel(3)
-        oracle.accumulate(acc, m, BETA0, Observation([1.0, 0.5, -0.3], 1, 1.0), 0.8)
-        assert np.linalg.matrix_rank(acc.S_sum, tol=1e-12) == 1
-        assert np.linalg.matrix_rank(acc.H_sum, tol=1e-12) == 1
+        S, H = _zeros(6)
+        oracle.accumulate(S, H, LogisticModel(3), BETA0,
+                          Observation([1.0, 0.5, -0.3], 1, 1.0), 0.8)
+        assert np.linalg.matrix_rank(S, tol=1e-12) == 1
+        assert np.linalg.matrix_rank(H, tol=1e-12) == 1
 
     def test_weight_definition(self):
         assert ipw_weight(1, 0.25) == 2.0
@@ -46,166 +64,142 @@ class TestAccumulate:
             ipw_weight(1, 0.0)
 
     def test_merge_equals_single_stream(self):
+        # The sums of two interleaved halves of a stream add up to its sums.
         rng = np.random.default_rng(3)
         m = LinearModel(3)
-        full = PluginAccumulators(6)
-        left, right = PluginAccumulators(6), PluginAccumulators(6)
+        full, left, right = _zeros(6), _zeros(6), _zeros(6)
         for i in range(60):
             beta = rng.standard_normal(6)
             obs = Observation(np.append(1.0, rng.standard_normal(2)),
                               int(rng.integers(0, 2)), float(rng.standard_normal()))
             pi = float(rng.uniform(0.1, 0.9))
-            oracle.accumulate(full, m, beta, obs, pi)
-            oracle.accumulate(left if i % 2 == 0 else right, m, beta, obs, pi)
-        merged = oracle.merge_plugin(left, right)
-        assert merged.n == full.n
-        np.testing.assert_allclose(merged.S_sum, full.S_sum, rtol=1e-10)
-        np.testing.assert_allclose(merged.H_sum, full.H_sum, rtol=1e-10)
+            oracle.accumulate(*full, m, beta, obs, pi)
+            oracle.accumulate(*(left if i % 2 == 0 else right), m, beta, obs, pi)
+        for a, b, whole in zip(left, right, full):
+            np.testing.assert_allclose(a + b, whole, rtol=1e-10)
 
     def test_symmetry_and_psd(self):
         rng = np.random.default_rng(5)
         m = LogisticModel(3)
-        acc = PluginAccumulators(6)
+        S, H = _zeros(6)
         for _ in range(200):
-            oracle.accumulate(acc, m, rng.standard_normal(6),
-                       Observation(np.append(1.0, rng.standard_normal(2)),
-                                   int(rng.integers(0, 2)), float(rng.integers(0, 2))),
-                       float(rng.uniform(0.1, 0.9)))
-        for mat in (acc.S_sum, acc.H_sum):
+            oracle.accumulate(S, H, m, rng.standard_normal(6),
+                              Observation(np.append(1.0, rng.standard_normal(2)),
+                                          int(rng.integers(0, 2)), float(rng.integers(0, 2))),
+                              float(rng.uniform(0.1, 0.9)))
+        for mat in (S, H):
             np.testing.assert_allclose(mat, mat.T, atol=1e-12)
             assert np.linalg.eigvalsh(mat).min() >= -1e-10
 
 
 class TestSandwichCovariance:
     def test_diagonal_closed_form(self):
-        acc = PluginAccumulators(4)
         n, c, d = 50, 2.0, 3.0
-        acc.n = n
-        acc.H_sum = c * n * np.eye(4)
-        acc.S_sum = d * n * np.eye(4)
-        cov = sandwich_covariance(acc)
+        cov, ridged, _, ok = _sandwich(d * n * np.eye(4), c * n * np.eye(4), n)
+        assert ok and not ridged
         np.testing.assert_allclose(cov, d / (c * c * n) * np.eye(4), rtol=1e-12)
 
     def test_structure_on_random_accumulators(self):
         rng = np.random.default_rng(11)
         m = LinearModel(2)
-        acc = PluginAccumulators(4)
+        S, H = _zeros(4)
         for _ in range(300):
-            oracle.accumulate(acc, m, rng.standard_normal(4),
-                       Observation(np.append(1.0, rng.standard_normal(1)),
-                                   int(rng.integers(0, 2)), float(rng.standard_normal())),
-                       float(rng.uniform(0.2, 0.8)))
-        cov = sandwich_covariance(acc)
+            beta = rng.standard_normal(4)
+            obs = Observation(np.append(1.0, rng.standard_normal(1)),
+                              int(rng.integers(0, 2)), float(rng.standard_normal()))
+            oracle.accumulate(S, H, m, beta, obs, float(rng.uniform(0.2, 0.8)))
+        cov, _, _, ok = _sandwich(S, H, 300)
+        assert ok
         np.testing.assert_allclose(cov, cov.T, atol=1e-12)
         assert np.linalg.eigvalsh(cov).min() >= -1e-10
 
-    def test_singular_raises_with_condition(self):
-        acc = PluginAccumulators(6)
-        oracle.accumulate(acc, LinearModel(3), BETA0,
-                   Observation([1.0, 0.2, 0.1], 1, 0.5), 0.5)
-        with pytest.raises(SingularHessianError) as err:
-            sandwich_covariance(acc)
-        assert err.value.condition > 1e12 or math.isinf(err.value.condition)
+    def test_singular_flagged_with_condition(self):
+        S, H = _zeros(6)
+        oracle.accumulate(S, H, LinearModel(3), BETA0,
+                          Observation([1.0, 0.2, 0.1], 1, 0.5), 0.5)
+        cov, ridged, cond, ok = _sandwich(S, H, 1)
+        assert not ok and not ridged and np.isnan(cov).all()
+        assert cond > 1e12 or math.isinf(cond)
 
     def test_ridge_fallback_recovers(self):
-        acc = PluginAccumulators(6)
+        S, H = _zeros(6)
         m = LinearModel(3)
         rng = np.random.default_rng(13)
         for _ in range(4):  # rank-deficient: only action 1 observed
-            oracle.accumulate(acc, m, BETA0,
-                       Observation(np.append(1.0, rng.standard_normal(2)), 1, 0.3), 0.6)
-        cov = sandwich_covariance(acc, ridge=True)
-        assert np.isfinite(cov).all()
+            oracle.accumulate(S, H, m, BETA0,
+                              Observation(np.append(1.0, rng.standard_normal(2)), 1, 0.3), 0.6)
+        assert not _sandwich(S, H, 4)[3]
+        cov, ridged, _, ok = _sandwich(S, H, 4, ridge=True)
+        assert ok and ridged and np.isfinite(cov).all()
 
-    def test_negative_ridged_variance_raises(self):
+    def test_negative_ridged_variance_flagged(self):
         # One step leaves the curvature rank one; the ridged inverse then
         # scales rounding errors into a negative diagonal entry.
-        m = LinearModel(3)
-        rng = RngStream(1)
-        env = SyntheticEnvironment(SyntheticConfig(m, BETA0), rng)
-        res = run_stream(env, m, LearningSchedule(0.5, 0.501),
-                         ExplorationSchedule.fixed(0.2), rng, 1)
+        cps = _final_run(1).summary.checkpoints
+        sums = (cps.S[0], cps.H[0], 1)
         with mock.patch.object(inference, "_VARIANCE_TOL", math.inf):
-            assert np.diag(sandwich_covariance(res.plugin, ridge=True)).min() < -1e-10
-        with pytest.raises(SingularHessianError):
-            sandwich_covariance(res.plugin, ridge=True)
+            assert np.diag(_sandwich(*sums, ridge=True)[0]).min() < -1e-10
+        cov, ridged, _, ok = _sandwich(*sums, ridge=True)
+        assert ridged and not ok and np.isnan(cov).all()
+        rows = checkpoint_reports(cps, ridge=True)[1].rows[:6]
+        assert all(r.flag == "singular_hessian" and math.isnan(r.se) for r in rows)
 
-    def test_error_after_the_ridge_says_so(self):
+    def test_condition_after_the_ridge_is_the_ridged_one(self):
         # The horizon-1 run above: the unridged curvature is rank one, so its
-        # condition is infinite and the advice is to enable the ridge.
-        m = LinearModel(3)
-        rng = RngStream(1)
-        env = SyntheticEnvironment(SyntheticConfig(m, BETA0), rng)
-        res = run_stream(env, m, LearningSchedule(0.5, 0.501),
-                         ExplorationSchedule.fixed(0.2), rng, 1)
-        with pytest.raises(SingularHessianError, match="enable the ridge") as plain:
-            sandwich_covariance(res.plugin)
-        assert math.isinf(plain.value.condition)
-        with pytest.raises(SingularHessianError, match="ridge fallback was applied") as ridged:
-            sandwich_covariance(res.plugin, ridge=True)
-        assert "enable the ridge" not in str(ridged.value)
+        # condition is infinite.
+        cps = _final_run(1).summary.checkpoints
+        _, ridged, plain, ok = _sandwich(cps.S[0], cps.H[0], 1)
+        assert not ridged and not ok and math.isinf(plain)
+        _, ridged, cond, ok = _sandwich(cps.S[0], cps.H[0], 1, ridge=True)
+        assert ridged and not ok
         # Ridging a rank-one trace-T matrix with 1e-8 * T / 6 on the diagonal
         # leaves eigenvalues T + lam and lam: condition 1 + 6e8.
-        assert ridged.value.condition == pytest.approx(1.0 + 6.0 / 1e-8, rel=1e-9)
+        assert cond == pytest.approx(1.0 + 6.0 / 1e-8, rel=1e-9)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_diverged_run_raises(self):
+    def test_diverged_run_flagged(self):
         # alpha=50 overflows the linear iterate; the gradient sums turn NaN
-        # while the curvature, which does not depend on it, stays finite.
-        m = LinearModel(3)
-        rng = RngStream(321)
-        env = SyntheticEnvironment(SyntheticConfig(m, BETA0, sigma2=0.01), rng)
-        res = run_stream(env, m, LearningSchedule(50.0, 0.501),
-                         ExplorationSchedule.fixed(0.2, burn_in=50), rng, 2000)
-        assert np.isfinite(res.plugin.H_sum).all()
-        with pytest.raises(SingularHessianError):
-            sandwich_covariance(res.plugin)
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_diverged_run_names_its_non_finite_sums(self):
-        # The run of test_diverged_run_raises: its curvature is well
-        # conditioned, so the error names the NaN gradient sums instead.
-        m = LinearModel(3)
-        rng = RngStream(321)
-        env = SyntheticEnvironment(SyntheticConfig(m, BETA0, sigma2=0.01), rng)
-        res = run_stream(env, m, LearningSchedule(50.0, 0.501),
-                         ExplorationSchedule.fixed(0.2, burn_in=50), rng, 2000)
-        assert not np.isfinite(res.plugin.S_sum).all()
+        # while the curvature, which does not depend on it, stays finite and
+        # well conditioned.  Neither setting of the ridge gives a covariance.
+        cps = _final_run(2000, alpha=50.0, seed=321).summary.checkpoints
+        assert np.isfinite(cps.H).all() and not np.isfinite(cps.S).all()
         for ridge in (False, True):
-            with pytest.raises(SingularHessianError, match="plug-in sums are not finite") as err:
-                sandwich_covariance(res.plugin, ridge=ridge)
-            assert "smaller learning-rate constant alpha" in str(err.value)
-            assert "numerically singular" not in str(err.value)
+            _, ridged, cond, ok = _sandwich(cps.S[0], cps.H[0], 2000, ridge=ridge)
+            assert not ok and not ridged and cond < 1e12
+            rows = checkpoint_reports(cps, ridge=ridge)[2000].rows[:6]
+            assert all(r.flag == "singular_hessian" and math.isnan(r.se) for r in rows)
 
     def test_empty_accumulator_rejected(self):
-        with pytest.raises(ValueError):
-            sandwich_covariance(PluginAccumulators(4))
+        with pytest.raises(ValueError, match="no accumulated steps"):
+            _sandwich(*_zeros(4), 0)
 
 
-def _reference_sandwich(acc, ridge):
+def _reference_sandwich(S, H, n, ridge):
     """The one-matrix sandwich as first written, kept as the reference: the
-    covariance and whether the ridge was applied, or the error it raises."""
+    covariance (``None`` where none comes out), whether the ridge was
+    applied, and the condition estimate of the curvature last factored."""
     def condition(lam):
         lam_abs = np.abs(lam)
         return math.inf if lam_abs.min() == 0.0 else float(lam_abs.max() / lam_abs.min())
-    h = acc.H_sum / acc.n
+    dim = H.shape[0]
+    h = H / n
     lam, q = np.linalg.eigh(h)
     cond, ridged = condition(lam), False
     if lam.min() <= 0.0 or cond > 1e12:
         if not ridge:
-            return SingularHessianError(cond)
-        h = h + (1e-8 * np.trace(h) / acc.dim) * np.eye(acc.dim)
+            return None, ridged, cond
+        h = h + (1e-8 * np.trace(h) / dim) * np.eye(dim)
         lam, q = np.linalg.eigh(h)
         cond, ridged = condition(lam), True
         if lam.min() <= 0.0:
-            return SingularHessianError(cond, ridged)
-    s = acc.S_sum / acc.n
+            return None, ridged, cond
+    s = S / n
     core = (q.T @ s @ q) / np.outer(lam, lam)
-    cov = (q @ core @ q.T) / acc.n
+    cov = (q @ core @ q.T) / n
     cov = 0.5 * (cov + cov.T)
     if np.diag(cov).min() < -1e-10:
-        return SingularHessianError(cond, ridged)
-    return cov, ridged
+        return None, ridged, cond
+    return cov, ridged, cond
 
 
 def _curvature(gen, kind, dim):
@@ -226,65 +220,49 @@ def _curvature(gen, kind, dim):
 
 
 @st.composite
-def accumulator_stacks(draw):
+def sum_stacks(draw):
+    """A stack of plug-in sums ``S`` and ``H`` (K, dim, dim) with step counts (K,)."""
     dim = 2 * draw(st.integers(1, 4))
     gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    stack = []
-    for kind in draw(st.lists(st.sampled_from(["full", "full", "rank_deficient",
-                                               "ill_conditioned", "indefinite", "zero"]),
-                              min_size=1, max_size=7)):
-        acc = PluginAccumulators(dim)
-        acc.n = draw(st.integers(1, 10_000))
+    kinds = draw(st.lists(st.sampled_from(["full", "full", "rank_deficient",
+                                           "ill_conditioned", "indefinite", "zero"]),
+                          min_size=1, max_size=7))
+    n = np.array([draw(st.integers(1, 10_000)) for _ in kinds])
+    S, H = [], []
+    for kind, n_k in zip(kinds, n):
         g = gen.standard_normal((dim, dim + 1))
-        acc.S_sum = (g @ g.T) * acc.n
-        acc.H_sum = _curvature(gen, kind, dim) * acc.n
-        stack.append(acc)
-    return stack
+        S.append((g @ g.T) * n_k)
+        H.append(_curvature(gen, kind, dim) * n_k)
+    return np.array(S), np.array(H), n
 
 
 def _same_outcome(got, want):
-    """Bit-for-bit equal covariances and ridge flags, or equal errors."""
-    if isinstance(want, SingularHessianError):
-        assert isinstance(got, SingularHessianError)
-        assert str(got) == str(want)
-        assert np.float64(got.condition).tobytes() == np.float64(want.condition).tobytes()
-    else:
-        assert not isinstance(got, SingularHessianError)
-        assert got[1] == want[1]
+    """Bit-for-bit equal covariances (or both none), ridge flags and
+    condition estimates."""
+    assert (got[0] is None) == (want[0] is None)
+    if want[0] is not None:
         assert got[0].shape == want[0].shape and got[0].tobytes() == want[0].tobytes()
-
-
-def _outcomes(stack, ridge):
-    """``_sandwiches``' columns as one outcome per accumulator: the covariance
-    and whether the ridge was applied, or the error its one-matrix call
-    raises.  Rows without a covariance must be NaN."""
-    cov, ridged, cond, ok = inference._sandwiches(
-        np.array([acc.S_sum for acc in stack]), np.array([acc.H_sum for acc in stack]),
-        np.array([acc.n for acc in stack]), ridge=ridge)
-    assert np.isnan(cov[~ok]).all()
-    return [(c, bool(r)) if o else SingularHessianError(float(k), bool(r))
-            for c, r, k, o in zip(cov, ridged, cond, ok)]
+    assert got[1] == want[1]
+    assert np.float64(got[2]).tobytes() == np.float64(want[2]).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
-@given(stack=accumulator_stacks(), ridge=st.booleans())
+@given(stack=sum_stacks(), ridge=st.booleans())
 def test_stacked_sandwiches_equal_one_matrix_calls(stack, ridge):
-    stacked = _outcomes(stack, ridge)
-    assert len(stacked) == len(stack)
-    for acc, got in zip(stack, stacked):
-        (single,) = _outcomes([acc], ridge)
-        _same_outcome(got, single)
-        _same_outcome(got, _reference_sandwich(acc, ridge))
-        try:
-            public = sandwich_covariance(acc, ridge=ridge)
-        except SingularHessianError as exc:
-            _same_outcome(exc, got)
-            continue
-        assert public.tobytes() == got[0].tobytes()
-        cov = got[0]
-        np.testing.assert_array_equal(cov, cov.T)
-        eig = np.linalg.eigvalsh(cov)
-        assert eig.min() >= -1e-8 * np.abs(eig).max()
+    # A stack equals its one-row slices, and each slice the reference.
+    S, H, n = stack
+    cov, ridged, cond, ok = inference._sandwiches(S, H, n, ridge=ridge)
+    assert len(ok) == len(n)
+    assert np.isnan(cov[~ok]).all()
+    for k in range(len(n)):
+        got = (cov[k] if ok[k] else None, bool(ridged[k]), float(cond[k]))
+        single = _sandwich(S[k], H[k], n[k], ridge=ridge)
+        _same_outcome(got, (single[0] if single[3] else None, *single[1:3]))
+        _same_outcome(got, _reference_sandwich(S[k], H[k], n[k], ridge))
+        if ok[k]:
+            np.testing.assert_array_equal(cov[k], cov[k].T)
+            eig = np.linalg.eigvalsh(cov[k])
+            assert eig.min() >= -1e-8 * np.abs(eig).max()
 
 
 class TestConvergedRunMagnitudes:
@@ -292,23 +270,15 @@ class TestConvergedRunMagnitudes:
         # One converged linear run at horizon 1e4 with eps = 0.2: the reported
         # coordinate standard errors sit in the low-0.003 range (published
         # interval lengths 0.009-0.011 imply SE about 0.0023-0.0028).
-        m = LinearModel(3)
-        rng = RngStream(77)
-        env = SyntheticEnvironment(SyntheticConfig(m, BETA0, sigma2=0.01), rng)
-        res = run_stream(env, m, LearningSchedule(0.5, 0.501),
-                         ExplorationSchedule.fixed(0.2), rng, 10_000)
-        se = np.sqrt(np.diag(sandwich_covariance(res.plugin)))
+        report = checkpoint_reports(_final_run(10_000, seed=77).summary.checkpoints)[10_000]
+        se = np.array([row.se for row in report.rows[:6]])
         assert (se > 0.0015).all() and (se < 0.004).all()
 
     def test_curvature_estimate_near_half_identity(self):
         # Weighted curvature averages to 1/2 I (intercept-plus-standard-normal
         # features make the feature second moment the identity).
-        m = LinearModel(3)
-        rng = RngStream(78)
-        env = SyntheticEnvironment(SyntheticConfig(m, BETA0, sigma2=0.01), rng)
-        res = run_stream(env, m, LearningSchedule(0.5, 0.501),
-                         ExplorationSchedule.fixed(0.2), rng, 20_000)
-        np.testing.assert_allclose(oracle.h_hat(res.plugin), 0.5 * np.eye(6), atol=0.05)
+        cps = _final_run(20_000, seed=78).summary.checkpoints
+        np.testing.assert_allclose(cps.H[0] / cps.n[0], 0.5 * np.eye(6), atol=0.05)
 
     def test_gradient_second_moment_matches_simulated_target(self):
         # At 1e5 steps the running second moment of the weighted gradients is
@@ -316,13 +286,8 @@ class TestConvergedRunMagnitudes:
         # features and weighting each action's residual covariance by the
         # limiting propensity of the true greedy rule.
         sigma2 = 0.01
-        m = LinearModel(3)
-        rng = RngStream(79)
-        env = SyntheticEnvironment(SyntheticConfig(m, BETA0, sigma2=sigma2), rng)
-        res = run_stream(env, m, LearningSchedule(0.5, 0.501),
-                         ExplorationSchedule.fixed(0.2), rng, 100_000,
-                         collect_value=False)
-        s_hat = oracle.s_hat(res.plugin)
+        cps = _final_run(100_000, seed=79, collect_value=False).summary.checkpoints
+        s_hat = cps.S[0] / cps.n[0]
 
         gen = np.random.default_rng(80)
         n = 1_000_000
@@ -336,9 +301,20 @@ class TestConvergedRunMagnitudes:
         np.testing.assert_allclose(s_hat, s_oracle, rtol=0.10, atol=0.10 * scale)
 
 
+def _wald(est, cov, level=0.95):
+    """The parameter report that ``checkpoint_reports`` gives a one-step
+    checkpoint with the average ``est`` whose sandwich is ``cov``: with
+    ``H`` the identity over one step, the sandwich is ``S`` itself."""
+    dim = len(est)
+    cps = Checkpoints(t=np.array([1]), eps=np.array([0.2]), n=np.array([1]),
+                      value_t=np.array([0]), bar_beta=np.array([est], dtype=float),
+                      S=np.array([cov], dtype=float), H=np.eye(dim)[None], value=None)
+    return checkpoint_reports(cps, level)[1]
+
+
 class TestWaldReport:
     def test_standard_normal_interval(self):
-        report = wald_report(np.zeros(2), np.eye(2), level=0.95)
+        report = _wald(np.zeros(2), np.eye(2), level=0.95)
         row = report.rows[0]
         assert row.ci_lo == pytest.approx(-1.959963984540054, rel=1e-9)
         assert row.ci_hi == pytest.approx(1.959963984540054, rel=1e-9)
@@ -346,8 +322,7 @@ class TestWaldReport:
 
     def test_reported_click_model_row(self):
         # Reproduce one published row: estimate -2.8226 with SE 0.0810.
-        report = wald_report(np.array([-2.8226, 0.0]),
-                             np.diag([0.0810 ** 2, 1.0]), level=0.95)
+        report = _wald(np.array([-2.8226, 0.0]), np.diag([0.0810 ** 2, 1.0]), level=0.95)
         row = report.rows[0]
         assert row.ci_lo == pytest.approx(-2.9814, abs=1e-3)
         assert row.ci_hi == pytest.approx(-2.6637, abs=1e-3)
@@ -355,38 +330,37 @@ class TestWaldReport:
         assert row.p_value < 1e-100
 
     def test_level_nesting(self):
-        est, cov = np.array([1.0]), np.array([[0.25]])
-        narrow = wald_report(est, cov, level=0.95).rows[0]
-        wide = wald_report(est, cov, level=0.99).rows[0]
+        est, cov = np.array([1.0, 0.0]), np.diag([0.25, 1.0])
+        narrow = _wald(est, cov, level=0.95).rows[0]
+        wide = _wald(est, cov, level=0.99).rows[0]
         assert wide.ci_lo < narrow.ci_lo < narrow.ci_hi < wide.ci_hi
 
+    @pytest.mark.parametrize("level", [0.0, 1.0, -0.1, 1.5, math.nan])
+    def test_level_outside_unit_interval_rejected(self, level):
+        with pytest.raises(ValueError, match=r"^level must lie in \(0, 1\), got "):
+            _wald(np.zeros(2), np.eye(2), level=level)
+
     def test_zero_se_conventions(self):
-        report = wald_report(np.array([0.0, 1.0]), np.zeros((2, 2)))
+        report = _wald(np.array([0.0, 1.0]), np.zeros((2, 2)))
         assert report.rows[0].t_value == 0.0 and report.rows[0].p_value == 1.0
         assert report.rows[1].t_value == math.inf and report.rows[1].p_value == 0.0
 
     def test_negative_variance_rejected(self):
-        with pytest.raises(ValueError):
-            wald_report(np.zeros(1), np.array([[-1e-6]]))
+        # A variance below -1e-10 leaves the checkpoint without a covariance.
+        report = _wald(np.zeros(2), np.diag([-1e-6, 1.0]))
+        assert all(r.flag == "singular_hessian" and math.isnan(r.se) for r in report.rows)
         # tiny negative from rounding is clamped instead
-        report = wald_report(np.zeros(1), np.array([[-1e-12]]))
-        assert report.rows[0].se == 0.0
+        report = _wald(np.zeros(2), np.diag([-1e-12, 1.0]))
+        assert report.rows[0].se == 0.0 and report.rows[0].flag == ""
 
     def test_row_names_follow_block_layout(self):
-        report = wald_report(np.zeros(4), np.eye(4))
+        report = _wald(np.zeros(4), np.eye(4))
         assert [r.name for r in report.rows] == ["beta0_1", "beta0_2", "beta1_1", "beta1_2"]
 
     def test_custom_null(self):
-        report = wald_report(np.array([2.0]), np.array([[1.0]]), null=np.array([2.0]))
-        assert report.rows[0].t_value == 0.0
-
-    @pytest.mark.parametrize("null", [np.ones(1), np.ones((4, 4)), np.ones(2)],
-                             ids=["length-1", "4x4", "length-2"])
-    def test_null_of_another_shape_rejected(self, null):
-        # Not broadcast to every coordinate, nor read off its first row.
-        with pytest.raises(ValueError) as err:
-            wald_report(np.zeros(4), np.eye(4), null=null)
-        assert str(err.value) == f"null shape {null.shape} does not match estimate shape (4,)"
+        ((row,),) = inference._wald_rows(np.array([[2.0]]), np.array([[1.0]]), 0.95,
+                                         ["b"], [""], np.array([2.0]))
+        assert row.t_value == 0.0
 
     def test_value_row_has_no_t_or_p(self):
         ((row,),) = inference._wald_rows(np.array([[1.5]]), np.array([[0.01]]), 0.95,
@@ -394,6 +368,25 @@ class TestWaldReport:
         assert row.name == "V_opt" and row.se == 0.1
         assert row.t_value is None and row.p_value is None
         assert row.ci_lo < 1.5 < row.ci_hi
+
+
+class TestCheckpointReports:
+    """Records that lack one kind of sums."""
+
+    def test_without_value_sums_gives_parameter_rows_only(self):
+        cps = _final_run(300, collect_value=False).summary.checkpoints
+        assert cps.value is None
+        rows = checkpoint_reports(cps)[300].rows
+        assert [r.name for r in rows] == inference._parameter_names(6)
+        assert all(r.flag == "" and r.se > 0.0 for r in rows)
+
+    def test_without_parameter_sums_gives_value_rows_only(self):
+        for aipw, names in ((False, ["V_opt"]), (True, ["V_opt", "V_opt_aipw"])):
+            cps = _final_run(300, collect_inference=False, aipw=aipw).summary.checkpoints
+            assert cps.S is cps.H is None
+            rows = checkpoint_reports(cps)[300].rows
+            assert [r.name for r in rows] == names
+            assert all(r.se > 0.0 for r in rows)
 
 
 class TestNormalFunctions:

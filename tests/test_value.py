@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -7,113 +6,138 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from banditsgd import (LinearModel, LogisticModel, RngStream, normal_quantile,
-                       oracle_value, raw_value_variance, value_estimate,
-                       value_standard_error, value_variance)
+from banditsgd import (LinearModel, LogisticModel, RngStream, checkpoint_reports,
+                       normal_quantile, oracle_value)
 from banditsgd.engine import Checkpoints
-from banditsgd.experiments import ExperimentConfig, _checkpoint_reports, _launch, _mc_batch
-from banditsgd.value import ValueAccumulator, _value_columns
+from banditsgd.experiments import ExperimentConfig, _launch, _mc_batch
+from banditsgd.value import _value_columns
 
-from oracle import Observation, merge_value, update_value
+from oracle import Observation, update_value
 
 BETA0 = np.array([0.3, -0.1, 0.7, 0.8, 0.5, -0.4])
 
 
+def _checkpoints(sums, t, eps):
+    """A record of checkpoints 1..K with value sums ``sums`` (K, 2 or 4) over
+    ``t`` (K,) steps at exploration rates ``eps`` (K,), and no parameter sums."""
+    k = len(sums)
+    return Checkpoints(t=np.arange(1, k + 1), eps=np.asarray(eps, dtype=float),
+                       n=np.arange(1, k + 1), value_t=np.asarray(t),
+                       bar_beta=np.zeros((k, 2)), S=None, H=None,
+                       value=np.asarray(sums, dtype=float))
+
+
+def _row(sums, t, eps, name="V_opt"):
+    """The report row ``name`` of one checkpoint with value sums ``sums``."""
+    return checkpoint_reports(_checkpoints([sums], [t], [eps]))[1].row(name)
+
+
+def _raw(sums, t, eps, aipw=False):
+    """The plug-in variance of one checkpoint's sums before clamping."""
+    j = 2 if aipw else 0
+    return float(_value_columns(*(np.array([v]) for v in sums[j:j + 2]), np.array([t]),
+                                np.array([eps]), aipw)[1][0])
+
+
 class TestUpdateValue:
     def test_single_consistent_step(self):
-        acc = ValueAccumulator()
-        update_value(acc, Observation([1.0], 1, 2.0), decided_optimal=1, eps_t=0.2)
-        assert value_estimate(acc) == pytest.approx(2.0 / 0.9)
+        sums = update_value(np.zeros(2), Observation([1.0], 1, 2.0), decided_optimal=1,
+                            eps_t=0.2)
+        assert _row(sums, 1, 0.2).estimate == pytest.approx(2.0 / 0.9)
 
     def test_inconsistent_step_contributes_nothing(self):
-        acc = ValueAccumulator()
-        update_value(acc, Observation([1.0], 0, 5.0), decided_optimal=1, eps_t=0.2)
-        assert acc.t == 1 and acc.sum_v == 0.0 and acc.sum_v2 == 0.0
+        sums = update_value(np.zeros(2), Observation([1.0], 0, 5.0), decided_optimal=1,
+                            eps_t=0.2)
+        assert sums.tolist() == [0.0, 0.0]
+        assert _row(sums, 1, 0.2).estimate == 0.0
 
     def test_burn_in_step_doubles_reward(self):
-        acc = ValueAccumulator()
-        update_value(acc, Observation([1.0], 1, 3.0), decided_optimal=1, eps_t=1.0)
-        assert acc.sum_v == pytest.approx(6.0)
+        sums = update_value(np.zeros(2), Observation([1.0], 1, 3.0), decided_optimal=1,
+                            eps_t=1.0)
+        assert sums[0] == pytest.approx(6.0)
 
     def test_eps_bounds(self):
-        acc = ValueAccumulator()
         for eps in (0.0, -0.2, 1.5):
             with pytest.raises(ValueError):
-                update_value(acc, Observation([1.0], 1, 1.0), 1, eps)
+                update_value(np.zeros(2), Observation([1.0], 1, 1.0), 1, eps)
 
     def test_estimate_closed_form(self):
-        acc = ValueAccumulator()
+        sums = np.zeros(2)
         for _ in range(40):
-            update_value(acc, Observation([1.0], 1, 1.0), 1, 0.3)
-        assert value_estimate(acc) == pytest.approx(1.0 / 0.85)
+            update_value(sums, Observation([1.0], 1, 1.0), 1, 0.3)
+        assert _row(sums, 40, 0.3).estimate == pytest.approx(1.0 / 0.85)
 
-    def test_empty_accumulator_errors(self):
-        acc = ValueAccumulator()
-        with pytest.raises(ValueError):
-            value_estimate(acc)
-        with pytest.raises(ValueError):
-            value_variance(acc, 0.2)
+    def test_empty_sums_flag_no_value_steps(self):
+        row = _row(np.zeros(2), 0, 0.2)
+        assert math.isnan(row.estimate) and math.isnan(row.se)
+        assert row.flag == "no_value_steps"
 
     def test_merge(self):
-        a, b = ValueAccumulator(), ValueAccumulator()
-        update_value(a, Observation([1.0], 1, 2.0), 1, 0.2)
-        update_value(b, Observation([1.0], 0, 1.0), 0, 0.4)
-        merge_value(a, b)
-        assert a.t == 2
-        assert a.sum_v == pytest.approx(2.0 / 0.9 + 1.0 / 0.8)
+        a = update_value(np.zeros(2), Observation([1.0], 1, 2.0), 1, 0.2)
+        b = update_value(np.zeros(2), Observation([1.0], 0, 1.0), 0, 0.4)
+        assert (a + b)[0] == pytest.approx(2.0 / 0.9 + 1.0 / 0.8)
+        assert _row(a + b, 2, 0.4).estimate == pytest.approx((2.0 / 0.9 + 1.0 / 0.8) / 2)
 
 
 class TestValueVariance:
     def test_degenerate_reward_formula(self):
         c, eps = 2.5, 0.3
-        acc = ValueAccumulator()
+        sums = np.zeros(2)
         for _ in range(50):
-            update_value(acc, Observation([1.0], 1, c), 1, eps)
+            update_value(sums, Observation([1.0], 1, c), 1, eps)
         pi_c = 1.0 - eps / 2.0
         expected = (2.0 / (2.0 - eps)) * c * c / pi_c - (c / pi_c) ** 2
-        assert raw_value_variance(acc, eps) == pytest.approx(expected, rel=1e-12)
+        assert _raw(sums, 50, eps) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.0, abs=1e-12)  # 2/(2-eps) == 1/pi_c
-        assert value_variance(acc, eps) >= 0.0
+        assert _row(sums, 50, eps).se >= 0.0
 
     def test_vanishing_exploration_limit(self):
-        acc = ValueAccumulator()
+        sums = np.zeros(2)
         for _ in range(20):
-            update_value(acc, Observation([1.0], 1, 2.0), 1, 1e-9)
-        assert value_variance(acc, 1e-9) == pytest.approx(0.0, abs=1e-6)
+            update_value(sums, Observation([1.0], 1, 2.0), 1, 1e-9)
+        assert _row(sums, 20, 1e-9).se ** 2 * 20 == pytest.approx(0.0, abs=1e-6)
 
     def test_clamp_flags_negative_raw(self):
-        acc = ValueAccumulator()
-        update_value(acc, Observation([1.0], 1, 1.0), 1, 0.2)
+        sums = update_value(np.zeros(2), Observation([1.0], 1, 1.0), 1, 0.2)
         # evaluating the variance at a smaller current rate can go negative
-        assert raw_value_variance(acc, 0.01) < 0.0
-        assert value_variance(acc, 0.01) == 0.0
-        # A raw variance of -0.0 (2 * -0.0 / 5 - 0.0) or below zero reads +0.0.
-        for sum_v2, raw in ((-0.0, "-0.0"), (-1.0, "-0.4")):
-            acc = ValueAccumulator()
-            acc.sum_v2, acc.t = sum_v2, 5
-            assert repr(raw_value_variance(acc, 1.0)) == raw
-            assert repr(value_variance(acc, 1.0)) == "0.0"
+        assert _raw(sums, 1, 0.01) < 0.0
+        row = _row(sums, 1, 0.01)
+        assert repr(row.se) == "0.0" and row.flag == "variance_clamped"
+        # A raw variance of -0.0 (2 * -0.0 / 5 - 0.0) or below zero gives a
+        # standard error of +0.0; only the one below zero is flagged.
+        for sum_v2, raw, flag in ((-0.0, "-0.0", ""), (-1.0, "-0.4", "variance_clamped")):
+            assert repr(_raw([0.0, sum_v2], 5, 1.0)) == raw
+            row = _row([0.0, sum_v2], 5, 1.0)
+            assert repr(row.se) == "0.0" and row.flag == flag
 
     def test_nan_sums_give_nan(self):
-        acc = ValueAccumulator()
-        acc.sum_v = acc.sum_v2 = math.nan
-        acc.t = 5
-        assert math.isnan(value_variance(acc, 0.2))
+        row = _row([math.nan, math.nan], 5, 0.2)
+        assert math.isnan(row.estimate) and math.isnan(row.se)
 
     def test_standard_error_scaling(self):
-        acc = ValueAccumulator()
+        sums = np.zeros(2)
         rng = np.random.default_rng(1)
         for _ in range(400):
             y = float(rng.normal(1.0, 0.5))
             consistent = int(rng.random() < 0.9)
-            update_value(acc, Observation([1.0], consistent, y), 1, 0.2)
-        se = value_standard_error(acc, 0.2)
-        assert se == pytest.approx(math.sqrt(value_variance(acc, 0.2) / acc.t))
+            update_value(sums, Observation([1.0], consistent, y), 1, 0.2)
+        raw = _raw(sums, 400, 0.2)
+        assert raw > 0.0
+        assert _row(sums, 400, 0.2).se == pytest.approx(math.sqrt(raw / 400))
 
 
 def _same(a: float, b: float) -> bool:
     """Equal bits, or both NaN."""
     return (math.isnan(a) and math.isnan(b)) or np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def _scalar_value(total: float, total_sq: float, t: int, eps: float, aipw: bool):
+    """One checkpoint's value estimate, raw and clamped plug-in variance and
+    standard error from one estimator's sums, in Python float arithmetic."""
+    mean = total / t
+    raw = (1.0 if aipw else 2.0 / (2.0 - eps)) * total_sq / t - mean * mean
+    var = 0.0 if raw <= 0.0 else raw
+    return mean, raw, var, math.sqrt(var / t)
 
 
 # Sums of every sign and size, NaN, +-0.0 and subnormals included; each step
@@ -129,30 +153,25 @@ def test_value_columns_and_report_rows_equal_the_scalar_functions(rows):
     sums = np.array([row[:4] for row in rows])
     t = np.array([row[4] for row in rows])
     eps = np.array([row[5] for row in rows])
-    steps = np.arange(1, len(rows) + 1)
-    cps = Checkpoints(t=steps, eps=eps, n=steps, value_t=t, bar_beta=np.zeros((len(rows), 2)),
-                      S=None, H=None, value=sums)
-    reports = _checkpoint_reports(cps, ExperimentConfig(p=1, beta0=(0.0, 0.0), aipw=True))
+    reports = checkpoint_reports(_checkpoints(sums, t, eps))
     for j, name in enumerate(("V_opt", "V_opt_aipw")):
         aipw = j == 1
         with np.errstate(all="ignore"):
             columns = _value_columns(sums[:, 2 * j], sums[:, 2 * j + 1], t, eps, aipw)
-        for k, (s_v, s_v2, s_a, s_a2, t_k, eps_k) in enumerate(rows):
+        for k, (*row_sums, t_k, eps_k) in enumerate(rows):
             row = reports[k + 1].row(name)
             if t_k == 0:
                 assert math.isnan(row.estimate) and math.isnan(row.se)
                 assert row.flag == "no_value_steps"
                 continue
-            acc = ValueAccumulator(aipw=True)
-            acc.sum_v, acc.sum_v2, acc.sum_aipw, acc.sum_aipw2, acc.t = s_v, s_v2, s_a, s_a2, t_k
-            raw = raw_value_variance(acc, eps_k, aipw)
-            want = (value_estimate(acc, aipw), raw, value_variance(acc, eps_k, aipw))
-            assert all(map(_same, (c[k] for c in columns), want))
-            # The report row is the value Wald record of the clamped variance.
-            se = value_standard_error(acc, eps_k, aipw)
-            assert _same(row.estimate, want[0]) and _same(row.se, se)
+            est, raw, _, se = _scalar_value(*row_sums[2 * j:2 * j + 2], t_k, eps_k, aipw)
+            assert _same(columns[0][k], est) and _same(columns[1][k], raw)
+            # The report row is the value Wald record of the clamped variance,
+            # whose standard error is never -0.0.
+            assert _same(row.estimate, est) and _same(row.se, se)
+            assert math.isnan(row.se) or math.copysign(1.0, row.se) == 1.0
             z = normal_quantile(0.975)
-            assert _same(row.ci_lo, want[0] - z * se) and _same(row.ci_hi, want[0] + z * se)
+            assert _same(row.ci_lo, est - z * se) and _same(row.ci_hi, est + z * se)
             assert row.t_value is None and row.p_value is None
             assert row.flag == ("experimental" if aipw else
                                 "variance_clamped" if raw < 0.0 else "")
@@ -160,24 +179,23 @@ def test_value_columns_and_report_rows_equal_the_scalar_functions(rows):
 
 class TestAipwAccumulation:
     def test_requires_model_mean(self):
-        acc = ValueAccumulator(aipw=True)
         with pytest.raises(ValueError):
-            update_value(acc, Observation([1.0], 1, 1.0), 1, 0.2)
+            update_value(np.zeros(4), Observation([1.0], 1, 1.0), 1, 0.2)
 
     def test_correction_cancels_for_exact_model(self):
         # With mu_hat equal to the realized conditional mean of C*y/pi_c the
         # augmented terms are centered; with consistent steps and y == mu_hat
         # the estimate reduces to mu_hat exactly.
-        acc = ValueAccumulator(aipw=True)
+        sums = np.zeros(4)
         for _ in range(10):
-            update_value(acc, Observation([1.0], 1, 0.7), 1, 0.2, mu_hat=0.7)
-        assert value_estimate(acc, aipw=True) == pytest.approx(0.7, rel=1e-12)
+            update_value(sums, Observation([1.0], 1, 0.7), 1, 0.2, mu_hat=0.7)
+        assert _row(sums, 10, 0.2, "V_opt_aipw").estimate == pytest.approx(0.7, rel=1e-12)
 
     def test_disabled_accumulator_rejects_aipw_queries(self):
-        acc = ValueAccumulator()
-        update_value(acc, Observation([1.0], 1, 1.0), 1, 0.2)
-        with pytest.raises(ValueError):
-            value_estimate(acc, aipw=True)
+        # Sums without the AIPW columns give no V_opt_aipw row.
+        sums = update_value(np.zeros(2), Observation([1.0], 1, 1.0), 1, 0.2)
+        with pytest.raises(KeyError):
+            _row(sums, 1, 0.2, "V_opt_aipw")
 
     def test_matches_ipw_in_expectation(self):
         # Replicated linear runs: the augmented and plain estimates agree on
