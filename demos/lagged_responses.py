@@ -40,5 +40,5 @@ geo = run_stream_lagged(LaggedSyntheticEnvironment(config, rng, lag=geometric_la
 print(f"{'delivery':16s} {'updates':>8s} {'pending':>8s} {'max |bar - truth|':>18s}")
 for name, res in (("immediate", plain), ("constant lag 3", lag3),
                   ("geometric lag", geo)):
-    err = np.abs(res.state.bar_beta - BETA0).max()
-    print(f"{name:16s} {res.summary.updates:8d} {res.summary.pending:8d} {err:18.4f}")
+    err = np.abs(res.bar_beta - BETA0).max()
+    print(f"{name:16s} {res.updates:8d} {res.pending:8d} {err:18.4f}")

@@ -24,7 +24,7 @@ result = run_stream(
     rng, horizon=10_000, checkpoints=(10_000,),
 )
 
-report = checkpoint_reports(result.summary.checkpoints, level=0.95)[10_000]
+report = checkpoint_reports(result.checkpoints, level=0.95)[10_000]
 
 print(f"{'name':10s} {'truth':>8s} {'estimate':>9s} {'se':>8s} {'95% CI':>20s}")
 truth_v, _ = oracle_value(model, BETA0, 1_000_000, RngStream(1))
@@ -32,5 +32,5 @@ truths = list(BETA0) + [truth_v]
 for row, truth in zip(report.rows, truths):
     ci = f"[{row.ci_lo: .4f}, {row.ci_hi: .4f}]"
     print(f"{row.name:10s} {truth:8.4f} {row.estimate:9.4f} {row.se:8.4f} {ci:>20s}")
-print(f"\ncumulative reward over {result.summary.steps} steps: "
-      f"{result.summary.total_reward:.1f}")
+print(f"\ncumulative reward over {result.steps} steps: "
+      f"{result.total_reward:.1f}")

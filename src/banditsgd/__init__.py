@@ -23,7 +23,7 @@ from .models import (HESSIAN_EXACT, HESSIAN_OUTER, LinearModel, LogisticModel,
 from .policy import (RngStream, derive_seed, exploration_rate, learning_rate,
                      splitmix64)
 from .types import (DimensionError, ExplorationSchedule, InferenceReport,
-                    LearningSchedule, ParameterState, ReportRow)
+                    LearningSchedule, ReportRow)
 from .value import oracle_value
 
 __version__ = "0.1.0"

@@ -27,7 +27,7 @@ from .environments import SyntheticConfig, SyntheticEnvironment
 from .inference import ipw_weight
 from .models import _HESSIAN_VARIANTS
 from .policy import RngStream, exploration_rate, learning_rate
-from .types import ExplorationSchedule, LearningSchedule, ParameterState
+from .types import ExplorationSchedule, LearningSchedule
 from .value import draw_features
 
 
@@ -56,19 +56,22 @@ class Checkpoints:
 
 
 @dataclass
-class RunSummary:
-    steps: int = 0
-    updates: int = 0
-    total_reward: float = 0.0
-    exhausted: bool = False
-    pending: int = 0
-    checkpoints: Checkpoints | None = None
-
-
-@dataclass
 class StreamResult:
-    state: ParameterState
-    summary: RunSummary
+    """One stream's result: copies of the final iterate ``hat_beta`` and its
+    running average ``bar_beta`` (2p,); the decision ``steps`` taken and the
+    SGD ``updates`` applied; the ``total_reward`` of the updates; whether the
+    environment ran out before the horizon, ``exhausted``; the decisions
+    whose rewards never arrived, ``pending`` (lagged mode only); and the
+    ``checkpoints``, views of the rows its engine recorded."""
+
+    hat_beta: np.ndarray
+    bar_beta: np.ndarray
+    steps: int
+    updates: int
+    total_reward: float
+    exhausted: bool
+    pending: int
+    checkpoints: Checkpoints
 
 
 # Steps held in the pending block before it is folded into the sums (and
@@ -109,7 +112,11 @@ class _Sums:
         if hessian not in _HESSIAN_VARIANTS:
             raise ValueError(f"unknown hessian variant {hessian!r}")
         self.model, self.hessian, self.aipw, self.on_steps = model, hessian, aipw, on_steps
-        self.due = set(int(c) for c in checkpoints)
+        self.due = set()
+        for c in checkpoints:
+            if not float(c).is_integer():
+                raise ValueError(f"checkpoint {c!r} is not a whole step")
+            self.due.add(int(c))
         dim = 2 * model.p
         self.S = np.zeros((reps, dim, dim)) if collect_inference else None
         self.H = np.zeros((reps, dim, dim)) if collect_inference else None
@@ -189,15 +196,14 @@ class _Sums:
                 stack[self.k] = field
         self.k += 1
 
-    def result(self, r: int, hat: np.ndarray, bar: np.ndarray,
-               summary: RunSummary) -> StreamResult:
-        """Stream ``r``'s result after ``summary.updates`` updates, with its
-        total reward and checkpoints (views of its rows) filled in."""
-        summary.total_reward = float(self.total_reward[r])
-        summary.checkpoints = Checkpoints(*(
-            None if a is None else a[:self.k] if a.ndim == 1 else a[:self.k, r]
-            for a in vars(self.rows).values()))
-        return StreamResult(ParameterState(hat.copy(), bar.copy(), summary.updates), summary)
+    def result(self, r: int, hat: np.ndarray, bar: np.ndarray, steps: int, updates: int,
+               exhausted: bool = False, pending: int = 0) -> StreamResult:
+        """Stream ``r``'s result, with the final iterate ``hat`` and average
+        ``bar``, its total reward and its checkpoints (views of its rows)."""
+        return StreamResult(hat.copy(), bar.copy(), steps, updates, float(self.total_reward[r]),
+                            exhausted, pending, Checkpoints(*(
+                                None if a is None else a[:self.k] if a.ndim == 1
+                                else a[:self.k, r] for a in vars(self.rows).values())))
 
 
 def _average(bar: np.ndarray, hat: np.ndarray, t: int) -> None:
@@ -299,10 +305,15 @@ class _UpdateCore:
         self.fold()
         self.sums.checkpoint(t, self.bar[None], eps)
 
-    def result(self, summary: RunSummary) -> StreamResult:
+    def result(self, steps: int, eps: float, exhausted: bool, pending: int = 0) -> StreamResult:
+        """The end of both per-step loops: the result after ``steps`` decision
+        steps, the last at exploration rate ``eps``.  A run whose environment
+        ran out after at least one step ends with a checkpoint of its final
+        step, unless that step already is one."""
+        if exhausted and steps >= 1 and steps not in self.sums.due:
+            self.snapshot(steps, eps)
         self.fold()
-        summary.updates = self.updates
-        return self.sums.result(0, self.hat, self.bar, summary)
+        return self.sums.result(0, self.hat, self.bar, steps, self.updates, exhausted, pending)
 
 
 def run_stream(env, model, learn: LearningSchedule, explore: ExplorationSchedule,
@@ -319,7 +330,7 @@ def run_stream(env, model, learn: LearningSchedule, explore: ExplorationSchedule
     environment runs out after at least one step ends with a checkpoint of
     its final step, unless that step already is one.  Reports come from the
     checkpoints alone: ``inference.checkpoint_reports`` reads one per
-    checkpoint off ``summary.checkpoints``, so a run that should report at
+    checkpoint off ``result.checkpoints``, so a run that should report at
     its end passes ``checkpoints=(horizon,)``.  Fixed seeds give
     bit-identical runs.  Each run of steps added to the sums is first passed
     to ``on_steps(t, act, greedy, y, eps, ubar)``, if given, oldest first: the
@@ -330,28 +341,23 @@ def run_stream(env, model, learn: LearningSchedule, explore: ExplorationSchedule
     sums = _Sums(model, hessian, 1, horizon, checkpoints, collect_inference,
                  collect_value, aipw, on_steps)
     core = _UpdateCore(model, learn, sums)
-    summary = RunSummary()
+    steps, eps, exhausted = 0, 1.0, False
     for t in range(1, horizon + 1):
-        eps = exploration_rate(explore, t)
+        rate = exploration_rate(explore, t)
         include = not (skip_value_burn_in and t <= explore.burn_in)
-        while True:
-            x = env.next_feature()
-            if x is None:
-                summary.exhausted = True
-                break
-            decision = core.sample(x, eps, rng.uniform(), include)
+        while (x := env.next_feature()) is not None:
+            decision = core.sample(x, rate, rng.uniform(), include)
             y = env.outcome(x, decision[0])
             if y is not None:
                 break
-        if summary.exhausted:
+        if x is None:
+            exhausted = True
             break
         core.apply(x, decision, float(y))
-        summary.steps = t
+        steps, eps = t, rate
         if t in sums.due:
             core.snapshot(t, eps)
-    if summary.exhausted and summary.steps >= 1 and summary.steps not in sums.due:
-        core.snapshot(summary.steps, exploration_rate(explore, summary.steps))
-    return core.result(summary)
+    return core.result(steps, eps, exhausted)
 
 
 def run_stream_lagged(env, model, learn: LearningSchedule, explore: ExplorationSchedule,
@@ -368,12 +374,14 @@ def run_stream_lagged(env, model, learn: LearningSchedule, explore: ExplorationS
     learning-rate index equal to the update ordinal.  The exploration clock
     advances with completed updates, so the rule stays frozen while rewards
     are outstanding.  Records whose rewards never arrive simply never update
-    (they remain counted in ``summary.pending``).
+    (they remain counted in ``result.pending``).  As in ``run_stream``, a run
+    whose environment runs out ends with a checkpoint of its final decision
+    step, holding every update made by then.
     """
     sums = _Sums(model, hessian, 1, horizon, checkpoints, collect_inference,
                  collect_value, aipw)
     core = _UpdateCore(model, learn, sums)
-    summary = RunSummary()
+    steps, eps, exhausted = 0, 1.0, False
     # (step, copy of x, decision) per decision awaiting its reward.
     pending: deque[tuple] = deque()
 
@@ -395,7 +403,7 @@ def run_stream_lagged(env, model, learn: LearningSchedule, explore: ExplorationS
         drain(t)
         x = env.next_feature()
         if x is None:
-            summary.exhausted = True
+            exhausted = True
             break
         ordinal_next = core.updates + 1
         eps = exploration_rate(explore, ordinal_next)
@@ -405,11 +413,10 @@ def run_stream_lagged(env, model, learn: LearningSchedule, explore: ExplorationS
         pending.append((t, x.copy(), decision))
         env.submit(t, x, decision[0])
         drain(t)
-        summary.steps = t
+        steps = t
         if t in sums.due:
             core.snapshot(t, eps)
-    summary.pending = len(pending)
-    return core.result(summary)
+    return core.result(steps, eps, exhausted, len(pending))
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +593,5 @@ def _run_synthetic(synth: SyntheticConfig, learn: LearningSchedule,
                 if t0 + i1 in sums.due:
                     sums.checkpoint(t0 + i1, bar.reshape(reps, 2 * p), eps_b[i1 - 1])
                 i0 = i1
-    return [sums.result(r, hat[r].reshape(2 * p), bar[r].reshape(2 * p),
-                        RunSummary(steps=horizon, updates=horizon))
+    return [sums.result(r, hat[r].reshape(2 * p), bar[r].reshape(2 * p), horizon, horizon)
             for r in range(reps)]

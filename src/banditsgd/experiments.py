@@ -87,6 +87,9 @@ class ExperimentConfig:
                 raise ConfigError(f"beta0 has length {beta0.shape[0]}, expected {2 * self.p}")
             if not np.isfinite(beta0).all():
                 raise ConfigError(f"beta0 entries must be finite, got {self.beta0!r}")
+        for t in self.checkpoints or ():
+            if not float(t).is_integer():
+                raise ConfigError(f"checkpoint {t!r} is not a whole step")
         for t in self.effective_checkpoints():
             if not 1 <= t <= self.horizon:
                 raise ConfigError(f"checkpoint {t} outside [1, {self.horizon}]")
@@ -277,7 +280,7 @@ def run_single(config: ExperimentConfig) -> SingleRunOutput:
                 config.exploration_schedule(), rng, config.horizon, hessian=config.hessian,
                 aipw=config.aipw, skip_value_burn_in=config.value_skip_burn_in,
                 checkpoints=config.effective_checkpoints(), on_steps=on_steps)
-    reports = checkpoint_reports(result.summary.checkpoints, config.level,
+    reports = checkpoint_reports(result.checkpoints, config.level,
                                  ridge=config.ridge)
     out_dir = Path(config.out)
     paths = [emit_report(report, config.format, out_dir / f"report_t{t}.{config.format}")
@@ -291,8 +294,8 @@ def run_single(config: ExperimentConfig) -> SingleRunOutput:
         }
         stats_path = out_dir / f"replay_stats.{config.format}"
         paths.append(emit_report(replay_stats, config.format, stats_path))
-    return SingleRunOutput(reports=reports, paths=paths, steps=result.summary.steps,
-                           total_reward=result.summary.total_reward,
+    return SingleRunOutput(reports=reports, paths=paths, steps=result.steps,
+                           total_reward=result.total_reward,
                            replay_stats=replay_stats)
 
 
@@ -317,7 +320,7 @@ def _mc_batch(job, collect_inference: bool = True) -> list[RepResult]:
     for (rep, seed), stream in zip(reps, streams):
         result = RepResult(rep=rep, seed=seed)
         try:
-            result.reports = checkpoint_reports(stream.summary.checkpoints, config.level,
+            result.reports = checkpoint_reports(stream.checkpoints, config.level,
                                                 ridge=config.ridge)
         except Exception as exc:  # noqa: BLE001 - failures are recorded, not fatal
             result.error = f"{type(exc).__name__}: {exc}"

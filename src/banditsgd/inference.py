@@ -50,9 +50,9 @@ def _sandwiches(S: np.ndarray, H: np.ndarray, n: np.ndarray, *, ridge: bool = Fa
     falls below -1e-10 (seen with the ridge at very short horizons, where
     cancellation swamps the tiny eigenvalues) or is NaN (a diverged run).
     """
-    if n.min() < 1:
-        raise ValueError("no accumulated steps")
     dim = H.shape[-1]
+    # A row without steps has a zero curvature, which comes out singular.
+    n = np.maximum(n, 1)
     h = H / n[:, None, None]
     lam, q = np.linalg.eigh(h)
     cond = _conditions(lam)

@@ -1,4 +1,4 @@
-"""Shared data model: parameter state, schedules, and reports.
+"""Shared data model: schedules and reports.
 
 Parameter vectors follow a fixed block layout: a model with feature dimension
 ``p`` carries ``2p`` parameters, the first ``p`` for action 0 and the last
@@ -22,28 +22,6 @@ def as_float_vector(v, name: str = "vector") -> np.ndarray:
     if arr.ndim != 1:
         raise DimensionError(f"{name} must be 1-D, got shape {arr.shape}")
     return arr
-
-
-@dataclass(frozen=True)
-class ParameterState:
-    """Raw SGD iterate, its running average, and the step count.
-
-    ``bar_beta`` is the arithmetic mean of the iterates produced so far,
-    maintained recursively.  At ``t == 0`` both vectors are zero.  An engine
-    returns a state holding copies of its arrays; treat them as immutable.
-    """
-
-    hat_beta: np.ndarray
-    bar_beta: np.ndarray
-    t: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "hat_beta", as_float_vector(self.hat_beta, "hat_beta"))
-        object.__setattr__(self, "bar_beta", as_float_vector(self.bar_beta, "bar_beta"))
-        if self.hat_beta.shape != self.bar_beta.shape:
-            raise DimensionError("hat_beta and bar_beta must have the same length")
-        if self.t < 0:
-            raise ValueError("step count must be nonnegative")
 
 
 @dataclass(frozen=True)

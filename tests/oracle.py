@@ -12,6 +12,7 @@ snapshot at every step give a run's steps for that comparison.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -20,7 +21,7 @@ from banditsgd.inference import ipw_weight
 from banditsgd.environments import ReplayCursor
 from banditsgd.models import HESSIAN_EXACT, _HESSIAN_VARIANTS
 from banditsgd.policy import RngStream, learning_rate
-from banditsgd.types import DimensionError, LearningSchedule, ParameterState, as_float_vector
+from banditsgd.types import DimensionError, LearningSchedule, as_float_vector
 
 
 @dataclass(frozen=True)
@@ -141,8 +142,12 @@ def sample_action(pi: float, rng: RngStream) -> int:
 # One IPW-SGD step.
 # ---------------------------------------------------------------------------
 
-def zero_state(p: int) -> ParameterState:
-    return ParameterState(np.zeros(2 * p), np.zeros(2 * p), 0)
+# The raw iterate, its running average over the first ``t`` iterates, and ``t``.
+State = namedtuple("State", "hat_beta bar_beta t")
+
+
+def zero_state(p: int) -> State:
+    return State(np.zeros(2 * p), np.zeros(2 * p), 0)
 
 
 def ipw_gradient(model, beta_prev, obs: Observation, pi_prev: float) -> np.ndarray:
@@ -150,14 +155,14 @@ def ipw_gradient(model, beta_prev, obs: Observation, pi_prev: float) -> np.ndarr
     return ipw_weight(obs.a, pi_prev) * loss_gradient(model, beta_prev, obs)
 
 
-def sgd_step(state: ParameterState, model, schedule: LearningSchedule,
-             obs: Observation, pi_used: float) -> ParameterState:
+def sgd_step(state: State, model, schedule: LearningSchedule,
+             obs: Observation, pi_used: float) -> State:
     """One weighted SGD step plus the recursive average; returns a new state."""
     t_next = state.t + 1
     g = ipw_gradient(model, state.hat_beta, obs, pi_used)
     hat = state.hat_beta - learning_rate(schedule, t_next) * g
     bar = (hat + state.t * state.bar_beta) / t_next
-    return ParameterState(hat, bar, t_next)
+    return State(hat, bar, t_next)
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +269,22 @@ def recorded_steps(model, env: RecordingEnvironment, result) -> list[tuple]:
     """Per decision step of a run on ``env`` with a snapshot at every step:
     the pre-step average, the observation, the propensity and exploration
     rate that sampled it, and the greedy action at the average."""
-    cps = result.summary.checkpoints
+    cps = result.checkpoints
     assert cps.t.tolist() == list(range(1, len(env.steps) + 1))
     bars = [np.zeros(2 * model.p)] + list(cps.bar_beta[:-1])
     return [(bar, obs, propensity(model, bar, obs.x, eps), eps,
              decide_optimal(model, bar, obs.x))
             for bar, obs, eps in zip(bars, env.steps, cps.eps.tolist())]
+
+
+def assert_same_results(got, want):
+    """Two runs' ``StreamResult``s equal in every field, exactly."""
+    for f in fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "checkpoints":
+            assert_same_checkpoints(a, b)
+        else:
+            assert np.array_equal(a, b), f.name
 
 
 def assert_same_checkpoints(got, want):

@@ -203,7 +203,7 @@ def test_criterion_06_curvature_oracle():
     res = run_stream(env, model, LearningSchedule(0.5, 0.501),
                      ExplorationSchedule.fixed(0.2), rng, 100_000,
                      collect_value=False, checkpoints=(100_000,))
-    cps = res.summary.checkpoints
+    cps = res.checkpoints
     h_hat = cps.H[-1] / cps.n[-1]
 
     # Oracle: average curvature-times-weight under the uniform-random rule
@@ -343,11 +343,11 @@ def test_criterion_10_lagged_equivalence():
     explore = ExplorationSchedule.fixed(0.2)
     res = run_stream_lagged(env, model, learn, explore, rng, 500)
     ref = _reference_fold(model, learn, explore, env.events)
-    rel = np.abs(res.state.bar_beta - ref.bar_beta) / (1e-30 + np.abs(ref.bar_beta))
+    rel = np.abs(res.bar_beta - ref.bar_beta) / (1e-30 + np.abs(ref.bar_beta))
     report(f"criterion 10 (lagged equivalence, lag 3): max relative gap "
-           f"{rel.max():.2e} (tol 1e-10); updates {res.summary.updates}, "
-           f"pending {res.summary.pending}")
-    assert res.summary.updates == ref.t
+           f"{rel.max():.2e} (tol 1e-10); updates {res.updates}, "
+           f"pending {res.pending}")
+    assert res.updates == ref.t
     assert rel.max() < 1e-10
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banditsgd import (ExplorationSchedule, LearningSchedule, LinearModel,
-                       LogisticModel, ParameterState, ProtocolError, ReplayCursor,
+                       LogisticModel, ProtocolError, ReplayCursor,
                        ReplayLog, RngStream, SyntheticConfig, SyntheticEnvironment,
                        exploration_rate, make_model, run_stream, run_stream_lagged)
 from banditsgd import engine
@@ -16,9 +16,10 @@ from banditsgd.environments import LaggedSyntheticEnvironment, constant_lag, geo
 from banditsgd.experiments import _map_jobs, _step_losses, _trace_steps
 from banditsgd.inference import ipw_weight
 
-from oracle import (Observation, RecordingEnvironment, accumulate, assert_same_checkpoints,
-                    decide_optimal, ipw_gradient, loss, loss_gradient, mean_reward,
-                    propensity, recorded_steps, sgd_step, update_value, zero_state)
+from oracle import (Observation, RecordingEnvironment, State, accumulate,
+                    assert_same_checkpoints, assert_same_results, decide_optimal,
+                    ipw_gradient, loss, loss_gradient, mean_reward, propensity,
+                    recorded_steps, sgd_step, update_value, zero_state)
 
 BETA0 = np.array([0.3, -0.1, 0.7, 0.8, 0.5, -0.4])
 LEARN = LearningSchedule(0.5, 0.501)
@@ -37,7 +38,7 @@ def _distance_to_truth(seed):
     m, env, rng = make_env(seed=seed)
     res = run_stream(env, m, LEARN, EXPLORE, rng, 10_000,
                      collect_inference=False, collect_value=False)
-    return np.linalg.norm(res.state.bar_beta - BETA0)
+    return np.linalg.norm(res.bar_beta - BETA0)
 
 
 class TestIpwGradient:
@@ -121,7 +122,7 @@ class TestSgdStep:
     def test_zero_gradient_fixed_point(self):
         m = LinearModel(3)
         hat = BETA0.copy()
-        state = ParameterState(hat, hat.copy(), 5)
+        state = State(hat, hat.copy(), 5)
         x = np.array([1.0, 0.2, -0.1])
         obs = Observation(x, 1, mean_reward(m, 1, x, BETA0))
         new = sgd_step(state, m, LEARN, obs, 0.7)
@@ -141,7 +142,7 @@ class TestSgdStep:
     def test_inactive_block_never_touched(self):
         m = LogisticModel(3)
         rng = np.random.default_rng(61)
-        state = ParameterState(rng.standard_normal(6), rng.standard_normal(6), 3)
+        state = State(rng.standard_normal(6), rng.standard_normal(6), 3)
         for _ in range(30):
             x = np.append(1.0, rng.standard_normal(2))
             a = int(rng.integers(0, 2))
@@ -172,8 +173,8 @@ class TestRunStream:
         env = RecordingEnvironment(env)
         res = run_stream(env, m, LEARN, EXPLORE, rng, 1, checkpoints=(1,))
         seen = [(pi, eps) for _, _, pi, eps, _ in recorded_steps(m, env, res)]
-        cps = res.summary.checkpoints
-        assert res.summary.steps == 1 and cps.n.tolist() == cps.value_t.tolist() == [1]
+        cps = res.checkpoints
+        assert res.steps == 1 and cps.n.tolist() == cps.value_t.tolist() == [1]
         assert seen == [(0.5, 1.0)]
 
     def test_fixed_seed_bit_identical(self):
@@ -181,8 +182,8 @@ class TestRunStream:
         m2, env2, rng2 = make_env(seed=42)
         r1 = run_stream(env1, m1, LEARN, EXPLORE, rng1, 3000, checkpoints=(3000,))
         r2 = run_stream(env2, m2, LEARN, EXPLORE, rng2, 3000, checkpoints=(3000,))
-        np.testing.assert_array_equal(r1.state.bar_beta, r2.state.bar_beta)
-        assert_same_checkpoints(r1.summary.checkpoints, r2.summary.checkpoints)
+        np.testing.assert_array_equal(r1.bar_beta, r2.bar_beta)
+        assert_same_checkpoints(r1.checkpoints, r2.checkpoints)
 
     @pytest.mark.parametrize("family", ["linear", "logistic"])
     def test_engine_matches_public_operations(self, family):
@@ -200,9 +201,9 @@ class TestRunStream:
             accumulate(s_sum, h_sum, m, state.bar_beta, obs, pi)
             update_value(val, obs, greedy, eps)
             state = sgd_step(state, m, LEARN, obs, pi)
-        cps = res.summary.checkpoints
-        np.testing.assert_allclose(res.state.hat_beta, state.hat_beta, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(res.state.bar_beta, state.bar_beta, rtol=1e-12, atol=1e-14)
+        cps = res.checkpoints
+        np.testing.assert_allclose(res.hat_beta, state.hat_beta, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(res.bar_beta, state.bar_beta, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(cps.S[-1], s_sum, rtol=1e-12, atol=1e-13)
         np.testing.assert_allclose(cps.H[-1], h_sum, rtol=1e-12, atol=1e-13)
         assert cps.n[-1] == cps.value_t[-1] == 1500
@@ -220,6 +221,11 @@ class TestRunStream:
                 run_stream_lagged(env, m, LEARN, EXPLORE, rng, 100, hessian="bogus")
             else:
                 run_stream(env, m, LEARN, EXPLORE, rng, 100, hessian="bogus")
+
+    def test_non_integral_checkpoint_names_its_value(self):
+        m, env, rng = make_env(seed=6)
+        with pytest.raises(ValueError, match=r"^checkpoint 2\.7 is not a whole step$"):
+            run_stream(env, m, LEARN, EXPLORE, rng, 10, checkpoints=(2.7, 10))
 
     @pytest.mark.parametrize("kind", ["plain", "lagged", "synthetic"])
     def test_horizon_below_one_rejected_before_the_environment(self, kind):
@@ -249,7 +255,7 @@ class TestRunStream:
                 run = run_stream_lagged
             res = run(env, m, LEARN, EXPLORE, rng, 3000,
                       collect_inference=sums, collect_value=sums)
-            totals.append(res.summary.total_reward)
+            totals.append(res.total_reward)
         assert totals[0] == totals[1] != 0.0
 
     def test_consistency_over_replications(self):
@@ -285,18 +291,18 @@ class TestRunStream:
             assert list(rows[0]) == ["step", "eps", "pi", "action", "reward", "loss"]
             assert float(rows[0]["eps"]) == 1.0 and float(rows[0]["pi"]) == 0.5
             total = sum(float(r["reward"]) for r in rows)
-            assert total == pytest.approx(res.summary.total_reward, rel=1e-12)
+            assert total == pytest.approx(res.total_reward, rel=1e-12)
             # Every loss cell is a plain number, not a numpy scalar's repr.
             assert all(math.isfinite(float(r["loss"])) for r in rows)
 
     def test_checkpoint_snapshots_are_frozen_copies(self):
         m, env, rng = make_env(seed=5)
         res = run_stream(env, m, LEARN, EXPLORE, rng, 400, checkpoints=(100, 400))
-        cps = res.summary.checkpoints
+        cps = res.checkpoints
         assert cps.t.tolist() == cps.n.tolist() == [100, 400]
         assert cps.value_t[0] == 100
-        assert not np.array_equal(cps.bar_beta[0], res.state.bar_beta)
-        np.testing.assert_array_equal(cps.bar_beta[1], res.state.bar_beta)
+        assert not np.array_equal(cps.bar_beta[0], res.bar_beta)
+        np.testing.assert_array_equal(cps.bar_beta[1], res.bar_beta)
 
     def test_environment_exhaustion_stops_cleanly(self):
         rng_np = np.random.default_rng(6)
@@ -307,8 +313,8 @@ class TestRunStream:
         cursor = ReplayCursor(ReplayLog(*map(np.array, zip(*rows))))
         res = run_stream(cursor, m, LEARN, EXPLORE,
                          RngStream(8), 1000)
-        assert res.summary.exhausted
-        assert res.summary.steps == cursor.matched
+        assert res.exhausted
+        assert res.steps == cursor.matched
         assert cursor.consumed == 40
 
     def test_value_burn_in_exclusion_switch(self):
@@ -317,15 +323,15 @@ class TestRunStream:
         m2, env2, rng2 = make_env(seed=9)
         skip = run_stream(env2, m2, LEARN, EXPLORE, rng2, 200, skip_value_burn_in=True,
                           checkpoints=(200,))
-        assert keep.summary.checkpoints.value_t.tolist() == [200]
-        assert skip.summary.checkpoints.value_t.tolist() == [200 - EXPLORE.burn_in]
-        np.testing.assert_array_equal(keep.state.bar_beta, skip.state.bar_beta)
+        assert keep.checkpoints.value_t.tolist() == [200]
+        assert skip.checkpoints.value_t.tolist() == [200 - EXPLORE.burn_in]
+        np.testing.assert_array_equal(keep.bar_beta, skip.bar_beta)
 
 
 def _assert_same_sums(got, want):
     """Two runs with equal checkpoints, every field; runs that end with a
     checkpoint so have equal final sums."""
-    assert_same_checkpoints(got.summary.checkpoints, want.summary.checkpoints)
+    assert_same_checkpoints(got.checkpoints, want.checkpoints)
 
 
 def _replay_log(rows, seed=6):
@@ -343,35 +349,45 @@ class TestExhaustedRunRecord:
         return run_stream(ReplayCursor(log), LogisticModel(3), LEARN, self.explore,
                           RngStream(8), 1000, checkpoints=checkpoints)
 
-    def test_final_step_is_recorded(self):
-        res = self._run(_replay_log(40), checkpoints=(5,))
-        steps = res.summary.steps
-        assert res.summary.exhausted and 5 < steps < 1000
-        cps = res.summary.checkpoints
+    @pytest.mark.parametrize("lagged", [False, True], ids=["plain", "lagged"])
+    def test_final_step_is_recorded(self, lagged):
+        def run(checkpoints):
+            if not lagged:
+                return self._run(_replay_log(40), checkpoints)
+            # At lag 0 each reward arrives at once, so the exploration clock
+            # is the step's.
+            model, rng = LogisticModel(3), RngStream(8)
+            env = LaggedSyntheticEnvironment(SyntheticConfig(model, BETA0), rng, lag=0)
+            return run_stream_lagged(_FeatureBudget(env, 40), model, LEARN, self.explore,
+                                     rng, 1000, checkpoints=checkpoints)
+        res = run((5,))
+        steps = res.steps
+        assert res.exhausted and 5 < steps < 1000
+        cps = res.checkpoints
         assert cps.t.tolist() == [5, steps]
         assert cps.eps[-1] == exploration_rate(self.explore, steps)
         assert cps.eps[-1] != exploration_rate(self.explore, steps + 1)
-        np.testing.assert_array_equal(cps.bar_beta[-1], res.state.bar_beta)
+        np.testing.assert_array_equal(cps.bar_beta[-1], res.bar_beta)
         assert cps.n[-1] == cps.value_t[-1] == steps
         # The record equals that of the run asked for a checkpoint there.
-        _assert_same_sums(self._run(_replay_log(40), checkpoints=(5, steps)), res)
+        assert_same_results(run((5, steps)), res)
 
     def test_final_checkpoint_is_not_recorded_twice(self):
         log = _replay_log(40)
-        steps = self._run(log).summary.steps
+        steps = self._run(log).steps
         res = self._run(log, checkpoints=(5, steps))
-        assert res.summary.checkpoints.t.tolist() == [5, steps]
+        assert res.checkpoints.t.tolist() == [5, steps]
 
     def test_no_record_without_a_matched_step(self):
         # Of two one-entry logs that differ in the logged action, exactly one
         # matches the run's first action.
         runs = [self._run(ReplayLog(np.array([[1.0, 0.2, -0.3]]), [a], [1.0]))
                 for a in (0, 1)]
-        assert sorted(r.summary.steps for r in runs) == [0, 1]
+        assert sorted(r.steps for r in runs) == [0, 1]
         for res in runs:
-            assert res.summary.exhausted
-            want = [1] if res.summary.steps else []
-            assert res.summary.checkpoints.t.tolist() == want
+            assert res.exhausted
+            want = [1] if res.steps else []
+            assert res.checkpoints.t.tolist() == want
 
 
 def _folded_sums(rows, horizon, checkpoints, *, family="linear", p=3, lag=None,
@@ -390,8 +406,22 @@ def _folded_sums(rows, horizon, checkpoints, *, family="linear", p=3, lag=None,
             env = env_wrapper(env)
         checkpoints = sorted({*checkpoints, horizon})
         res = run(env, model, LEARN, EXPLORE, rng, horizon, checkpoints=checkpoints, **kw)
-    assert res.summary.checkpoints.t.tolist() == checkpoints
+    assert res.checkpoints.t.tolist() == checkpoints
     return res
+
+
+class _FeatureBudget:
+    """Environment, plain or lagged, that runs out after ``budget`` feature rows."""
+
+    def __init__(self, inner, budget):
+        self.inner, self.budget = inner, budget
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def next_feature(self):
+        self.budget -= 1
+        return None if self.budget < 0 else self.inner.next_feature()
 
 
 class _OneFeatureBuffer:
@@ -472,7 +502,7 @@ class TestBlockFolding:
             h_sum[blk, blk] += xx * (m.hessian_scale(mu, y, hessian) * w)
             g_blk = slice(3, 6) if greedy == 1 else slice(0, 3)
             update_value(val, obs, greedy, eps, m.mean_from_index(float(x @ bar[g_blk])))
-        cps = res.summary.checkpoints
+        cps = res.checkpoints
         np.testing.assert_array_equal(cps.S[-1], s_sum)
         np.testing.assert_array_equal(cps.H[-1], h_sum)
         assert cps.n[-1] == len(steps) == cps.value_t[-1]
@@ -551,16 +581,10 @@ class TestSyntheticTables:
     @pytest.mark.parametrize("family", ["linear", "logistic"])
     def test_matches_run_stream(self, family, p, case):
         want, got = self._both(family, p, case)
-        assert got.summary.steps == want.summary.steps == case[0]
-        assert got.summary.total_reward == want.summary.total_reward
-        assert got.summary.updates == want.summary.updates
-        np.testing.assert_array_equal(got.state.hat_beta, want.state.hat_beta)
-        np.testing.assert_array_equal(got.state.bar_beta, want.state.bar_beta)
-        if case[5]:
-            _assert_same_sums(got, want)
-        else:
-            assert_same_checkpoints(got.summary.checkpoints, want.summary.checkpoints)
-            cps = got.summary.checkpoints
+        assert got.steps == case[0]
+        assert_same_results(got, want)
+        if not case[5]:
+            cps = got.checkpoints
             assert cps.S is cps.H is cps.value is None
 
 
@@ -609,21 +633,19 @@ class TestOnSteps:
 def test_zero_lag_equals_plain_stream_bit_for_bit(family, hessian, aipw, skip, seed,
                                                   horizon, data):
     checkpoints = data.draw(st.sets(st.integers(1, horizon), max_size=5))
+    # A budget below the horizon makes the environment run out.
+    budget = data.draw(st.integers(0, horizon + 1))
     model = make_model(family, 3)
     config = SyntheticConfig(model, BETA0)
     kw = dict(hessian=hessian, aipw=aipw, skip_value_burn_in=skip, checkpoints=checkpoints)
     rng = RngStream(seed)
-    plain = run_stream(SyntheticEnvironment(config, rng), model, LEARN, EXPLORE, rng,
-                       horizon, **kw)
+    plain = run_stream(_FeatureBudget(SyntheticEnvironment(config, rng), budget), model,
+                       LEARN, EXPLORE, rng, horizon, **kw)
     rng = RngStream(seed)
-    lagged = run_stream_lagged(LaggedSyntheticEnvironment(config, rng, lag=0), model,
-                               LEARN, EXPLORE, rng, horizon, **kw)
-    assert lagged.summary.pending == 0
-    assert (lagged.summary.steps, lagged.summary.updates, lagged.summary.total_reward) \
-        == (plain.summary.steps, plain.summary.updates, plain.summary.total_reward)
-    np.testing.assert_array_equal(lagged.state.hat_beta, plain.state.hat_beta)
-    np.testing.assert_array_equal(lagged.state.bar_beta, plain.state.bar_beta)
-    _assert_same_sums(lagged, plain)
+    lagged = run_stream_lagged(_FeatureBudget(LaggedSyntheticEnvironment(config, rng, lag=0),
+                                              budget), model, LEARN, EXPLORE, rng, horizon, **kw)
+    assert plain.exhausted == (budget < horizon) and lagged.pending == 0
+    assert_same_results(lagged, plain)
 
 class _RecordingLaggedEnv:
     """Wraps a lagged environment, logging actions and arrivals in call order."""
@@ -677,9 +699,7 @@ class TestRunStreamLagged:
         lag_res = run_stream_lagged(env1, m1, LEARN, EXPLORE, rng1, 800, checkpoints=(800,))
         m2, env2, rng2 = make_env(seed=21)
         plain = run_stream(env2, m2, LEARN, EXPLORE, rng2, 800, checkpoints=(800,))
-        np.testing.assert_array_equal(lag_res.state.bar_beta, plain.state.bar_beta)
-        assert_same_checkpoints(lag_res.summary.checkpoints, plain.summary.checkpoints)
-        assert lag_res.summary.pending == 0
+        assert_same_results(lag_res, plain)
 
     def test_unit_lag_is_one_update_behind(self):
         # With constant lag one the decisions coincide with the lag-free run;
@@ -693,17 +713,17 @@ class TestRunStreamLagged:
         state = zero_state(3)
         for bar_prev, obs, pi, eps, greedy in recorded_steps(m2, env2, plain)[:-1]:
             state = sgd_step(state, m2, LEARN, obs, pi)
-        assert lag_res.summary.updates == 599
-        assert lag_res.summary.pending == 1
-        np.testing.assert_allclose(lag_res.state.bar_beta, state.bar_beta,
+        assert lag_res.updates == 599
+        assert lag_res.pending == 1
+        np.testing.assert_allclose(lag_res.bar_beta, state.bar_beta,
                                    rtol=1e-12, atol=1e-14)
 
     def test_delivered_rewards_leave_the_queue(self):
         m, _, rng = make_env(seed=24)
         env = LaggedSyntheticEnvironment(SyntheticConfig(m, BETA0), rng, lag=3)
         res = run_stream_lagged(env, m, LEARN, EXPLORE, rng, 2000)
-        assert res.summary.pending == 3
-        assert len(env._queue) == res.summary.pending
+        assert res.pending == 3
+        assert len(env._queue) == res.pending
 
     @pytest.mark.parametrize("lag", [2, 5])
     def test_constant_lag_matches_reference(self, lag):
@@ -712,10 +732,10 @@ class TestRunStreamLagged:
             LaggedSyntheticEnvironment(SyntheticConfig(m, BETA0), rng, lag=lag))
         res = run_stream_lagged(env, m, LEARN, EXPLORE, rng, 500)
         ref = _store_and_replay_reference(m, LEARN, EXPLORE, env.events)
-        assert res.summary.updates == ref.t == 500 - lag
-        np.testing.assert_allclose(res.state.bar_beta, ref.bar_beta,
+        assert res.updates == ref.t == 500 - lag
+        np.testing.assert_allclose(res.bar_beta, ref.bar_beta,
                                    rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(res.state.hat_beta, ref.hat_beta,
+        np.testing.assert_allclose(res.hat_beta, ref.hat_beta,
                                    rtol=1e-10, atol=1e-12)
 
     def test_geometric_lag_matches_reference(self):
@@ -725,9 +745,9 @@ class TestRunStreamLagged:
                                        lag=geometric_lag(0.4)))
         res = run_stream_lagged(env, m, LEARN, EXPLORE, rng, 400)
         ref = _store_and_replay_reference(m, LEARN, EXPLORE, env.events)
-        assert res.summary.updates == ref.t
-        assert res.summary.updates + res.summary.pending == res.summary.steps
-        np.testing.assert_allclose(res.state.bar_beta, ref.bar_beta,
+        assert res.updates == ref.t
+        assert res.updates + res.pending == res.steps
+        np.testing.assert_allclose(res.bar_beta, ref.bar_beta,
                                    rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("family,lag", [("linear", 3), ("logistic", geometric_lag(0.4))],
@@ -750,7 +770,7 @@ class TestRunStreamLagged:
         with mock.patch.object(engine, "_sgd_step", spy):
             res = run_stream_lagged(env, m, LEARN, explore, rng, 700, aipw=True,
                                     skip_value_burn_in=True, checkpoints=(700,))
-        bars.append(res.state.bar_beta)
+        bars.append(res.bar_beta)
         s_sum, h_sum, val = np.zeros((6, 6)), np.zeros((6, 6)), np.zeros(4)
         stored, updates, value_steps = {}, 0, 0
         for ev in env.events:
@@ -775,8 +795,8 @@ class TestRunStreamLagged:
                              m.mean_from_index(float(x @ bar[g_blk])))
                 value_steps += 1
             updates += 1
-        cps = res.summary.checkpoints
-        assert updates == res.summary.updates == cps.n[-1] > 600
+        cps = res.checkpoints
+        assert updates == res.updates == cps.n[-1] > 600
         assert 0 < value_steps == cps.value_t[-1] < updates
         np.testing.assert_array_equal(cps.S[-1], s_sum)
         np.testing.assert_array_equal(cps.H[-1], h_sum)
@@ -849,5 +869,5 @@ class TestRunStreamLagged:
                 return [sy for sy in self.inner.arrivals(now) if sy[0] <= 3]
 
         res = run_stream_lagged(BlackHole(), m, LEARN, EXPLORE, rng, 10)
-        assert res.summary.updates == 3
-        assert res.summary.pending == 7
+        assert res.updates == 3
+        assert res.pending == 7

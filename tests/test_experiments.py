@@ -115,6 +115,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="beta0 entries must be finite"):
             ExperimentConfig(beta0=(0.3, -0.1, 0.7, 0.8, 0.5, entry)).validate()
 
+    def test_non_integral_checkpoint_names_its_value(self):
+        with pytest.raises(ConfigError, match=r"^checkpoint 2\.7 is not a whole step$"):
+            build_config(overrides=dict(checkpoints=(2.7, 100), horizon=100))
+        assert build_config(overrides=dict(checkpoints=(2.0, 100), horizon=100)) \
+            .effective_checkpoints() == (2, 100)
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("mystery = 1\n")
@@ -316,7 +322,7 @@ def _library_reports(cfg):
                      cfg.exploration_schedule(), rng, cfg.horizon, hessian=cfg.hessian,
                      aipw=cfg.aipw, skip_value_burn_in=cfg.value_skip_burn_in,
                      checkpoints=cfg.effective_checkpoints())
-    return checkpoint_reports(res.summary.checkpoints, cfg.level, ridge=cfg.ridge)
+    return checkpoint_reports(res.checkpoints, cfg.level, ridge=cfg.ridge)
 
 
 @pytest.mark.parametrize("case", PARITY_CASES,

@@ -23,7 +23,7 @@ EXPORTS = {
     "RngStream", "derive_seed", "exploration_rate", "learning_rate", "splitmix64",
     # types
     "DimensionError", "ExplorationSchedule", "InferenceReport", "LearningSchedule",
-    "ParameterState", "ReportRow",
+    "ReportRow",
     # value
     "oracle_value",
 }
@@ -33,4 +33,4 @@ def test_exported_names():
     public = {name for name, obj in vars(banditsgd).items()
               if not name.startswith("_") and not inspect.ismodule(obj)}
     assert public == EXPORTS
-    assert len(EXPORTS) == 49
+    assert len(EXPORTS) == 48

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from banditsgd import (ExplorationSchedule, LearningSchedule, LinearModel,
-                       LogisticModel, RngStream, SyntheticConfig, SyntheticEnvironment,
-                       checkpoint_reports, normal_cdf, normal_quantile, run_stream,
-                       two_sided_p)
+from banditsgd import (ExplorationSchedule, LaggedSyntheticEnvironment, LearningSchedule,
+                       LinearModel, LogisticModel, RngStream, SyntheticConfig,
+                       SyntheticEnvironment, checkpoint_reports, normal_cdf, normal_quantile,
+                       run_stream, run_stream_lagged, two_sided_p)
 from banditsgd import inference
 from banditsgd.engine import Checkpoints
 from banditsgd.inference import ipw_weight
@@ -135,7 +135,7 @@ class TestSandwichCovariance:
     def test_negative_ridged_variance_flagged(self):
         # One step leaves the curvature rank one; the ridged inverse then
         # scales rounding errors into a negative diagonal entry.
-        cps = _final_run(1).summary.checkpoints
+        cps = _final_run(1).checkpoints
         sums = (cps.S[0], cps.H[0], 1)
         with mock.patch.object(inference, "_VARIANCE_TOL", math.inf):
             assert np.diag(_sandwich(*sums, ridge=True)[0]).min() < -1e-10
@@ -147,7 +147,7 @@ class TestSandwichCovariance:
     def test_condition_after_the_ridge_is_the_ridged_one(self):
         # The horizon-1 run above: the unridged curvature is rank one, so its
         # condition is infinite.
-        cps = _final_run(1).summary.checkpoints
+        cps = _final_run(1).checkpoints
         _, ridged, plain, ok = _sandwich(cps.S[0], cps.H[0], 1)
         assert not ridged and not ok and math.isinf(plain)
         _, ridged, cond, ok = _sandwich(cps.S[0], cps.H[0], 1, ridge=True)
@@ -161,7 +161,7 @@ class TestSandwichCovariance:
         # alpha=50 overflows the linear iterate; the gradient sums turn NaN
         # while the curvature, which does not depend on it, stays finite and
         # well conditioned.  Neither setting of the ridge gives a covariance.
-        cps = _final_run(2000, alpha=50.0, seed=321).summary.checkpoints
+        cps = _final_run(2000, alpha=50.0, seed=321).checkpoints
         assert np.isfinite(cps.H).all() and not np.isfinite(cps.S).all()
         for ridge in (False, True):
             _, ridged, cond, ok = _sandwich(cps.S[0], cps.H[0], 2000, ridge=ridge)
@@ -169,9 +169,14 @@ class TestSandwichCovariance:
             rows = checkpoint_reports(cps, ridge=ridge)[2000].rows[:6]
             assert all(r.flag == "singular_hessian" and math.isnan(r.se) for r in rows)
 
+    @pytest.mark.filterwarnings("error")
     def test_empty_accumulator_rejected(self):
-        with pytest.raises(ValueError, match="no accumulated steps"):
-            _sandwich(*_zeros(4), 0)
+        # A row without steps has a zero curvature, which is singular with or
+        # without the ridge, so no covariance comes out; its report rows are
+        # flagged (TestCheckpointReports), not raised.
+        for ridge in (False, True):
+            cov, ridged, cond, ok = _sandwich(*_zeros(4), 0, ridge=ridge)
+            assert not ok and ridged == ridge and math.isinf(cond) and np.isnan(cov).all()
 
 
 def _reference_sandwich(S, H, n, ridge):
@@ -270,14 +275,14 @@ class TestConvergedRunMagnitudes:
         # One converged linear run at horizon 1e4 with eps = 0.2: the reported
         # coordinate standard errors sit in the low-0.003 range (published
         # interval lengths 0.009-0.011 imply SE about 0.0023-0.0028).
-        report = checkpoint_reports(_final_run(10_000, seed=77).summary.checkpoints)[10_000]
+        report = checkpoint_reports(_final_run(10_000, seed=77).checkpoints)[10_000]
         se = np.array([row.se for row in report.rows[:6]])
         assert (se > 0.0015).all() and (se < 0.004).all()
 
     def test_curvature_estimate_near_half_identity(self):
         # Weighted curvature averages to 1/2 I (intercept-plus-standard-normal
         # features make the feature second moment the identity).
-        cps = _final_run(20_000, seed=78).summary.checkpoints
+        cps = _final_run(20_000, seed=78).checkpoints
         np.testing.assert_allclose(cps.H[0] / cps.n[0], 0.5 * np.eye(6), atol=0.05)
 
     def test_gradient_second_moment_matches_simulated_target(self):
@@ -286,7 +291,7 @@ class TestConvergedRunMagnitudes:
         # features and weighting each action's residual covariance by the
         # limiting propensity of the true greedy rule.
         sigma2 = 0.01
-        cps = _final_run(100_000, seed=79, collect_value=False).summary.checkpoints
+        cps = _final_run(100_000, seed=79, collect_value=False).checkpoints
         s_hat = cps.S[0] / cps.n[0]
 
         gen = np.random.default_rng(80)
@@ -371,10 +376,10 @@ class TestWaldReport:
 
 
 class TestCheckpointReports:
-    """Records that lack one kind of sums."""
+    """Records that lack one kind of sums, or a checkpoint's steps."""
 
     def test_without_value_sums_gives_parameter_rows_only(self):
-        cps = _final_run(300, collect_value=False).summary.checkpoints
+        cps = _final_run(300, collect_value=False).checkpoints
         assert cps.value is None
         rows = checkpoint_reports(cps)[300].rows
         assert [r.name for r in rows] == inference._parameter_names(6)
@@ -382,11 +387,31 @@ class TestCheckpointReports:
 
     def test_without_parameter_sums_gives_value_rows_only(self):
         for aipw, names in ((False, ["V_opt"]), (True, ["V_opt", "V_opt_aipw"])):
-            cps = _final_run(300, collect_inference=False, aipw=aipw).summary.checkpoints
+            cps = _final_run(300, collect_inference=False, aipw=aipw).checkpoints
             assert cps.S is cps.H is None
             rows = checkpoint_reports(cps)[300].rows
             assert [r.name for r in rows] == names
             assert all(r.se > 0.0 for r in rows)
+
+    @pytest.mark.filterwarnings("error")
+    def test_lagged_checkpoint_before_the_first_update_is_flagged(self):
+        # At lag 5 no update precedes the checkpoint after step 2; the report
+        # at step 20 equals that of the run without that checkpoint.
+        def run(checkpoints):
+            m, rng = LinearModel(3), RngStream(5)
+            env = LaggedSyntheticEnvironment(SyntheticConfig(m, BETA0, sigma2=0.01), rng, lag=5)
+            return run_stream_lagged(env, m, LearningSchedule(0.5, 0.501),
+                                     ExplorationSchedule.fixed(0.2, burn_in=5), rng, 20,
+                                     checkpoints=checkpoints).checkpoints
+        cps = run((2, 20))
+        assert cps.n.tolist() == cps.value_t.tolist() == [0, 15]
+        for ridge in (False, True):
+            reports = checkpoint_reports(cps, ridge=ridge)
+            *params, value = reports[2].rows
+            assert all(r.flag == "singular_hessian" and math.isnan(r.se) for r in params)
+            assert value.flag == "no_value_steps" and math.isnan(value.estimate)
+            want = checkpoint_reports(run((20,)), ridge=ridge)[20]
+            assert reports[20] == want and all(r.flag == "" for r in want.rows)
 
 
 class TestNormalFunctions:

@@ -18,7 +18,7 @@ from banditsgd.models import make_model
 from banditsgd.experiments import _launch, _mc_batch, _tune_batch
 from banditsgd.policy import derive_seed
 
-from oracle import RecordingEnvironment, assert_same_checkpoints, loss, recorded_steps
+from oracle import RecordingEnvironment, assert_same_results, loss, recorded_steps
 
 
 def _config(family, p, **kw):
@@ -35,25 +35,16 @@ def _per_step(config, seed, **kw):
                       skip_value_burn_in=config.value_skip_burn_in, **kw)
 
 
-def _assert_identical(got, want):
-    """Equal checkpoints, and equal end states and total rewards; every run
-    here ends with a checkpoint, so its final sums are compared too."""
-    assert_same_checkpoints(got.summary.checkpoints, want.summary.checkpoints)
-    assert (got.summary.steps, got.summary.updates, got.summary.total_reward) \
-        == (want.summary.steps, want.summary.updates, want.summary.total_reward)
-    assert np.array_equal(got.state.hat_beta, want.state.hat_beta)
-    assert np.array_equal(got.state.bar_beta, want.state.bar_beta)
-
-
 def _check(config, batch, collect_inference=True, collect_value=True):
     reps = [(i, derive_seed(config.seed, i)) for i in range(batch)]
     kw = dict(collect_inference=collect_inference, collect_value=collect_value)
     streams = experiments._synthetic(config, reps, **kw)
     assert len(streams) == batch
     for (_, seed), got in zip(reps, streams):
-        assert got.summary.checkpoints.t[-1] == config.horizon
-        _assert_identical(got, _per_step(config, seed, **kw,
-                                         checkpoints=config.effective_checkpoints()))
+        assert got.checkpoints.t[-1] == config.horizon
+        # Every run here ends with a checkpoint, so its final sums are compared too.
+        assert_same_results(got, _per_step(config, seed, **kw,
+                                           checkpoints=config.effective_checkpoints()))
 
 
 # Per batch size: horizon, checkpoints (burn-in edge, draw-chunk edges),

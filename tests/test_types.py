@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from banditsgd import (DimensionError, ExplorationSchedule, LearningSchedule,
-                       LinearModel, LogisticModel, ParameterState)
+                       LinearModel, LogisticModel)
 from banditsgd.types import ReportRow
 
-from oracle import Observation, decide_optimal, zero_state
+from oracle import Observation, decide_optimal
 
 BETA0 = np.array([0.3, -0.1, 0.7, 0.8, 0.5, -0.4])
 
@@ -74,22 +74,6 @@ class TestObservation:
     def test_matrix_feature_rejected(self):
         with pytest.raises(DimensionError):
             Observation(np.ones((2, 2)), 0, 0.0)
-
-
-class TestParameterState:
-    def test_zero_initialization(self):
-        s = zero_state(3)
-        assert s.t == 0
-        assert not s.hat_beta.any() and not s.bar_beta.any()
-        assert s.hat_beta.shape == (6,)
-
-    def test_mismatched_lengths(self):
-        with pytest.raises(DimensionError):
-            ParameterState(np.zeros(4), np.zeros(6), 0)
-
-    def test_negative_count(self):
-        with pytest.raises(ValueError):
-            ParameterState(np.zeros(2), np.zeros(2), -1)
 
 
 class TestSchedules:
