@@ -116,6 +116,8 @@ class _Sums:
         for c in checkpoints:
             if not float(c).is_integer():
                 raise ValueError(f"checkpoint {c!r} is not a whole step")
+            if not 1 <= int(c) <= horizon:
+                raise ValueError(f"checkpoint {int(c)} outside [1, {horizon}]")
             self.due.add(int(c))
         dim = 2 * model.p
         self.S = np.zeros((reps, dim, dim)) if collect_inference else None
@@ -123,9 +125,9 @@ class _Sums:
         self.value = np.zeros((reps, 4 if aipw else 2)) if collect_value else None
         self.total_reward = np.zeros(reps)
         self.n = self.t = self.k = 0
-        # A row per due step within the horizon, and one for the final step
-        # of a run whose environment runs out; step counts stay integers.
-        k = sum(1 <= c <= horizon for c in self.due) + 1
+        # A row per due step, and one for the final step of a run whose
+        # environment runs out; step counts stay integers.
+        k = len(self.due) + 1
         self.rows = Checkpoints(*(
             None if a is None else np.empty((k,) + np.shape(a), np.result_type(a))
             for a in self._row(0, np.empty((reps, dim)), 0.0)))
@@ -492,7 +494,7 @@ def _run_synthetic(synth: SyntheticConfig, learn: LearningSchedule,
     indexes at the average.  The tables and records go to ``_Sums.add`` at
     the end of each block and at checkpoints.  Exceptions propagate.
     """
-    model, link = synth.model, synth.model.mean_from_index
+    model = synth.model
     p, reps, chunk = model.p, len(seeds), SyntheticEnvironment._CHUNK
     sums = _Sums(model, hessian, reps, horizon, checkpoints, collect_inference,
                  collect_value, aipw, on_steps)
@@ -525,13 +527,13 @@ def _run_synthetic(synth: SyntheticConfig, learn: LearningSchedule,
             g = np.greater(ubar[j, :, 1], ubar[j, :, 0], out=greedy_k[j])
             ig = pair + g
             ia = ia_t[j].take(ig)
-            # The step coefficient (mu_hat - y) * w * alpha_t.  At these batch
-            # sizes the scalar link per replication beats one array call (README).
-            z = np.array(list(map(link, dots[j, 1].take(ia).tolist())))
+            # The step coefficient (mu_hat - y) * w * alpha_t.
+            z = model.mean_from_index_array(dots[j, 1].take(ia))
             z -= y_t[j].take(ia)
             z *= w_t[j].take(ig)
             z *= alpha_b[j]
-            np.subtract.at(hat_rows, ia, z[:, None] * x_k[j])
+            # Each replication takes one row of its own pair, so no row repeats.
+            hat_rows[ia] -= z[:, None] * x_k[j]
             _average(bar, hat, t)
 
     def scalar(i0: int, i1: int) -> None:
@@ -548,7 +550,8 @@ def _run_synthetic(synth: SyntheticConfig, learn: LearningSchedule,
                 u1 = float(bar1.dot(x))
                 g = 1 if u1 > u0 else 0
                 a = act[g]
-                _sgd_step(hat_r, bar_r, taken[a], x, y[a], w[g], alpha_t, t, link)
+                _sgd_step(hat_r, bar_r, taken[a], x, y[a], w[g], alpha_t, t,
+                          model.mean_from_index)
                 rec.append((g, u0, u1))
             rec = np.array(rec)
             greedy_k[span, r] = rec[:, 0]

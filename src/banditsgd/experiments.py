@@ -1,7 +1,8 @@
 """Experiment orchestration: configs, single runs, Monte Carlo suites, tuning.
 
 A configuration is one flat record of plain values, loadable from a
-``key = value`` text file, with every knob a command-line flag can override.
+``key = value`` text file; a command-line flag overrides every knob but
+``oracle_draws``, which only a file or the library sets.
 Replication ``i`` of a suite draws its randomness from the stream seeded with
 ``seed XOR splitmix64(i)``, so suites are reproducible, replications are
 independent, and parallel and serial execution produce identical results.
@@ -328,13 +329,6 @@ def _mc_batch(job, collect_inference: bool = True) -> list[RepResult]:
     return out
 
 
-def run_replication(config: ExperimentConfig, rep: int, rep_seed: int | None = None,
-                    collect_inference: bool = True) -> RepResult:
-    """One Monte Carlo replication with its own derived random stream."""
-    seed_r = derive_seed(config.seed, rep) if rep_seed is None else rep_seed
-    return _mc_batch((config, [(rep, seed_r)]), collect_inference)[0]
-
-
 def _map_jobs(worker, jobs, workers: int):
     workers = min(workers, len(jobs))
     if workers <= 1:
@@ -343,9 +337,9 @@ def _map_jobs(worker, jobs, workers: int):
         return list(ex.map(worker, jobs))
 
 
-def _launch(batch_fn, configs, rep_seeds=None) -> list[list]:
-    """Every config's replications (seed ``rep_seeds[i]`` or derived) in
-    near-equal batches within the batch budget, on ``workers`` processes.
+def _launch(batch_fn, configs) -> list[list]:
+    """Every config's replications, each on its derived seed, in near-equal
+    batches within the batch budget, on ``workers`` processes.
 
     The configs share ``reps``, ``seed``, ``p`` and ``workers``; the number
     of batches is a multiple of ``workers`` (at most one per replication).
@@ -353,8 +347,7 @@ def _launch(batch_fn, configs, rep_seeds=None) -> list[list]:
     Returns, per config, the results in replication order.
     """
     first, n = configs[0], configs[0].reps
-    reps = [(i, derive_seed(first.seed, i) if rep_seeds is None else int(rep_seeds[i]))
-            for i in range(n)]
+    reps = [(i, derive_seed(first.seed, i)) for i in range(n)]
     batches = -(-n // _batch_capacity(first.p))
     batches = min(n, -(-batches // first.workers) * first.workers)
     parts = [reps[n * i // batches:n * (i + 1) // batches] for i in range(batches)]
@@ -420,12 +413,10 @@ def _reject_stream_options(config: ExperimentConfig, command: str) -> None:
             raise ConfigError(f"{command} does not read {key} (--{key.replace('_', '-')})")
 
 
-def run_monte_carlo(config: ExperimentConfig, rep_seeds=None,
-                    collect_inference: bool = True,
+def run_monte_carlo(config: ExperimentConfig, *, collect_inference: bool = True,
                     write: bool = True) -> MonteCarloSummary:
     """R independent replications summarized as SE/SD ratio, coverage, CI length.
 
-    ``rep_seeds`` overrides the derived per-replication seeds (testing hook).
     ``collect_inference=False`` skips the parameter accumulators (the plug-in
     sums and the sandwich covariances), for when only value statistics are
     needed; the summary then has value rows only.
@@ -434,11 +425,8 @@ def run_monte_carlo(config: ExperimentConfig, rep_seeds=None,
     _reject_stream_options(config, "mc")
     if config.reps < 2:
         raise ConfigError("Monte Carlo suites need at least 2 replications")
-    if rep_seeds is not None and len(rep_seeds) != config.reps:
-        raise ConfigError("rep_seeds must have one entry per replication")
     truth_value, truth_value_se = oracle_truth_value(config)
-    (results,) = _launch(partial(_mc_batch, collect_inference=collect_inference),
-                         [config], rep_seeds)
+    (results,) = _launch(partial(_mc_batch, collect_inference=collect_inference), [config])
     failures = sum(1 for r in results if r.error is not None)
     ok = [r for r in results if r.error is None]
     z = normal_quantile(0.5 * (1.0 + config.level))

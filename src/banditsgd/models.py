@@ -111,7 +111,8 @@ class LogisticModel(ModelFamily):
         u = np.asarray(u, dtype=np.float64)
         # exp(-|u|) is exp(-u) where u >= 0 and exp(u) elsewhere.
         z = np.exp(-np.abs(u))
-        return np.clip(np.where(u >= 0, 1.0, z) / (1.0 + z), _MU_MIN, _MU_MAX)
+        # np.maximum and np.minimum give np.clip's bits, NaN included, in less time.
+        return np.minimum(np.maximum(np.where(u >= 0, 1.0, z) / (1.0 + z), _MU_MIN), _MU_MAX)
 
     def validate_reward(self, y: float) -> None:
         if y not in (0.0, 1.0):

@@ -12,13 +12,14 @@ from functools import partial
 import numpy as np
 import pytest
 
-from banditsgd import (ExperimentConfig, ExplorationSchedule, LearningSchedule,
-                       LinearModel, LogisticModel, ReplayLog, RngStream, SyntheticConfig,
-                       SyntheticEnvironment, exploration_rate, make_model,
-                       oracle_value, run_monte_carlo, run_single, run_stream,
-                       run_stream_lagged, tune_alpha, write_replay_log)
-from banditsgd.environments import LaggedSyntheticEnvironment
+from banditsgd import (ExperimentConfig, ExplorationSchedule, LaggedSyntheticEnvironment,
+                       LearningSchedule, LinearModel, LogisticModel, ReplayLog, RngStream,
+                       SyntheticConfig, SyntheticEnvironment, oracle_value,
+                       run_monte_carlo, run_single, run_stream, run_stream_lagged,
+                       tune_alpha, write_replay_log)
 from banditsgd.experiments import _launch, _mc_batch
+from banditsgd.models import make_model
+from banditsgd.policy import exploration_rate
 
 import oracle
 from oracle import Observation

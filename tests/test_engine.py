@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from banditsgd import (ExplorationSchedule, LearningSchedule, LinearModel,
-                       LogisticModel, ProtocolError, ReplayCursor,
+from banditsgd import (ExplorationSchedule, LaggedSyntheticEnvironment, LearningSchedule,
+                       LinearModel, LogisticModel, ProtocolError, ReplayCursor,
                        ReplayLog, RngStream, SyntheticConfig, SyntheticEnvironment,
-                       exploration_rate, make_model, run_stream, run_stream_lagged)
+                       geometric_lag, run_stream, run_stream_lagged)
 from banditsgd import engine
-from banditsgd.environments import LaggedSyntheticEnvironment, constant_lag, geometric_lag
+from banditsgd.environments import constant_lag
 from banditsgd.experiments import _map_jobs, _step_losses, _trace_steps
 from banditsgd.inference import ipw_weight
+from banditsgd.models import make_model
+from banditsgd.policy import exploration_rate
 
 from oracle import (Observation, RecordingEnvironment, State, accumulate,
                     assert_same_checkpoints, assert_same_results, decide_optimal,
@@ -226,6 +228,21 @@ class TestRunStream:
         m, env, rng = make_env(seed=6)
         with pytest.raises(ValueError, match=r"^checkpoint 2\.7 is not a whole step$"):
             run_stream(env, m, LEARN, EXPLORE, rng, 10, checkpoints=(2.7, 10))
+
+    @pytest.mark.parametrize("bad", [0, -3, 11, 20.0])
+    @pytest.mark.parametrize("kind", ["plain", "lagged", "synthetic"])
+    def test_checkpoint_outside_the_horizon_names_its_value(self, kind, bad):
+        m, env, rng = make_env(seed=6)
+        cps = (5, bad, 10)
+        with pytest.raises(ValueError, match=rf"^checkpoint {int(bad)} outside \[1, 10\]$"):
+            if kind == "synthetic":
+                engine._run_synthetic(SyntheticConfig(m, BETA0), LEARN, EXPLORE, [6], 10,
+                                      checkpoints=cps)
+            elif kind == "lagged":
+                env = LaggedSyntheticEnvironment(SyntheticConfig(m, BETA0), rng, lag=2)
+                run_stream_lagged(env, m, LEARN, EXPLORE, rng, 10, checkpoints=cps)
+            else:
+                run_stream(env, m, LEARN, EXPLORE, rng, 10, checkpoints=cps)
 
     @pytest.mark.parametrize("kind", ["plain", "lagged", "synthetic"])
     def test_horizon_below_one_rejected_before_the_environment(self, kind):

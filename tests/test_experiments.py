@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 
 from banditsgd import (ConfigError, ExperimentConfig, InferenceReport,
                        MonteCarloSummary, ReportRow, RngStream, SyntheticEnvironment,
-                       TuneAlphaResult, build_config, checkpoint_reports, emit_report,
-                       load_config_file, oracle_truth_value, run_monte_carlo,
-                       run_replication, run_single, run_stream, tune_alpha)
+                       TuneAlphaResult, build_config, checkpoint_reports,
+                       load_config_file, run_monte_carlo, run_single, run_stream,
+                       tune_alpha)
 from banditsgd import experiments
 from banditsgd.cli import _overrides_from_args, build_parser
-from banditsgd.experiments import (McRow, TuneAlphaRow, _launch, _mc_batch,
-                                   parse_eps_spec)
+from banditsgd.experiments import (McRow, TuneAlphaRow, _launch, _mc_batch, emit_report,
+                                   oracle_truth_value, parse_eps_spec)
 
 
 def small_config(**kw):
@@ -331,7 +331,7 @@ def test_run_and_replication_report_the_same_rows(case, tmp_path):
     # run, one mc replication and a library run: every field of every row.
     cfg = small_config(out=str(tmp_path), **case)
     single = run_single(cfg)
-    rep = run_replication(cfg, 0, rep_seed=cfg.seed)
+    (rep,) = _mc_batch((cfg, [(0, cfg.seed)]))
     library = _library_reports(cfg)
     assert rep.error is None
     assert sorted(rep.reports) == sorted(library) == sorted(single.reports)
@@ -358,17 +358,6 @@ class TestRunMonteCarlo:
         for a, b in zip(s1.rows, s2.rows):
             assert (a.t, a.name, a.ratio, a.coverage, a.ci_length) \
                 == (b.t, b.name, b.ratio, b.coverage, b.ci_length)
-
-    def test_rep_seed_permutation_leaves_summary_invariant(self, tmp_path):
-        from banditsgd.policy import derive_seed
-        cfg = small_config(out=str(tmp_path / "mp"))
-        seeds = [derive_seed(cfg.seed, i) for i in range(cfg.reps)]
-        s1 = run_monte_carlo(cfg, rep_seeds=seeds, write=False)
-        s2 = run_monte_carlo(cfg, rep_seeds=list(reversed(seeds)), write=False)
-        for a, b in zip(s1.rows, s2.rows):
-            assert a.coverage == b.coverage
-            assert a.ratio == pytest.approx(b.ratio, rel=1e-10)
-            assert a.ci_length == pytest.approx(b.ci_length, rel=1e-10)
 
     def test_parallel_equals_serial(self):
         cfg = small_config(reps=6, horizon=300, checkpoints=(300,))
@@ -400,8 +389,9 @@ class TestRunMonteCarlo:
     def test_negative_ridged_variance_excluded_and_counted(self):
         cfg = small_config(reps=12, horizon=5, checkpoints=(5,), ridge=True)
         summary = run_monte_carlo(cfg, write=False)
-        flagged = sum(run_replication(cfg, i).reports[5].row("beta0_1").flag
-                      == "singular_hessian" for i in range(cfg.reps))
+        (reps,) = _launch(_mc_batch, [cfg])
+        flagged = sum(rep.reports[5].row("beta0_1").flag == "singular_hessian"
+                      for rep in reps)
         assert 0 < flagged < cfg.reps
         beta_row = summary.row(5, "beta0_1")
         assert beta_row.n_excluded == flagged

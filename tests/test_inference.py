@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from banditsgd import (ExplorationSchedule, LaggedSyntheticEnvironment, LearningSchedule,
                        LinearModel, LogisticModel, RngStream, SyntheticConfig,
-                       SyntheticEnvironment, checkpoint_reports, normal_cdf, normal_quantile,
-                       run_stream, run_stream_lagged, two_sided_p)
+                       SyntheticEnvironment, checkpoint_reports, run_stream, run_stream_lagged)
 from banditsgd import inference
 from banditsgd.engine import Checkpoints
-from banditsgd.inference import ipw_weight
+from banditsgd.inference import ipw_weight, normal_cdf, normal_quantile, two_sided_p
 
 import oracle
 from oracle import Observation

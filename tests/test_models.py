@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from banditsgd import HESSIAN_EXACT, HESSIAN_OUTER, LinearModel, LogisticModel, make_model
-from banditsgd.types import DimensionError
+from banditsgd import DimensionError, LinearModel, LogisticModel
+from banditsgd.models import HESSIAN_EXACT, HESSIAN_OUTER, make_model
 
 from oracle import (Observation, linear_index, loss, loss_gradient, loss_hessian,
                     mean_reward)

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from banditsgd import (ExplorationSchedule, LearningSchedule, LinearModel,
-                       RngStream, derive_seed, exploration_rate, learning_rate,
-                       splitmix64)
+from banditsgd import ExplorationSchedule, LearningSchedule, LinearModel, RngStream
+from banditsgd.policy import derive_seed, exploration_rate, learning_rate, splitmix64
 
 from oracle import propensity, sample_action
 

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from banditsgd import (LinearModel, LogisticModel, RngStream, checkpoint_reports,
-                       normal_quantile, oracle_value)
+from banditsgd import (ExperimentConfig, LinearModel, LogisticModel, RngStream,
+                       checkpoint_reports, oracle_value)
 from banditsgd.engine import Checkpoints
-from banditsgd.experiments import ExperimentConfig, _launch, _mc_batch
+from banditsgd.experiments import _launch, _mc_batch
+from banditsgd.inference import normal_quantile
 from banditsgd.value import _value_columns
 
 from oracle import Observation, update_value
