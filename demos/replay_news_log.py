@@ -38,7 +38,8 @@ out = run_single(config)
 stats = out.replay_stats
 print(f"matched {stats['matched']} of {stats['consumed']} entries "
       f"(fraction {stats['matched_fraction']:.3f})")
-final_t = max(out.reports)
-print(f"\ninference at final matched step t={final_t}:")
-for row in out.reports[final_t].rows:
-    print(f"  {row.name:10s} {row.estimate: .4f} (se {row.se:.4f})")
+# The reports' last checkpoint is the final matched step.
+report = out.reports
+print(f"\ninference at final matched step t={report.t[-1]}:")
+for name, est, se in zip(report.names, report.estimate[-1], report.se[-1]):
+    print(f"  {name:10s} {est: .4f} (se {se:.4f})")

@@ -24,13 +24,15 @@ result = run_stream(
     rng, horizon=10_000, checkpoints=(10_000,),
 )
 
-report = checkpoint_reports(result.checkpoints, level=0.95)[10_000]
+# One record of (checkpoint, row) columns; row 0 of each is the one checkpoint.
+report = checkpoint_reports(result.checkpoints, level=0.95)
 
 print(f"{'name':10s} {'truth':>8s} {'estimate':>9s} {'se':>8s} {'95% CI':>20s}")
 truth_v, _ = oracle_value(model, BETA0, 1_000_000, RngStream(1))
 truths = list(BETA0) + [truth_v]
-for row, truth in zip(report.rows, truths):
-    ci = f"[{row.ci_lo: .4f}, {row.ci_hi: .4f}]"
-    print(f"{row.name:10s} {truth:8.4f} {row.estimate:9.4f} {row.se:8.4f} {ci:>20s}")
+for name, truth, est, se, lo, hi in zip(report.names, truths, report.estimate[0],
+                                        report.se[0], report.ci_lo[0], report.ci_hi[0]):
+    ci = f"[{lo: .4f}, {hi: .4f}]"
+    print(f"{name:10s} {truth:8.4f} {est:9.4f} {se:8.4f} {ci:>20s}")
 print(f"\ncumulative reward over {result.steps} steps: "
       f"{result.total_reward:.1f}")

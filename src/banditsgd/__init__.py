@@ -20,8 +20,7 @@ from .experiments import (ConfigError, ExperimentConfig, MonteCarloSummary,
 from .inference import checkpoint_reports
 from .models import LinearModel, LogisticModel, ModelFamily
 from .policy import RngStream
-from .types import (DimensionError, ExplorationSchedule, InferenceReport,
-                    LearningSchedule, ReportRow)
+from .types import DimensionError, ExplorationSchedule, InferenceReport, LearningSchedule
 from .value import oracle_value
 
 __version__ = "0.1.0"

@@ -102,7 +102,7 @@ def main(argv=None) -> int:
                     s = out.replay_stats
                     print(f"matched {s['matched']} of {s['consumed']} entries "
                           f"(fraction {s['matched_fraction']:.4f})")
-                    if not out.reports:
+                    if not len(out.reports.t):
                         print("warning: no log entry matched, so no report was written",
                               file=sys.stderr)
             elif args.command == "mc":

@@ -14,6 +14,7 @@ from array import array
 from collections import deque
 from dataclasses import InitVar, dataclass
 from itertools import islice
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +100,8 @@ class SyntheticEnvironment:
 
 def constant_lag(lag: int):
     """Every reward arrives exactly ``lag`` steps after its action."""
+    if not isinstance(lag, Integral):
+        raise ValueError(f"lag must be a whole number of steps or a function, got {lag!r}")
     if lag < 0:
         raise ValueError("lag must be nonnegative")
     return lambda step, gen: lag
@@ -121,7 +124,7 @@ class LaggedSyntheticEnvironment:
 
     def __init__(self, config: SyntheticConfig, rng: RngStream, lag=1):
         self._inner = SyntheticEnvironment(config, rng)
-        self._lag_fn = constant_lag(lag) if isinstance(lag, int) else lag
+        self._lag_fn = lag if callable(lag) else constant_lag(lag)
         self._queue: deque[tuple[int, float, int]] = deque()  # (step, reward, due)
 
     def next_feature(self):

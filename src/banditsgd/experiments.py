@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import math
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cache, partial
@@ -213,7 +212,7 @@ def build_config(file_values: dict | None = None, overrides: dict | None = None)
 
 @dataclass
 class SingleRunOutput:
-    reports: dict[int, InferenceReport]
+    reports: InferenceReport
     paths: list[Path]
     steps: int
     total_reward: float
@@ -284,8 +283,8 @@ def run_single(config: ExperimentConfig) -> SingleRunOutput:
     reports = checkpoint_reports(result.checkpoints, config.level,
                                  ridge=config.ridge)
     out_dir = Path(config.out)
-    paths = [emit_report(report, config.format, out_dir / f"report_t{t}.{config.format}")
-             for t, report in reports.items()]
+    paths = [emit_report(table, config.format, out_dir / f"report_t{t}.{config.format}")
+             for t, table in _report_tables(reports)]
     replay_stats = None
     if cursor is not None:
         replay_stats = {
@@ -308,7 +307,7 @@ def run_single(config: ExperimentConfig) -> SingleRunOutput:
 class RepResult:
     rep: int
     seed: int
-    reports: dict[int, InferenceReport] = field(default_factory=dict)
+    reports: InferenceReport | None = None
     error: str | None = None
 
 
@@ -333,6 +332,8 @@ def _map_jobs(worker, jobs, workers: int):
     workers = min(workers, len(jobs))
     if workers <= 1:
         return [worker(j) for j in jobs]
+    # Imported here, as only suites on several workers fork.
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(worker, jobs))
 
@@ -393,8 +394,6 @@ def oracle_truth_value(config: ExperimentConfig) -> tuple[float, float]:
 
 def _mc_row(t: int, name: str, est, se, truth: float, z: float, n_excluded: int) -> McRow:
     """SE/SD ratio, coverage of ``truth`` with its binomial SE, and mean CI length."""
-    est = np.array(est)
-    se = np.array(se)
     if len(est) >= 2:
         sd = float(est.std(ddof=1))
         ratio = float(se.mean() / sd) if sd > 0 else math.nan
@@ -435,14 +434,15 @@ def run_monte_carlo(config: ExperimentConfig, *, collect_inference: bool = True,
                                 failures=failures)
     truth = dict(zip(_parameter_names(2 * config.p), config.beta0_array()),
                  V_opt=truth_value, V_opt_aipw=truth_value)
-    for t in config.effective_checkpoints():
-        # Every replication's report has the same rows in the same order.
-        for rows in zip(*(r.reports[t].rows for r in ok)):
-            name = rows[0].name
-            used = [row for row in rows if not math.isnan(row.se)]
-            summary.rows.append(_mc_row(
-                t, name, [row.estimate for row in used], [row.se for row in used],
-                truth[name], z, len(rows) - len(used) + failures))
+    if ok:
+        # Every replication's report has the same checkpoints and rows: (R, K, n).
+        est, se = (np.stack([getattr(r.reports, col) for r in ok]) for col in ("estimate", "se"))
+        for k, t in enumerate(ok[0].reports.t.tolist()):
+            for j, name in enumerate(ok[0].reports.names):
+                used = ~np.isnan(se[:, k, j])
+                summary.rows.append(_mc_row(
+                    t, name, est[used, k, j], se[used, k, j], truth[name], z,
+                    len(ok) - int(used.sum()) + failures))
     if write:
         out_dir = Path(config.out)
         emit_report(summary, config.format, out_dir / f"mc_summary.{config.format}")
@@ -548,9 +548,7 @@ def tune_alpha(config: ExperimentConfig, alpha_grid, write: bool = True) -> Tune
 def _fmt_cell(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, float):
-        return f"{v:.6g}"
-    return str(v)
+    return f"{v:.6g}" if isinstance(v, float) else str(v)
 
 
 @cache
@@ -558,9 +556,11 @@ def _field_names(cls) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls))
 
 
-def _tabulate(obj) -> tuple[list[str], list[list]]:
-    """A dict is one row under its keys; a report is its ``rows`` under the
-    fields of the declared row type."""
+def _tabulate(obj) -> tuple[list[str], list]:
+    """A dict is one row under its keys, a table its rows under its header,
+    and a record its ``rows`` under the fields of the declared row type."""
+    if isinstance(obj, tuple):
+        return obj[1:]
     if isinstance(obj, dict):
         header = list(obj.keys())
         return header, [[obj[k] for k in header]]
@@ -599,14 +599,6 @@ def _json_key(k) -> str:
     raise ConfigError(f"cannot serialize a key of type {type(k).__name__}")
 
 
-@cache
-def _record_template(cls, indent: str) -> str:
-    """``%`` template of a record whose fields all hold scalars, at ``indent``."""
-    inner = indent + "  "
-    keys = [f"{inner}{_quote(name)}: %s" for name in _field_names(cls)]
-    return "{\n" + ",\n".join(keys) + f"\n{indent}}}" if keys else "{}"
-
-
 def _json_text(obj, indent: str = "") -> str:
     """``json.dumps(obj, indent=2)`` of a report, with records written as
     dicts in field order and NaN and +-inf as null, so the output is strictly
@@ -622,12 +614,7 @@ def _json_text(obj, indent: str = "") -> str:
     if isinstance(obj, dict):
         items = [(_json_key(k), v) for k, v in obj.items()]
     elif is_dataclass(obj) and not isinstance(obj, type):
-        names = _field_names(type(obj))
-        values = [getattr(obj, name) for name in names]
-        texts = [_json_scalar(v) for v in values]
-        if None not in texts:
-            return _record_template(type(obj), indent) % tuple(texts)
-        items = [(_quote(name), v) for name, v in zip(names, values)]
+        items = [(_quote(name), getattr(obj, name)) for name in _field_names(type(obj))]
     else:
         raise ConfigError(f"cannot serialize object of type {type(obj).__name__}")
     if not items:
@@ -636,8 +623,32 @@ def _json_text(obj, indent: str = "") -> str:
         + f"\n{indent}}}"
 
 
+def _json_table(head: dict, header, rows) -> str:
+    """``_json_text`` of a table: the fields of ``head``, then ``"rows"``,
+    the records that its rows of scalars make under ``header``."""
+    template = "{\n" + ",\n".join(f"      {_quote(name)}: %s" for name in header) + "\n    }"
+    items = [f"  {_quote(k)}: {_json_text(v, '  ')}" for k, v in head.items()]
+    records = ",\n".join("    " + template % tuple(map(_json_scalar, row)) for row in rows)
+    items.append('  "rows": ' + (f"[\n{records}\n  ]" if records else "[]"))
+    return "{\n" + ",\n".join(items) + "\n}"
+
+
+_REPORT_HEADER = ("name", "estimate", "se", "ci_lo", "ci_hi", "t_value", "p_value", "flag")
+
+
+def _report_tables(report: InferenceReport):
+    """Each checkpoint's step and its report as a table ``(head, header, rows)``:
+    the level, then one row per name; a value row's t and p are None."""
+    pad = [None] * (len(report.names) - report.t_value.shape[1])
+    tp = ([row + pad for row in col.tolist()] for col in (report.t_value, report.p_value))
+    columns = [col.tolist() for col in (report.estimate, report.se, report.ci_lo, report.ci_hi)]
+    for t, *cells in zip(report.t.tolist(), *columns, *tp, report.flag.tolist()):
+        yield t, ({"level": report.level}, _REPORT_HEADER, list(zip(report.names, *cells)))
+
+
 def emit_report(obj, fmt: str, path) -> Path:
-    """Write a report or summary; creates missing directories.
+    """Write a report or summary: a dict, a record with ``rows``, or a table
+    ``(head, header, rows)``; creates missing directories.
 
     CSV uses a fixed column order with six significant digits; JSON keeps full
     float precision with identical field names.
@@ -651,7 +662,7 @@ def emit_report(obj, fmt: str, path) -> Path:
             for row in rows:
                 fh.write(",".join(_fmt_cell(v) for v in row) + "\n")
     elif fmt == "json":
-        text = _json_text(obj)
+        text = _json_table(*obj) if isinstance(obj, tuple) else _json_text(obj)
         with open(path, "w") as fh:
             fh.write(text + "\n")
     else:

@@ -4,8 +4,8 @@ value reports read off a run's ``Checkpoints``.
 The engine keeps running sums of the weighted-gradient outer products and
 of the inverse-propensity-weighted curvatures, both evaluated at the running
 average of the iterates before each step, and records them at every
-checkpoint.  ``checkpoint_reports`` turns that record into one report per
-checkpoint, for ``run``, ``mc`` and library callers alike.
+checkpoint.  ``checkpoint_reports`` turns that record into one report of
+(checkpoint, row) columns, for ``run``, ``mc`` and library callers alike.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .types import InferenceReport, ReportRow
+from .types import InferenceReport
 from .value import _value_columns
 
 # A curvature estimate with a larger condition number is not inverted as is.
@@ -145,15 +145,13 @@ def _parameter_names(dim: int) -> list[str]:
     return [f"beta0_{j + 1}" for j in range(p)] + [f"beta1_{j + 1}" for j in range(p)]
 
 
-def _wald_rows(est: np.ndarray, variances: np.ndarray, level: float, names, flags,
-               null: np.ndarray | None = None) -> list[list[ReportRow]]:
-    """Per-coordinate Wald records, named ``names``, for each row of the
-    (K, dim) estimates and variances, computed column-wise: intervals at
-    ``level`` and, against a ``null``, t statistics and two-sided p values;
-    row ``k``'s records carry ``flags[k]``.  A NaN variance gives NaN
-    numbers.  A zero standard error gives t = +/-inf with p = 0, or t = 0
-    with p = 1 where the estimate equals the null.  Without a ``null`` the
-    records have no t statistic or p value."""
+def _wald_columns(est: np.ndarray, variances: np.ndarray, level: float,
+                  null: float | None = None) -> list[np.ndarray]:
+    """Wald columns of the (K, n) estimates and variances, entry for entry:
+    the estimates, the standard errors, and the interval ends at ``level``;
+    then, against a ``null``, the t statistics and two-sided p values.  A
+    NaN variance gives NaN numbers.  A zero standard error gives t = +/-inf
+    with p = 0, or t = 0 with p = 1 where the estimate equals the null."""
     z = normal_quantile(0.5 * (1.0 + level))
     # max(v, 0.0) entry for entry, signed zeros and NaN included.
     se = np.sqrt(np.where(0.0 > variances, 0.0, variances))
@@ -164,45 +162,53 @@ def _wald_rows(est: np.ndarray, variances: np.ndarray, level: float, names, flag
                                              np.where(est > null, math.inf, -math.inf)),
                          (est - null) / se)
         columns += [t, np.reshape(list(map(two_sided_p, t.ravel().tolist())), t.shape)]
-    return [[ReportRow(name, *numbers, flag=flag) for name, *numbers in zip(names, *cols)]
-            for flag, *cols in zip(flags, *(a.tolist() for a in columns))]
+    return columns
 
 
 def checkpoint_reports(checkpoints, level: float = 0.95, *,
-                       ridge: bool = False) -> dict[int, InferenceReport]:
-    """Every number of each checkpoint of a run's ``Checkpoints`` record, by
-    its step: the parameter rows when the run collected parameter sums, then
-    ``V_opt`` when it collected value sums, then ``V_opt_aipw`` when those
-    include the AIPW sums.  Intervals are at ``level``; ``ridge`` is the
-    ridge fallback of ``_sandwiches``.  Rows without a covariance (singular
-    curvature, or a negative or NaN variance) or value steps have NaN
-    numbers, flagged ``singular_hessian`` or ``no_value_steps`` (README,
-    "Report flags").  Sandwiches and Wald columns are built for up to
-    ``_REPORT_BLOCK`` checkpoints at once."""
+                       ridge: bool = False) -> InferenceReport:
+    """Every number of every checkpoint of a run's ``Checkpoints`` record, as
+    one record of (checkpoint, row) columns.  The rows are the parameter
+    rows when the run collected parameter sums, then ``V_opt`` when it
+    collected value sums, then ``V_opt_aipw`` when those include the AIPW
+    sums.  Intervals are at ``level``; ``ridge`` is the ridge fallback of
+    ``_sandwiches``.  Rows without a covariance (singular curvature, or a
+    negative or NaN variance) or value steps have NaN numbers, flagged
+    ``singular_hessian`` or ``no_value_steps`` (README, "Report flags").
+    Sandwiches and Wald columns are built for up to ``_REPORT_BLOCK``
+    checkpoints at once."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
     cps = checkpoints
-    rows = [[] for _ in cps.t]
-    if cps.S is not None:
-        names = _parameter_names(cps.bar_beta.shape[1])
-        for b in range(0, len(rows), _REPORT_BLOCK):
+    m = 0 if cps.S is None else cps.bar_beta.shape[1]
+    names = _parameter_names(m)
+    if cps.value is not None:
+        names += ("V_opt", "V_opt_aipw")[:cps.value.shape[1] // 2]
+    shape = (len(cps.t), len(names))
+    # estimate, se, ci_lo, ci_hi over every row; t_value, p_value over the m parameter rows.
+    columns = [np.empty(shape) for _ in range(4)] + [np.empty((shape[0], m)) for _ in range(2)]
+    flag = np.empty(shape, dtype=object)
+    if m:
+        for b in range(0, shape[0], _REPORT_BLOCK):
             block = slice(b, b + _REPORT_BLOCK)
             cov, ridged, _, ok = _sandwiches(cps.S[block], cps.H[block], cps.n[block],
                                              ridge=ridge)
-            flags = np.where(ok, np.where(ridged, "ridge", ""), "singular_hessian").tolist()
-            rows[block] = _wald_rows(cps.bar_beta[block], np.diagonal(cov, axis1=1, axis2=2),
-                                     level, names, flags, np.zeros(len(names)))
+            flag[block, :m] = np.where(ok, np.where(ridged, "ridge", ""),
+                                       "singular_hessian")[:, None]
+            var = np.diagonal(cov, axis1=1, axis2=2)
+            for col, wald in zip(columns, _wald_columns(cps.bar_beta[block], var, level, 0.0)):
+                col[block, :m] = wald
     if cps.value is not None:
         t, empty = cps.value_t, cps.value_t == 0
         # Empty, NaN or overflowing sums give NaN or inf without a warning, as floats do.
         with np.errstate(all="ignore"):
-            for j, name in enumerate(("V_opt", "V_opt_aipw")[:cps.value.shape[1] // 2]):
+            for j in range(len(names) - m):
                 est, raw = _value_columns(*cps.value[:, 2 * j:2 * j + 2].T, t, cps.eps, j == 1)
-                flags = np.where(empty, "no_value_steps", "experimental" if j else
-                                 np.where(raw < 0.0, "variance_clamped", "")).tolist()
+                flag[:, m + j] = np.where(empty, "no_value_steps", "experimental" if j else
+                                          np.where(raw < 0.0, "variance_clamped", ""))
                 # The clamp at zero also reads a raw -0.0 as +0.0.
-                est, var = (np.where(empty, math.nan, a)[:, None]
+                est, var = (np.where(empty, math.nan, a)
                             for a in (est, np.where(raw <= 0.0, 0.0, raw) / t))
-                for cp_rows, (row,) in zip(rows, _wald_rows(est, var, level, [name], flags)):
-                    cp_rows.append(row)
-    return {k: InferenceReport(level, r) for k, r in zip(cps.t.tolist(), rows)}
+                for col, wald in zip(columns, _wald_columns(est, var, level)):
+                    col[:, m + j] = wald
+    return InferenceReport(level, cps.t, names, *columns, flag)

@@ -1,4 +1,4 @@
-"""Shared data model: schedules and reports.
+"""Shared data model: schedules, and reports as columns.
 
 Parameter vectors follow a fixed block layout: a model with feature dimension
 ``p`` carries ``2p`` parameters, the first ``p`` for action 0 and the last
@@ -6,8 +6,7 @@ Parameter vectors follow a fixed block layout: a model with feature dimension
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,39 +87,20 @@ class ExplorationSchedule:
 
 
 @dataclass
-class ReportRow:
-    """One line of an inference report; the value row has no t/p entries."""
-
-    name: str
-    estimate: float
-    se: float
-    ci_lo: float
-    ci_hi: float
-    t_value: float | None = None
-    p_value: float | None = None
-    flag: str = ""
-
-    def __post_init__(self):
-        if math.isfinite(self.se) and self.se < 0:
-            raise ValueError(f"standard error must be nonnegative, got {self.se}")
-        if math.isfinite(self.ci_lo) and math.isfinite(self.estimate) \
-                and math.isfinite(self.ci_hi):
-            if not self.ci_lo <= self.estimate <= self.ci_hi:
-                raise ValueError(
-                    f"interval must bracket the estimate: "
-                    f"{self.ci_lo} <= {self.estimate} <= {self.ci_hi} fails"
-                )
-
-
-@dataclass
 class InferenceReport:
-    """Per-coordinate Wald records plus an optional value record."""
+    """A run's reports as columns over its checkpoint steps ``t`` (K,) and
+    row ``names`` (n): the parameter rows, then ``V_opt``, then ``V_opt_aipw``
+    under AIPW.  ``estimate``, ``se``, ``ci_lo``, ``ci_hi`` and ``flag`` are
+    (K, n); ``t_value`` and ``p_value`` are (K, m), over the m parameter
+    rows, as a value row has no test."""
 
     level: float
-    rows: list[ReportRow] = field(default_factory=list)
-
-    def row(self, name: str) -> ReportRow:
-        for r in self.rows:
-            if r.name == name:
-                return r
-        raise KeyError(name)
+    t: np.ndarray
+    names: list[str]
+    estimate: np.ndarray
+    se: np.ndarray
+    ci_lo: np.ndarray
+    ci_hi: np.ndarray
+    t_value: np.ndarray
+    p_value: np.ndarray
+    flag: np.ndarray

@@ -8,17 +8,21 @@ decision and its propensity, one IPW-SGD step with its running average, and
 one step of the plug-in and value sums.  Tests compare the engine with them
 and check them against finite differences.  A ``RecordingEnvironment`` and a
 snapshot at every step give a run's steps for that comparison.
+``report_rows`` and ``report_row`` read one checkpoint of a columnar
+``InferenceReport`` as the report writers format it.
 """
 from __future__ import annotations
 
 import math
 from collections import namedtuple
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
 from banditsgd.inference import ipw_weight
 from banditsgd.environments import ReplayCursor
+from banditsgd.experiments import _report_tables
 from banditsgd.models import HESSIAN_EXACT, _HESSIAN_VARIANTS
 from banditsgd.policy import RngStream, learning_rate
 from banditsgd.types import DimensionError, LearningSchedule, as_float_vector
@@ -295,3 +299,19 @@ def assert_same_checkpoints(got, want):
         assert (a is None) == (b is None), f.name
         if b is not None:
             assert a.shape == b.shape and np.array_equal(a, b), f.name
+
+
+def report_rows(report, t):
+    """The rows of checkpoint ``t`` of a report, one namespace per row with
+    the written fields: ``name``, the numbers, and ``flag``; a value row's
+    ``t_value`` and ``p_value`` are None."""
+    _, header, rows = dict(_report_tables(report))[t]
+    return [SimpleNamespace(**dict(zip(header, row))) for row in rows]
+
+
+def report_row(report, t, name):
+    """Row ``name`` of checkpoint ``t`` of a report (KeyError if absent)."""
+    for row in report_rows(report, t):
+        if row.name == name:
+            return row
+    raise KeyError(name)

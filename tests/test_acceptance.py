@@ -22,7 +22,7 @@ from banditsgd.models import make_model
 from banditsgd.policy import exploration_rate
 
 import oracle
-from oracle import Observation
+from oracle import Observation, report_row
 
 BETA0 = np.array([0.3, -0.1, 0.7, 0.8, 0.5, -0.4])
 WORKERS = max(1, min(4, os.cpu_count() or 1))
@@ -234,7 +234,7 @@ def test_criterion_07_value_consistency():
     cfg = ExperimentConfig(model="logistic", horizon=100_000, reps=200,
                            seed=20250804, checkpoints=(100_000,), workers=WORKERS)
     (results,) = _launch(partial(_mc_batch, collect_inference=False), [cfg])
-    estimates = np.array([r.reports[100_000].row("V_opt").estimate for r in results])
+    estimates = np.array([report_row(r.reports, 100_000, "V_opt").estimate for r in results])
     truth, truth_se = oracle_value(LogisticModel(3), BETA0, 1_000_000,
                                    RngStream(20250810))
     rep_se = estimates.std(ddof=1) / math.sqrt(len(estimates))
@@ -375,9 +375,8 @@ def test_fixture_replay_report(tmp_path):
                            replay_log=str(log_path), horizon=n, seed=20250816,
                            checkpoints=(500,), out=str(tmp_path / "out"))
     out = run_single(cfg)
-    final_t = max(out.reports)
-    rows = out.reports[final_t].rows
-    names = [r.name for r in rows]
+    final_t = max(out.reports.t.tolist())
+    names = out.reports.names
     report(f"fixture replay: matched {out.replay_stats['matched']} of {n}; "
            f"final report at t={final_t} with rows {names}")
     assert names == [f"beta0_{i}" for i in range(1, 6)] \

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from banditsgd import (LinearModel, LogisticModel, ReplayCursor, ReplayExhausted,
-                       ReplayLog, ReplayLogError, RngStream, SyntheticConfig,
-                       SyntheticEnvironment, load_replay_log, write_replay_log)
+from banditsgd import (ExplorationSchedule, LearningSchedule, LinearModel, LogisticModel,
+                       ReplayCursor, ReplayExhausted, ReplayLog, ReplayLogError, RngStream,
+                       SyntheticConfig, SyntheticEnvironment, load_replay_log,
+                       run_stream_lagged, write_replay_log)
 from banditsgd.environments import (LaggedSyntheticEnvironment, constant_lag,
                                     geometric_lag)
 from banditsgd.types import DimensionError
 
-from oracle import MeanTrackingCursor
+from oracle import MeanTrackingCursor, assert_same_results
 
 BETA0 = np.array([0.3, -0.1, 0.7, 0.8, 0.5, -0.4])
 
@@ -124,6 +125,19 @@ class TestLaggedEnvironment:
             constant_lag(-1)
         with pytest.raises(ValueError):
             geometric_lag(0.0)
+
+    def test_any_integral_lag_is_a_constant_lag(self):
+        def run(lag):
+            rng = RngStream(14)
+            env = LaggedSyntheticEnvironment(linear_config(), rng, lag=lag)
+            return run_stream_lagged(env, LinearModel(3), LearningSchedule(0.5),
+                                     ExplorationSchedule.fixed(0.2, burn_in=5), rng, 10)
+        assert_same_results(run(np.int64(2)), run(2))
+        with pytest.raises(ValueError, match=r"^lag must be nonnegative$"):
+            LaggedSyntheticEnvironment(linear_config(), RngStream(14), lag=np.int64(-1))
+        # A float is no whole number of steps, and fails when the environment is built.
+        with pytest.raises(ValueError, match=r"^lag must be a whole number .* got 2\.0$"):
+            LaggedSyntheticEnvironment(linear_config(), RngStream(14), lag=2.0)
 
 
 def _make_log(n, seed=0, p=3):

@@ -11,14 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banditsgd import (ConfigError, ExperimentConfig, InferenceReport,
-                       MonteCarloSummary, ReportRow, RngStream, SyntheticEnvironment,
+                       MonteCarloSummary, RngStream, SyntheticEnvironment,
                        TuneAlphaResult, build_config, checkpoint_reports,
                        load_config_file, run_monte_carlo, run_single, run_stream,
                        tune_alpha)
 from banditsgd import experiments
 from banditsgd.cli import _overrides_from_args, build_parser
-from banditsgd.experiments import (McRow, TuneAlphaRow, _launch, _mc_batch, emit_report,
-                                   oracle_truth_value, parse_eps_spec)
+from banditsgd.experiments import (McRow, TuneAlphaRow, _launch, _mc_batch, _report_tables,
+                                   emit_report, oracle_truth_value, parse_eps_spec)
+
+from oracle import report_row, report_rows
 
 
 def small_config(**kw):
@@ -226,12 +228,10 @@ class TestRunSingle:
     def test_writes_checkpoint_reports(self, tmp_path):
         cfg = small_config(out=str(tmp_path / "res"), checkpoints=(200, 400))
         out = run_single(cfg)
-        assert sorted(t for t in out.reports) == [200, 400]
+        assert out.reports.t.tolist() == [200, 400]
         assert (tmp_path / "res" / "report_t200.csv").exists()
         assert (tmp_path / "res" / "report_t400.csv").exists()
-        report = out.reports[400]
-        names = [r.name for r in report.rows]
-        assert names == [f"beta0_{i}" for i in (1, 2, 3)] \
+        assert out.reports.names == [f"beta0_{i}" for i in (1, 2, 3)] \
             + [f"beta1_{i}" for i in (1, 2, 3)] + ["V_opt"]
 
     def test_same_seed_byte_identical(self, tmp_path):
@@ -246,7 +246,7 @@ class TestRunSingle:
     def test_degenerate_horizon_is_flagged_not_fatal(self, tmp_path):
         cfg = small_config(horizon=1, checkpoints=None, out=str(tmp_path / "t1"))
         out = run_single(cfg)
-        rows = out.reports[1].rows
+        rows = report_rows(out.reports, 1)
         assert all(r.flag == "singular_hessian" for r in rows[:-1])
         assert all(math.isnan(r.se) for r in rows[:-1])
         assert rows[-1].name == "V_opt" and math.isfinite(rows[-1].estimate)
@@ -255,7 +255,7 @@ class TestRunSingle:
         # At horizon 1 the ridged sandwich of this seed has a negative variance.
         cfg = small_config(horizon=1, checkpoints=None, ridge=True,
                            out=str(tmp_path / "r1"))
-        rows = run_single(cfg).reports[1].rows
+        rows = report_rows(run_single(cfg).reports, 1)
         assert all(r.flag == "singular_hessian" for r in rows[:-1])
         assert all(math.isnan(r.se) for r in rows[:-1])
 
@@ -263,7 +263,7 @@ class TestRunSingle:
         # Every step of a 30-step run is burn-in, so no step reaches the value sums.
         cfg = small_config(horizon=30, checkpoints=None, value_skip_burn_in=True,
                            aipw=True, out=str(tmp_path / "vs"))
-        rows = run_single(cfg).reports[30].rows
+        rows = report_rows(run_single(cfg).reports, 30)
         assert [r.name for r in rows[-2:]] == ["V_opt", "V_opt_aipw"]
         for r in rows[-2:]:
             assert r.flag == "no_value_steps"
@@ -275,7 +275,7 @@ class TestRunSingle:
         # alpha=50 overflows the linear iterate: the plug-in sums turn NaN.
         cfg = small_config(alpha=50, horizon=2000, checkpoints=(2000,),
                            out=str(tmp_path / "dv"))
-        rows = run_single(cfg).reports[2000].rows
+        rows = report_rows(run_single(cfg).reports, 2000)
         assert len(rows[:-1]) == 6
         assert all(r.flag == "singular_hessian" for r in rows[:-1])
         assert all(math.isnan(r.se) for r in rows[:-1])
@@ -293,7 +293,7 @@ class TestRunSingle:
     def test_aipw_row_appended_and_flagged(self, tmp_path):
         cfg = small_config(aipw=True, out=str(tmp_path / "ai"))
         out = run_single(cfg)
-        row = out.reports[400].row("V_opt_aipw")
+        row = report_row(out.reports, 400, "V_opt_aipw")
         assert row.flag == "experimental"
 
 
@@ -309,8 +309,9 @@ PARITY_CASES = [
 
 
 def _row_keys(report):
-    # repr keeps every bit and lets NaN compare equal to NaN.
-    return [tuple(repr(getattr(r, f.name)) for f in fields(r)) for r in report.rows]
+    # Every checkpoint's written rows; repr keeps every bit and lets NaN
+    # compare equal to NaN.
+    return repr(list(_report_tables(report)))
 
 
 def _library_reports(cfg):
@@ -334,9 +335,7 @@ def test_run_and_replication_report_the_same_rows(case, tmp_path):
     (rep,) = _mc_batch((cfg, [(0, cfg.seed)]))
     library = _library_reports(cfg)
     assert rep.error is None
-    assert sorted(rep.reports) == sorted(library) == sorted(single.reports)
-    for t, report in single.reports.items():
-        assert _row_keys(rep.reports[t]) == _row_keys(library[t]) == _row_keys(report)
+    assert _row_keys(rep.reports) == _row_keys(library) == _row_keys(single.reports)
 
 
 class TestRunMonteCarlo:
@@ -365,10 +364,8 @@ class TestRunMonteCarlo:
         (parallel,) = _launch(_mc_batch, [replace(cfg, workers=2)])
         for a, b in zip(serial, parallel):
             assert a.error is None and b.error is None
-            rows_a, rows_b = a.reports[300].rows[:6], b.reports[300].rows[:6]
-            np.testing.assert_array_equal([r.estimate for r in rows_a],
-                                          [r.estimate for r in rows_b])
-            np.testing.assert_array_equal([r.se for r in rows_a], [r.se for r in rows_b])
+            np.testing.assert_array_equal(a.reports.estimate, b.reports.estimate)
+            np.testing.assert_array_equal(a.reports.se, b.reports.se)
 
     def test_noiseless_degenerate_still_well_formed(self, tmp_path):
         cfg = small_config(sigma2=0.0, out=str(tmp_path / "d"))
@@ -390,7 +387,7 @@ class TestRunMonteCarlo:
         cfg = small_config(reps=12, horizon=5, checkpoints=(5,), ridge=True)
         summary = run_monte_carlo(cfg, write=False)
         (reps,) = _launch(_mc_batch, [cfg])
-        flagged = sum(rep.reports[5].row("beta0_1").flag == "singular_hessian"
+        flagged = sum(report_row(rep.reports, 5, "beta0_1").flag == "singular_hessian"
                       for rep in reps)
         assert 0 < flagged < cfg.reps
         beta_row = summary.row(5, "beta0_1")
@@ -435,7 +432,7 @@ class TestRunMonteCarlo:
                 return map(fn, jobs)
 
         cfg = small_config(reps=2, workers=8, horizon=50, checkpoints=(50,))
-        with mock.patch.object(experiments, "ProcessPoolExecutor", InlinePool):
+        with mock.patch("concurrent.futures.ProcessPoolExecutor", InlinePool):
             summary = run_monte_carlo(cfg, write=False)
         assert recorded == [2]
         assert summary.failures == 0
@@ -541,19 +538,32 @@ class TestTuneAlpha:
         assert summary["best_alpha"] is None
 
 
+def _table(rows, level=0.95):
+    """The written table of a one-checkpoint report with ``rows`` of
+    ``(name, estimate, se, ci_lo, ci_hi, t_value, p_value, flag)``, the
+    parameter rows first, then the value rows, whose t and p are None."""
+    names, *numbers, t_value, p_value, flag = (list(col) for col in zip(*rows))
+    m = sum(t is not None for t in t_value)
+    report = InferenceReport(level, np.array([1]), names, *(np.array([c]) for c in numbers),
+                             *(np.array([c[:m]]) for c in (t_value, p_value)),
+                             np.array([flag], dtype=object))
+    ((_, table),) = _report_tables(report)
+    return table
+
+
 class TestEmitReport:
     def test_csv_roundtrip_at_serialized_precision(self, tmp_path):
         cfg = small_config(out=str(tmp_path / "rr"))
         out = run_single(cfg)
         path = tmp_path / "rr" / "report_t400.csv"
         rows = list(csv.DictReader(open(path)))
-        for row, orig in zip(rows, out.reports[400].rows):
+        for row, orig in zip(rows, report_rows(out.reports, 400)):
             assert row["name"] == orig.name
             assert float(row["estimate"]) == pytest.approx(orig.estimate, rel=1e-5)
             assert float(row["se"]) == pytest.approx(orig.se, rel=1e-5)
 
     @pytest.mark.parametrize("obj, header, keys", [
-        (InferenceReport(0.95, [ReportRow("beta0_1", 0.1, 0.01, 0.08, 0.12, 10.0, 0.0)]),
+        (_table([["beta0_1", 0.1, 0.01, 0.08, 0.12, 10.0, 0.0, ""]]),
          ["name", "estimate", "se", "ci_lo", "ci_hi", "t_value", "p_value", "flag"],
          ["level", "rows"]),
         (MonteCarloSummary(level=0.95, reps=2, failures=0, truth_value=1.0,
@@ -654,14 +664,28 @@ def test_json_writer_matches_json_dumps(obj):
     json.loads(text, parse_constant=_reject_constant)
 
 
+# Edge values of a report: -0.0, NaN, 1e308, a value row and a non-ASCII flag.
+_EDGE_ROWS = [["beta0_1", -0.0, math.nan, math.nan, math.nan, math.nan, math.nan, "x"],
+              ["V_opt", 1e308, 0.0, 1e308, 1e308, None, None, "\u00e9\n"]]
+
+
 def test_json_writer_on_reports(tmp_path):
-    report = InferenceReport(0.95, [
-        ReportRow("beta0_1", -0.0, math.nan, math.nan, math.nan, math.nan, math.nan, "x"),
-        ReportRow("V_opt", 1e308, 0.0, 1e308, 1e308, None, None, "\u00e9\n")])
+    head, header, rows = _table(_EDGE_ROWS)
+    report = dict(head, rows=[dict(zip(header, row)) for row in rows])
     tune = TuneAlphaResult(best_alpha=0.5, final_loss={0.5: math.inf, math.nan: 0.25},
                            rows=[])
-    for k, obj in enumerate([report, tune, {"matched_fraction": math.nan}]):
+    for k, (obj, want) in enumerate([((head, header, rows), report), (tune, tune),
+                                     ({"matched_fraction": math.nan},) * 2]):
         path = emit_report(obj, "json", tmp_path / f"r{k}.json")
         text = path.read_text()
-        assert text == json.dumps(reference_jsonify(obj), indent=2) + "\n"
+        assert text == json.dumps(reference_jsonify(want), indent=2) + "\n"
         json.loads(text, parse_constant=_reject_constant)
+
+
+def test_csv_writer_on_reports(tmp_path):
+    # Six significant digits, "" for a value row's t and p, and the flag as is.
+    path = emit_report(_table(_EDGE_ROWS), "csv", tmp_path / "r.csv")
+    assert path.read_bytes().decode() == (
+        "name,estimate,se,ci_lo,ci_hi,t_value,p_value,flag\n"
+        "beta0_1,-0,nan,nan,nan,nan,nan,x\n"
+        "V_opt,1e+308,0,1e+308,1e+308,,,\u00e9\n\n")

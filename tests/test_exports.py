@@ -24,7 +24,6 @@ EXPORTS = {
     "RngStream",
     # types
     "DimensionError", "ExplorationSchedule", "InferenceReport", "LearningSchedule",
-    "ReportRow",
     # value
     "oracle_value",
 }
@@ -52,7 +51,7 @@ def _documented() -> list[tuple[str, str]]:
 
 def test_exported_names():
     assert set(_public_names()) == EXPORTS
-    assert len(EXPORTS) == 34
+    assert len(EXPORTS) == 33
 
 
 def test_readme_lists_each_export_once_under_its_module():

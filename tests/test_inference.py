@@ -12,9 +12,10 @@ from banditsgd import (ExplorationSchedule, LaggedSyntheticEnvironment, Learning
 from banditsgd import inference
 from banditsgd.engine import Checkpoints
 from banditsgd.inference import ipw_weight, normal_cdf, normal_quantile, two_sided_p
+from banditsgd.models import make_model
 
 import oracle
-from oracle import Observation
+from oracle import Observation, report_rows
 
 BETA0 = np.array([0.3, -0.1, 0.7, 0.8, 0.5, -0.4])
 
@@ -140,7 +141,7 @@ class TestSandwichCovariance:
             assert np.diag(_sandwich(*sums, ridge=True)[0]).min() < -1e-10
         cov, ridged, _, ok = _sandwich(*sums, ridge=True)
         assert ridged and not ok and np.isnan(cov).all()
-        rows = checkpoint_reports(cps, ridge=True)[1].rows[:6]
+        rows = report_rows(checkpoint_reports(cps, ridge=True), 1)[:6]
         assert all(r.flag == "singular_hessian" and math.isnan(r.se) for r in rows)
 
     def test_condition_after_the_ridge_is_the_ridged_one(self):
@@ -165,7 +166,7 @@ class TestSandwichCovariance:
         for ridge in (False, True):
             _, ridged, cond, ok = _sandwich(cps.S[0], cps.H[0], 2000, ridge=ridge)
             assert not ok and not ridged and cond < 1e12
-            rows = checkpoint_reports(cps, ridge=ridge)[2000].rows[:6]
+            rows = report_rows(checkpoint_reports(cps, ridge=ridge), 2000)[:6]
             assert all(r.flag == "singular_hessian" and math.isnan(r.se) for r in rows)
 
     @pytest.mark.filterwarnings("error")
@@ -274,8 +275,7 @@ class TestConvergedRunMagnitudes:
         # One converged linear run at horizon 1e4 with eps = 0.2: the reported
         # coordinate standard errors sit in the low-0.003 range (published
         # interval lengths 0.009-0.011 imply SE about 0.0023-0.0028).
-        report = checkpoint_reports(_final_run(10_000, seed=77).checkpoints)[10_000]
-        se = np.array([row.se for row in report.rows[:6]])
+        se = checkpoint_reports(_final_run(10_000, seed=77).checkpoints).se[0, :6]
         assert (se > 0.0015).all() and (se < 0.004).all()
 
     def test_curvature_estimate_near_half_identity(self):
@@ -306,28 +306,26 @@ class TestConvergedRunMagnitudes:
 
 
 def _wald(est, cov, level=0.95):
-    """The parameter report that ``checkpoint_reports`` gives a one-step
+    """The parameter rows that ``checkpoint_reports`` gives a one-step
     checkpoint with the average ``est`` whose sandwich is ``cov``: with
     ``H`` the identity over one step, the sandwich is ``S`` itself."""
     dim = len(est)
     cps = Checkpoints(t=np.array([1]), eps=np.array([0.2]), n=np.array([1]),
                       value_t=np.array([0]), bar_beta=np.array([est], dtype=float),
                       S=np.array([cov], dtype=float), H=np.eye(dim)[None], value=None)
-    return checkpoint_reports(cps, level)[1]
+    return report_rows(checkpoint_reports(cps, level), 1)
 
 
 class TestWaldReport:
     def test_standard_normal_interval(self):
-        report = _wald(np.zeros(2), np.eye(2), level=0.95)
-        row = report.rows[0]
+        row = _wald(np.zeros(2), np.eye(2), level=0.95)[0]
         assert row.ci_lo == pytest.approx(-1.959963984540054, rel=1e-9)
         assert row.ci_hi == pytest.approx(1.959963984540054, rel=1e-9)
         assert row.t_value == 0.0 and row.p_value == pytest.approx(1.0)
 
     def test_reported_click_model_row(self):
         # Reproduce one published row: estimate -2.8226 with SE 0.0810.
-        report = _wald(np.array([-2.8226, 0.0]), np.diag([0.0810 ** 2, 1.0]), level=0.95)
-        row = report.rows[0]
+        row = _wald(np.array([-2.8226, 0.0]), np.diag([0.0810 ** 2, 1.0]), level=0.95)[0]
         assert row.ci_lo == pytest.approx(-2.9814, abs=1e-3)
         assert row.ci_hi == pytest.approx(-2.6637, abs=1e-3)
         assert row.t_value == pytest.approx(-34.83, abs=0.02)
@@ -335,8 +333,8 @@ class TestWaldReport:
 
     def test_level_nesting(self):
         est, cov = np.array([1.0, 0.0]), np.diag([0.25, 1.0])
-        narrow = _wald(est, cov, level=0.95).rows[0]
-        wide = _wald(est, cov, level=0.99).rows[0]
+        narrow = _wald(est, cov, level=0.95)[0]
+        wide = _wald(est, cov, level=0.99)[0]
         assert wide.ci_lo < narrow.ci_lo < narrow.ci_hi < wide.ci_hi
 
     @pytest.mark.parametrize("level", [0.0, 1.0, -0.1, 1.5, math.nan])
@@ -345,33 +343,32 @@ class TestWaldReport:
             _wald(np.zeros(2), np.eye(2), level=level)
 
     def test_zero_se_conventions(self):
-        report = _wald(np.array([0.0, 1.0]), np.zeros((2, 2)))
-        assert report.rows[0].t_value == 0.0 and report.rows[0].p_value == 1.0
-        assert report.rows[1].t_value == math.inf and report.rows[1].p_value == 0.0
+        rows = _wald(np.array([0.0, 1.0]), np.zeros((2, 2)))
+        assert rows[0].t_value == 0.0 and rows[0].p_value == 1.0
+        assert rows[1].t_value == math.inf and rows[1].p_value == 0.0
 
     def test_negative_variance_rejected(self):
         # A variance below -1e-10 leaves the checkpoint without a covariance.
-        report = _wald(np.zeros(2), np.diag([-1e-6, 1.0]))
-        assert all(r.flag == "singular_hessian" and math.isnan(r.se) for r in report.rows)
+        rows = _wald(np.zeros(2), np.diag([-1e-6, 1.0]))
+        assert all(r.flag == "singular_hessian" and math.isnan(r.se) for r in rows)
         # tiny negative from rounding is clamped instead
-        report = _wald(np.zeros(2), np.diag([-1e-12, 1.0]))
-        assert report.rows[0].se == 0.0 and report.rows[0].flag == ""
+        rows = _wald(np.zeros(2), np.diag([-1e-12, 1.0]))
+        assert rows[0].se == 0.0 and rows[0].flag == ""
 
     def test_row_names_follow_block_layout(self):
-        report = _wald(np.zeros(4), np.eye(4))
-        assert [r.name for r in report.rows] == ["beta0_1", "beta0_2", "beta1_1", "beta1_2"]
+        rows = _wald(np.zeros(4), np.eye(4))
+        assert [r.name for r in rows] == ["beta0_1", "beta0_2", "beta1_1", "beta1_2"]
 
     def test_custom_null(self):
-        ((row,),) = inference._wald_rows(np.array([[2.0]]), np.array([[1.0]]), 0.95,
-                                         ["b"], [""], np.array([2.0]))
-        assert row.t_value == 0.0
+        *_, t, p = inference._wald_columns(np.array([[2.0]]), np.array([[1.0]]), 0.95,
+                                           np.array([2.0]))
+        assert t.tolist() == [[0.0]] and p.tolist() == [[1.0]]
 
     def test_value_row_has_no_t_or_p(self):
-        ((row,),) = inference._wald_rows(np.array([[1.5]]), np.array([[0.01]]), 0.95,
-                                         ["V_opt"], [""])
-        assert row.name == "V_opt" and row.se == 0.1
-        assert row.t_value is None and row.p_value is None
-        assert row.ci_lo < 1.5 < row.ci_hi
+        # Without a null only the estimate, SE and interval come out.
+        est, se, lo, hi = (c.item() for c in inference._wald_columns(
+            np.array([[1.5]]), np.array([[0.01]]), 0.95))
+        assert est == 1.5 and se == 0.1 and lo < 1.5 < hi
 
 
 class TestCheckpointReports:
@@ -380,7 +377,7 @@ class TestCheckpointReports:
     def test_without_value_sums_gives_parameter_rows_only(self):
         cps = _final_run(300, collect_value=False).checkpoints
         assert cps.value is None
-        rows = checkpoint_reports(cps)[300].rows
+        rows = report_rows(checkpoint_reports(cps), 300)
         assert [r.name for r in rows] == inference._parameter_names(6)
         assert all(r.flag == "" and r.se > 0.0 for r in rows)
 
@@ -388,7 +385,7 @@ class TestCheckpointReports:
         for aipw, names in ((False, ["V_opt"]), (True, ["V_opt", "V_opt_aipw"])):
             cps = _final_run(300, collect_inference=False, aipw=aipw).checkpoints
             assert cps.S is cps.H is None
-            rows = checkpoint_reports(cps)[300].rows
+            rows = report_rows(checkpoint_reports(cps), 300)
             assert [r.name for r in rows] == names
             assert all(r.se > 0.0 for r in rows)
 
@@ -406,11 +403,33 @@ class TestCheckpointReports:
         assert cps.n.tolist() == cps.value_t.tolist() == [0, 15]
         for ridge in (False, True):
             reports = checkpoint_reports(cps, ridge=ridge)
-            *params, value = reports[2].rows
+            *params, value = report_rows(reports, 2)
             assert all(r.flag == "singular_hessian" and math.isnan(r.se) for r in params)
             assert value.flag == "no_value_steps" and math.isnan(value.estimate)
-            want = checkpoint_reports(run((20,)), ridge=ridge)[20]
-            assert reports[20] == want and all(r.flag == "" for r in want.rows)
+            want = report_rows(checkpoint_reports(run((20,)), ridge=ridge), 20)
+            assert report_rows(reports, 20) == want and all(r.flag == "" for r in want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), family=st.sampled_from(["linear", "logistic"]),
+       p=st.integers(1, 4), aipw=st.booleans(), ridge=st.booleans(),
+       burn_in=st.integers(0, 30), skip=st.booleans(), horizon=st.integers(1, 80),
+       level=st.floats(0.5, 0.999))
+def test_report_intervals_bracket_their_estimates(seed, family, p, aipw, ridge, burn_in,
+                                                  skip, horizon, level):
+    # A report at every step of a short run: early checkpoints have singular
+    # curvatures, and with the burn-in skipped, no value steps.
+    model, rng = make_model(family, p), RngStream(seed)
+    beta0 = np.random.default_rng(seed).normal(size=2 * p)
+    env = SyntheticEnvironment(SyntheticConfig(model, beta0, sigma2=0.01), rng)
+    cps = run_stream(env, model, LearningSchedule(0.5), ExplorationSchedule.fixed(0.2, burn_in),
+                     rng, horizon, aipw=aipw, skip_value_burn_in=skip,
+                     checkpoints=range(1, horizon + 1)).checkpoints
+    r = checkpoint_reports(cps, level, ridge=ridge)
+    assert (r.se[np.isfinite(r.se)] >= 0.0).all()
+    finite = np.isfinite(r.estimate) & np.isfinite(r.ci_lo) & np.isfinite(r.ci_hi)
+    assert (r.ci_lo[finite] <= r.estimate[finite]).all()
+    assert (r.estimate[finite] <= r.ci_hi[finite]).all()
 
 
 class TestNormalFunctions:

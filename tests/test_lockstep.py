@@ -132,7 +132,7 @@ def test_report_failure_is_recorded_per_replication():
                            wraps=experiments.checkpoint_reports):
         results = _mc_batch((config, reps))
     assert results[0].error == "ValueError: bad"
-    assert all(r.error is None and 200 in r.reports for r in results[1:])
+    assert all(r.error is None and r.reports.t.tolist() == [200] for r in results[1:])
 
 
 @pytest.mark.parametrize("reps,workers",

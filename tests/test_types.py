@@ -3,7 +3,6 @@ import pytest
 
 from banditsgd import (DimensionError, ExplorationSchedule, LearningSchedule,
                        LinearModel, LogisticModel)
-from banditsgd.types import ReportRow
 
 from oracle import Observation, decide_optimal
 
@@ -106,17 +105,3 @@ class TestSchedules:
         with pytest.raises(ValueError):
             ExplorationSchedule.fixed(0.2, burn_in=-1)
 
-
-class TestReportRow:
-    def test_interval_must_bracket_estimate(self):
-        with pytest.raises(ValueError):
-            ReportRow("b", estimate=2.0, se=0.1, ci_lo=0.0, ci_hi=1.0)
-
-    def test_negative_se_rejected(self):
-        with pytest.raises(ValueError):
-            ReportRow("b", estimate=0.0, se=-0.1, ci_lo=-1.0, ci_hi=1.0)
-
-    def test_nan_rows_allowed_for_flagging(self):
-        row = ReportRow("b", estimate=0.0, se=float("nan"), ci_lo=float("nan"),
-                        ci_hi=float("nan"), flag="singular_hessian")
-        assert row.flag == "singular_hessian"

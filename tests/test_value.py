@@ -13,7 +13,7 @@ from banditsgd.experiments import _launch, _mc_batch
 from banditsgd.inference import normal_quantile
 from banditsgd.value import _value_columns
 
-from oracle import Observation, update_value
+from oracle import Observation, report_row, update_value
 
 BETA0 = np.array([0.3, -0.1, 0.7, 0.8, 0.5, -0.4])
 
@@ -30,7 +30,7 @@ def _checkpoints(sums, t, eps):
 
 def _row(sums, t, eps, name="V_opt"):
     """The report row ``name`` of one checkpoint with value sums ``sums``."""
-    return checkpoint_reports(_checkpoints([sums], [t], [eps]))[1].row(name)
+    return report_row(checkpoint_reports(_checkpoints([sums], [t], [eps])), 1, name)
 
 
 def _raw(sums, t, eps, aipw=False):
@@ -160,7 +160,7 @@ def test_value_columns_and_report_rows_equal_the_scalar_functions(rows):
         with np.errstate(all="ignore"):
             columns = _value_columns(sums[:, 2 * j], sums[:, 2 * j + 1], t, eps, aipw)
         for k, (*row_sums, t_k, eps_k) in enumerate(rows):
-            row = reports[k + 1].row(name)
+            row = report_row(reports, k + 1, name)
             if t_k == 0:
                 assert math.isnan(row.estimate) and math.isnan(row.se)
                 assert row.flag == "no_value_steps"
@@ -205,11 +205,8 @@ class TestAipwAccumulation:
                                   seed=909, aipw=True, checkpoints=(10_000,),
                                   workers=2)
         (results,) = _launch(partial(_mc_batch, collect_inference=False), [config])
-        diffs = []
-        for r in results:
-            report = r.reports[10_000]
-            diffs.append(report.row("V_opt_aipw").estimate - report.row("V_opt").estimate)
-        diffs = np.asarray(diffs)
+        assert results[0].reports.names == ["V_opt", "V_opt_aipw"]
+        diffs = np.array([r.reports.estimate[0, 1] - r.reports.estimate[0, 0] for r in results])
         se = diffs.std(ddof=1) / math.sqrt(len(diffs))
         assert abs(diffs.mean()) < 4.0 * se
 
