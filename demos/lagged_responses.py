@@ -10,8 +10,7 @@ import numpy as np
 
 from banditsgd import (ExplorationSchedule, LearningSchedule, LinearModel,
                        RngStream, SyntheticConfig, SyntheticEnvironment,
-                       run_stream, run_stream_lagged)
-from banditsgd.environments import LaggedSyntheticEnvironment, geometric_lag
+                       geometric_lag, run_stream)
 
 BETA0 = np.array([0.3, -0.1, 0.7, 0.8, 0.5, -0.4])
 HORIZON = 20_000
@@ -19,26 +18,16 @@ learn = LearningSchedule(0.5, 0.501)
 explore = ExplorationSchedule.fixed(0.2, burn_in=50)
 
 
-def fresh(seed=99):
+def run(lag, seed=99):
     model = LinearModel(3)
     rng = RngStream(seed)
-    return model, SyntheticConfig(model, BETA0, sigma2=0.01), rng
+    env = SyntheticEnvironment(SyntheticConfig(model, BETA0, sigma2=0.01), rng)
+    return run_stream(env, model, learn, explore, rng, HORIZON, lag=lag)
 
-
-model, config, rng = fresh()
-plain = run_stream(SyntheticEnvironment(config, rng), model, learn, explore,
-                   rng, HORIZON)
-
-model, config, rng = fresh()
-lag3 = run_stream_lagged(LaggedSyntheticEnvironment(config, rng, lag=3),
-                         model, learn, explore, rng, HORIZON)
-
-model, config, rng = fresh()
-geo = run_stream_lagged(LaggedSyntheticEnvironment(config, rng, lag=geometric_lag(0.25)),
-                        model, learn, explore, rng, HORIZON)
 
 print(f"{'delivery':16s} {'updates':>8s} {'pending':>8s} {'max |bar - truth|':>18s}")
-for name, res in (("immediate", plain), ("constant lag 3", lag3),
-                  ("geometric lag", geo)):
+for name, lag in (("immediate", 0), ("constant lag 3", 3),
+                  ("geometric lag", geometric_lag(0.25))):
+    res = run(lag)
     err = np.abs(res.bar_beta - BETA0).max()
     print(f"{name:16s} {res.updates:8d} {res.pending:8d} {err:18.4f}")

@@ -9,11 +9,10 @@ O(p^2) regardless of stream length.  The names below are the public API,
 one README line each; everything else stays in its module.
 """
 
-from .engine import ProtocolError, StreamResult, run_stream, run_stream_lagged
-from .environments import (LaggedSyntheticEnvironment, ReplayCursor, ReplayExhausted,
-                           ReplayLog, ReplayLogError, SyntheticConfig,
-                           SyntheticEnvironment, geometric_lag, load_replay_log,
-                           write_replay_log)
+from .engine import StreamResult, run_stream
+from .environments import (ReplayCursor, ReplayExhausted, ReplayLog, ReplayLogError,
+                           SyntheticConfig, SyntheticEnvironment, geometric_lag,
+                           load_replay_log, write_replay_log)
 from .experiments import (ConfigError, ExperimentConfig, MonteCarloSummary,
                           TuneAlphaResult, build_config, load_config_file,
                           run_monte_carlo, run_single, tune_alpha)

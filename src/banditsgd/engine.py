@@ -4,15 +4,16 @@
 reward and maintains the running average of the iterates.  Inference and
 value accumulators are fed with the pre-step average, the sampling
 propensity, and the exploration rate in force at sampling time, before the
-step is applied.  ``run_stream_lagged`` handles rewards that arrive after
-later actions have already been taken: decisions use the most recent
-average under a propensity that stays frozen between updates, and each
-arriving reward triggers exactly one update, in first-in-first-out order.
-``_run_synthetic`` runs a batch of synthetic streams from per-block draw
-tables, each equal bit for bit to ``run_stream`` on a ``SyntheticEnvironment``.
-Every engine hands its steps to one record, ``_Sums``, which shows them to the
-``on_steps`` hook, keeps every sum as one array across the streams, holds the
-checkpoint schedule and builds each stream's checkpoints and result.
+step is applied.  With a ``lag`` rewards arrive after later actions have
+already been taken: one first-in-first-out queue holds each decision until
+its reward is due, decisions use the most recent average under a propensity
+that stays frozen between updates, and each arriving reward triggers exactly
+one update.  ``_run_synthetic`` runs a batch of synthetic streams from
+per-block draw tables, each equal bit for bit to ``run_stream`` on a
+``SyntheticEnvironment``.  Every engine hands its steps to one record,
+``_Sums``, which shows them to the ``on_steps`` hook, keeps every sum as one
+array across the streams, holds the checkpoint schedule and builds each
+stream's checkpoints and result.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
+from numbers import Integral
 
 import numpy as np
 
@@ -29,10 +31,6 @@ from .models import _HESSIAN_VARIANTS
 from .policy import RngStream, exploration_rate, learning_rate
 from .types import ExplorationSchedule, LearningSchedule
 from .value import draw_features
-
-
-class ProtocolError(RuntimeError):
-    """A lagged environment violated the reward-delivery contract."""
 
 
 @dataclass
@@ -61,7 +59,7 @@ class StreamResult:
     running average ``bar_beta`` (2p,); the decision ``steps`` taken and the
     SGD ``updates`` applied; the ``total_reward`` of the updates; whether the
     environment ran out before the horizon, ``exhausted``; the decisions
-    whose rewards never arrived, ``pending`` (lagged mode only); and the
+    whose rewards never arrived, ``pending`` (0 without a ``lag``); and the
     ``checkpoints``, views of the rows its engine recorded."""
 
     hat_beta: np.ndarray
@@ -227,7 +225,7 @@ def _sgd_step(hat: np.ndarray, bar: np.ndarray, block: np.ndarray, x: np.ndarray
 
 
 class _UpdateCore:
-    """Per-step arithmetic of ``run_stream`` and ``run_stream_lagged``.
+    """Per-step arithmetic of ``run_stream``.
 
     ``sample`` makes the epsilon-greedy decision and ``apply`` consumes its
     reward.  Keeps the raw iterate and its running average as plain arrays
@@ -307,22 +305,25 @@ class _UpdateCore:
         self.fold()
         self.sums.checkpoint(t, self.bar[None], eps)
 
-    def result(self, steps: int, eps: float, exhausted: bool, pending: int = 0) -> StreamResult:
-        """The end of both per-step loops: the result after ``steps`` decision
-        steps, the last at exploration rate ``eps``.  A run whose environment
-        ran out after at least one step ends with a checkpoint of its final
-        step, unless that step already is one."""
-        if exhausted and steps >= 1 and steps not in self.sums.due:
-            self.snapshot(steps, eps)
-        self.fold()
-        return self.sums.result(0, self.hat, self.bar, steps, self.updates, exhausted, pending)
+
+def _lag_function(lag):
+    """``run_stream``'s ``lag`` as a function ``lag(step, gen)``, or ``None``
+    for a lag of 0, whose rewards are applied at once."""
+    if callable(lag):
+        return lag
+    if not isinstance(lag, Integral):
+        raise ValueError(f"lag must be a whole number of steps or a function, got {lag!r}")
+    if lag < 0:
+        raise ValueError("lag must be nonnegative")
+    lag = int(lag)
+    return None if lag == 0 else lambda step, gen: lag
 
 
 def run_stream(env, model, learn: LearningSchedule, explore: ExplorationSchedule,
                rng: RngStream, horizon: int, *, hessian: str = "exact",
                aipw: bool = False, collect_inference: bool = True,
                collect_value: bool = True, checkpoints=(),
-               skip_value_burn_in: bool = False, on_steps=None) -> StreamResult:
+               skip_value_burn_in: bool = False, on_steps=None, lag=0) -> StreamResult:
     """Run ``horizon`` decision steps against an environment.
 
     The environment supplies features via ``next_feature()`` (``None`` once
@@ -330,23 +331,50 @@ def run_stream(env, model, learn: LearningSchedule, explore: ExplorationSchedule
     ``outcome(x, action)``; an ``outcome`` of ``None`` marks a skipped replay
     entry, which consumes the entry but not a decision step.  A run whose
     environment runs out after at least one step ends with a checkpoint of
-    its final step, unless that step already is one.  Reports come from the
-    checkpoints alone: ``inference.checkpoint_reports`` reads one per
-    checkpoint off ``result.checkpoints``, so a run that should report at
-    its end passes ``checkpoints=(horizon,)``.  Fixed seeds give
-    bit-identical runs.  Each run of steps added to the sums is first passed
-    to ``on_steps(t, act, greedy, y, eps, ubar)``, if given, oldest first: the
-    step indexes (n,), the taken and greedy actions (uint8) and rewards
-    (n, R = 1), the exploration rates (n,) and both indexes at the pre-step
-    average (n, R, 2), in arrays valid only during the call.
+    its final step, unless that step already is one, holding every update
+    made by then.  Reports come from the checkpoints alone:
+    ``inference.checkpoint_reports`` reads one per checkpoint off
+    ``result.checkpoints``, so a run that should report at its end passes
+    ``checkpoints=(horizon,)``.  Fixed seeds give bit-identical runs.  Each
+    run of steps added to the sums is first passed to
+    ``on_steps(t, act, greedy, y, eps, ubar)``, if given, oldest first: the
+    update ordinals (n,), the taken and greedy actions (uint8) and rewards
+    (n, R = 1), the exploration rates (n,) and both indexes at the average
+    in force at the update (n, R, 2), in arrays valid only during the call.
+
+    ``lag`` delays each reward: a whole number of steps, or a function
+    ``lag(step, gen)`` such as ``geometric_lag(q)``, called right after the
+    step's reward is drawn with the generator of ``rng``.  The reward of
+    decision step ``s`` arrives at step ``s + lag``, after every earlier
+    reward, first in, first out; rewards due at step ``t`` are applied
+    before the environment is read for its decision, and after the
+    decision.  Updates use the propensity stored with the decision and the
+    learning-rate index equal to the update ordinal.  The exploration clock
+    advances with completed updates, so the rule stays frozen while rewards
+    are outstanding.  Rewards still due at the end never update;
+    ``result.pending`` counts them.  A lag of 0 applies each reward at once,
+    so the clock is the decision step.
     """
+    delay = _lag_function(lag)
     sums = _Sums(model, hessian, 1, horizon, checkpoints, collect_inference,
                  collect_value, aipw, on_steps)
     core = _UpdateCore(model, learn, sums)
     steps, eps, exhausted = 0, 1.0, False
+    # (due step, copy of x, decision, reward) per decision awaiting its reward.
+    queue: deque[tuple] = deque()
+
+    def deliver(now: int) -> None:
+        while queue and queue[0][0] <= now:
+            _, x, decision, y = queue.popleft()
+            # The sums take both indexes at the average in force at the update.
+            core.apply(x, decision[:5] + core.indexes(x), y)
+
     for t in range(1, horizon + 1):
-        rate = exploration_rate(explore, t)
-        include = not (skip_value_burn_in and t <= explore.burn_in)
+        if queue:
+            deliver(t)
+        clock = core.updates + 1
+        rate = exploration_rate(explore, clock)
+        include = not (skip_value_burn_in and clock <= explore.burn_in)
         while (x := env.next_feature()) is not None:
             decision = core.sample(x, rate, rng.uniform(), include)
             y = env.outcome(x, decision[0])
@@ -355,70 +383,19 @@ def run_stream(env, model, learn: LearningSchedule, explore: ExplorationSchedule
         if x is None:
             exhausted = True
             break
-        core.apply(x, decision, float(y))
+        if delay is None:
+            core.apply(x, decision, float(y))
+        else:
+            # A copy: an environment may reuse one feature array for every step.
+            queue.append((t + int(delay(t, rng.gen)), x.copy(), decision, float(y)))
+            deliver(t)
         steps, eps = t, rate
         if t in sums.due:
             core.snapshot(t, eps)
-    return core.result(steps, eps, exhausted)
-
-
-def run_stream_lagged(env, model, learn: LearningSchedule, explore: ExplorationSchedule,
-                      rng: RngStream, horizon: int, *, hessian: str = "exact",
-                      aipw: bool = False, collect_inference: bool = True,
-                      collect_value: bool = True, checkpoints=(),
-                      skip_value_burn_in: bool = False) -> StreamResult:
-    """Run with delayed reward delivery.
-
-    The environment exposes ``next_feature()``, ``submit(step, x, action)``
-    and ``arrivals(step)``; the latter returns ``(step_index, reward)`` pairs
-    that have just become available and must follow the order actions were
-    taken.  Updates use the propensity stored with the pending record and the
-    learning-rate index equal to the update ordinal.  The exploration clock
-    advances with completed updates, so the rule stays frozen while rewards
-    are outstanding.  Records whose rewards never arrive simply never update
-    (they remain counted in ``result.pending``).  As in ``run_stream``, a run
-    whose environment runs out ends with a checkpoint of its final decision
-    step, holding every update made by then.
-    """
-    sums = _Sums(model, hessian, 1, horizon, checkpoints, collect_inference,
-                 collect_value, aipw)
-    core = _UpdateCore(model, learn, sums)
-    steps, eps, exhausted = 0, 1.0, False
-    # (step, copy of x, decision) per decision awaiting its reward.
-    pending: deque[tuple] = deque()
-
-    def drain(now: int) -> None:
-        for step_idx, y in env.arrivals(now):
-            if not pending:
-                raise ProtocolError(f"reward for step {step_idx} has no pending record")
-            step, x, decision = pending[0]
-            if step != step_idx:
-                raise ProtocolError(
-                    f"reward for step {step_idx} arrived out of order; "
-                    f"expected step {step}"
-                )
-            pending.popleft()
-            # The sums take both indexes at the average in force at the update.
-            core.apply(x, decision[:5] + core.indexes(x), float(y))
-
-    for t in range(1, horizon + 1):
-        drain(t)
-        x = env.next_feature()
-        if x is None:
-            exhausted = True
-            break
-        ordinal_next = core.updates + 1
-        eps = exploration_rate(explore, ordinal_next)
-        include = not (skip_value_burn_in and ordinal_next <= explore.burn_in)
-        decision = core.sample(x, eps, rng.uniform(), include)
-        # A copy: an environment may reuse one feature array for every step.
-        pending.append((t, x.copy(), decision))
-        env.submit(t, x, decision[0])
-        drain(t)
-        steps = t
-        if t in sums.due:
-            core.snapshot(t, eps)
-    return core.result(steps, eps, exhausted, len(pending))
+    if exhausted and steps >= 1 and steps not in sums.due:
+        core.snapshot(steps, eps)
+    core.fold()
+    return sums.result(0, core.hat, core.bar, steps, core.updates, exhausted, len(queue))
 
 
 # ---------------------------------------------------------------------------

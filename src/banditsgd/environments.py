@@ -1,4 +1,4 @@
-"""Feature and reward sources: synthetic streams, lagged delivery, replay logs.
+"""Feature and reward sources: synthetic streams, reward lags, replay logs.
 
 Replay follows the match/drop evaluation for uniformly randomized logs: the
 policy proposes an action for each logged entry; on agreement with the logged
@@ -11,10 +11,8 @@ from __future__ import annotations
 import csv
 import math
 from array import array
-from collections import deque
 from dataclasses import InitVar, dataclass
 from itertools import islice
-from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -98,49 +96,12 @@ class SyntheticEnvironment:
         return 1.0 if self._next_draw() < self._link(u) else 0.0
 
 
-def constant_lag(lag: int):
-    """Every reward arrives exactly ``lag`` steps after its action."""
-    if not isinstance(lag, Integral):
-        raise ValueError(f"lag must be a whole number of steps or a function, got {lag!r}")
-    if lag < 0:
-        raise ValueError("lag must be nonnegative")
-    return lambda step, gen: lag
-
-
 def geometric_lag(success_prob: float):
-    """Independent geometric lags on {0, 1, 2, ...} with the given success rate."""
+    """Independent geometric lags on {0, 1, 2, ...} with the given success
+    rate, for ``run_stream``'s ``lag``."""
     if not 0.0 < success_prob <= 1.0:
         raise ValueError("success probability must lie in (0, 1]")
     return lambda step, gen: int(gen.geometric(success_prob)) - 1
-
-
-class LaggedSyntheticEnvironment:
-    """Synthetic stream whose rewards are delivered after a configurable lag.
-
-    Delivery is serialized first-in-first-out: a reward becomes available only
-    once every earlier reward has been delivered, matching the in-order
-    consumption the lagged engine requires.
-    """
-
-    def __init__(self, config: SyntheticConfig, rng: RngStream, lag=1):
-        self._inner = SyntheticEnvironment(config, rng)
-        self._lag_fn = lag if callable(lag) else constant_lag(lag)
-        self._queue: deque[tuple[int, float, int]] = deque()  # (step, reward, due)
-
-    def next_feature(self):
-        return self._inner.next_feature()
-
-    def submit(self, step: int, x, a: int) -> None:
-        y = self._inner.outcome(x, a)
-        due = step + int(self._lag_fn(step, self._inner._gen))
-        self._queue.append((step, y, due))
-
-    def arrivals(self, now: int):
-        out = []
-        while self._queue and self._queue[0][2] <= now:
-            step, y, _ = self._queue.popleft()
-            out.append((step, y))
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -48,16 +48,21 @@ def _sandwiches(S: np.ndarray, H: np.ndarray, n: np.ndarray, *, ridge: bool = Fa
     only those curvatures are factored again with lam = 1e-8 * trace / dim
     added to the diagonal.  Nor does one come out where a diagonal entry
     falls below -1e-10 (seen with the ridge at very short horizons, where
-    cancellation swamps the tiny eigenvalues) or is NaN (a diverged run).
+    cancellation swamps the tiny eigenvalues) or is NaN (a diverged run), or
+    from a curvature with a NaN or inf entry, whose condition is NaN.
     """
     dim = H.shape[-1]
     # A row without steps has a zero curvature, which comes out singular.
     n = np.maximum(n, 1)
     h = H / n[:, None, None]
-    lam, q = np.linalg.eigh(h)
+    # A curvature with a NaN or inf entry (a diverged run) is not factored:
+    # its eigenvalues stay NaN, so it comes out singular, ridge or not.
+    finite = np.isfinite(h).all(axis=(1, 2))
+    lam, q = np.full(h.shape[:2], math.nan), np.full(h.shape, math.nan)
+    lam[finite], q[finite] = np.linalg.eigh(h[finite])
     cond = _conditions(lam)
     ok = (lam.min(axis=1) > 0.0) & (cond <= _MAX_CONDITION)
-    ridged = ~ok & ridge
+    ridged = ~ok & ridge & finite
     if ridged.any():
         redo = np.flatnonzero(ridged)
         eye = np.eye(dim)

@@ -7,14 +7,16 @@ the loss of one observation with its gradient and curvature, the greedy
 decision and its propensity, one IPW-SGD step with its running average, and
 one step of the plug-in and value sums.  Tests compare the engine with them
 and check them against finite differences.  A ``RecordingEnvironment`` and a
-snapshot at every step give a run's steps for that comparison.
+snapshot at every step give a run's steps for that comparison; with a
+``RecordingLag`` too, ``fifo_events`` and ``lagged_fold`` replay a lagged
+run's decisions and updates in first-in-first-out order.
 ``report_rows`` and ``report_row`` read one checkpoint of a columnar
 ``InferenceReport`` as the report writers format it.
 """
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import deque, namedtuple
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
@@ -24,7 +26,7 @@ from banditsgd.inference import ipw_weight
 from banditsgd.environments import ReplayCursor
 from banditsgd.experiments import _report_tables
 from banditsgd.models import HESSIAN_EXACT, _HESSIAN_VARIANTS
-from banditsgd.policy import RngStream, learning_rate
+from banditsgd.policy import RngStream, exploration_rate, learning_rate
 from banditsgd.types import DimensionError, LearningSchedule, as_float_vector
 
 
@@ -279,6 +281,62 @@ def recorded_steps(model, env: RecordingEnvironment, result) -> list[tuple]:
     return [(bar, obs, propensity(model, bar, obs.x, eps), eps,
              decide_optimal(model, bar, obs.x))
             for bar, obs, eps in zip(bars, env.steps, cps.eps.tolist())]
+
+
+class RecordingLag:
+    """Wraps a lag function ``lag(step, gen)``, keeping each lag it gives."""
+
+    def __init__(self, lag):
+        self.lag = lag
+        self.lags: list[int] = []
+
+    def __call__(self, step, gen):
+        d = self.lag(step, gen)
+        self.lags.append(int(d))
+        return d
+
+
+def fifo_events(lags, end=None) -> list[tuple[str, int]]:
+    """The order of a lagged run's decisions and updates when the reward of
+    decision ``i`` (from 0) is due ``lags[i]`` steps after it, first in,
+    first out: ``("decide", i)`` and ``("update", i)``.  Rewards due at a
+    step are delivered before and after its decision; those due after step
+    ``end`` (by default the last decision's) never are."""
+    queue, events = deque(), []
+
+    def deliver(now):
+        while queue and queue[0][0] <= now:
+            events.append(("update", queue.popleft()[1]))
+
+    for i, lag in enumerate(lags):
+        deliver(i + 1)
+        events.append(("decide", i))
+        queue.append((i + 1 + lag, i))
+        deliver(i + 1)
+    deliver(len(lags) if end is None else end)
+    return events
+
+
+def lagged_fold(model, learn, explore, steps, lags, end=None, on_update=None) -> State:
+    """The state after a lagged run's updates, from its recorded decision
+    ``steps`` (``Observation``s) and ``lags``, delivered as ``fifo_events``
+    orders them: each decision is taken at the average after the updates so
+    far, under the exploration rate of the next update's ordinal, and each
+    update applies its decision's stored propensity.  Before each update of
+    decision ``i``, ``on_update(i, bar, eps)`` (if given) sees the average
+    then in force and the decision's exploration rate."""
+    state = zero_state(model.p)
+    stored = {}
+    for kind, i in fifo_events(lags, end):
+        if kind == "decide":
+            eps = exploration_rate(explore, state.t + 1)
+            stored[i] = propensity(model, state.bar_beta, steps[i].x, eps), eps
+        else:
+            pi, eps = stored.pop(i)
+            if on_update is not None:
+                on_update(i, state.bar_beta, eps)
+            state = sgd_step(state, model, learn, steps[i], pi)
+    return state
 
 
 def assert_same_results(got, want):

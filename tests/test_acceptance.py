@@ -12,14 +12,12 @@ from functools import partial
 import numpy as np
 import pytest
 
-from banditsgd import (ExperimentConfig, ExplorationSchedule, LaggedSyntheticEnvironment,
-                       LearningSchedule, LinearModel, LogisticModel, ReplayLog, RngStream,
-                       SyntheticConfig, SyntheticEnvironment, oracle_value,
-                       run_monte_carlo, run_single, run_stream, run_stream_lagged,
-                       tune_alpha, write_replay_log)
+from banditsgd import (ExperimentConfig, ExplorationSchedule, LearningSchedule,
+                       LinearModel, LogisticModel, ReplayLog, RngStream, SyntheticConfig,
+                       SyntheticEnvironment, oracle_value, run_monte_carlo, run_single,
+                       run_stream, tune_alpha, write_replay_log)
 from banditsgd.experiments import _launch, _mc_batch
 from banditsgd.models import make_model
-from banditsgd.policy import exploration_rate
 
 import oracle
 from oracle import Observation, report_row
@@ -300,50 +298,17 @@ def test_criterion_09_replay_matching():
 # 10. Lagged execution equals a store-and-replay reference.
 # ---------------------------------------------------------------------------
 
-class _Recorder:
-    def __init__(self, inner):
-        self.inner = inner
-        self.events = []
-
-    def next_feature(self):
-        return self.inner.next_feature()
-
-    def submit(self, step, x, a):
-        self.events.append(("action", step, x.copy(), a))
-        self.inner.submit(step, x, a)
-
-    def arrivals(self, now):
-        out = self.inner.arrivals(now)
-        self.events.extend(("arrival", s, y) for s, y in out)
-        return out
-
-
-def _reference_fold(model, learn, explore, events):
-    state = oracle.zero_state(model.p)
-    stored = {}
-    for ev in events:
-        if ev[0] == "action":
-            _, step, x, a = ev
-            eps = exploration_rate(explore, state.t + 1)
-            greedy = int(float(x @ state.bar_beta[model.p:])
-                         > float(x @ state.bar_beta[:model.p]))
-            stored[step] = (x, a, 1.0 - eps / 2.0 if greedy else eps / 2.0)
-        else:
-            _, step, y = ev
-            x, a, pi = stored.pop(step)
-            state = oracle.sgd_step(state, model, learn, Observation(x, a, y), pi)
-    return state
-
-
 def test_criterion_10_lagged_equivalence():
     model = LinearModel(3)
     rng = RngStream(20250814)
-    env = _Recorder(LaggedSyntheticEnvironment(SyntheticConfig(model, BETA0, sigma2=0.01),
-                                               rng, lag=3))
+    env = oracle.RecordingEnvironment(SyntheticEnvironment(
+        SyntheticConfig(model, BETA0, sigma2=0.01), rng))
     learn = LearningSchedule(0.5, 0.501)
     explore = ExplorationSchedule.fixed(0.2)
-    res = run_stream_lagged(env, model, learn, explore, rng, 500)
-    ref = _reference_fold(model, learn, explore, env.events)
+    res = run_stream(env, model, learn, explore, rng, 500, lag=3)
+    # The reference takes the recorded decisions and delivers their rewards
+    # three steps later, first in, first out.
+    ref = oracle.lagged_fold(model, learn, explore, env.steps, [3] * res.steps)
     rel = np.abs(res.bar_beta - ref.bar_beta) / (1e-30 + np.abs(ref.bar_beta))
     report(f"criterion 10 (lagged equivalence, lag 3): max relative gap "
            f"{rel.max():.2e} (tol 1e-10); updates {res.updates}, "

@@ -350,6 +350,25 @@ def test_diverged_mc_workers_print_no_numpy_warnings(tmp_path):
     assert proc.stderr == ""
 
 
+# A step size this large overflows the logistic curvature sums to inf.
+OVERFLOWED = ["--model", "logistic", "--alpha", "1e308", "--horizon", "300",
+              "--checkpoints", "100,300"]
+
+
+def test_non_finite_curvature_is_flagged(tmp_path, capsys):
+    code = main(["run", *OVERFLOWED, "--format", "json", "--out", str(tmp_path)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    for t in (100, 300):
+        rows = json.loads((tmp_path / f"report_t{t}.json").read_text())["rows"]
+        assert [row["flag"] for row in rows] == ["singular_hessian"] * 6 + [""]
+
+
+def test_non_finite_curvature_is_no_mc_failure(tmp_path):
+    assert main(["mc", *OVERFLOWED, "--reps", "4", "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "mc_meta.json").read_text())["failures"] == 0
+
+
 SATURATED = "--beta0=800,-800,800,-800,800,-800"
 
 

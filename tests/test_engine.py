@@ -7,21 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from banditsgd import (ExplorationSchedule, LaggedSyntheticEnvironment, LearningSchedule,
-                       LinearModel, LogisticModel, ProtocolError, ReplayCursor,
-                       ReplayLog, RngStream, SyntheticConfig, SyntheticEnvironment,
-                       geometric_lag, run_stream, run_stream_lagged)
+from banditsgd import (ExplorationSchedule, LearningSchedule, LinearModel, LogisticModel,
+                       ReplayCursor, ReplayLog, RngStream, SyntheticConfig,
+                       SyntheticEnvironment, geometric_lag, run_stream)
 from banditsgd import engine
-from banditsgd.environments import constant_lag
 from banditsgd.experiments import _map_jobs, _step_losses, _trace_steps
 from banditsgd.inference import ipw_weight
 from banditsgd.models import make_model
 from banditsgd.policy import exploration_rate
 
-from oracle import (Observation, RecordingEnvironment, State, accumulate,
+from oracle import (Observation, RecordingEnvironment, RecordingLag, State, accumulate,
                     assert_same_checkpoints, assert_same_results, decide_optimal,
-                    ipw_gradient, loss, loss_gradient, mean_reward, propensity,
-                    recorded_steps, sgd_step, update_value, zero_state)
+                    fifo_events, ipw_gradient, lagged_fold, loss, loss_gradient,
+                    mean_reward, propensity, recorded_steps, sgd_step, update_value,
+                    zero_state)
 
 BETA0 = np.array([0.3, -0.1, 0.7, 0.8, 0.5, -0.4])
 LEARN = LearningSchedule(0.5, 0.501)
@@ -218,11 +217,9 @@ class TestRunStream:
             if kind == "synthetic":
                 engine._run_synthetic(SyntheticConfig(m, BETA0), LEARN, EXPLORE, [6], 100,
                                       hessian="bogus")
-            elif kind == "lagged":
-                env = LaggedSyntheticEnvironment(SyntheticConfig(m, BETA0), rng, lag=2)
-                run_stream_lagged(env, m, LEARN, EXPLORE, rng, 100, hessian="bogus")
             else:
-                run_stream(env, m, LEARN, EXPLORE, rng, 100, hessian="bogus")
+                run_stream(env, m, LEARN, EXPLORE, rng, 100, hessian="bogus",
+                           lag=2 if kind == "lagged" else 0)
 
     def test_non_integral_checkpoint_names_its_value(self):
         m, env, rng = make_env(seed=6)
@@ -238,17 +235,13 @@ class TestRunStream:
             if kind == "synthetic":
                 engine._run_synthetic(SyntheticConfig(m, BETA0), LEARN, EXPLORE, [6], 10,
                                       checkpoints=cps)
-            elif kind == "lagged":
-                env = LaggedSyntheticEnvironment(SyntheticConfig(m, BETA0), rng, lag=2)
-                run_stream_lagged(env, m, LEARN, EXPLORE, rng, 10, checkpoints=cps)
             else:
-                run_stream(env, m, LEARN, EXPLORE, rng, 10, checkpoints=cps)
+                run_stream(env, m, LEARN, EXPLORE, rng, 10, checkpoints=cps,
+                           lag=2 if kind == "lagged" else 0)
 
     @pytest.mark.parametrize("kind", ["plain", "lagged", "synthetic"])
     def test_horizon_below_one_rejected_before_the_environment(self, kind):
         m, env, rng = make_env(seed=6)
-        if kind == "lagged":
-            env = LaggedSyntheticEnvironment(SyntheticConfig(m, BETA0), rng, lag=2)
         # The synthetic engine's environment is its per-chunk draw.
         env = mock.Mock(wraps=env)
         with mock.patch.object(engine, "_draw_chunk") as draw, \
@@ -256,8 +249,7 @@ class TestRunStream:
             if kind == "synthetic":
                 engine._run_synthetic(SyntheticConfig(m, BETA0), LEARN, EXPLORE, [6], 0)
             else:
-                run = run_stream_lagged if kind == "lagged" else run_stream
-                run(env, m, LEARN, EXPLORE, rng, 0)
+                run_stream(env, m, LEARN, EXPLORE, rng, 0, lag=2 if kind == "lagged" else 0)
         assert env.mock_calls == [] and draw.mock_calls == []
 
     @pytest.mark.parametrize("lagged", [False, True], ids=["plain", "lagged"])
@@ -266,12 +258,8 @@ class TestRunStream:
         totals = []
         for sums in (True, False):
             m, env, rng = make_env(seed=8)
-            run = run_stream
-            if lagged:
-                env = LaggedSyntheticEnvironment(SyntheticConfig(m, BETA0), rng, lag=2)
-                run = run_stream_lagged
-            res = run(env, m, LEARN, EXPLORE, rng, 3000,
-                      collect_inference=sums, collect_value=sums)
+            res = run_stream(env, m, LEARN, EXPLORE, rng, 3000, lag=2 if lagged else 0,
+                             collect_inference=sums, collect_value=sums)
             totals.append(res.total_reward)
         assert totals[0] == totals[1] != 0.0
 
@@ -371,12 +359,12 @@ class TestExhaustedRunRecord:
         def run(checkpoints):
             if not lagged:
                 return self._run(_replay_log(40), checkpoints)
-            # At lag 0 each reward arrives at once, so the exploration clock
-            # is the step's.
+            # A zero lag through the queue: each reward arrives at once, so
+            # the exploration clock is the step's.
             model, rng = LogisticModel(3), RngStream(8)
-            env = LaggedSyntheticEnvironment(SyntheticConfig(model, BETA0), rng, lag=0)
-            return run_stream_lagged(_FeatureBudget(env, 40), model, LEARN, self.explore,
-                                     rng, 1000, checkpoints=checkpoints)
+            env = SyntheticEnvironment(SyntheticConfig(model, BETA0), rng)
+            return run_stream(_FeatureBudget(env, 40), model, LEARN, self.explore, rng, 1000,
+                              checkpoints=checkpoints, lag=lambda step, gen: 0)
         res = run((5,))
         steps = res.steps
         assert res.exhausted and 5 < steps < 1000
@@ -407,28 +395,26 @@ class TestExhaustedRunRecord:
             assert res.checkpoints.t.tolist() == want
 
 
-def _folded_sums(rows, horizon, checkpoints, *, family="linear", p=3, lag=None,
-                 env_wrapper=None, **kw):
+def _folded_sums(rows, horizon, checkpoints, *, family="linear", p=3, env_wrapper=None,
+                 **kw):
     """A seeded run whose pending block holds at most ``rows`` steps
     (``None`` keeps the default), with a checkpoint at its final step too."""
     model = make_model(family, p)
     rng = RngStream(11)
     config = SyntheticConfig(model, np.linspace(-0.5, 0.6, 2 * p))
     with mock.patch.object(engine, "_BLOCK_ROWS", rows or engine._BLOCK_ROWS):
-        if lag is None:
-            env, run = SyntheticEnvironment(config, rng), run_stream
-        else:
-            env, run = LaggedSyntheticEnvironment(config, rng, lag=lag), run_stream_lagged
+        env = SyntheticEnvironment(config, rng)
         if env_wrapper is not None:
             env = env_wrapper(env)
         checkpoints = sorted({*checkpoints, horizon})
-        res = run(env, model, LEARN, EXPLORE, rng, horizon, checkpoints=checkpoints, **kw)
+        res = run_stream(env, model, LEARN, EXPLORE, rng, horizon, checkpoints=checkpoints,
+                         **kw)
     assert res.checkpoints.t.tolist() == checkpoints
     return res
 
 
 class _FeatureBudget:
-    """Environment, plain or lagged, that runs out after ``budget`` feature rows."""
+    """Environment that runs out after ``budget`` feature rows."""
 
     def __init__(self, inner, budget):
         self.inner, self.budget = inner, budget
@@ -442,8 +428,7 @@ class _FeatureBudget:
 
 
 class _OneFeatureBuffer:
-    """Synthetic environment, plain or lagged, that writes every feature row
-    into one array."""
+    """Synthetic environment that writes every feature row into one array."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -458,12 +443,6 @@ class _OneFeatureBuffer:
 
     def outcome(self, x, a):
         return self.inner.outcome(x, a)
-
-    def submit(self, step, x, a):
-        self.inner.submit(step, x, a)
-
-    def arrivals(self, now):
-        return self.inner.arrivals(now)
 
 
 FOLD_CASES = [
@@ -649,71 +628,82 @@ class TestOnSteps:
        horizon=st.integers(1, 2500), data=st.data())
 def test_zero_lag_equals_plain_stream_bit_for_bit(family, hessian, aipw, skip, seed,
                                                   horizon, data):
+    # An int lag of 0 applies each reward at once; a lag function that
+    # gives 0 sends every reward through the queue.
     checkpoints = data.draw(st.sets(st.integers(1, horizon), max_size=5))
     # A budget below the horizon makes the environment run out.
     budget = data.draw(st.integers(0, horizon + 1))
     model = make_model(family, 3)
     config = SyntheticConfig(model, BETA0)
     kw = dict(hessian=hessian, aipw=aipw, skip_value_burn_in=skip, checkpoints=checkpoints)
-    rng = RngStream(seed)
-    plain = run_stream(_FeatureBudget(SyntheticEnvironment(config, rng), budget), model,
-                       LEARN, EXPLORE, rng, horizon, **kw)
-    rng = RngStream(seed)
-    lagged = run_stream_lagged(_FeatureBudget(LaggedSyntheticEnvironment(config, rng, lag=0),
-                                              budget), model, LEARN, EXPLORE, rng, horizon, **kw)
-    assert plain.exhausted == (budget < horizon) and lagged.pending == 0
-    assert_same_results(lagged, plain)
-
-class _RecordingLaggedEnv:
-    """Wraps a lagged environment, logging actions and arrivals in call order."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.events = []
-
-    def next_feature(self):
-        return self.inner.next_feature()
-
-    def submit(self, step, x, a):
-        self.events.append(("action", step, x.copy(), a))
-        self.inner.submit(step, x, a)
-
-    def arrivals(self, now):
-        out = self.inner.arrivals(now)
-        for step, y in out:
-            self.events.append(("arrival", step, y))
-        return out
+    runs = []
+    for lag in (0, lambda step, gen: 0):
+        rng = RngStream(seed)
+        runs.append(run_stream(_FeatureBudget(SyntheticEnvironment(config, rng), budget),
+                               model, LEARN, EXPLORE, rng, horizon, lag=lag, **kw))
+    plain, queued = runs
+    assert plain.exhausted == (budget < horizon) and queued.pending == 0
+    assert_same_results(queued, plain)
 
 
-def _store_and_replay_reference(model, learn, explore, events):
-    """Independent fold of the lagged semantics from the recorded event
-    sequence, built on the public one-step operations: the decision rule
-    freezes between updates, and each arriving reward applies one update with
-    the propensity stored at decision time and an ordinal learning-rate
-    index."""
-    state = zero_state(model.p)
-    stored = {}
-    for ev in events:
-        if ev[0] == "action":
-            _, step, x, a = ev
-            eps = exploration_rate(explore, state.t + 1)
-            u0 = float(x @ state.bar_beta[:model.p])
-            u1 = float(x @ state.bar_beta[model.p:])
-            greedy = 1 if u1 > u0 else 0
-            pi = 1.0 - eps / 2.0 if greedy == 1 else eps / 2.0
-            stored[step] = (x, a, pi)
-        else:
-            _, step, y = ev
-            x, a, pi = stored.pop(step)
-            state = sgd_step(state, model, learn, Observation(x, a, y), pi)
-    return state
+def _lagged_run(family, seed, lag, horizon, explore=EXPLORE, **kw):
+    """A seeded run at ``lag`` with its recorded decision steps (one
+    ``Observation`` each) and the lag of each."""
+    m, env, rng = make_env(family, seed=seed)
+    env = RecordingEnvironment(env)
+    if callable(lag):
+        lag = RecordingLag(lag)
+    res = run_stream(env, m, LEARN, explore, rng, horizon, lag=lag, **kw)
+    lags = lag.lags if callable(lag) else [lag] * res.steps
+    assert len(env.steps) == len(lags) == res.steps
+    return m, res, env.steps, lags
+
+
+@settings(max_examples=30, deadline=None)
+@given(family=st.sampled_from(["linear", "logistic"]), aipw=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1), horizon=st.integers(1, 300), data=st.data())
+def test_lagged_run_is_a_fifo_fold(family, aipw, seed, horizon, data):
+    # Short lags drawn per step, and at a few steps a lag past the horizon,
+    # which holds back every later reward too.  A short burn-in and a
+    # decaying rate make each decision depend on the updates before it.
+    drawn = data.draw(st.lists(st.integers(0, 5), min_size=horizon, max_size=horizon))
+    for step in data.draw(st.sets(st.integers(1, horizon), max_size=2)):
+        drawn[step - 1] = data.draw(st.integers(horizon - step + 1, 2 * horizon))
+    checkpoints = data.draw(st.sets(st.integers(1, horizon), max_size=4))
+    explore = ExplorationSchedule.decaying(0.3, 0.1, burn_in=3)
+    seen = []
+
+    def on_steps(t, act, greedy, y, eps, ubar):
+        seen.extend(zip(t.tolist(), act[:, 0].tolist(), y[:, 0].tolist(), eps.tolist(),
+                        ubar[:, 0].tolist()))
+
+    m, res, steps, lags = _lagged_run(family, seed, lambda step, gen: drawn[step - 1],
+                                      horizon, explore, aipw=aipw, checkpoints=checkpoints,
+                                      on_steps=on_steps)
+    assert lags == drawn
+    assert res.updates + res.pending == res.steps == horizon
+    # on_steps sees each update once, in the order the rewards arrive, with
+    # both indexes at the average in force at the update.
+    want = []
+    ref = lagged_fold(m, LEARN, explore, steps, lags,
+                      on_update=lambda i, bar, eps: want.append(
+                          (steps[i], eps, [float(steps[i].x @ bar[:3]),
+                                           float(steps[i].x @ bar[3:])])))
+    assert res.updates == ref.t == len(want) == len(seen)
+    for k, ((t, a, y, eps, ubar), (obs, eps_ref, ubar_ref)) in enumerate(zip(seen, want)):
+        assert (t, a, y, eps) == (k + 1, obs.a, obs.y, eps_ref)
+        np.testing.assert_allclose(ubar, ubar_ref, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(res.bar_beta, ref.bar_beta, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(res.hat_beta, ref.hat_beta, rtol=1e-10, atol=1e-12)
 
 
 class TestRunStreamLagged:
+    """``run_stream`` with a ``lag``."""
+
     def test_zero_lag_equals_plain_stream(self):
-        m1, _, rng1 = make_env(seed=21)
-        env1 = LaggedSyntheticEnvironment(SyntheticConfig(m1, BETA0), rng1, lag=0)
-        lag_res = run_stream_lagged(env1, m1, LEARN, EXPLORE, rng1, 800, checkpoints=(800,))
+        m1, env1, rng1 = make_env(seed=21)
+        lag_res = run_stream(env1, m1, LEARN, EXPLORE, rng1, 800, checkpoints=(800,),
+                             lag=lambda step, gen: 0)
         m2, env2, rng2 = make_env(seed=21)
         plain = run_stream(env2, m2, LEARN, EXPLORE, rng2, 800, checkpoints=(800,))
         assert_same_results(lag_res, plain)
@@ -721,9 +711,8 @@ class TestRunStreamLagged:
     def test_unit_lag_is_one_update_behind(self):
         # With constant lag one the decisions coincide with the lag-free run;
         # only the final reward is still outstanding.
-        m1, _, rng1 = make_env(seed=22)
-        env1 = LaggedSyntheticEnvironment(SyntheticConfig(m1, BETA0), rng1, lag=1)
-        lag_res = run_stream_lagged(env1, m1, LEARN, EXPLORE, rng1, 600)
+        m1, env1, rng1 = make_env(seed=22)
+        lag_res = run_stream(env1, m1, LEARN, EXPLORE, rng1, 600, lag=1)
         m2, env2, rng2 = make_env(seed=22)
         env2 = RecordingEnvironment(env2)
         plain = run_stream(env2, m2, LEARN, EXPLORE, rng2, 600, checkpoints=range(1, 601))
@@ -736,19 +725,15 @@ class TestRunStreamLagged:
                                    rtol=1e-12, atol=1e-14)
 
     def test_delivered_rewards_leave_the_queue(self):
-        m, _, rng = make_env(seed=24)
-        env = LaggedSyntheticEnvironment(SyntheticConfig(m, BETA0), rng, lag=3)
-        res = run_stream_lagged(env, m, LEARN, EXPLORE, rng, 2000)
+        m, env, rng = make_env(seed=24)
+        res = run_stream(env, m, LEARN, EXPLORE, rng, 2000, lag=3)
         assert res.pending == 3
-        assert len(env._queue) == res.pending
+        assert res.updates == res.steps - res.pending == 1997
 
     @pytest.mark.parametrize("lag", [2, 5])
     def test_constant_lag_matches_reference(self, lag):
-        m, _, rng = make_env(seed=23 + lag)
-        env = _RecordingLaggedEnv(
-            LaggedSyntheticEnvironment(SyntheticConfig(m, BETA0), rng, lag=lag))
-        res = run_stream_lagged(env, m, LEARN, EXPLORE, rng, 500)
-        ref = _store_and_replay_reference(m, LEARN, EXPLORE, env.events)
+        m, res, steps, lags = _lagged_run("linear", 23 + lag, lag, 500)
+        ref = lagged_fold(m, LEARN, EXPLORE, steps, lags)
         assert res.updates == ref.t == 500 - lag
         np.testing.assert_allclose(res.bar_beta, ref.bar_beta,
                                    rtol=1e-10, atol=1e-12)
@@ -756,12 +741,8 @@ class TestRunStreamLagged:
                                    rtol=1e-10, atol=1e-12)
 
     def test_geometric_lag_matches_reference(self):
-        m, _, rng = make_env("logistic", seed=31)
-        env = _RecordingLaggedEnv(
-            LaggedSyntheticEnvironment(SyntheticConfig(m, BETA0), rng,
-                                       lag=geometric_lag(0.4)))
-        res = run_stream_lagged(env, m, LEARN, EXPLORE, rng, 400)
-        ref = _store_and_replay_reference(m, LEARN, EXPLORE, env.events)
+        m, res, steps, lags = _lagged_run("logistic", 31, geometric_lag(0.4), 400)
+        ref = lagged_fold(m, LEARN, EXPLORE, steps, lags)
         assert res.updates == ref.t
         assert res.updates + res.pending == res.steps
         np.testing.assert_allclose(res.bar_beta, ref.bar_beta,
@@ -774,9 +755,6 @@ class TestRunStreamLagged:
         # from the decision clock; the plug-in mean and the AIPW mu_hat from
         # the average in force at the update.
         explore = ExplorationSchedule.decaying(0.3, 0.1, burn_in=20)
-        m, _, rng = make_env(family, seed=35)
-        env = _RecordingLaggedEnv(
-            LaggedSyntheticEnvironment(SyntheticConfig(m, BETA0), rng, lag=lag))
         bars = []  # bars[k]: the average after k updates
         step = engine._sgd_step
 
@@ -785,21 +763,20 @@ class TestRunStreamLagged:
             step(hat, bar, *args)
 
         with mock.patch.object(engine, "_sgd_step", spy):
-            res = run_stream_lagged(env, m, LEARN, explore, rng, 700, aipw=True,
-                                    skip_value_burn_in=True, checkpoints=(700,))
+            m, res, steps, lags = _lagged_run(family, 35, lag, 700, explore, aipw=True,
+                                              skip_value_burn_in=True, checkpoints=(700,))
         bars.append(res.bar_beta)
         s_sum, h_sum, val = np.zeros((6, 6)), np.zeros((6, 6)), np.zeros(4)
         stored, updates, value_steps = {}, 0, 0
-        for ev in env.events:
+        for kind, i in fifo_events(lags):
             bar = bars[updates]
-            if ev[0] == "action":
-                _, t, x, a = ev
+            x, a, y = steps[i].x, steps[i].a, steps[i].y
+            if kind == "decide":
                 eps = exploration_rate(explore, updates + 1)
-                stored[t] = (x, a, propensity(m, bar, x, eps), eps, decide_optimal(m, bar, x),
+                stored[i] = (propensity(m, bar, x, eps), eps, decide_optimal(m, bar, x),
                              updates + 1 > explore.burn_in)
                 continue
-            _, t, y = ev
-            x, a, pi, eps, greedy, include = stored.pop(t)
+            pi, eps, greedy, include = stored.pop(i)
             blk = slice(3, 6) if a == 1 else slice(0, 3)
             mu = m.mean_from_index(float(x @ bar[blk]))
             gw = (mu - y) * ipw_weight(a, pi)
@@ -808,7 +785,7 @@ class TestRunStreamLagged:
             h_sum[blk, blk] += xx * (m.hessian_scale(mu, y, "exact") * ipw_weight(a, pi))
             if include:
                 g_blk = slice(3, 6) if greedy == 1 else slice(0, 3)
-                update_value(val, Observation(x, a, y), greedy, eps,
+                update_value(val, steps[i], greedy, eps,
                              m.mean_from_index(float(x @ bar[g_blk])))
                 value_steps += 1
             updates += 1
@@ -819,72 +796,47 @@ class TestRunStreamLagged:
         np.testing.assert_array_equal(cps.H[-1], h_sum)
         assert cps.value[-1].tolist() == val.tolist()
 
-    def test_out_of_order_arrival_raises(self):
-        m, _, rng = make_env(seed=41)
-
-        class Shuffled:
-            """Holds step 3's reward back one step, then delivers reversed."""
-
-            def __init__(self):
-                self.inner = LaggedSyntheticEnvironment(SyntheticConfig(m, BETA0), rng, lag=1)
-                self.held = []
-
-            def next_feature(self):
-                return self.inner.next_feature()
-
-            def submit(self, step, x, a):
-                self.inner.submit(step, x, a)
-
-            def arrivals(self, now):
-                got = self.held + self.inner.arrivals(now)
-                self.held = []
-                if now == 4 and got:
-                    self.held = got
-                    return []
-                if now == 5:
-                    return list(reversed(got))
-                return got
-
-        with pytest.raises(ProtocolError):
-            run_stream_lagged(Shuffled(), m, LEARN, EXPLORE, rng, 10)
-
-    def test_unknown_step_reward_raises(self):
-        m, _, rng = make_env(seed=43)
-
-        class Phantom:
-            def __init__(self):
-                self.inner = LaggedSyntheticEnvironment(SyntheticConfig(m, BETA0), rng, lag=0)
-
-            def next_feature(self):
-                return self.inner.next_feature()
-
-            def submit(self, step, x, a):
-                self.inner.submit(step, x, a)
-
-            def arrivals(self, now):
-                out = self.inner.arrivals(now)
-                return out + out  # deliver each reward twice
-
-        with pytest.raises(ProtocolError):
-            run_stream_lagged(Phantom(), m, LEARN, EXPLORE, rng, 10)
+    def test_replay_with_a_lag_matches_reference(self):
+        # A dropped entry is no decision step and calls no lag.  At lag 1 the
+        # last reward is due at the step the log runs out, and arrives.
+        cursor = ReplayCursor(_replay_log(400))
+        env, lag = RecordingEnvironment(cursor), RecordingLag(lambda step, gen: 1)
+        m = LogisticModel(3)
+        res = run_stream(env, m, LEARN, EXPLORE, RngStream(8), 1000, lag=lag)
+        assert res.exhausted and cursor.consumed == 400
+        assert res.steps == cursor.matched == len(lag.lags) == len(env.steps)
+        assert res.updates == res.steps and res.pending == 0
+        ref = lagged_fold(m, LEARN, EXPLORE, env.steps, lag.lags, end=res.steps + 1)
+        assert ref.t == res.updates
+        np.testing.assert_allclose(res.bar_beta, ref.bar_beta, rtol=1e-10, atol=1e-12)
 
     def test_missing_rewards_never_update(self):
-        m, _, rng = make_env(seed=44)
-
-        class BlackHole:
-            def __init__(self):
-                self.inner = LaggedSyntheticEnvironment(SyntheticConfig(m, BETA0), rng, lag=0)
-
-            def next_feature(self):
-                return self.inner.next_feature()
-
-            def submit(self, step, x, a):
-                self.inner.submit(step, x, a)
-
-            def arrivals(self, now):
-                # swallow every second step's reward and everything after it
-                return [sy for sy in self.inner.arrivals(now) if sy[0] <= 3]
-
-        res = run_stream_lagged(BlackHole(), m, LEARN, EXPLORE, rng, 10)
+        # From step 4 on every reward is due after the horizon.
+        m, env, rng = make_env(seed=44)
+        res = run_stream(env, m, LEARN, EXPLORE, rng, 10,
+                         lag=lambda step, gen: 0 if step <= 3 else 10)
         assert res.updates == 3
         assert res.pending == 7
+
+    def test_lag_validation(self):
+        # A bad lag is rejected at the call, before the environment or the
+        # generator is read.
+        m, env, rng = make_env(seed=14)
+        env = mock.Mock(wraps=env)
+        for bad, message in ((-1, r"^lag must be nonnegative$"),
+                             (np.int64(-1), r"^lag must be nonnegative$"),
+                             (2.0, r"^lag must be a whole number .* got 2\.0$")):
+            with pytest.raises(ValueError, match=message):
+                run_stream(env, m, LEARN, EXPLORE, rng, 10, lag=bad)
+        assert env.mock_calls == []
+        assert rng.uniform() == RngStream(14).uniform()
+        with pytest.raises(ValueError, match=r"^success probability must lie in \(0, 1\]$"):
+            geometric_lag(0.0)
+
+    def test_any_integral_lag_is_a_constant_lag(self):
+        def run(lag):
+            m, env, rng = make_env(seed=14)
+            return run_stream(env, m, LearningSchedule(0.5),
+                              ExplorationSchedule.fixed(0.2, burn_in=5), rng, 10, lag=lag)
+        assert_same_results(run(np.int64(2)), run(2))
+        assert run(2).pending == 2

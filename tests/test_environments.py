@@ -5,15 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from banditsgd import (ExplorationSchedule, LearningSchedule, LinearModel, LogisticModel,
-                       ReplayCursor, ReplayExhausted, ReplayLog, ReplayLogError, RngStream,
-                       SyntheticConfig, SyntheticEnvironment, load_replay_log,
-                       run_stream_lagged, write_replay_log)
-from banditsgd.environments import (LaggedSyntheticEnvironment, constant_lag,
-                                    geometric_lag)
+from banditsgd import (LinearModel, LogisticModel, ReplayCursor, ReplayExhausted, ReplayLog,
+                       ReplayLogError, RngStream, SyntheticConfig, SyntheticEnvironment,
+                       load_replay_log, write_replay_log)
 from banditsgd.types import DimensionError
 
-from oracle import MeanTrackingCursor, assert_same_results
+from oracle import MeanTrackingCursor
 
 BETA0 = np.array([0.3, -0.1, 0.7, 0.8, 0.5, -0.4])
 
@@ -91,53 +88,6 @@ class TestSyntheticEnvironment:
         for _ in range(env._CHUNK + 10):
             env.next_feature()
         np.testing.assert_array_equal(first, snapshot)
-
-
-class TestLaggedEnvironment:
-    def test_constant_lag_delivery_times(self):
-        env = LaggedSyntheticEnvironment(linear_config(), RngStream(11), lag=2)
-        x = env.next_feature()
-        env.submit(1, x, 1)
-        assert env.arrivals(1) == [] and env.arrivals(2) == []
-        got = env.arrivals(3)
-        assert len(got) == 1 and got[0][0] == 1
-
-    def test_zero_lag_same_step(self):
-        env = LaggedSyntheticEnvironment(linear_config(), RngStream(12), lag=0)
-        x = env.next_feature()
-        env.submit(1, x, 0)
-        got = env.arrivals(1)
-        assert len(got) == 1 and got[0][0] == 1
-
-    def test_fifo_serialization_under_random_lags(self):
-        env = LaggedSyntheticEnvironment(linear_config(), RngStream(13),
-                                         lag=geometric_lag(0.3))
-        delivered = []
-        for t in range(1, 200):
-            delivered.extend(s for s, _ in env.arrivals(t))
-            x = env.next_feature()
-            env.submit(t, x, 0)
-            delivered.extend(s for s, _ in env.arrivals(t))
-        assert delivered == sorted(delivered)
-
-    def test_lag_validation(self):
-        with pytest.raises(ValueError):
-            constant_lag(-1)
-        with pytest.raises(ValueError):
-            geometric_lag(0.0)
-
-    def test_any_integral_lag_is_a_constant_lag(self):
-        def run(lag):
-            rng = RngStream(14)
-            env = LaggedSyntheticEnvironment(linear_config(), rng, lag=lag)
-            return run_stream_lagged(env, LinearModel(3), LearningSchedule(0.5),
-                                     ExplorationSchedule.fixed(0.2, burn_in=5), rng, 10)
-        assert_same_results(run(np.int64(2)), run(2))
-        with pytest.raises(ValueError, match=r"^lag must be nonnegative$"):
-            LaggedSyntheticEnvironment(linear_config(), RngStream(14), lag=np.int64(-1))
-        # A float is no whole number of steps, and fails when the environment is built.
-        with pytest.raises(ValueError, match=r"^lag must be a whole number .* got 2\.0$"):
-            LaggedSyntheticEnvironment(linear_config(), RngStream(14), lag=2.0)
 
 
 def _make_log(n, seed=0, p=3):

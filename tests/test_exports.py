@@ -8,11 +8,10 @@ import banditsgd
 
 EXPORTS = {
     # engine
-    "ProtocolError", "StreamResult", "run_stream", "run_stream_lagged",
+    "StreamResult", "run_stream",
     # environments
-    "LaggedSyntheticEnvironment", "ReplayCursor", "ReplayExhausted", "ReplayLog",
-    "ReplayLogError", "SyntheticConfig", "SyntheticEnvironment", "geometric_lag",
-    "load_replay_log", "write_replay_log",
+    "ReplayCursor", "ReplayExhausted", "ReplayLog", "ReplayLogError", "SyntheticConfig",
+    "SyntheticEnvironment", "geometric_lag", "load_replay_log", "write_replay_log",
     # experiments
     "ConfigError", "ExperimentConfig", "MonteCarloSummary", "TuneAlphaResult",
     "build_config", "load_config_file", "run_monte_carlo", "run_single", "tune_alpha",
@@ -51,7 +50,7 @@ def _documented() -> list[tuple[str, str]]:
 
 def test_exported_names():
     assert set(_public_names()) == EXPORTS
-    assert len(EXPORTS) == 33
+    assert len(EXPORTS) == 30
 
 
 def test_readme_lists_each_export_once_under_its_module():

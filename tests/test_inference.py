@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from banditsgd import (ExplorationSchedule, LaggedSyntheticEnvironment, LearningSchedule,
-                       LinearModel, LogisticModel, RngStream, SyntheticConfig,
-                       SyntheticEnvironment, checkpoint_reports, run_stream, run_stream_lagged)
+from banditsgd import (ExplorationSchedule, LearningSchedule, LinearModel, LogisticModel,
+                       RngStream, SyntheticConfig, SyntheticEnvironment, checkpoint_reports,
+                       run_stream)
 from banditsgd import inference
 from banditsgd.engine import Checkpoints
 from banditsgd.inference import ipw_weight, normal_cdf, normal_quantile, two_sided_p
@@ -168,6 +168,22 @@ class TestSandwichCovariance:
             assert not ok and not ridged and cond < 1e12
             rows = report_rows(checkpoint_reports(cps, ridge=ridge), 2000)[:6]
             assert all(r.flag == "singular_hessian" and math.isnan(r.se) for r in rows)
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_curvature_flagged_beside_finite_rows(self):
+        # A NaN or inf curvature is not factored, with or without the ridge;
+        # the finite row of the same stack keeps its one-row bits.
+        gen = np.random.default_rng(7)
+        g = gen.standard_normal((6, 7))
+        S, H = np.array([g @ g.T] * 3), np.array([g @ g.T + np.eye(6)] * 3)
+        H[1, 0, 0], H[2, 3, 4] = math.inf, math.nan
+        n = np.array([50, 50, 50])
+        for ridge in (False, True):
+            cov, ridged, cond, ok = inference._sandwiches(S, H, n, ridge=ridge)
+            assert ok.tolist() == [True, False, False] and not ridged.any()
+            assert np.isnan(cond[1:]).all() and np.isnan(cov[1:]).all()
+            single = _sandwich(S[0], H[0], 50, ridge=ridge)
+            assert cov[0].tobytes() == single[0].tobytes() and cond[0] == single[2]
 
     @pytest.mark.filterwarnings("error")
     def test_empty_accumulator_rejected(self):
@@ -395,10 +411,10 @@ class TestCheckpointReports:
         # at step 20 equals that of the run without that checkpoint.
         def run(checkpoints):
             m, rng = LinearModel(3), RngStream(5)
-            env = LaggedSyntheticEnvironment(SyntheticConfig(m, BETA0, sigma2=0.01), rng, lag=5)
-            return run_stream_lagged(env, m, LearningSchedule(0.5, 0.501),
-                                     ExplorationSchedule.fixed(0.2, burn_in=5), rng, 20,
-                                     checkpoints=checkpoints).checkpoints
+            env = SyntheticEnvironment(SyntheticConfig(m, BETA0, sigma2=0.01), rng)
+            return run_stream(env, m, LearningSchedule(0.5, 0.501),
+                              ExplorationSchedule.fixed(0.2, burn_in=5), rng, 20,
+                              checkpoints=checkpoints, lag=5).checkpoints
         cps = run((2, 20))
         assert cps.n.tolist() == cps.value_t.tolist() == [0, 15]
         for ridge in (False, True):
