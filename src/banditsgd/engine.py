@@ -402,37 +402,29 @@ def run_stream(env, model, learn: LearningSchedule, explore: ExplorationSchedule
 # Synthetic streams fed from per-chunk draw tables.
 # ---------------------------------------------------------------------------
 
-def _rewards(model, u: np.ndarray, d: np.ndarray, sd: float) -> np.ndarray:
-    """Rewards at true indexes ``u`` for reward draws ``d`` (broadcast to
-    ``u``'s shape), equal entry for entry to ``SyntheticEnvironment.outcome``:
-    ``u + sd * d`` (linear) or ``d < mean_from_index(u)`` (logistic)."""
-    if model.tag == "linear":
-        return u + sd * d
-    return (d < model.mean_from_index_array(u)).astype(np.float64)
-
-
 def _reward_table(model, x: np.ndarray, truth: np.ndarray, d: np.ndarray,
                   sd: float) -> np.ndarray:
     """Both actions' rewards (a last axis of 2) at feature rows ``x`` (last
-    axis p) for reward draws ``d`` (``x``'s shape without its last axis).
-    ``truth`` is the true parameter vector as a (2, p, 1) array; one stacked
-    1 x p by p x 1 ``matmul`` gives each true index by the BLAS dot call of
+    axis p) for reward draws ``d`` (``x``'s shape without its last axis),
+    equal entry for entry to ``SyntheticEnvironment.outcome``.  ``truth`` is
+    the true parameter vector as a (2, p, 1) array; one stacked 1 x p by
+    p x 1 ``matmul`` gives each true index by the BLAS dot call of
     ``x @ block``."""
     u = (x[..., None, None, :] @ truth)[..., 0, 0]
-    return _rewards(model, u, d[..., None], sd)
+    return model.reward(model.mean_from_index_array(u), d[..., None], sd)
 
 
-def _draw_chunk(gen, p: int, linear: bool, n: int):
-    """One draw chunk of a synthetic stream whose first ``n`` steps are used,
-    read from ``gen`` in the order ``run_stream`` on a ``SyntheticEnvironment``
-    reads it: the feature chunk, the first step's action uniform, the
-    reward-draw chunk (normal noise or uniforms), then one uniform per
+def _draw_chunk(gen, model, n: int):
+    """One draw chunk of a synthetic stream of ``model`` whose first ``n``
+    steps are used, read from ``gen`` in the order ``run_stream`` on a
+    ``SyntheticEnvironment`` reads it: the feature chunk, the first step's
+    action uniform, the chunk of ``model.reward_draws``, then one uniform per
     remaining step.  Returns the features, the ``n`` uniforms and the draws."""
     chunk = SyntheticEnvironment._CHUNK
-    x = draw_features(gen, chunk, p)
+    x = draw_features(gen, chunk, model.p)
     uni = np.empty(n)
     uni[0] = gen.random()
-    d = gen.standard_normal(chunk) if linear else gen.random(chunk)
+    d = model.reward_draws(gen, chunk)
     uni[1:] = gen.random(n - 1)
     return x, uni, d
 
@@ -476,7 +468,6 @@ def _run_synthetic(synth: SyntheticConfig, learn: LearningSchedule,
     sums = _Sums(model, hessian, reps, horizon, checkpoints, collect_inference,
                  collect_value, aipw, on_steps)
     gens = [RngStream(s).gen for s in seeds]
-    linear = model.tag == "linear"
     sd = math.sqrt(synth.sigma2)
     # Averages and iterates.  A stacked 1 x p by p x 1 matmul gives every
     # index, each by the BLAS dot call of ``block.dot(x)``.
@@ -549,7 +540,7 @@ def _run_synthetic(synth: SyntheticConfig, learn: LearningSchedule,
     for start in range(0, horizon, chunk):
         n = min(chunk, horizon - start)
         for r, gen in enumerate(gens):
-            feats[:, r], uni[:n, r], draws[:, r] = _draw_chunk(gen, p, linear, n)
+            feats[:, r], uni[:n, r], draws[:, r] = _draw_chunk(gen, model, n)
         for b0 in range(0, n, _BLOCK_ROWS):
             b1 = min(b0 + _BLOCK_ROWS, n)
             t0 = start + b0

@@ -26,10 +26,11 @@ from .value import draw_features
 class SyntheticConfig:
     """Ground truth for a simulated stream.
 
-    ``beta0`` is the true parameter vector; ``sigma2`` is the reward noise
-    variance (linear families only; logistic streams never read it).
-    Features are an intercept plus p-1 independent standard normal
-    coordinates.
+    ``beta0`` is the true parameter vector, with finite entries; ``sigma2``
+    is the finite reward noise variance, passed to ``model.reward`` as the
+    scale ``sqrt(sigma2)`` (the linear family adds it times a standard
+    normal draw; the logistic family ignores it).  Features are an
+    intercept plus p-1 independent standard normal coordinates.
     """
 
     model: object
@@ -42,14 +43,17 @@ class SyntheticConfig:
             raise DimensionError(
                 f"beta0 has length {self.beta0.shape[0]}, expected {2 * self.model.p}"
             )
-        if self.sigma2 < 0:
-            raise ValueError("noise variance must be nonnegative")
+        if not np.isfinite(self.beta0).all():
+            raise ValueError(f"beta0 entries must be finite, got {self.beta0.tolist()!r}")
+        if not 0 <= self.sigma2 < math.inf:
+            raise ValueError(f"noise variance must be finite and nonnegative, "
+                             f"got {self.sigma2!r}")
 
 
 class SyntheticEnvironment:
     """Infinite stream of simulated observations, owned by one run.
 
-    Random draws are generated in chunks (features, reward noise) for speed;
+    Random draws are generated in chunks (features, reward draws) for speed;
     the stream is a pure function of the seed either way.  Returned feature
     vectors are views into the current chunk, which later draws never
     overwrite: each chunk is a new array.
@@ -63,8 +67,7 @@ class SyntheticEnvironment:
         p = self._p = config.model.p
         self._blocks = (config.beta0[:p].copy(), config.beta0[p:].copy())
         self._sd = math.sqrt(config.sigma2)
-        self._linear = config.model.tag == "linear"
-        self._link = config.model.mean_from_index
+        self._model = config.model
         self._features = None
         self._fi = self._CHUNK
         self._draws = None
@@ -80,20 +83,17 @@ class SyntheticEnvironment:
 
     def _next_draw(self) -> float:
         if self._di >= self._CHUNK:
-            if self._linear:
-                self._draws = self._gen.standard_normal(self._CHUNK)
-            else:
-                self._draws = self._gen.random(self._CHUNK)
+            # Python floats: a numpy scalar would slow every step's reward.
+            self._draws = self._model.reward_draws(self._gen, self._CHUNK).tolist()
             self._di = 0
         d = self._draws[self._di]
         self._di += 1
         return d
 
     def outcome(self, x, a: int) -> float:
-        u = float(x @ self._blocks[a])
-        if self._linear:
-            return u + self._sd * self._next_draw()
-        return 1.0 if self._next_draw() < self._link(u) else 0.0
+        model = self._model
+        return model.reward(model.mean_from_index(float(x @ self._blocks[a])),
+                            self._next_draw(), self._sd)
 
 
 def geometric_lag(success_prob: float):

@@ -10,6 +10,7 @@ independent, and parallel and serial execution produce identical results.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import typing
 from contextlib import nullcontext
@@ -338,23 +339,19 @@ def _map_jobs(worker, jobs, workers: int):
         return list(ex.map(worker, jobs))
 
 
-def _launch(batch_fn, configs) -> list[list]:
-    """Every config's replications, each on its derived seed, in near-equal
-    batches within the batch budget, on ``workers`` processes.
-
-    The configs share ``reps``, ``seed``, ``p`` and ``workers``; the number
-    of batches is a multiple of ``workers`` (at most one per replication).
+def _launch(batch_fn, config: ExperimentConfig) -> list:
+    """The config's replications, each on its derived seed, in near-equal
+    batches within the batch budget, on ``workers`` processes; the number of
+    batches is a multiple of ``workers`` (at most one per replication).
     ``batch_fn((config, [(rep, seed), ...]))`` gives one result per pair.
-    Returns, per config, the results in replication order.
+    Returns the results in replication order.
     """
-    first, n = configs[0], configs[0].reps
-    reps = [(i, derive_seed(first.seed, i)) for i in range(n)]
-    batches = -(-n // _batch_capacity(first.p))
-    batches = min(n, -(-batches // first.workers) * first.workers)
+    n = config.reps
+    reps = [(i, derive_seed(config.seed, i)) for i in range(n)]
+    batches = -(-n // _batch_capacity(config.p))
+    batches = min(n, -(-batches // config.workers) * config.workers)
     parts = [reps[n * i // batches:n * (i + 1) // batches] for i in range(batches)]
-    done = _map_jobs(batch_fn, [(cfg, part) for cfg in configs for part in parts],
-                     first.workers)
-    return [sum(done[k:k + batches], []) for k in range(0, len(done), batches)]
+    return sum(_map_jobs(batch_fn, [(config, part) for part in parts], config.workers), [])
 
 
 @dataclass
@@ -425,7 +422,7 @@ def run_monte_carlo(config: ExperimentConfig, *, collect_inference: bool = True,
     if config.reps < 2:
         raise ConfigError("Monte Carlo suites need at least 2 replications")
     truth_value, truth_value_se = oracle_truth_value(config)
-    (results,) = _launch(partial(_mc_batch, collect_inference=collect_inference), [config])
+    results = _launch(partial(_mc_batch, collect_inference=collect_inference), config)
     failures = sum(1 for r in results if r.error is not None)
     ok = [r for r in results if r.error is None]
     z = normal_quantile(0.5 * (1.0 + config.level))
@@ -473,27 +470,29 @@ class TuneAlphaResult:
     rows: list[TuneAlphaRow]
 
 
-def _tune_batch(job, grid) -> list[np.ndarray]:
+def _tune_batch(job, grid, alphas) -> list[np.ndarray]:
     """Running mean of the pre-update losses at the steps of ``grid``, for each
-    ``(rep, seed)`` pair of a ``(config, pairs)`` job: smooth, and its final
-    point is the mean per-step loss of the whole run."""
+    ``(rep, seed)`` pair of a ``(config, pairs)`` job and each step-size
+    constant of ``alphas``: one (constants, grid) array per pair.  Smooth,
+    and its final point is the mean per-step loss of the whole run."""
     config, reps = job
     model = config.model_family()
-    total = np.zeros(len(reps))
-    means = np.empty((len(grid), len(reps)))
+    means = np.empty((len(reps), len(alphas), len(grid)))
+    for k, alpha in enumerate(alphas):
+        total = np.zeros(len(reps))
 
-    def on_steps(t, act, greedy, y, eps, ubar):
-        running = np.add.accumulate(
-            np.concatenate((total[None], _step_losses(model, act, y, ubar))))
-        total[:] = running[-1]
-        hit = (grid >= t[0]) & (grid <= t[-1])
-        means[hit] = running[grid[hit] - t[0] + 1] / grid[hit, None]
+        def on_steps(t, act, greedy, y, eps, ubar):
+            running = np.add.accumulate(
+                np.concatenate((total[None], _step_losses(model, act, y, ubar))))
+            total[:] = running[-1]
+            hit = (grid >= t[0]) & (grid <= t[-1])
+            means[:, k, hit] = (running[grid[hit] - t[0] + 1] / grid[hit, None]).T
 
-    # A diverging constant's overflows give non-finite losses, not warnings.
-    with np.errstate(all="ignore"):
-        _synthetic(config, reps, collect_inference=False, collect_value=False,
-                   on_steps=on_steps)
-    return list(means.T)
+        # A diverging constant's overflows give non-finite losses, not warnings.
+        with np.errstate(all="ignore"):
+            _synthetic(replace(config, alpha=alpha), reps, collect_inference=False,
+                       collect_value=False, on_steps=on_steps)
+    return list(means)
 
 
 def tune_alpha(config: ExperimentConfig, alpha_grid, write: bool = True) -> TuneAlphaResult:
@@ -516,11 +515,12 @@ def tune_alpha(config: ExperimentConfig, alpha_grid, write: bool = True) -> Tune
         raise ConfigError(f"alpha grid repeats {repeated[0]:g}")
     # Log-spaced steps at which the trajectories are reported.
     grid = np.unique(np.geomspace(1, config.horizon, num=min(60, config.horizon)).astype(int))
-    trajs = _launch(partial(_tune_batch, grid=grid), [replace(config, alpha=a) for a in alphas])
+    # (replications, constants, grid)
+    trajs = np.stack(_launch(partial(_tune_batch, grid=grid, alphas=alphas), config))
     rows: list[TuneAlphaRow] = []
     final_loss: dict[float, float] = {}
-    for a, reps in zip(alphas, trajs):
-        traj = np.vstack(reps)
+    for k, a in enumerate(alphas):
+        traj = trajs[:, k]
         with np.errstate(all="ignore"):
             mean = traj.mean(axis=0)
             p05 = np.percentile(traj, 5, axis=0)
@@ -587,47 +587,30 @@ def _json_scalar(v) -> str | None:
     return None
 
 
-def _json_key(k) -> str:
-    """A dict key as ``json.dumps`` writes it: always a string."""
-    if isinstance(k, str):
-        return _quote(k)
-    if isinstance(k, float):
-        return _quote("NaN" if k != k else "Infinity" if k == math.inf
-                      else "-Infinity" if k == -math.inf else float.__repr__(k))
-    if k is True or k is False or k is None or isinstance(k, int):
-        return _quote(_json_scalar(k))
-    raise ConfigError(f"cannot serialize a key of type {type(k).__name__}")
-
-
-def _json_text(obj, indent: str = "") -> str:
-    """``json.dumps(obj, indent=2)`` of a report, with records written as
-    dicts in field order and NaN and +-inf as null, so the output is strictly
-    valid JSON."""
-    text = _json_scalar(obj)
-    if text is not None:
-        return text
-    inner = indent + "  "
+def _jsonable(obj):
+    """A report as ``json.dumps`` takes it: records as dicts in field order,
+    numpy scalars as Python ones and NaN and +-inf as None, so that the text
+    is strictly valid JSON."""
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if obj is None or isinstance(obj, (str, int)):
+        return obj
     if isinstance(obj, list):
-        if not obj:
-            return "[]"
-        return "[\n" + ",\n".join(inner + _json_text(v, inner) for v in obj) + f"\n{indent}]"
-    if isinstance(obj, dict):
-        items = [(_json_key(k), v) for k, v in obj.items()]
-    elif is_dataclass(obj) and not isinstance(obj, type):
-        items = [(_quote(name), getattr(obj, name)) for name in _field_names(type(obj))]
-    else:
-        raise ConfigError(f"cannot serialize object of type {type(obj).__name__}")
-    if not items:
-        return "{}"
-    return "{\n" + ",\n".join(f"{inner}{k}: {_json_text(v, inner)}" for k, v in items) \
-        + f"\n{indent}}}"
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, dict) and all(k is None or isinstance(k, (str, int, float)) for k in obj):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {name: _jsonable(getattr(obj, name)) for name in _field_names(type(obj))}
+    raise ConfigError(f"cannot serialize object of type {type(obj).__name__}")
 
 
 def _json_table(head: dict, header, rows) -> str:
-    """``_json_text`` of a table: the fields of ``head``, then ``"rows"``,
-    the records that its rows of scalars make under ``header``."""
+    """``json.dumps(indent=2)`` of a table: the scalar fields of ``head``, then
+    ``"rows"``, the records that its rows of scalars make under ``header``."""
     template = "{\n" + ",\n".join(f"      {_quote(name)}: %s" for name in header) + "\n    }"
-    items = [f"  {_quote(k)}: {_json_text(v, '  ')}" for k, v in head.items()]
+    items = [f"  {_quote(k)}: {_json_scalar(v)}" for k, v in head.items()]
     records = ",\n".join("    " + template % tuple(map(_json_scalar, row)) for row in rows)
     items.append('  "rows": ' + (f"[\n{records}\n  ]" if records else "[]"))
     return "{\n" + ",\n".join(items) + "\n}"
@@ -662,7 +645,8 @@ def emit_report(obj, fmt: str, path) -> Path:
             for row in rows:
                 fh.write(",".join(_fmt_cell(v) for v in row) + "\n")
     elif fmt == "json":
-        text = _json_table(*obj) if isinstance(obj, tuple) else _json_text(obj)
+        text = _json_table(*obj) if isinstance(obj, tuple) \
+            else json.dumps(_jsonable(obj), indent=2)
         with open(path, "w") as fh:
             fh.write(text + "\n")
     else:

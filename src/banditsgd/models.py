@@ -5,11 +5,11 @@ Both families share the block-linear index
     u(a, x, beta) = x . beta[:p]    if a == 0
                     x . beta[p:]    if a == 1
 
-and differ only in the link from index to mean reward and in the per-step
-loss.  Gradients factor as (mean - y) * grad_u and curvatures as a scalar
-times the rank-one outer product grad_u grad_u^T, where grad_u is x placed in
-the active block, so the inactive block of every gradient and curvature is
-identically zero.
+and differ only in the link from index to mean reward, in the per-step
+loss and in the synthetic reward draw.  Gradients factor as
+(mean - y) * grad_u and curvatures as a scalar times the rank-one outer
+product grad_u grad_u^T, where grad_u is x placed in the active block, so
+the inactive block of every gradient and curvature is identically zero.
 """
 from __future__ import annotations
 
@@ -40,9 +40,10 @@ def _stable_sigmoid(u: float) -> float:
 class ModelFamily:
     """Common machinery for block-linear index families.
 
-    Subclasses provide the index-to-mean link, the per-observation loss, and
-    the curvature scale; the engine assembles gradients and curvatures from
-    them, because the rank-one structure is shared.
+    Subclasses provide the index-to-mean link, the per-observation loss, the
+    curvature scale and the synthetic reward draw; the engine assembles
+    gradients and curvatures from them, because the rank-one structure is
+    shared.
     """
 
     tag: str = ""
@@ -69,6 +70,16 @@ class ModelFamily:
     def validate_reward(self, y: float) -> None:
         """Reject rewards outside the family's support (no-op by default)."""
 
+    def reward_draws(self, gen, n: int) -> np.ndarray:
+        """``n`` draws from ``gen`` of a synthetic stream's reward randomness,
+        one per step, shared by both actions."""
+        raise NotImplementedError
+
+    def reward(self, mu, d, sd: float):
+        """The reward at mean ``mu`` for draw ``d`` with noise scale ``sd``,
+        on floats or arrays alike."""
+        raise NotImplementedError
+
 
 class LinearModel(ModelFamily):
     """Identity link with squared-error loss 0.5 * (y - u)^2.
@@ -91,6 +102,12 @@ class LinearModel(ModelFamily):
 
     def hessian_scale(self, mu: float, y: float, variant: str = HESSIAN_EXACT) -> float:
         return 1.0
+
+    def reward_draws(self, gen, n: int) -> np.ndarray:
+        return gen.standard_normal(n)
+
+    def reward(self, mu, d, sd: float):
+        return mu + sd * d
 
 
 class LogisticModel(ModelFamily):
@@ -126,6 +143,12 @@ class LogisticModel(ModelFamily):
             return mu * (1.0 - mu)
         r = mu - y
         return r * r
+
+    def reward_draws(self, gen, n: int) -> np.ndarray:
+        return gen.random(n)
+
+    def reward(self, mu, d, sd: float):
+        return (d < mu) * 1.0
 
 
 _FAMILIES = {cls.tag: cls for cls in (LinearModel, LogisticModel)}

@@ -231,7 +231,7 @@ def test_criterion_06_curvature_oracle():
 def test_criterion_07_value_consistency():
     cfg = ExperimentConfig(model="logistic", horizon=100_000, reps=200,
                            seed=20250804, checkpoints=(100_000,), workers=WORKERS)
-    (results,) = _launch(partial(_mc_batch, collect_inference=False), [cfg])
+    results = _launch(partial(_mc_batch, collect_inference=False), cfg)
     estimates = np.array([report_row(r.reports, 100_000, "V_opt").estimate for r in results])
     truth, truth_se = oracle_value(LogisticModel(3), BETA0, 1_000_000,
                                    RngStream(20250810))

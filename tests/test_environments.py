@@ -65,6 +65,17 @@ class TestDrawReward:
         with pytest.raises(DimensionError):
             SyntheticConfig(LinearModel(3), np.zeros(4))
 
+    @pytest.mark.parametrize("field,value,match", [
+        ("sigma2", math.nan, "noise variance"), ("sigma2", math.inf, "noise variance"),
+        ("sigma2", -0.01, "noise variance"),
+        ("beta0", [0.3, -0.1, 0.7, 0.8, 0.5, math.nan], "beta0 entries must be finite"),
+        ("beta0", [0.3, -0.1, -math.inf, 0.8, 0.5, -0.4], "beta0 entries must be finite")])
+    @pytest.mark.parametrize("model", [LinearModel(3), LogisticModel(3)])
+    def test_non_finite_truth_rejected(self, model, field, value, match):
+        kwargs = {"beta0": BETA0, "sigma2": 0.01, field: value}
+        with pytest.raises(ValueError, match=match):
+            SyntheticConfig(model, **kwargs)
+
 
 class TestSyntheticEnvironment:
     def test_streams_bit_identical(self):

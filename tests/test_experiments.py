@@ -360,8 +360,8 @@ class TestRunMonteCarlo:
 
     def test_parallel_equals_serial(self):
         cfg = small_config(reps=6, horizon=300, checkpoints=(300,))
-        (serial,) = _launch(_mc_batch, [cfg])
-        (parallel,) = _launch(_mc_batch, [replace(cfg, workers=2)])
+        serial = _launch(_mc_batch, cfg)
+        parallel = _launch(_mc_batch, replace(cfg, workers=2))
         for a, b in zip(serial, parallel):
             assert a.error is None and b.error is None
             np.testing.assert_array_equal(a.reports.estimate, b.reports.estimate)
@@ -386,7 +386,7 @@ class TestRunMonteCarlo:
     def test_negative_ridged_variance_excluded_and_counted(self):
         cfg = small_config(reps=12, horizon=5, checkpoints=(5,), ridge=True)
         summary = run_monte_carlo(cfg, write=False)
-        (reps,) = _launch(_mc_batch, [cfg])
+        reps = _launch(_mc_batch, cfg)
         flagged = sum(report_row(rep.reports, 5, "beta0_1").flag == "singular_hessian"
                       for rep in reps)
         assert 0 < flagged < cfg.reps
@@ -603,10 +603,16 @@ class TestEmitReport:
         with pytest.raises(ConfigError):
             emit_report(object(), "csv", tmp_path / "bad.csv")
 
+    @pytest.mark.parametrize("obj", [object(), {"a": [object()]}, {(1, 2): 1.0},
+                                     {np.int64(1): 1.0}])
+    def test_unserializable_json_rejected(self, tmp_path, obj):
+        with pytest.raises(ConfigError, match="cannot serialize"):
+            emit_report(obj, "json", tmp_path / "bad.json")
+
 
 def reference_jsonify(obj):
-    """The JSON-ready copy the writer once fed to ``json.dumps(indent=2)``,
-    kept as the reference for the writer's bytes."""
+    """The JSON-ready copy of ``obj`` for ``json.dumps(indent=2)``, spelled
+    apart from the writer's and kept as the reference for its bytes."""
     if isinstance(obj, (float, np.floating)):
         return float(obj) if math.isfinite(obj) else None
     if obj is None or isinstance(obj, (str, int)):
@@ -659,7 +665,7 @@ _records = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(obj=_records)
 def test_json_writer_matches_json_dumps(obj):
-    text = experiments._json_text(obj)
+    text = json.dumps(experiments._jsonable(obj), indent=2)
     assert text == json.dumps(reference_jsonify(obj), indent=2)
     json.loads(text, parse_constant=_reject_constant)
 

@@ -70,6 +70,12 @@ COMMANDS = {
     "mc-singular": ["mc", "--config", "mc.cfg", "--checkpoints", "3,100,400", "--seed", "26",
                     "--format", "json"],
     "mc-aipw": ["mc", "--config", "mc.cfg", "--aipw", "--seed", "27", "--format", "json"],
+    # The stacked batch step on logistic reward tables.
+    "mc-logistic": ["mc", "--config", "mc.cfg", "--model", "logistic", "--seed", "30",
+                    "--format", "json"],
+    "tune-alpha-logistic": ["tune-alpha", "--model", "logistic", "--alpha-grid", "0.3,1.0",
+                            "--reps", "5", "--horizon", "500", "--seed", "31",
+                            "--format", "json"],
     # Checkpoints 10 and 50 fall inside the skipped burn-in: no_value_steps.
     "value-skip-aipw": ["run", "--model", "logistic", "--aipw", "--value-skip-burn-in",
                         "--horizon", "300", "--checkpoints", "10,50,51,300", "--seed", "28",
@@ -167,6 +173,15 @@ GOLDEN = {
         "files": {
             "out/mc_meta.json": "85762334b7b8997f9a105a623b6c9b970a626953186a0db908ab92dff09ab01e",
             "out/mc_summary.json": "252ec9c01bc775bea207f9463144d5c45f5234aa60b52c60b2ae18b1b9b3e848"
+        }
+    },
+    "mc-logistic": {
+        "exit": 0,
+        "stdout": "b9235c1830d425f3736b1fe1d3e233d6c7668bef7db20a9295dfe12aff8f0b5e",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "out/mc_meta.json": "0619559bc1a56252dfae2e6680518843dc6d77c1e5a63b4189abd111629958d3",
+            "out/mc_summary.json": "64d7ceb7e335928138425270b043519225e135dc7a5cdf657b5f32f638088dd3"
         }
     },
     "mc-singular": {
@@ -352,6 +367,15 @@ GOLDEN = {
         "files": {
             "out/report_t1.json": "661f8e2b1796d74e50b6dda43f6e2614ecdd17a77c5af4d4b6af1bd9e70e35fc",
             "out/report_t2.json": "2595a6d1a8d6b32177ea24a08ee4c7cd7f4f9a856c0042d28f1b7f379dec3a18"
+        }
+    },
+    "tune-alpha-logistic": {
+        "exit": 0,
+        "stdout": "0f79905c3229a95ea32802ec9c951751874d00b3b4c9b7435f275ca3d82cd5f1",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "files": {
+            "out/tune_alpha.json": "59ac7fc2a7c7fe62b090d64e83897d49f7577174765b6b654e27d37655bbaa06",
+            "out/tune_alpha_summary.json": "5317f092a5ebac085e6d876f43ca9d25964d517ee14dc90b771f3809ea520874"
         }
     },
     "value-skip-aipw": {

@@ -1,6 +1,7 @@
 """The synthetic engine, in batches of every size, against the per-step
 engine, bit for bit."""
 import json
+from dataclasses import replace
 from functools import partial
 from unittest import mock
 
@@ -13,7 +14,7 @@ from banditsgd import (ExperimentConfig, ExplorationSchedule, RngStream,
                        SyntheticEnvironment, run_monte_carlo, run_stream)
 from banditsgd import experiments
 from banditsgd.cli import main
-from banditsgd.engine import _MIN_BATCH, _rewards
+from banditsgd.engine import _MIN_BATCH
 from banditsgd.models import make_model
 from banditsgd.experiments import _launch, _mc_batch, _tune_batch
 from banditsgd.policy import derive_seed
@@ -91,19 +92,24 @@ def _per_step_losses(config, seed, grid):
 
 @pytest.mark.parametrize("family", ["linear", "logistic"])
 def test_tune_trajectories_match_per_step(family):
-    config = _config(family, 3, horizon=4100, alpha=1.0, seed=77)
+    config = _config(family, 3, horizon=4100, seed=77)
     # The tuning grid's log-spaced steps, and the steps on both sides of a
     # block and a draw-chunk edge.
     grid = np.union1d(np.geomspace(1, config.horizon, num=60).astype(int),
                       [1024, 1025, 4096, 4097])
     reps = [(i, derive_seed(config.seed, i)) for i in range(max(_MIN_BATCH, 5))]
-    want = [_per_step_losses(config, seed, grid) for _, seed in reps]
-    # One batch on the stacked step, then batches of 2 and 1 on the scalar step.
-    for batches in ([reps], [reps[:2], reps[2:3]]):
-        got = [traj for batch in batches for traj in _tune_batch((config, batch), grid)]
+    want = {a: [_per_step_losses(replace(config, alpha=a), seed, grid) for _, seed in reps]
+            for a in (0.3, 1.0)}
+    # One batch on the stacked step, then batches of 2 and 1 on the scalar
+    # step, for one constant; then one batch over two constants.
+    for alphas, batches in [((1.0,), [reps]), ((1.0,), [reps[:2], reps[2:3]]),
+                            ((0.3, 1.0), [reps])]:
+        got = [traj for batch in batches for traj in _tune_batch((config, batch), grid, alphas)]
         assert len(got) == sum(map(len, batches))
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
+        for i, traj in enumerate(got):
+            assert traj.shape == (len(alphas), len(grid))
+            for a, row in zip(alphas, traj):
+                assert np.array_equal(row, want[a][i])
 
 
 @settings(max_examples=10, deadline=None)
@@ -139,7 +145,7 @@ def test_report_failure_is_recorded_per_replication():
                          [(16, 2), (2 * _MIN_BATCH - 1, 1), (7, 1), (5, 4), (3, 1)])
 def test_batches_cover_every_replication_in_order(reps, workers):
     config = ExperimentConfig(horizon=20, reps=reps, workers=workers, checkpoints=(20,))
-    (results,) = _launch(partial(_mc_batch, collect_inference=False), [config])
+    results = _launch(partial(_mc_batch, collect_inference=False), config)
     assert [r.rep for r in results] == list(range(reps))
     assert [r.seed for r in results] == [derive_seed(config.seed, i) for i in range(reps)]
 
@@ -178,17 +184,14 @@ class TestUnrepresentableExploration:
 
 
 class TestRewards:
-    """The vectorized reward draw against ``SyntheticEnvironment.outcome``'s."""
-
-    @staticmethod
-    def _scalar(model, u, d, sd):
-        if model.tag == "linear":
-            return u + sd * d
-        return 1.0 if d < model.mean_from_index(u) else 0.0
+    """The reward hook on arrays, as the batch engine calls it, against the
+    same hook on floats, as ``SyntheticEnvironment.outcome`` calls it."""
 
     def _check(self, model, u, d, sd=0.3):
-        got = _rewards(model, u, d, sd)
-        want = [self._scalar(model, float(a), b, sd) for a, b in zip(u.tolist(), d.tolist())]
+        got = model.reward(model.mean_from_index_array(u), d, sd)
+        want = [model.reward(model.mean_from_index(a), b, sd)
+                for a, b in zip(u.tolist(), d.tolist())]
+        assert all(type(y) is float for y in want)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -208,7 +211,7 @@ class TestRewards:
         u = gen.normal(0.0, 2.0, (50, 4, 2))
         d = gen.random((50, 4, 1))
         self._check(model, u.ravel(), np.broadcast_to(d, u.shape).ravel())
-        assert _rewards(model, u, d, 0.3).shape == u.shape
+        assert model.reward(model.mean_from_index_array(u), d, 0.3).shape == u.shape
 
     def test_saturated_and_signed_zero_indexes(self):
         model = make_model("logistic", 3)

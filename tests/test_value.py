@@ -204,7 +204,7 @@ class TestAipwAccumulation:
         config = ExperimentConfig(model="linear", horizon=10_000, reps=200,
                                   seed=909, aipw=True, checkpoints=(10_000,),
                                   workers=2)
-        (results,) = _launch(partial(_mc_batch, collect_inference=False), [config])
+        results = _launch(partial(_mc_batch, collect_inference=False), config)
         assert results[0].reports.names == ["V_opt", "V_opt_aipw"]
         diffs = np.array([r.reports.estimate[0, 1] - r.reports.estimate[0, 0] for r in results])
         se = diffs.std(ddof=1) / math.sqrt(len(diffs))
